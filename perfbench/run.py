@@ -7,9 +7,11 @@ turn, untraced).  Each round of a workload runs in its own fresh worker
 process (perfbench/worker.py), so peak RSS and QSymbolCache state are
 per round.  Untraced, rounds repeat while the next one is expected to
 end within S seconds (at least one runs), then set-up alone is repeated
-until SETUP_SAMPLES set-ups were timed; timings are medians.  Traced,
-one untraced and one traced round run, and the difference of their
-wall times is the tracing overhead.
+until SETUP_SAMPLES set-ups were timed; timings are medians.  Untraced
+times are scaled to a reference machine speed sampled through each
+round and set-up (speed.py); the raw times are printed beside them as
+*_raw_s.  Traced, one untraced and one traced round run, and the
+difference of their raw wall times is the tracing overhead.
 
 The last line of standard output is one JSON object: correct, attempted,
 failed, and the metrics (end-to-end untraced, per-layer traced).  The
@@ -105,32 +107,42 @@ class Runner:
             if elapsed + elapsed / len(rounds) > seconds:
                 break
             rounds.append(self.worker(workload, 1))
-        setups = [r["setup_s"] for r in rounds]
+        setups = list(rounds)
         while len(setups) < SETUP_SAMPLES:
-            setups.append(self.worker(workload, 0)["setup_s"])
+            setups.append(self.worker(workload, 0))
+
+        def median(key: str, of=rounds) -> float:
+            return statistics.median(r[key] for r in of)
 
         metrics = {
-            "wall_s": statistics.median(r["wall_s"] for r in rounds),
-            "setup_s": statistics.median(setups),
+            "wall_s": median("wall_s"),
+            "setup_s": median("setup_s", setups),
             "peak_rss_mb": max(r["peak_rss_mb"] for r in rounds),
         }
         attempted = sum(r["attempted"] for r in rounds)
         failed = sum(r["failed"] for r in rounds)
-        extra = {"fail_frac": failed / attempted}
+        extra = {"fail_frac": failed / attempted, "wall_raw_s": median("wall_raw_s"),
+                 "setup_raw_s": median("setup_raw_s", setups)}
         for stage in workloads.STAGES[workload]:
             extra[stage] = statistics.median(r["stages"][stage] for r in rounds)
+            extra[raw_name(stage)] = statistics.median(r["stages_raw"][stage] for r in rounds)
         return {"metrics": metrics, "extra": extra, "attempted": attempted, "failed": failed,
-                "rounds": rounds, "setups": setups}
+                "rounds": rounds, "setups": [(r["setup_s"], r["setup_raw_s"]) for r in setups]}
 
     def traced(self, workload: str) -> dict:
         trace_file = STATE / "traces" / f"{workload}-seed{self.seed}.spans"
         base = self.worker(workload, 1)
         traced = self.worker(workload, 1, trace_file)
         layers = dict(traced["per_layer"])
-        layers["trace.overhead_s"] = traced["wall_s"] - base["wall_s"]
+        layers["trace.overhead_s"] = traced["wall_raw_s"] - base["wall_raw_s"]
         return {"metrics": layers, "attempted": base["attempted"] + traced["attempted"],
                 "failed": base["failed"] + traced["failed"], "rounds": [base, traced],
                 "trace_file": str(trace_file.relative_to(ROOT))}
+
+
+def raw_name(stage: str) -> str:
+    """coeffs_half_s -> coeffs_half_raw_s"""
+    return stage.removesuffix("_s") + "_raw_s"
 
 
 def with_units(values: dict, units: dict) -> dict:
@@ -165,8 +177,9 @@ def main() -> int:
                 out = runner.untraced(workload, args.seconds)
                 units = dict(E2E_UNITS)
                 out["metrics"].update(out.pop("extra"))
-                units["fail_frac"] = "ratio"
-                units.update((stage, "s") for stage in workloads.STAGES[workload])
+                units.update(fail_frac="ratio", wall_raw_s="s", setup_raw_s="s")
+                for stage in workloads.STAGES[workload]:
+                    units[stage] = units[raw_name(stage)] = "s"
             results[workload] = out
             report[workload] = with_units(out["metrics"], units)
     except BenchError as exc:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1]
@@ -13,6 +15,7 @@ sys.path.insert(0, str(BENCH))
 
 import layers  # noqa: E402
 import run  # noqa: E402
+import speed  # noqa: E402
 from spans import SpanRecorder, self_times, totals  # noqa: E402
 
 
@@ -55,6 +58,31 @@ def test_mul_band_edges():
     assert layers.mul_band(500) == "mid"
     assert layers.mul_band(19_999) == "mid"
     assert layers.mul_band(20_000) == "large"
+
+
+def test_speed_scaling_on_synthetic_ticks():
+    # kernel samples at 0 (1 s), 3 (1 s) and 6 (3 s): program stretches
+    # [1, 3] at kernel mean 1 s and [4, 6] at kernel mean 2 s
+    sampler = speed.SpeedSampler()
+    sampler.ticks = [(0.0, 1.0), (3.0, 1.0), (6.0, 3.0)]
+    ref = speed.KERNEL_REF_S
+    raw, scaled = sampler.span(0.0, 10.0)
+    assert raw == 4.0 and abs(scaled - 3 * ref) < 1e-12
+    raw, scaled = sampler.span(2.0, 5.0)
+    assert raw == 2.0 and abs(scaled - 1.5 * ref) < 1e-12
+
+
+def test_speed_sampler_ticks_and_restores_the_handler():
+    before = signal.getsignal(signal.SIGALRM)
+    with speed.SpeedSampler() as sampler:
+        end = time.perf_counter() + 4 * speed.INTERVAL_S
+        while time.perf_counter() < end:
+            pass
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert len(sampler.ticks) >= 4
+    raw, scaled = sampler.span(sampler.ticks[0][0], sampler.ticks[-1][0])
+    assert 0 < raw < 5 * speed.INTERVAL_S and scaled > 0
 
 
 def test_benchmark_json_names_the_reported_metrics():

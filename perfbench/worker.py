@@ -4,7 +4,11 @@
 
 A round sends the workload's requests to ``cyclojones.cli.main``
 in-process as a closed loop (one client; each request waits for the
-previous one) and checks every output against digests.json.  The last
+previous one) and checks every output against digests.json.  Untraced,
+set-up and the round run under a SpeedSampler (speed.py), and each time
+is given at the reference speed (``wall_s``, ``setup_s``, ``stages``)
+and raw (``wall_raw_s``, ``setup_raw_s``, ``stages_raw``), with the
+median calibration-kernel time of the round (``kernel_s``).  The last
 line of standard output is one JSON object with the measurements.
 """
 
@@ -18,12 +22,14 @@ import json
 import os
 import resource
 import shutil
+import statistics
 import sys
 import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
 
+import speed
 import workloads
 from layers import LayerTracer
 from spans import SpanRecorder
@@ -73,25 +79,39 @@ def problem(workload: str, key: str, code, output: bytes, err: str,
     return None
 
 
-def run_round(main, workload: str, plan, expected: dict[str, str]) -> dict:
+def unscaled(start: float, end: float) -> tuple[float, float]:
+    return end - start, end - start
+
+
+def run_round(main, plan) -> tuple[float, float, list]:
+    """Send the plan's requests in order, each after the previous one has ended."""
     results = []
     start = time.perf_counter()
     for _, argv, _ in plan:
         t = time.perf_counter()
         code, output, err = call(main, argv)
-        results.append((time.perf_counter() - t, code, output, err))
-    wall = time.perf_counter() - start
+        results.append((t, time.perf_counter(), code, output, err))
+    return start, time.perf_counter(), results
 
-    stages: defaultdict[str, float] = defaultdict(float)
+
+def score_round(workload: str, plan, expected: dict[str, str], run, measure) -> dict:
+    """Check a round's outputs and time it; measure(a, b) gives (raw, scaled) seconds."""
+    start, end, results = run
+    stages: defaultdict[str, list[float]] = defaultdict(lambda: [0.0, 0.0])
     errors, first = [], {}
-    for (key, _, stage), (seconds, code, output, err) in zip(plan, results):
-        stages[stage] += seconds
+    for (key, _, stage), (t0, t1, code, output, err) in zip(plan, results):
+        raw, scaled = measure(t0, t1)
+        stages[stage][0] += raw
+        stages[stage][1] += scaled
         why = problem(workload, key, code, output, err, expected, first)
         if why:
             errors.append(f"{key}: {why}")
+    wall_raw, wall = measure(start, end)
     return {
         "wall_s": wall,
-        "stages": {stage: stages[stage] for stage in workloads.STAGES[workload]},
+        "wall_raw_s": wall_raw,
+        "stages": {stage: stages[stage][1] for stage in workloads.STAGES[workload]},
+        "stages_raw": {stage: stages[stage][0] for stage in workloads.STAGES[workload]},
         "attempted": len(plan),
         "failed": len(errors),
         "errors": errors[:5],
@@ -107,31 +127,38 @@ def main() -> None:
     args = parser.parse_args()
 
     # set-up: import, inputs and temporary directories, before the first request
-    t0 = time.perf_counter()
-    os.environ.pop("CYCLOJONES_CACHE", None)  # it would override --cache-dir
-    (STATE / "tmp").mkdir(parents=True, exist_ok=True)
-    tempfile.tempdir = str(STATE / "tmp")
-    sys.path.insert(0, str(SRC))
-    import cyclojones
-    from cyclojones import cli
+    speed.time_kernel()  # warm the kernel, so it is not timed cold
+    with speed.SpeedSampler() as setup_speed:
+        t0 = time.perf_counter()
+        os.environ.pop("CYCLOJONES_CACHE", None)  # it would override --cache-dir
+        (STATE / "tmp").mkdir(parents=True, exist_ok=True)
+        tempfile.tempdir = str(STATE / "tmp")
+        sys.path.insert(0, str(SRC))
+        import cyclojones
+        from cyclojones import cli
 
-    if Path(cyclojones.__file__).resolve().parent != SRC / "cyclojones":
-        sys.exit(f"cyclojones was imported from {cyclojones.__file__}, not from {SRC}")
-    run_dir = tempfile.mkdtemp(prefix=f"{args.workload}-")
-    plan = workloads.requests(args.workload, args.seed, os.path.join(run_dir, "cache"))
-    expected = json.loads(DIGESTS.read_text())[args.workload]
-    result: dict = {"setup_s": time.perf_counter() - t0}
+        if Path(cyclojones.__file__).resolve().parent != SRC / "cyclojones":
+            sys.exit(f"cyclojones was imported from {cyclojones.__file__}, not from {SRC}")
+        run_dir = tempfile.mkdtemp(prefix=f"{args.workload}-")
+        plan = workloads.requests(args.workload, args.seed, os.path.join(run_dir, "cache"))
+        expected = json.loads(DIGESTS.read_text())[args.workload]
+        t1 = time.perf_counter()
+    setup_raw, setup = setup_speed.span(t0, t1)
+    result: dict = {"setup_s": setup, "setup_raw_s": setup_raw}
 
     try:
-        if args.rounds:
-            tracer = None
-            if args.trace_file is not None:
-                tracer = LayerTracer(SpanRecorder())
-                tracer.install(cyclojones)
-            result.update(run_round(cli.main, args.workload, plan, expected))
-            if tracer is not None:
-                result["per_layer"] = tracer.metrics()
-                tracer.rec.write(args.trace_file)
+        if args.rounds and args.trace_file is not None:
+            tracer = LayerTracer(SpanRecorder())
+            tracer.install(cyclojones)
+            run = run_round(cli.main, plan)
+            result.update(score_round(args.workload, plan, expected, run, unscaled))
+            result["per_layer"] = tracer.metrics()
+            tracer.rec.write(args.trace_file)
+        elif args.rounds:
+            with speed.SpeedSampler() as round_speed:
+                run = run_round(cli.main, plan)
+            result.update(score_round(args.workload, plan, expected, run, round_speed.span))
+            result["kernel_s"] = statistics.median(k for _, k in round_speed.ticks)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
 
