@@ -4,11 +4,36 @@ Every quantity in the calculator is expressed through the single
 indeterminate A: the balanced quantum variable is A^2 and the q-series
 variable is A^4, so all exponents stay integral.  Values are immutable
 and all operations are pure functions.
+
+Kernels.  A product with a monomial factor scales and shifts the other
+factor.  Other products of fewer than _KRONECKER_CUTOFF coefficient
+products (len(a) * len(b)) run the dict loop _mul_dicts; larger ones use
+Kronecker substitution: both factors, on their common exponent lattice,
+are packed into one integer each at A^stride = 2^(8*limb_bytes), CPython
+multiplies the integers, and _decode splits the product back into
+balanced limbs.  The limbs are sized from a bound on every product
+coefficient, and _decode raises OverflowError rather than return limbs
+that do not add up to the integer.
+
+Exact division takes the same route when the quotient length times the
+divisor's term count reaches the cutoff: one divmod of the packed
+integers, a balanced decode of the quotient, and a certificate.  The
+integer identity a(x) = quotient * b(x) is checked by divmod itself; it
+is the polynomial identity a = q * b once no coefficient of q * b can
+leave a balanced limb, which a bound on q and b settles.  The division
+falls back to the loop _exact_div_dicts when the integer remainder is
+nonzero, when the quotient does not fit the limbs, or when the bound
+fails.  A nonzero integer remainder already proves that b does not
+divide a, so try_exact_div answers None without the loop; exact_div
+runs it, and the loop stays the only source of RemainderNonzero
+remainders.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from typing import Union
@@ -20,9 +45,19 @@ from .errors import DivisionByZeroDenominator, NotExpressible, RemainderNonzero
 # display variable -> (glyph, required exponent divisor)
 _DISPLAY = {"A": ("A", 1), "𝔮": ("𝔮", 2), "q": ("q", 4)}
 
-# switch dict-based multiplication to Kronecker packing above this many
-# coefficient products
-_KRONECKER_CUTOFF = 20_000
+# multiply and divide through packed big integers from this many
+# coefficient products on (len(a) * len(b) for a product; quotient length
+# times divisor terms for a division); below it the dict loops are faster
+_KRONECKER_CUTOFF = 500
+
+# extra bits per division limb beyond a quotient as large as the dividend;
+# the quotients of H_k tables and verify runs outgrow their dividends by
+# at most 18 bits
+_DIV_HEADROOM_BITS = 32
+
+# limb size in bytes -> array typecode of that machine word
+_WORD_TYPECODES = {array(t).itemsize: t for t in "bhiq"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 PolyLike = Union["LaurentPoly", int]
 
@@ -32,10 +67,7 @@ def _lattice_stride(*term_dicts: Mapping[int, int]) -> int:
     stride = 0
     for terms in term_dicts:
         base = min(terms)
-        for e in terms:
-            stride = math.gcd(stride, e - base)
-            if stride == 1:
-                return 1
+        stride = math.gcd(stride, *[e - base for e in terms])
     return stride if stride else 1
 
 
@@ -55,6 +87,79 @@ def _mul_dicts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _limb_bytes(bound: int) -> int:
+    """Bytes per limb so that every coefficient of size at most ``bound`` is
+    a balanced limb, in [-2^(8*limb_bytes - 1), 2^(8*limb_bytes - 1)).
+
+    Sizes up to a machine word are rounded up to one, so that array
+    converts the limbs in C.
+    """
+    size = bound.bit_length() // 8 + 1
+    return min((w for w in _WORD_TYPECODES if w >= size), default=size)
+
+
+def _top_bits(n: int, limb_bytes: int) -> int:
+    """The integer with only the top bit of each of n limbs set."""
+    return int.from_bytes((bytes(limb_bytes - 1) + b"\x80") * n, "little")
+
+
+def _pack(
+    terms: Mapping[int, int], base: int, stride: int, n: int, limb_bytes: int
+) -> int:
+    """The polynomial at A^stride = 2^(8*limb_bytes), as one integer.
+
+    Exponent base + stride*i becomes limb i.  The limbs are written in
+    two's complement; flipping the top bit of each turns them into
+    coefficient + 2^(8*limb_bytes - 1), and one subtraction takes those
+    offsets off again.
+    """
+    limbs = [0] * n
+    for e, c in terms.items():
+        limbs[(e - base) // stride] = c
+    typecode = _WORD_TYPECODES.get(limb_bytes)
+    if typecode:
+        words = array(typecode, limbs)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        data = words.tobytes()
+    else:
+        data = b"".join([c.to_bytes(limb_bytes, "little", signed=True) for c in limbs])
+    top = _top_bits(n, limb_bytes)
+    return (int.from_bytes(data, "little") ^ top) - top
+
+
+def _decode(
+    value: int, n: int, limb_bytes: int, base: int, stride: int
+) -> dict[int, int]:
+    """Inverse of _pack: the n balanced limbs of value, as a term dict.
+
+    Adding 2^(8*limb_bytes - 1) to every limb makes each balanced limb a
+    plain unsigned one, and flipping its top bit makes it two's
+    complement, so a single to_bytes splits the whole integer.  Raises
+    OverflowError when value has no n-limb balanced form.
+    """
+    top = _top_bits(n, limb_bytes)
+    try:
+        data = ((value + top) ^ top).to_bytes(n * limb_bytes, "little")
+    except OverflowError:
+        raise OverflowError(
+            f"integer does not fit {n} balanced limbs of {limb_bytes} bytes"
+        ) from None
+    typecode = _WORD_TYPECODES.get(limb_bytes)
+    if typecode:
+        limbs = array(typecode)
+        limbs.frombytes(data)
+        if _BIG_ENDIAN:
+            limbs.byteswap()
+    else:
+        limbs = [
+            int.from_bytes(data[i : i + limb_bytes], "little", signed=True)
+            for i in range(0, len(data), limb_bytes)
+        ]
+    exponents = range(base, base + stride * n, stride)
+    return {e: c for e, c in zip(exponents, limbs) if c}
+
+
 def _mul_kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     # Pack coefficients into one big integer per factor so CPython's
     # subquadratic bigint multiply does the convolution.
@@ -62,47 +167,13 @@ def _mul_kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     stride = _lattice_stride(a, b)
     na = (max(a) - amin) // stride + 1
     nb = (max(b) - bmin) // stride + 1
-    bound = (
-        max(abs(c) for c in a.values())
-        * max(abs(c) for c in b.values())
-        * min(len(a), len(b))
+    limb_bytes = _limb_bytes(
+        max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     )
-    limb_bytes = (bound.bit_length() + 9) // 8 + 1
-    limb_bits = limb_bytes * 8
-
-    def pack(terms: Mapping[int, int], base: int, n: int) -> int:
-        pos = bytearray(n * limb_bytes)
-        neg = bytearray(n * limb_bytes)
-        for e, c in terms.items():
-            i = (e - base) // stride * limb_bytes
-            if c > 0:
-                pos[i : i + (c.bit_length() + 7) // 8] = c.to_bytes(
-                    (c.bit_length() + 7) // 8, "little"
-                )
-            else:
-                c = -c
-                neg[i : i + (c.bit_length() + 7) // 8] = c.to_bytes(
-                    (c.bit_length() + 7) // 8, "little"
-                )
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-    prod = pack(a, amin, na) * pack(b, bmin, nb)
-    # balanced signed-limb decode
-    half = 1 << (limb_bits - 1)
-    full = 1 << limb_bits
-    mask = full - 1
-    out: dict[int, int] = {}
-    base = amin + bmin
-    for i in range(na + nb - 1):
-        limb = prod & mask
-        prod >>= limb_bits
-        if limb >= half:
-            limb -= full
-            prod += 1
-        if limb:
-            out[base + stride * i] = limb
-    assert prod == 0
-    return out
+    prod = _pack(a, amin, stride, na, limb_bytes) * _pack(
+        b, bmin, stride, nb, limb_bytes
+    )
+    return _decode(prod, na + nb - 1, limb_bytes, amin + bmin, stride)
 
 
 def _exact_div_dicts(
@@ -144,6 +215,64 @@ def _exact_div_dicts(
     if remainder:
         return None, remainder
     return {amin - bmin + stride * i: c for i, c in enumerate(quot) if c}, {}
+
+
+def _exact_div_kronecker(
+    a: dict[int, int], b: dict[int, int], stride: int
+) -> dict[int, int] | None:
+    """a / b through one big-integer divmod, both on the given lattice stride.
+
+    Returns None when the integer remainder is nonzero, which proves that
+    b does not divide a.  Raises OverflowError when the quotient does not
+    fit the limbs, so that it cannot be certified.
+    """
+    amin, bmin = min(a), min(b)
+    na = (max(a) - amin) // stride + 1
+    nb = (max(b) - bmin) // stride + 1
+    nq = na - nb + 1
+    bmax = max(map(abs, b.values()))
+    limb_bytes = _limb_bytes(
+        max(map(abs, a.values())) * bmax * min(nq, len(b)) << _DIV_HEADROOM_BITS
+    )
+    quot, rem = divmod(
+        _pack(a, amin, stride, na, limb_bytes), _pack(b, bmin, stride, nb, limb_bytes)
+    )
+    if rem:
+        return None
+    terms = _decode(quot, nq, limb_bytes, amin - bmin, stride)
+    # Multiplying back: a(x) = quot * b(x) holds exactly in the integers,
+    # at x = 2^(8*limb_bytes).  It is the polynomial identity a = terms * b
+    # as long as every coefficient of terms * b is a balanced limb, since
+    # a balanced base-x expansion is unique.
+    bound = max(map(abs, terms.values())) * bmax * min(len(terms), len(b))
+    if bound.bit_length() >= 8 * limb_bytes:
+        raise OverflowError("quotient coefficients outgrew the limbs")
+    return terms
+
+
+def _exact_div_terms(
+    a: dict[int, int], b: dict[int, int], remainder: bool = True
+) -> tuple[dict[int, int] | None, dict[int, int]]:
+    """(quotient, remainder) of nonzero a by b, as _exact_div_dicts.
+
+    Large divisions go through _exact_div_kronecker first, and fall back
+    to the loop when it finds a nonzero remainder or cannot certify its
+    quotient.  With remainder=False a pair that the integer remainder
+    proves not to divide returns (None, {}) without the loop.
+    """
+    stride = _lattice_stride(a, b)
+    nq = ((max(a) - min(a)) - (max(b) - min(b))) // stride + 1
+    if nq > 0 and nq * len(b) >= _KRONECKER_CUTOFF:
+        try:
+            quot = _exact_div_kronecker(a, b, stride)
+        except OverflowError:
+            pass
+        else:
+            if quot is not None:
+                return quot, {}
+            if not remainder:
+                return None, {}
+    return _exact_div_dicts(a, b)
 
 
 class LaurentPoly:
@@ -343,7 +472,7 @@ class LaurentPoly:
             raise ZeroDivisionError("exact_div by the zero polynomial")
         if self.is_zero:
             return _ZERO
-        quot, rem = _exact_div_dicts(self._terms, divisor._terms)
+        quot, rem = _exact_div_terms(self._terms, divisor._terms)
         if quot is None:
             raise RemainderNonzero(
                 "division left a nonzero remainder", LaurentPoly._raw(rem)
@@ -356,7 +485,7 @@ class LaurentPoly:
             return None
         if self.is_zero:
             return _ZERO
-        quot, _ = _exact_div_dicts(self._terms, divisor._terms)
+        quot, _ = _exact_div_terms(self._terms, divisor._terms, remainder=False)
         return None if quot is None else LaurentPoly._raw(quot)
 
     # -- evaluation and display ---------------------------------------

@@ -220,14 +220,26 @@ class CoeffCache:
         path = self._path(knot, k)
         if not path.exists():
             return None
-        obj = json.loads(path.read_text())
+        try:
+            obj = json.loads(path.read_text())
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise CacheMismatch(f"unreadable cache entry {path}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise CacheMismatch(f"cache entry {path} is not a JSON object")
         if obj.get("schema") != SCHEMA_VERSION:
             return None
-        value = poly_from_obj(obj["value"])
+        if obj.get("knot") != knot_to_obj(knot) or obj.get("k") != k:
+            raise CacheMismatch(f"cache entry {path} is not for {knot} k={k}")
+        try:
+            value = poly_from_obj(obj["value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheMismatch(f"malformed value in {path}: {exc}") from None
         if obj.get("digest") != poly_digest(value):
             raise CacheMismatch(f"digest mismatch in {path}")
         self._hits += 1
         return value
 
     def should_spot_check(self) -> bool:
-        return self.check_every > 0 and self._hits % self.check_every == 1
+        """True on hits 1, 1 + n, 1 + 2n, ... for check_every = n."""
+        n = self.check_every
+        return n > 0 and self._hits > 0 and (self._hits - 1) % n == 0

@@ -227,3 +227,31 @@ def test_cache_mismatch_exits_one(capsys, tmp_path, cache):
                            "--cache-dir", str(tmp_path))
     assert code == 1
     assert "disagrees with recomputation" in err
+
+
+def test_corrupt_cache_entry_exits_one(capsys, tmp_path):
+    from cyclojones import KnotSpec
+    from cyclojones.serialize import CoeffCache
+
+    CoeffCache(tmp_path)._path(KnotSpec.half(2, 1), 0).write_text("{truncated")
+    code, out, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert "unreadable cache entry" in err
+
+
+def test_renamed_cache_entry_exits_one(capsys, tmp_path, cache):
+    from cyclojones import KnotSpec
+    from cyclojones.cyclotomic import h_coeff
+    from cyclojones.serialize import CoeffCache
+
+    store = CoeffCache(tmp_path)
+    source, target = KnotSpec.half(2, 1), KnotSpec.half(3, 1)
+    for k in range(3):
+        store.put(target, k, h_coeff(k, target, cache))
+    store.put(source, 2, h_coeff(2, source, cache))
+    store._path(source, 2).rename(store._path(target, 2))
+    code, out, err = run_cli(capsys, "coeffs", "--p", "3", "--s", "1", "--max-k", "2",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert "is not for" in err

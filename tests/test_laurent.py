@@ -1,9 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclojones
+from cyclojones import laurent
+from cyclojones.laurent import (
+    _KRONECKER_CUTOFF,
+    _exact_div_dicts,
+    _exact_div_kronecker,
+    _exact_div_terms,
+    _lattice_stride,
+    _mul_dicts,
+)
 from cyclojones import (
     DivisionByZeroDenominator,
     LaurentFraction,
@@ -104,17 +118,20 @@ def test_eval_unit_root_huge_coefficients():
         assert abs(lhs - rhs) < mpmath.mpf("1e-40")
 
 
-def test_kronecker_path_matches_dict_multiplication():
+def test_kronecker_path_matches_dict_multiplication(monkeypatch):
     # operands big enough to take the packed-integer multiply path
-    from cyclojones.laurent import _KRONECKER_CUTOFF, _mul_dicts
-
+    packed = []
+    kronecker = laurent._mul_kronecker
+    monkeypatch.setattr(
+        laurent, "_mul_kronecker", lambda a, b: packed.append(1) or kronecker(a, b)
+    )
     rng = random.Random(31337)
     f = LaurentPoly({2 * i: rng.randint(-(2**90), 2**90) for i in range(-150, 151)})
     g = LaurentPoly({2 * i + 4: rng.randint(-(2**90), 2**90) for i in range(-100, 101)})
     assert len(f) * len(g) >= _KRONECKER_CUTOFF
     fast = f * g
     slow = LaurentPoly(_mul_dicts(dict(f.items()), dict(g.items())))
-    assert fast == slow
+    assert packed and fast == slow
 
 
 def test_render():
@@ -162,3 +179,190 @@ def test_fraction_equality_is_representation_independent(a, b, u):
     assert x - y == LaurentFraction(0)
     if not a.is_zero:
         assert LaurentFraction(a * b, a).to_poly() == b
+
+
+# -- differential tests of the packed kernels against the dict loops ----
+
+# operand shapes (terms of a, terms of b) on both sides of the cutoff and
+# above 20,000 products
+_SHAPES = (
+    (2, 3),
+    (10, 30),
+    (20, _KRONECKER_CUTOFF // 20 - 1),
+    (20, _KRONECKER_CUTOFF // 20),
+    (_KRONECKER_CUTOFF, 2),
+    (40, 60),
+    (150, 140),
+    (201, 101),
+)
+
+
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    return dict((LaurentPoly(a) * LaurentPoly(b)).items())
+
+
+@st.composite
+def lattice_polys(draw, terms: int) -> dict[int, int]:
+    """Up to `terms` terms on a stride-1, -2 or -4 lattice with a shifted
+    minimum, coefficients up to 2^512, some slots left empty."""
+    rng = draw(st.randoms(use_true_random=False))
+    stride = draw(st.sampled_from((1, 2, 4)))
+    shift = draw(st.integers(-50, 50))
+    bits = draw(st.sampled_from((1, 40, 64, 200, 512)))
+    fill = draw(st.sampled_from((1.0, 0.7)))
+    out = {}
+    for i in range(terms):
+        if i in (0, terms - 1) or rng.random() < fill:
+            out[shift + stride * i] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+    return out
+
+
+@st.composite
+def operand_pairs(draw) -> tuple[dict[int, int], dict[int, int]]:
+    na, nb = draw(
+        st.one_of(
+            st.sampled_from(_SHAPES),
+            st.tuples(st.integers(1, 160), st.integers(1, 160)),
+        )
+    )
+    return draw(lattice_polys(na)), draw(lattice_polys(nb))
+
+
+@st.composite
+def telescoping_pairs(draw) -> tuple[dict[int, int], dict[int, int]]:
+    """c1 (1 + t + ... + t^(m-1)) times c2 (1 - t) (1 + t^m + ... + t^(m(n-1))),
+    t = A^stride: every coefficient of the product but two cancels."""
+    m, n = draw(st.integers(2, 120)), draw(st.integers(1, 60))
+    stride = draw(st.sampled_from((1, 2, 4)))
+    c1, c2 = draw(st.integers(1, 2**512)), draw(st.integers(-(2**512), -1))
+    a = {stride * i: c1 for i in range(m)}
+    b = {}
+    for j in range(n):
+        b[stride * j * m] = b.get(stride * j * m, 0) + c2
+        b[stride * (j * m + 1)] = -c2
+    b = {e: c for e, c in b.items() if c}
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(operand_pairs())
+def test_mul_matches_dict_kernel(pair):
+    a, b = pair
+    assert _mul(a, b) == _mul_dicts(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(telescoping_pairs())
+def test_mul_cancelling_products(pair):
+    a, b = pair
+    product = _mul(a, b)
+    assert product == _mul_dicts(a, b)
+    assert len(product) == 2
+
+
+@pytest.mark.parametrize("m", [5, 29, 33, 65])
+def test_mul_coefficient_at_the_limb_bound(m):
+    # 32 terms of 2^m squared: the middle coefficient 2^(2m+5) meets the
+    # bound the limbs are sized from, and its bit length is a multiple of 8
+    a = {2 * i: 2**m for i in range(32)}
+    product = _mul(a, a)
+    assert product[62] == 2 ** (2 * m + 5)
+    assert product == _mul_dicts(a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operand_pairs())
+def test_exact_div_matches_loop(pair):
+    q, b = pair
+    a = _mul_dicts(q, b)
+    assert _exact_div_terms(a, b) == _exact_div_dicts(a, b) == (q, {})
+    assert LaurentPoly(a).exact_div(LaurentPoly(b)) == LaurentPoly(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(telescoping_pairs())
+def test_exact_div_cancelling_products(pair):
+    a, b = pair
+    product = _mul_dicts(a, b)
+    assert _exact_div_terms(product, b) == (a, {})
+    assert _exact_div_terms(product, a) == (b, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(operand_pairs(), st.integers(-(2**512), 2**512).filter(bool))
+def test_exact_div_remainder_matches_loop(pair, bump):
+    q, b = pair
+    if len(b) == 1 and abs(next(iter(b.values()))) == 1:
+        b = {**b, max(b) + 2: 1}  # a unit divides everything
+    a = _mul_dicts(q, b)
+    # add 1 mod b's lowest coefficient to a's lowest: b no longer divides a
+    low = min(a)
+    a[low] += abs(bump * b[min(b)]) + 1
+    if not a[low]:
+        del a[low]
+    expected = _exact_div_dicts(a, b)
+    assert expected[0] is None
+    assert _exact_div_terms(a, b) == expected
+    assert _exact_div_terms(a, b, remainder=False)[0] is None
+    with pytest.raises(RemainderNonzero) as err:
+        LaurentPoly(a).exact_div(LaurentPoly(b))
+    assert err.value.remainder == LaurentPoly(expected[1])
+    assert LaurentPoly(a).try_exact_div(LaurentPoly(b)) is None
+
+
+def _square_quotient(m: int):
+    """(1 - t^m)^2 / (1 - t)^2: the quotient's coefficients reach m while
+    those of both operands stay at most 2."""
+    a = _mul_dicts({0: 1, m: -1}, {0: 1, m: -1})
+    b = {0: 1, 1: -2, 2: 1}
+    q = _mul_dicts({i: 1 for i in range(m)}, {i: 1 for i in range(m)})
+    return a, b, q
+
+
+def test_kronecker_division_answers_large_pairs():
+    a, b, q = _square_quotient(300)
+    assert _exact_div_kronecker(a, b, _lattice_stride(a, b)) == q
+    a = _mul_dicts(q, {0: 3, 4: -5, 8: 7})
+    b = _mul_dicts({0: 3, 4: -5, 8: 7}, {4 * i: 2**70 + i for i in range(200)})
+    prod = _mul_dicts(a, b)
+    assert _exact_div_kronecker(prod, b, _lattice_stride(prod, b)) == a
+
+
+def test_uncertified_quotient_falls_back_to_loop(monkeypatch):
+    a, b, q = _square_quotient(300)
+    monkeypatch.setattr(laurent, "_DIV_HEADROOM_BITS", 0)
+    # one-byte limbs hold a and b but not the quotient's coefficients
+    with pytest.raises(OverflowError, match="outgrew"):
+        _exact_div_kronecker(a, b, 1)
+    loop_calls = []
+    monkeypatch.setattr(
+        laurent,
+        "_exact_div_dicts",
+        lambda x, y: loop_calls.append(1) or _exact_div_dicts(x, y),
+    )
+    assert LaurentPoly(a).exact_div(LaurentPoly(b)) == LaurentPoly(q)
+    assert loop_calls == [1]
+
+
+def test_decode_overflow_raises_without_asserts(tmp_path):
+    # python -O strips asserts; the decode check must survive it
+    script = tmp_path / "overflow.py"
+    script.write_text(
+        "from cyclojones import laurent\n"
+        "laurent._limb_bytes = lambda bound: 1\n"
+        "try:\n"
+        "    laurent._mul_kronecker({0: 1, 1: 12}, {0: 1, 1: 12})\n"
+        "except OverflowError as exc:\n"
+        "    print('raised', exc)\n"
+        "try:\n"
+        "    laurent._decode(-(1 << 64), 2, 1, 0, 1)\n"
+        "except OverflowError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(cyclojones.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", str(script)], capture_output=True, text=True, env=env, check=True
+    )
+    lines = run.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("raised") for line in lines)

@@ -99,3 +99,56 @@ def test_cache_ignores_other_schema(tmp_path, cache):
     obj["schema"] = 999
     path.write_text(json.dumps(obj))
     assert store.get(knot, 0) is None
+
+
+def test_spot_check_samples_hits_one_plus_multiples(tmp_path, cache):
+    knot = KnotSpec.half(2, 1)
+    for every, expect in ((1, [1, 2, 3, 4, 5]), (2, [1, 3, 5]), (8, [1])):
+        store = CoeffCache(tmp_path, check_every=every)
+        store.put(knot, 0, h_coeff(0, knot, cache))
+        assert not store.should_spot_check()  # no hit yet
+        fired = []
+        for hit in range(1, 6):
+            assert store.get(knot, 0) is not None
+            if store.should_spot_check():
+                fired.append(hit)
+        assert fired == expect
+    store = CoeffCache(tmp_path, check_every=0)
+    store.get(knot, 0)
+    assert not store.should_spot_check()
+
+
+def test_cache_rejects_entry_filed_under_other_knot(tmp_path, cache):
+    store = CoeffCache(tmp_path)
+    source, target = KnotSpec.half(2, 1), KnotSpec.half(3, 1)
+    store.put(source, 2, h_coeff(2, source, cache))
+    store._path(source, 2).rename(store._path(target, 2))
+    with pytest.raises(CacheMismatch, match="is not for"):
+        store.get(target, 2)
+
+
+def test_cache_rejects_entry_filed_under_other_k(tmp_path, cache):
+    store = CoeffCache(tmp_path)
+    knot = KnotSpec.half(2, 1)
+    store.put(knot, 1, h_coeff(1, knot, cache))
+    store._path(knot, 1).rename(store._path(knot, 2))
+    with pytest.raises(CacheMismatch, match="is not for"):
+        store.get(knot, 2)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "{not json",
+        "[1, 2]",
+        '{"schema": 1, "knot"',
+        '{"schema": 1, "knot": {"p": 1, "region": {"kind": "full", "r": 1}}, "k": 0,'
+        ' "value": {"variable": "A", "terms": [["x", "1"]]}}',
+    ],
+)
+def test_cache_invalid_json_is_a_mismatch(tmp_path, payload):
+    store = CoeffCache(tmp_path)
+    knot = KnotSpec.full(1, 1)
+    store._path(knot, 0).write_text(payload)
+    with pytest.raises(CacheMismatch):
+        store.get(knot, 0)
