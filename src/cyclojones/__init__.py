@@ -64,13 +64,11 @@ from .qcalc import (
     qbinom_balanced,
 )
 from .skein import (
-    BasisMatrix,
     ZPoly,
     bracket_e,
     chebyshev_e,
     eigenvalue_lambda,
     expand_in_basis,
-    masbaum_c,
     pairing_R_e,
     r_basis,
     s_coeff,

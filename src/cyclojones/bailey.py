@@ -13,8 +13,8 @@ integrality visible (Gaussian binomials and monomials only).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from collections.abc import Callable, Iterator
 
@@ -40,10 +40,6 @@ class BaileyPair:
     label: str
 
 
-def _memoized(fn: Callable[[int], LaurentFraction]) -> Callable[[int], LaurentFraction]:
-    return lru_cache(maxsize=None)(fn)
-
-
 def unit_pair() -> BaileyPair:
     """The classical unit pair relative to x = q:
 
@@ -52,14 +48,14 @@ def unit_pair() -> BaileyPair:
     """
     cache = QSymbolCache()
 
-    @_memoized
+    @functools.cache
     def alpha(k: int) -> LaurentFraction:
         num = LaurentPoly.monomial(2 * k * (3 * k + 1), -1 if k & 1 else 1) * (
             _ONE - LaurentPoly.monomial(4 * (2 * k + 1))
         )
         return LaurentFraction(num, _ONE - LaurentPoly.monomial(4))
 
-    @_memoized
+    @functools.cache
     def beta(k: int) -> LaurentFraction:
         return LaurentFraction(_ONE, cache.pochhammer(1, k))
 
@@ -73,14 +69,14 @@ def squared_pair() -> BaileyPair:
     """
     cache = QSymbolCache()
 
-    @_memoized
+    @functools.cache
     def alpha(k: int) -> LaurentFraction:
         num = LaurentPoly.monomial(4 * k * k) * (
             _ONE - LaurentPoly.monomial(4 * (2 * k + 1))
         )
         return LaurentFraction(num, _ONE - LaurentPoly.monomial(4))
 
-    @_memoized
+    @functools.cache
     def beta(k: int) -> LaurentFraction:
         poch = cache.pochhammer(1, k)
         return LaurentFraction(_ONE, poch * poch)
@@ -104,7 +100,7 @@ def shifted_unit_pair(shift: int) -> BaileyPair:
     cache = QSymbolCache()
     x_exp = 2 * shift + 2
 
-    @_memoized
+    @functools.cache
     def alpha(l: int) -> LaurentFraction:
         q_exp = l * l + x_exp * l + l * (l - 1) // 2
         num = (
@@ -115,7 +111,7 @@ def shifted_unit_pair(shift: int) -> BaileyPair:
         den = cache.pochhammer(1, l) * cache.pochhammer(1, x_exp)
         return LaurentFraction(num, den)
 
-    @_memoized
+    @functools.cache
     def beta(l: int) -> LaurentFraction:
         return LaurentFraction(_ONE, cache.pochhammer(1, l))
 
@@ -171,13 +167,13 @@ def chain_step(pair: BaileyPair, cache: QSymbolCache | None = None) -> BaileyPai
     cache = cache or QSymbolCache()
     x_exp = pair.x_exp
 
-    @_memoized
+    @functools.cache
     def alpha(k: int) -> LaurentFraction:
         return pair.alpha(k) * LaurentFraction(
             LaurentPoly.monomial(4 * (x_exp * k + k * k))
         )
 
-    @_memoized
+    @functools.cache
     def beta(k: int) -> LaurentFraction:
         total = LaurentFraction(_ZERO)
         for j in range(k + 1):

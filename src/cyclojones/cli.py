@@ -15,8 +15,8 @@ from pathlib import Path
 import mpmath
 
 from . import cyclotomic, serialize
-from .cyclotomic import CoeffEntry, CoeffTable, KnotSpec
-from .errors import CyclojonesError, IntegralityFailure
+from .cyclotomic import KnotSpec
+from .errors import CacheMismatch, CyclojonesError, IntegralityFailure
 from .qcalc import QSymbolCache
 from .verify import SUITES, VerifyGrid, run_suite
 
@@ -218,36 +218,13 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     return RunConfig(**fields)
 
 
-def _coefficient_table_cached(config: RunConfig, cache: QSymbolCache) -> CoeffTable:
-    knot, max_k = config.knot, config.max_k
-    if config.cache_dir is None:
-        return cyclotomic.coefficient_table(knot, max_k, cache, config.cross_check)
-    store = serialize.CoeffCache.from_env(config.cache_dir)
-    entries = []
-    for k in range(max_k + 1):
-        value = store.get(knot, k)
-        if value is None:
-            value = cyclotomic.h_coeff(k, knot, cache)
-            store.put(knot, k, value)
-        elif store.should_spot_check():
-            if cyclotomic.h_coeff(k, knot, cache) != value:
-                raise serialize.CacheMismatch(
-                    f"cache entry for {knot} k={k} disagrees with recomputation"
-                )
-        # cache provenance stays out of the entry checks: identical
-        # configurations must serialize byte-identically, hit or miss
-        checks = {"integrality"}
-        if config.cross_check:
-            cyclotomic._multisum_check(knot, k, cache)
-            checks.add("multisum")
-        entries.append(CoeffEntry(k, value, frozenset(checks)))
-    return CoeffTable(knot, tuple(entries), max_k)
-
-
 def _cmd_coeffs(config: RunConfig) -> int:
+    store = None if config.cache_dir is None else serialize.CoeffCache.from_env(config.cache_dir)
     try:
-        table = _coefficient_table_cached(config, QSymbolCache())
-    except (IntegralityFailure, serialize.CacheMismatch) as exc:
+        table = cyclotomic.coefficient_table(
+            config.knot, config.max_k, QSymbolCache(), config.cross_check, store
+        )
+    except (IntegralityFailure, CacheMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         residual = getattr(exc, "residual", None)
         if residual is not None:
@@ -305,12 +282,10 @@ def _cmd_verify(config: RunConfig) -> int:
 def _cmd_eval(config: RunConfig) -> int:
     knot, cache = config.knot, QSymbolCache()
     k, n = config.root
+    table = cyclotomic.coefficient_table(knot, config.N - 1, cache)
     rows = []
     for color in range(1, config.N + 1):
-        if knot.is_half:
-            value = cyclotomic.jones_half(color, knot, cache).value
-        else:
-            value = cyclotomic.jones_int(color, knot, cache).value
+        value = cyclotomic.jones_from_table(color, table, cache).value
         rows.append((color, value.eval_unit_root(k, n)))
     with mpmath.workdps(config.digits + 10):
         if config.fmt == "json":

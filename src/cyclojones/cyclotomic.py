@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, IntegralityFailure, RemainderNonzero
+from .errors import CacheMismatch, IndexOutOfRange, IntegralityFailure, RemainderNonzero
 from .laurent import LaurentFraction, LaurentPoly
 from .qcalc import QSymbolCache, brace
 
@@ -279,6 +279,7 @@ def coefficient_table(
     max_k: int,
     cache: QSymbolCache | None = None,
     cross_check: bool = False,
+    store=None,
 ) -> CoeffTable:
     """Verified H_0..H_max_k for one knot.
 
@@ -286,11 +287,24 @@ def coefficient_table(
     multi-sum route is also required to agree (c', c~' and d for half
     knots; both c' factors for integer knots) and recorded in the
     entry's check set.
+
+    With a store (a serialize.CoeffCache, or anything with its get, put
+    and should_spot_check), each H_k is read from it; a miss is computed
+    and put, and a hit the store picks for a spot check is recomputed,
+    raising CacheMismatch on any difference.
     """
     cache = cache or QSymbolCache()
     entries = []
     for k in range(max_k + 1):
-        h = h_coeff(k, knot, cache)
+        h = None if store is None else store.get(knot, k)
+        if h is None:
+            h = h_coeff(k, knot, cache)
+            if store is not None:
+                store.put(knot, k, h)
+        elif store.should_spot_check() and h_coeff(k, knot, cache) != h:
+            raise CacheMismatch(f"cache entry for {knot} k={k} disagrees with recomputation")
+        # cache provenance stays out of the entry checks: identical
+        # configurations must serialize byte-identically, hit or miss
         checks = {"integrality"}
         if cross_check:
             _multisum_check(knot, k, cache)
@@ -307,9 +321,14 @@ def _multisum_check(knot: KnotSpec, k: int, cache: QSymbolCache) -> None:
         raise IntegralityFailure(f"multi-sum c' mismatch at k={k}, p={p}")
     if isinstance(knot.region, HalfTwists):
         s = knot.region.s
-        if s >= 1 and bailey.multisum_c_tilde(k, (s + 1) // 2, cache) != c_tilde_prime(
-            k, s, cache
-        ):
+        if s >= 1:
+            multi = bailey.multisum_c_tilde(k, (s + 1) // 2, cache)
+        else:
+            # A -> A^-1 maps c~'_{k,-s/2} to (-1)^k c~'_{k,s/2}
+            multi = bailey.multisum_c_tilde(k, (1 - s) // 2, cache).substitute_power(-1)
+            if k & 1:
+                multi = -multi
+        if multi != c_tilde_prime(k, s, cache):
             raise IntegralityFailure(f"multi-sum c~' mismatch at k={k}, s={s}")
         for j in range(k + 1):
             if bailey.multisum_d(k, j, p, cache) != d_kjp(k, j, p, cache):
@@ -330,10 +349,7 @@ def jones_half(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jon
     if not isinstance(knot.region, HalfTwists):
         raise TypeError("jones_half needs a HalfTwists knot")
     cache = cache or QSymbolCache()
-    total = _ZERO
-    for k in range(N):
-        total = total + h_coeff_half(k, knot, cache) * cache.cyclo_block(N, k)
-    return JonesResult(knot, N, total, "theorem")
+    return jones_from_table(N, coefficient_table(knot, N - 1, cache), cache)
 
 
 def jones_from_table(N: int, table: CoeffTable, cache: QSymbolCache | None = None) -> JonesResult:
@@ -356,10 +372,7 @@ def jones_int(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jone
     if not isinstance(knot.region, FullTwists):
         raise TypeError("jones_int needs a FullTwists knot")
     cache = cache or QSymbolCache()
-    total = _ZERO
-    for k in range(N):
-        total = total + h_coeff_int(k, knot, cache) * cache.cyclo_block(N, k)
-    return JonesResult(knot, N, total, "theorem")
+    return jones_from_table(N, coefficient_table(knot, N - 1, cache), cache)
 
 
 def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> JonesResult:

@@ -46,3 +46,7 @@ class IntegralityFailure(CyclojonesError, ArithmeticError):
     def __init__(self, message: str, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class CacheMismatch(CyclojonesError):
+    """A cache entry disagrees with recomputation or fails its digest."""

@@ -596,10 +596,6 @@ class LaurentFraction:
         self._num = num
         self._den = den
 
-    @classmethod
-    def from_poly(cls, poly: PolyLike) -> LaurentFraction:
-        return cls(poly, _ONE)
-
     @property
     def num(self) -> LaurentPoly:
         return self._num

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cyclotomic import CoeffTable, HalfTwists, JonesResult, KnotSpec
-from .errors import CyclojonesError
+from .errors import CacheMismatch
 from .laurent import LaurentPoly
 
 SCHEMA_VERSION = 1
@@ -168,10 +168,6 @@ def _jones_str(result: JonesResult, fmt: str, display: str) -> str:
 
 
 # -- disk cache of verified coefficients --------------------------------
-
-
-class CacheMismatch(CyclojonesError):
-    """A cache entry disagrees with recomputation or fails its digest."""
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import IndexOutOfRange
-from .laurent import LaurentFraction, LaurentPoly
+from .laurent import LaurentPoly
 from .qcalc import QSymbolCache, bracket, brace, framing_mu_power
 
 _ONE = LaurentPoly.one()
@@ -177,29 +177,6 @@ def twist_coeff_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> 
     return total
 
 
-def masbaum_c(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentFraction:
-    """Coefficient of R_k in the p-th power of the twist element omega:
-
-        c_{k,p} = sum_{l=0}^{k} (-1)^l 𝔮^(2pl(l+1)) {2l+1} / ({k+l+1}!{k-l}!)
-
-    accumulated over the common denominator {2k+1}!.
-    """
-    if k < 0:
-        raise IndexOutOfRange("coefficient index must be >= 0")
-    if p == 0:
-        raise ValueError("twist count p must be nonzero")
-    cache = cache or QSymbolCache()
-    num = _ZERO
-    for l in range(k + 1):
-        term = (
-            LaurentPoly.monomial(4 * p * l * (l + 1), -1 if l & 1 else 1)
-            * brace(2 * l + 1)
-            * cache.qbinom_balanced(2 * k + 1, k - l)
-        )
-        num = num + term
-    return LaurentFraction(num, cache.brace_fact(2 * k + 1))
-
-
 def pairing_R_e(k: int, i: int) -> LaurentPoly:
     """Bracket pairing <R_k, e_{2i}>, modeled as R_k(lambda_{2i}) <e_{2i}>.
 
@@ -208,35 +185,6 @@ def pairing_R_e(k: int, i: int) -> LaurentPoly:
     if k < 0 or i < 0:
         raise IndexOutOfRange("pairing indices must be >= 0")
     return r_basis(k).evaluate(eigenvalue_lambda(2 * i)) * bracket_e(2 * i)
-
-
-class BasisMatrix:
-    """Lower-triangular change-of-basis matrix with unit diagonal."""
-
-    def __init__(self, rows: Sequence[Sequence[LaurentPoly]]) -> None:
-        self.rows = tuple(tuple(row) for row in rows)
-        for k, row in enumerate(self.rows):
-            if len(row) != k + 1:
-                raise ValueError("triangular matrix rows must have length k+1")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, k: int, i: int) -> LaurentPoly:
-        if not 0 <= i <= k < self.size:
-            raise IndexOutOfRange(f"entry ({k}, {i}) outside triangle of size {self.size}")
-        return self.rows[k][i]
-
-    @classmethod
-    def t_matrix(cls, k_max: int = 16, cache: QSymbolCache | None = None) -> BasisMatrix:
-        cache = cache or QSymbolCache()
-        return cls([[t_coeff(k, i, cache) for i in range(k + 1)] for k in range(k_max + 1)])
-
-    @classmethod
-    def s_matrix(cls, k_max: int = 16, cache: QSymbolCache | None = None) -> BasisMatrix:
-        cache = cache or QSymbolCache()
-        return cls([[s_coeff(i, j, cache) for j in range(i + 1)] for i in range(k_max + 1)])
 
 
 def expand_in_basis(element: ZPoly, basis: Sequence[ZPoly]) -> list[LaurentPoly]:

@@ -9,6 +9,7 @@ identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import os
 import random
 import tempfile
 import time
@@ -717,8 +718,11 @@ def run_suite(suite: str, grid: VerifyGrid | None = None, jobs: int = 1) -> Veri
     grid = grid or VerifyGrid()
     checks = suite_checks(suite)
     start = time.monotonic()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all of its workers at once, so never ask for more
+    # than there are checks or cores
+    workers = min(jobs, len(checks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_check, [(fn, grid) for fn in checks]))
     else:
         results = [fn(grid) for fn in checks]

@@ -143,6 +143,38 @@ def test_verify_jobs_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_verify_jobs_are_capped(capsys, monkeypatch):
+    # the pool starts every worker at once: no more than checks or cores
+    import os
+
+    from cyclojones import verify
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    args = ("verify", "--suite", "qcalc", "--format", "json")
+    _, serial, _ = run_cli(capsys, *args)
+    for cores, expect in ((3, [3]), (64, [5]), (1, []), (None, [])):
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        code, out, _ = run_cli(capsys, *args, "--jobs", "10000")
+        assert code == 0 and out == serial
+        assert started == expect
+
+
 def test_verify_output_is_deterministic(capsys):
     args = ("verify", "--suite", "qcalc", "--format", "json")
     _, first, _ = run_cli(capsys, *args)

@@ -5,6 +5,7 @@ import pytest
 from cyclojones import (
     CoeffTable,
     IndexOutOfRange,
+    IntegralityFailure,
     KnotSpec,
     LaurentFraction,
     LaurentPoly,
@@ -190,17 +191,6 @@ def test_negative_odd_s_single_sum_routes(cache):
                 assert jones_half(N, knot, cache).value == jones_walsh(N, knot, cache).value
 
 
-def test_masbaum_bridge(cache):
-    # c'_{k,p} = {k}! c_{k,p} ties the skein and cyclotomic modules
-    from cyclojones import masbaum_c
-
-    for k in range(7):
-        for p in (-2, -1, 1, 3):
-            lhs = LaurentFraction(c_prime(k, p, cache))
-            rhs = LaurentFraction(cache.brace_fact(k)) * masbaum_c(k, p, cache)
-            assert lhs == rhs
-
-
 def test_two_evaluation_orders(cache):
     # evaluating the assembled J'_N equals assembling numerically from
     # the evaluated H_k and blocks
@@ -220,7 +210,9 @@ def test_two_evaluation_orders(cache):
         assert abs(direct - assembled) < mpmath.mpf("1e-40")
 
 
-def test_coefficient_table(cache):
+def test_coefficient_table(cache, tmp_path):
+    from cyclojones.serialize import CoeffCache
+
     knot = KnotSpec.half(2, 1)
     table = coefficient_table(knot, 4, cache)
     assert table.entries[0].h == 1
@@ -228,10 +220,35 @@ def test_coefficient_table(cache):
     assert all("integrality" in entry.checks for entry in table.entries)
     for N in range(1, 6):
         assert jones_from_table(N, table, cache).value == jones_half(N, knot, cache).value
+    full = KnotSpec.full(2, -1)
+    full_table = coefficient_table(full, 4, cache)
+    for N in range(1, 6):
+        assert jones_from_table(N, full_table, cache).value == jones_int(N, full, cache).value
     checked = coefficient_table(KnotSpec.half(1, 3), 3, cache, cross_check=True)
     assert all("multisum" in entry.checks for entry in checked.entries)
-    checked_int = coefficient_table(KnotSpec.full(2, -1), 3, cache, cross_check=True)
+    checked_int = coefficient_table(full, 3, cache, cross_check=True)
     assert all("multisum" in entry.checks for entry in checked_int.entries)
+    checked_neg = coefficient_table(KnotSpec.half(1, -3), 3, cache, cross_check=True)
+    assert all("multisum" in entry.checks for entry in checked_neg.entries)
+    # a store changes where H_k comes from, never the table or its checks
+    for i, (knot, cross_check) in enumerate(
+        ((KnotSpec.half(2, 1), False), (KnotSpec.half(1, 3), True), (full, True))
+    ):
+        plain = coefficient_table(knot, 3, cache, cross_check)
+        cold = coefficient_table(knot, 3, cache, cross_check, CoeffCache(tmp_path / str(i)))
+        store = CoeffCache(tmp_path / str(i), check_every=1)
+        warm = coefficient_table(knot, 3, cache, cross_check, store)
+        assert store._hits == 4
+        assert cold == warm == plain
+
+
+def test_cross_check_compares_c_tilde_for_negative_s(cache, monkeypatch):
+    import cyclojones.cyclotomic as cyclotomic_mod
+
+    wrong = LaurentFraction(2)
+    monkeypatch.setattr(cyclotomic_mod, "c_tilde_prime", lambda k, s, cache=None: wrong)
+    with pytest.raises(IntegralityFailure, match="c~' mismatch"):
+        coefficient_table(KnotSpec.half(1, -1), 3, cache, cross_check=True)
 
 
 def test_coeff_table_rejects_bad_entries(cache):

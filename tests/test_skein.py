@@ -1,16 +1,13 @@
 import pytest
 
 from cyclojones import (
-    BasisMatrix,
     IndexOutOfRange,
-    LaurentFraction,
     LaurentPoly,
     ZPoly,
     bracket_e,
     chebyshev_e,
     eigenvalue_lambda,
     expand_in_basis,
-    masbaum_c,
     pairing_R_e,
     r_basis,
     s_coeff,
@@ -90,17 +87,6 @@ def test_coefficients_match_polynomial_expansion(cache):
         assert expand_in_basis(chebyshev_e(k), rs) == [s_coeff(k, j, cache) for j in range(k + 1)]
 
 
-def test_basis_matrix(cache):
-    t = BasisMatrix.t_matrix(6, cache)
-    s = BasisMatrix.s_matrix(6, cache)
-    assert t.size == s.size == 7
-    for k in range(7):
-        assert t.entry(k, k) == 1 and s.entry(k, k) == 1
-    assert t.entry(1, 0) == t_coeff(1, 0, cache)
-    with pytest.raises(IndexOutOfRange):
-        t.entry(3, 4)
-
-
 def test_twist_coeff_examples(cache):
     for k in range(9):
         for j in range(k + 1):
@@ -119,18 +105,6 @@ def test_twist_matrix_inverse(cache):
             for i in range(j, k + 1):
                 total = total + twist_coeff_d(k, i, 1, cache) * twist_coeff_d(i, j, -1, cache)
             assert total == (LaurentPoly.one() if j == k else LaurentPoly.zero())
-
-
-def test_masbaum_c(cache):
-    for p in (-3, -1, 1, 3):
-        assert masbaum_c(0, p, cache) == LaurentFraction(1)
-    for k in range(9):
-        sign = -1 if k & 1 else 1
-        expect = LaurentFraction(A(k * (k + 3), sign), cache.brace_fact(k))
-        assert masbaum_c(k, 1, cache) == expect
-    assert masbaum_c(1, 2, cache) == LaurentFraction(-A(4) - A(12), brace(1))
-    with pytest.raises(ValueError):
-        masbaum_c(2, 0, cache)
 
 
 def test_pairing_orthogonality(cache):
