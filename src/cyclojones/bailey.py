@@ -53,11 +53,11 @@ def unit_pair() -> BaileyPair:
         num = LaurentPoly.monomial(2 * k * (3 * k + 1), -1 if k & 1 else 1) * (
             _ONE - LaurentPoly.monomial(4 * (2 * k + 1))
         )
-        return LaurentFraction(num, _ONE - LaurentPoly.monomial(4))
+        return cache.pochhammer_recip(1, 1) * num
 
     @functools.cache
     def beta(k: int) -> LaurentFraction:
-        return LaurentFraction(_ONE, cache.pochhammer(1, k))
+        return cache.pochhammer_recip(1, k)
 
     return BaileyPair(alpha, beta, 1, "unit")
 
@@ -74,12 +74,12 @@ def squared_pair() -> BaileyPair:
         num = LaurentPoly.monomial(4 * k * k) * (
             _ONE - LaurentPoly.monomial(4 * (2 * k + 1))
         )
-        return LaurentFraction(num, _ONE - LaurentPoly.monomial(4))
+        return cache.pochhammer_recip(1, 1) * num
 
     @functools.cache
     def beta(k: int) -> LaurentFraction:
-        poch = cache.pochhammer(1, k)
-        return LaurentFraction(_ONE, poch * poch)
+        recip = cache.pochhammer_recip(1, k)
+        return recip * recip
 
     return BaileyPair(alpha, beta, 1, "squared")
 
@@ -108,12 +108,11 @@ def shifted_unit_pair(shift: int) -> BaileyPair:
             * (_ONE - LaurentPoly.monomial(4 * (2 * l + x_exp)))
             * cache.pochhammer(1, 2 * shift + l + 1)
         )
-        den = cache.pochhammer(1, l) * cache.pochhammer(1, x_exp)
-        return LaurentFraction(num, den)
+        return cache.pochhammer_recip(1, l) * cache.pochhammer_recip(1, x_exp) * num
 
     @functools.cache
     def beta(l: int) -> LaurentFraction:
-        return LaurentFraction(_ONE, cache.pochhammer(1, l))
+        return cache.pochhammer_recip(1, l)
 
     return BaileyPair(alpha, beta, x_exp, f"shifted-unit({shift})")
 
@@ -127,10 +126,8 @@ def beta_from_alpha(pair: BaileyPair, k: int, cache: QSymbolCache | None = None)
         ratio = cache.pochhammer_ratio(1, k, k - j) * cache.pochhammer_ratio(
             a, 2 * k, k + j
         )
-        total = total + pair.alpha(j) * LaurentFraction(ratio)
-    return total * LaurentFraction(
-        _ONE, cache.pochhammer(1, k) * cache.pochhammer(a, 2 * k)
-    )
+        total = total + pair.alpha(j) * ratio
+    return total * cache.pochhammer_recip(1, k) * cache.pochhammer_recip(a, 2 * k)
 
 
 @dataclass(frozen=True)
@@ -169,18 +166,14 @@ def chain_step(pair: BaileyPair, cache: QSymbolCache | None = None) -> BaileyPai
 
     @functools.cache
     def alpha(k: int) -> LaurentFraction:
-        return pair.alpha(k) * LaurentFraction(
-            LaurentPoly.monomial(4 * (x_exp * k + k * k))
-        )
+        return pair.alpha(k) * LaurentPoly.monomial(4 * (x_exp * k + k * k))
 
     @functools.cache
     def beta(k: int) -> LaurentFraction:
         total = LaurentFraction(_ZERO)
         for j in range(k + 1):
             weight = LaurentPoly.monomial(4 * (x_exp * j + j * j))
-            total = total + pair.beta(j) * LaurentFraction(
-                weight, cache.pochhammer(1, k - j)
-            )
+            total = total + pair.beta(j) * cache.pochhammer_recip(1, k - j) * weight
         return total
 
     return BaileyPair(alpha, beta, x_exp, f"chain({pair.label})")
@@ -203,9 +196,7 @@ def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache | None = No
     rhs = LaurentFraction(_ZERO)
     for j in range(k + 1):
         weight = LaurentPoly.monomial(4 * (pair.x_exp * j + j * j))
-        rhs = rhs + beta_from_alpha(pair, j, cache) * LaurentFraction(
-            weight, cache.pochhammer(1, k - j)
-        )
+        rhs = rhs + beta_from_alpha(pair, j, cache) * cache.pochhammer_recip(1, k - j) * weight
     return lhs == rhs
 
 
@@ -320,7 +311,7 @@ def multisum_c_tilde(k: int, m: int, cache: QSymbolCache | None = None) -> Laure
         beta_weight=lambda k1: cache.pochhammer_ratio(1, k, k1),
     )
     num = LaurentPoly.monomial(k * (k + 3), -1 if k & 1 else 1) * num
-    return LaurentFraction(num, cache.pochhammer(1, k))
+    return cache.pochhammer_recip(1, k) * num
 
 
 def multisum_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentFraction:
@@ -350,4 +341,4 @@ def multisum_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> Lau
         prefactor = LaurentPoly.monomial(
             2 * (k * (k + 3) - j * (j + 3)) + 4 * (-p) * j * (j + 2)
         )
-    return LaurentFraction(prefactor * body, cache.pochhammer(1, top))
+    return cache.pochhammer_recip(1, top) * (prefactor * body)

@@ -16,7 +16,7 @@ import mpmath
 
 from . import cyclotomic, serialize
 from .cyclotomic import KnotSpec
-from .errors import CacheMismatch, CyclojonesError, IntegralityFailure
+from .errors import CacheMismatch, CyclojonesError, IntegralityFailure, RemainderNonzero
 from .qcalc import QSymbolCache
 from .verify import SUITES, VerifyGrid, run_suite
 
@@ -218,6 +218,15 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     return RunConfig(**fields)
 
 
+def _obstruction(residual) -> str:
+    """The first denominator factor of a residual fraction that does not
+    cancel, or the residual itself when it is a polynomial."""
+    try:
+        return str(residual.to_poly())
+    except RemainderNonzero as exc:
+        return str(exc)
+
+
 def _cmd_coeffs(config: RunConfig) -> int:
     store = None if config.cache_dir is None else serialize.CoeffCache.from_env(config.cache_dir)
     try:
@@ -228,7 +237,7 @@ def _cmd_coeffs(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         residual = getattr(exc, "residual", None)
         if residual is not None:
-            print(f"residual: {residual}", file=sys.stderr)
+            print(f"residual: {_obstruction(residual)}", file=sys.stderr)
         return 1
     sys.stdout.buffer.write(serialize.serialize(table, config.fmt, config.display))
     return 0

@@ -11,8 +11,10 @@ with H_k in Z[𝔮^{±1}].  This module computes H_k by the single-sum
 coefficient formulas (c', c~', d) and assembles J'_N along two
 independent routes whose exact agreement is a correctness certificate.
 
-Every sum is accumulated over one explicit common denominator and
-collapsed with a single exact division — the one diagnostic site.
+The H_k and J'_N sums are accumulated over one explicit common
+denominator and collapsed with a single exact division — the one
+diagnostic site; c~' and d are fractions over the factored reciprocals
+of the q-symbols.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def c_tilde_prime(k: int, s: int, cache: QSymbolCache | None = None) -> LaurentF
     if s % 2 == 0:
         raise ValueError("half twist count s must be odd")
     cache = cache or QSymbolCache()
-    return LaurentFraction(_c_num(k, 2 * s, False, cache), cache.brace_fact(2 * k + 1))
+    return cache.brace_fact_recip(2 * k + 1) * _c_num(k, 2 * s, False, cache)
 
 
 def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
@@ -201,8 +203,8 @@ def d_kjp(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentF
     if p == 0:
         raise ValueError("twist count p must be nonzero")
     cache = cache or QSymbolCache()
-    den = cache.brace_fact(2 * k + 2) * cache.brace_fact(k - j)
-    return LaurentFraction(_d_num(k, j, p, cache), den)
+    recip = cache.brace_fact_recip(2 * k + 2) * cache.brace_fact_recip(k - j)
+    return recip * _d_num(k, j, p, cache)
 
 
 # -- cyclotomic coefficients ------------------------------------------
@@ -247,9 +249,14 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> L
     try:
         value = num.exact_div(den)
     except RemainderNonzero as exc:
+        residual = (
+            cache.brace_fact_recip(2 * k + 2)
+            * cache.brace_fact_recip(k)
+            * cache.brace_fact_recip(2 * k + 1)
+            * num
+        )
         raise IntegralityFailure(
-            f"H_{k}({knot}) did not collapse to a Laurent polynomial",
-            LaurentFraction(num, den),
+            f"H_{k}({knot}) did not collapse to a Laurent polynomial", residual
         ) from exc
     return _require_even(value, f"H_{k}({knot})")
 

@@ -27,10 +27,21 @@ fails.  A nonzero integer remainder already proves that b does not
 divide a, so try_exact_div answers None without the loop; exact_div
 runs it, and the loop stays the only source of RemainderNonzero
 remainders.
+
+Fractions.  Every denominator the calculator builds ({n}!, (q^a;q)_k,
+1 - q) is a unit times a product of cyclotomic polynomials Φ_d(A), so a
+LaurentFraction keeps its denominator as an exponent table {d: e} times a
+residual polynomial R, and moves every unit into the numerator.  R is 1
+unless the fraction was made from an arbitrary polynomial denominator.
+Sums take the exponent-wise maximum of the tables and multiply each
+numerator by the factors it lacks, products add the tables, and equality
+compares the lifted numerators; only differing residuals are
+cross-multiplied.  Φ_d and expanded tables are memoised on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from array import array
@@ -566,16 +577,87 @@ _ONE._terms = {0: 1}
 _ONE._hash = None
 
 
-class LaurentFraction:
-    """Quotient of two Laurent polynomials, without gcd reduction.
+def _oriented(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(num, den) times the unit that gives den lowest exponent 0 and a
+    positive leading coefficient."""
+    shift = den.min_exp
+    sign = -1 if den.coeff(den.max_exp) < 0 else 1
+    if shift or sign < 0:
+        unit = LaurentPoly.monomial(-shift, sign)
+        num, den = num * unit, den * unit
+    return num, den
 
-    Canonical orientation: the denominator is shifted so its lowest
-    exponent is 0 and negated if its leading (highest-exponent)
-    coefficient is negative; the numerator absorbs the same unit.
-    Equality is decided by cross-multiplication.
+
+def binomial_table(m: int) -> dict[int, int]:
+    """The exponent table of A^m - 1 = prod_{d | m} Φ_d(A), for m >= 1."""
+    return {d: 1 for d in range(1, m + 1) if m % d == 0}
+
+
+@functools.cache
+def cyclotomic_poly(d: int) -> LaurentPoly:
+    """Φ_d(A), the d-th cyclotomic polynomial, built on first use."""
+    if d < 1:
+        raise ValueError("cyclotomic polynomials are indexed by d >= 1")
+    value = LaurentPoly({d: 1, 0: -1})
+    for c in binomial_table(d):
+        if c < d:
+            value = value.exact_div(cyclotomic_poly(c))
+    return value
+
+
+def _cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPoly:
+    """prod Φ_d(A)^e over the table, expanded."""
+    return _expand(tuple(sorted(exponents.items())))
+
+
+@functools.lru_cache(maxsize=1024)
+def _expand(factors: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    # verify --suite all meets about 150 distinct tables, each no larger
+    # than the q-symbols it came from; the bound keeps a long-lived process
+    # from holding every table it ever met.  Every Φ_d with d | m, taken
+    # together, is the binomial A^m - 1, which is far cheaper to multiply
+    # by; the leftover factors go in one at a time.
+    left = dict(factors)
+    out = _ONE
+    for m in sorted(left, reverse=True):
+        divisors = binomial_table(m)
+        if any(d not in left for d in divisors):
+            continue
+        times = min(left[d] for d in divisors)
+        out = out * LaurentPoly({m: 1, 0: -1}) ** times
+        for d in divisors:
+            left[d] -= times
+            if not left[d]:
+                del left[d]
+    for d, e in left.items():
+        out = out * cyclotomic_poly(d) ** e
+    return out
+
+
+def _lift(num: LaurentPoly, have: Mapping[int, int], want: Mapping[int, int]) -> LaurentPoly:
+    """num times the factors of the table want that the table have lacks."""
+    missing = {d: e - have.get(d, 0) for d, e in want.items() if e > have.get(d, 0)}
+    return num * _cyclotomic_product(missing) if missing else num
+
+
+class LaurentFraction:
+    """Quotient of Laurent polynomials with a cyclotomic-factored denominator.
+
+    The value is num / (prod_d Φ_d(A)^e_d * R): the exponent table {d: e_d}
+    holds every denominator the calculator builds ({n}!, (q^a;q)_k and
+    1 - q are units times products of Φ_d(A)), and the residual R, oriented
+    to lowest exponent 0 and a positive leading coefficient, holds whatever
+    an arbitrary polynomial denominator brings; it is 1 for every fraction
+    made from the q-symbol reciprocals.  Units go into the numerator.  No
+    gcd is taken.
+
+    Sums lift both numerators to the exponent-wise maximum of the tables,
+    products add the tables, and equality compares the lifted numerators;
+    only differing residuals are cross-multiplied.  den expands the
+    denominator on first use.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_phi", "_res", "_den")
 
     def __init__(self, num: PolyLike, den: PolyLike = 1) -> None:
         num = LaurentPoly._coerce(num)
@@ -584,17 +666,34 @@ class LaurentFraction:
             raise TypeError("LaurentFraction needs LaurentPoly or int parts")
         if den.is_zero:
             raise DivisionByZeroDenominator("fraction with zero denominator")
-        shift = den.min_exp
-        if shift:
-            unit = LaurentPoly.monomial(-shift)
-            num = num * unit
-            den = den * unit
-        if den.coeff(den.max_exp) < 0:
-            num, den = -num, -den
+        num, den = _oriented(num, den)
+        self._set(num, {}, _ONE if den == _ONE else den)
+
+    def _set(self, num: LaurentPoly, phi: dict[int, int], res: LaurentPoly) -> None:
         if num.is_zero:
-            den = _ONE
+            phi, res = {}, _ONE
         self._num = num
-        self._den = den
+        self._phi = phi
+        self._res = res
+        self._den = None
+
+    @classmethod
+    def _make(cls, num: LaurentPoly, phi: dict[int, int], res: LaurentPoly) -> LaurentFraction:
+        # internal: phi holds positive exponents and is never mutated, res
+        # is oriented and is the _ONE object when it equals 1
+        frac = cls.__new__(cls)
+        frac._set(num, phi, res)
+        return frac
+
+    @classmethod
+    def over_cyclotomic(cls, num: PolyLike, exponents: Mapping[int, int]) -> LaurentFraction:
+        """num / prod_d Φ_d(A)^exponents[d]."""
+        num = LaurentPoly._coerce(num)
+        if num is None:
+            raise TypeError("LaurentFraction needs LaurentPoly or int parts")
+        if any(d < 1 or e < 0 for d, e in exponents.items()):
+            raise ValueError("cyclotomic exponents need d >= 1 and e >= 0")
+        return cls._make(num, {d: e for d, e in exponents.items() if e}, _ONE)
 
     @property
     def num(self) -> LaurentPoly:
@@ -602,6 +701,10 @@ class LaurentFraction:
 
     @property
     def den(self) -> LaurentPoly:
+        """The expanded denominator, lowest exponent 0, leading coefficient > 0."""
+        if self._den is None:
+            den = _cyclotomic_product(self._phi)
+            self._den = den if self._res is _ONE else den * self._res
         return self._den
 
     @property
@@ -616,34 +719,46 @@ class LaurentFraction:
             return LaurentFraction(other)
         return None
 
+    def _common(self, other: LaurentFraction):
+        """Both numerators over one denominator: (n1, n2, table, residual)."""
+        p1, p2 = self._phi, other._phi
+        if p1 == p2:
+            phi, n1, n2 = p1, self._num, other._num
+        else:
+            phi = dict(p1)
+            for d, e in p2.items():
+                if e > phi.get(d, 0):
+                    phi[d] = e
+            n1, n2 = _lift(self._num, p1, phi), _lift(other._num, p2, phi)
+        r1, r2 = self._res, other._res
+        if r1 is r2 or r1 == r2:
+            return n1, n2, phi, r1
+        return n1 * r2, n2 * r1, phi, r1 * r2
+
     def __eq__(self, other: object) -> bool:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._num * other._den == other._num * self._den
+        if self.is_zero or other.is_zero:
+            return self.is_zero and other.is_zero
+        n1, n2, _, _ = self._common(other)
+        return n1 == n2
 
     def __add__(self, other) -> LaurentFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
-        if d1 == d2:
-            return LaurentFraction(n1 + n2, d1)
-        # opportunistic reduction: nested denominators are common here
-        if d2.span >= d1.span:
-            ratio = d2.try_exact_div(d1)
-            if ratio is not None:
-                return LaurentFraction(n1 * ratio + n2, d2)
-        else:
-            ratio = d1.try_exact_div(d2)
-            if ratio is not None:
-                return LaurentFraction(n1 + n2 * ratio, d1)
-        return LaurentFraction(n1 * d2 + n2 * d1, d1 * d2)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        n1, n2, phi, res = self._common(other)
+        return LaurentFraction._make(n1 + n2, phi, res)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentFraction:
-        return LaurentFraction(-self._num, self._den)
+        return LaurentFraction._make(-self._num, self._phi, self._res)
 
     def __sub__(self, other) -> LaurentFraction:
         other = self._coerce(other)
@@ -658,26 +773,66 @@ class LaurentFraction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return LaurentFraction(self._num * other._num, self._den * other._den)
+        p1, p2 = self._phi, other._phi
+        if not p1 or not p2:
+            phi = p1 or p2
+        else:
+            phi = dict(p1)
+            for d, e in p2.items():
+                phi[d] = phi.get(d, 0) + e
+        r1, r2 = self._res, other._res
+        res = r1 if r2 is _ONE else r2 if r1 is _ONE else r1 * r2
+        return LaurentFraction._make(self._num * other._num, phi, res)
 
     __rmul__ = __mul__
 
     def substitute_power(self, e: int) -> LaurentFraction:
-        return LaurentFraction(
-            self._num.substitute_power(e), self._den.substitute_power(e)
-        )
+        """A -> A^e.  For e = -1 the table is kept: Φ_1(A^-1) = -A^-1 Φ_1(A)
+        and Φ_d(A^-1) = A^-φ(d) Φ_d(A) for d >= 2."""
+        if e == 1:
+            return self
+        num = self._num.substitute_power(e)
+        if e != -1:
+            return LaurentFraction(num, self.den.substitute_power(e))
+        shift = sum(cyclotomic_poly(d).max_exp * k for d, k in self._phi.items())
+        unit = LaurentPoly.monomial(shift, -1 if self._phi.get(1, 0) & 1 else 1)
+        if self._res is _ONE:
+            return LaurentFraction._make(num * unit, self._phi, _ONE)
+        num, res = _oriented(num * unit, self._res.substitute_power(-1))
+        return LaurentFraction._make(num, self._phi, res)
 
     def to_poly(self) -> LaurentPoly:
-        """Collapse to an exact Laurent polynomial (RemainderNonzero if not)."""
-        return self._num.exact_div(self._den)
+        """Collapse to an exact Laurent polynomial.
+
+        Raises RemainderNonzero naming the first denominator factor that
+        does not cancel: the residual R, or Φ_d(A) with the exponent left.
+        """
+        quot = self._num
+        try:
+            quot = quot.exact_div(self._res)
+        except RemainderNonzero as exc:
+            raise RemainderNonzero(
+                f"denominator factor {self._res} did not cancel", exc.remainder
+            ) from None
+        for d in sorted(self._phi):
+            e = self._phi[d]
+            for i in range(e):
+                try:
+                    quot = quot.exact_div(cyclotomic_poly(d))
+                except RemainderNonzero as exc:
+                    raise RemainderNonzero(
+                        f"Φ_{d}(A) did not cancel: exponent {e - i} of {e} left",
+                        exc.remainder,
+                    ) from None
+        return quot
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __repr__(self) -> str:
-        return f"LaurentFraction({self._num!r}, {self._den!r})"
+        return f"LaurentFraction({self._num!r}, {self.den!r})"
 
     def __str__(self) -> str:
-        if self._den == _ONE:
+        if self.den == _ONE:
             return str(self._num)
-        return f"({self._num}) / ({self._den})"
+        return f"({self._num}) / ({self.den})"

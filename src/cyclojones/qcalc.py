@@ -12,10 +12,8 @@ correctly at k = 0); the balanced binomial [n i] equals {n}!/({i}!{n-i}!).
 
 from __future__ import annotations
 
-import threading
-
-from .errors import IndexOutOfRange, NotAdmissible
-from .laurent import LaurentPoly
+from .errors import DivisionByZeroDenominator, IndexOutOfRange, NotAdmissible
+from .laurent import LaurentFraction, LaurentPoly, binomial_table
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
@@ -33,6 +31,22 @@ def bracket(n: int) -> LaurentPoly:
     if n == 0:
         return _ZERO
     return brace(n).exact_div(brace(1))
+
+
+def _brace_recip(n: int) -> LaurentFraction:
+    """1/{n} for n >= 1: {n} = A^(-2n) (A^(4n) - 1) = A^(-2n) prod_{d | 4n} Φ_d(A)."""
+    return LaurentFraction.over_cyclotomic(
+        LaurentPoly.monomial(2 * n), binomial_table(4 * n)
+    )
+
+
+def _one_minus_q_recip(t: int) -> LaurentFraction:
+    """1/(1 - q^t) for t != 0: 1 - A^(4t) is -prod_{d | 4t} Φ_d(A) for t > 0
+    and A^(4t) prod_{d | -4t} Φ_d(A) for t < 0."""
+    if t == 0:
+        raise DivisionByZeroDenominator("1 - q^0 is zero")
+    unit = LaurentPoly.monomial(-4 * t) if t < 0 else LaurentPoly.from_int(-1)
+    return LaurentFraction.over_cyclotomic(unit, binomial_table(4 * abs(t)))
 
 
 def framing_mu(i: int) -> LaurentPoly:
@@ -67,7 +81,8 @@ class QSymbolCache:
 
     Cached values are structurally equal to recomputed ones; correctness
     never depends on a hit.  ``max_index`` bounds the tables to guard
-    against runaway indices.
+    against runaway indices.  The tables grow without a lock, so a cache
+    must not be shared between threads; give each thread its own.
     """
 
     def __init__(self, max_index: int = 4096) -> None:
@@ -77,7 +92,8 @@ class QSymbolCache:
         self._poch: dict[int, list[LaurentPoly]] = {}
         self._qbinom: dict[tuple[int, int], LaurentPoly] = {}
         self._qbinom_balanced: dict[tuple[int, int], LaurentPoly] = {}
-        self._lock = threading.Lock()  # guards table growth for shared use
+        self._brace_fact_recip: list[LaurentFraction] = [LaurentFraction(_ONE)]
+        self._poch_recip: dict[int, list[LaurentFraction]] = {}
 
     def _check(self, n: int) -> None:
         if n > self.max_index:
@@ -89,10 +105,8 @@ class QSymbolCache:
             raise IndexOutOfRange("factorial needs n >= 0")
         self._check(n)
         table = self._brace_fact
-        if len(table) <= n:
-            with self._lock:
-                while len(table) <= n:
-                    table.append(table[-1] * brace(len(table)))
+        while len(table) <= n:
+            table.append(table[-1] * brace(len(table)))
         return table[n]
 
     def bracket_fact(self, n: int) -> LaurentPoly:
@@ -101,10 +115,8 @@ class QSymbolCache:
             raise IndexOutOfRange("factorial needs n >= 0")
         self._check(n)
         table = self._bracket_fact
-        if len(table) <= n:
-            with self._lock:
-                while len(table) <= n:
-                    table.append(table[-1] * bracket(len(table)))
+        while len(table) <= n:
+            table.append(table[-1] * bracket(len(table)))
         return table[n]
 
     def brace_fact_ratio(self, n: int, m: int) -> LaurentPoly:
@@ -123,12 +135,33 @@ class QSymbolCache:
             raise IndexOutOfRange("Pochhammer length must be >= 0")
         self._check(k)
         table = self._poch.setdefault(a, [_ONE])
-        if len(table) <= k:
-            with self._lock:
-                while len(table) <= k:
-                    j = len(table) - 1
-                    factor = _ONE - LaurentPoly.monomial(4 * (a + j))
-                    table.append(table[-1] * factor)
+        while len(table) <= k:
+            j = len(table) - 1
+            factor = _ONE - LaurentPoly.monomial(4 * (a + j))
+            table.append(table[-1] * factor)
+        return table[k]
+
+    def brace_fact_recip(self, n: int) -> LaurentFraction:
+        """1/{n}! with the denominator in cyclotomic-factored form."""
+        if n < 0:
+            raise IndexOutOfRange("factorial needs n >= 0")
+        self._check(n)
+        table = self._brace_fact_recip
+        while len(table) <= n:
+            table.append(table[-1] * _brace_recip(len(table)))
+        return table[n]
+
+    def pochhammer_recip(self, a: int, k: int) -> LaurentFraction:
+        """1/(q^a; q)_k with the denominator in cyclotomic-factored form.
+
+        DivisionByZeroDenominator when the window a..a+k-1 contains 0.
+        """
+        if k < 0:
+            raise IndexOutOfRange("Pochhammer length must be >= 0")
+        self._check(k)
+        table = self._poch_recip.setdefault(a, [LaurentFraction(_ONE)])
+        while len(table) <= k:
+            table.append(table[-1] * _one_minus_q_recip(a + len(table) - 1))
         return table[k]
 
     def pochhammer_ratio(self, a: int, k: int, j: int) -> LaurentPoly:

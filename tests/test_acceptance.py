@@ -5,8 +5,11 @@ enforces its stated wall-clock limit and prints one PASS line (visible
 with `pytest -s`).
 """
 
+import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +200,12 @@ def test_criterion_10_end_to_end():
         report = run_suite("all", VerifyGrid())
         failures = [r.check_id for r in report.results if not r.passed]
         assert report.ok, failures
+        # the report bytes are those recorded for the benchmark's verify-all
+        digests = json.loads(
+            (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text()
+        )
+        expected = digests["verify-all"]["verify --suite all --format json --jobs 1"]
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == expected
         rng = random.Random(12345)
         for _ in range(1000):
             poly = LaurentPoly(

@@ -246,6 +246,25 @@ def test_integrality_failure_exits_one(capsys, tmp_path, monkeypatch):
     assert "synthetic failure" in err and "residual" in err
 
 
+def test_integrality_failure_names_the_factor(capsys, tmp_path, monkeypatch):
+    import re
+
+    import cyclojones.cyclotomic as cyclotomic_mod
+
+    right = cyclotomic_mod.c_prime
+
+    def wrong(k, p, cache=None):
+        return right(k, p, cache) + (1 if k == 2 else 0)
+
+    monkeypatch.setattr(cyclotomic_mod, "c_prime", wrong)
+    code, out, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "3",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert "H_2(K(2, 1/2)) did not collapse" in err
+    assert re.search(r"residual: Φ_\d+\(A\) did not cancel: exponent \d+ of \d+ left", err)
+    assert len(err.splitlines()) == 2
+
+
 def test_cache_mismatch_exits_one(capsys, tmp_path, cache):
     from cyclojones import KnotSpec
     from cyclojones.cyclotomic import h_coeff

@@ -366,3 +366,123 @@ def test_decode_overflow_raises_without_asserts(tmp_path):
     )
     lines = run.stdout.splitlines()
     assert len(lines) == 2 and all(line.startswith("raised") for line in lines)
+
+
+# -- differential tests of the factored fraction type -------------------
+#
+# The reference keeps a fraction as (numerator, expanded denominator) and
+# decides every operation by cross-multiplication.  Φ_d comes from the
+# Möbius product prod_{c | d} (A^c - 1)^μ(d/c), not from the package.
+
+
+def _mobius(n: int) -> int:
+    sign, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def _phi(d: int) -> LaurentPoly:
+    num, den = LaurentPoly.one(), LaurentPoly.one()
+    for c in range(1, d + 1):
+        if d % c == 0:
+            mu = _mobius(d // c)
+            if mu == 1:
+                num = num * (A(c) - 1)
+            elif mu == -1:
+                den = den * (A(c) - 1)
+    return num.exact_div(den)
+
+
+def _table_product(table: dict[int, int]) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for d, e in table.items():
+        out = out * _phi(d) ** e
+    return out
+
+
+small_polys = st.dictionaries(st.integers(-12, 12), st.integers(-40, 40), max_size=5).map(
+    LaurentPoly
+)
+nonzero_small_polys = small_polys.filter(lambda f: not f.is_zero)
+tables = st.dictionaries(st.integers(1, 12), st.integers(0, 2), max_size=4)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """(LaurentFraction, reference (num, den)) with a factored, generic or
+    mixed denominator."""
+    num = draw(small_polys)
+    kind = draw(st.sampled_from(("factored", "generic", "mixed")))
+    table = draw(tables) if kind != "generic" else {}
+    den = draw(nonzero_small_polys) if kind != "factored" else LaurentPoly.one()
+    frac = LaurentFraction.over_cyclotomic(num, table) * LaurentFraction(1, den)
+    return frac, (num, _table_product(table) * den)
+
+
+def _same_value(frac: LaurentFraction, ref: tuple[LaurentPoly, LaurentPoly]) -> bool:
+    num, den = ref
+    return frac.num * den == num * frac.den
+
+
+@settings(max_examples=80, deadline=None)
+@given(fraction_pairs(), fraction_pairs())
+def test_fraction_ops_match_cross_multiplication(x, y):
+    (fx, (nx, dx)), (fy, (ny, dy)) = x, y
+    assert _same_value(fx + fy, (nx * dy + ny * dx, dx * dy))
+    assert _same_value(fx - fy, (nx * dy - ny * dx, dx * dy))
+    assert _same_value(-fx, (-nx, dx))
+    assert _same_value(fx * fy, (nx * ny, dx * dy))
+    assert (fx == fy) == (nx * dy == ny * dx)
+    for e in (1, -1):
+        assert _same_value(fx.substitute_power(e), (nx.substitute_power(e), dx.substitute_power(e)))
+    den = fx.den
+    assert den.min_exp == 0 and den.coeff(den.max_exp) > 0
+    try:
+        expected = nx.exact_div(dx)
+    except RemainderNonzero:
+        with pytest.raises(RemainderNonzero):
+            fx.to_poly()
+    else:
+        assert fx.to_poly() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_pairs(), tables, nonzero_small_polys, fraction_pairs())
+def test_fraction_representatives_compare_equal(x, extra, u, z):
+    (fx, (nx, dx)), (fz, _) = x, z
+    # the same value over a larger table and over an extra residual factor
+    wider = LaurentFraction.over_cyclotomic(nx * _table_product(extra), extra) * LaurentFraction(
+        1, dx
+    )
+    scaled = LaurentFraction(nx * u, dx * u)
+    assert fx == wider and wider == fx
+    assert fx == scaled and scaled == wider
+    assert fx - wider == LaurentFraction(0)
+    if not fz.is_zero:
+        assert fx + fz != fx and wider != fx + fz
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys, tables)
+def test_fraction_collapse_through_factors(p, table):
+    frac = LaurentFraction.over_cyclotomic(p * _table_product(table), table)
+    assert frac.to_poly() == p
+    assert frac.substitute_power(-1).to_poly() == p.substitute_power(-1)
+
+
+def test_fraction_collapse_names_the_factor():
+    frac = LaurentFraction.over_cyclotomic(_phi(3) * _phi(4), {1: 1, 3: 2, 4: 1})
+    with pytest.raises(RemainderNonzero, match=r"Φ_1\(A\) did not cancel: exponent 1 of 1 left"):
+        frac.to_poly()
+    frac = LaurentFraction.over_cyclotomic(_phi(3), {3: 3})
+    with pytest.raises(RemainderNonzero, match=r"Φ_3\(A\) did not cancel: exponent 2 of 3 left"):
+        frac.to_poly()
+    with pytest.raises(RemainderNonzero, match="denominator factor 2 did not cancel"):
+        LaurentFraction(1, 2).to_poly()
+    assert laurent.cyclotomic_poly(12) == _phi(12)

@@ -1,7 +1,9 @@
 import pytest
 
 from cyclojones import (
+    DivisionByZeroDenominator,
     IndexOutOfRange,
+    LaurentFraction,
     LaurentPoly,
     NotAdmissible,
     brace,
@@ -142,3 +144,32 @@ def test_cache_equals_recomputation(cache):
     assert cache.brace_fact(12) == fresh.brace_fact(12)
     assert cache.pochhammer(2, 7) == fresh.pochhammer(2, 7)
     assert cache.qbinom(9, 4) == fresh.qbinom(9, 4)
+
+
+def test_brace_fact_recip(cache):
+    for n in range(17):
+        recip = cache.brace_fact_recip(n)
+        expanded = LaurentFraction(1, brace_fact(n, cache))
+        assert recip == expanded
+        assert recip.den == expanded.den  # same canonical orientation
+        assert (recip * brace_fact(n, cache)).to_poly() == 1
+    with pytest.raises(IndexOutOfRange):
+        cache.brace_fact_recip(-1)
+
+
+def test_pochhammer_recip(cache):
+    for a in range(-3, 4):
+        for k in range(17):
+            if a <= 0 < a + k:  # the window holds 1 - q^0 = 0
+                with pytest.raises(DivisionByZeroDenominator):
+                    cache.pochhammer_recip(a, k)
+                continue
+            recip = cache.pochhammer_recip(a, k)
+            expanded = LaurentFraction(1, pochhammer(a, k, cache))
+            assert recip == expanded, (a, k)
+            assert recip.den == expanded.den
+    # windows of negative exponents only carry their unit A^(-4t)
+    assert cache.pochhammer_recip(-2, 2) == LaurentFraction(1, (1 - A(-8)) * (1 - A(-4)))
+    assert cache.pochhammer_recip(-2, 2).num == A(12)
+    with pytest.raises(IndexOutOfRange):
+        cache.pochhammer_recip(1, -1)
