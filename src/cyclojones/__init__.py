@@ -50,19 +50,7 @@ from .errors import (
     RemainderNonzero,
 )
 from .laurent import LaurentFraction, LaurentPoly
-from .qcalc import (
-    QSymbolCache,
-    brace,
-    brace_fact,
-    bracket,
-    bracket_fact,
-    cyclo_block,
-    framing_mu,
-    half_twist_delta,
-    pochhammer,
-    qbinom,
-    qbinom_balanced,
-)
+from .qcalc import QSymbolCache, brace, bracket, framing_mu, half_twist_delta
 from .skein import (
     ZPoly,
     bracket_e,

@@ -123,11 +123,9 @@ def beta_from_alpha(pair: BaileyPair, k: int, cache: QSymbolCache | None = None)
     a = pair.x_exp + 1  # (xq;q) = (q^(x_exp+1);q)
     total = LaurentFraction(_ZERO)
     for j in range(k + 1):
-        ratio = cache.pochhammer_ratio(1, k, k - j) * cache.pochhammer_ratio(
-            a, 2 * k, k + j
-        )
-        total = total + pair.alpha(j) * ratio
-    return total * cache.pochhammer_recip(1, k) * cache.pochhammer_recip(a, 2 * k)
+        recip = cache.pochhammer_recip(1, k - j) * cache.pochhammer_recip(a, k + j)
+        total = total + pair.alpha(j) * recip
+    return total
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ with H_k in Z[𝔮^{±1}].  This module computes H_k by the single-sum
 coefficient formulas (c', c~', d) and assembles J'_N along two
 independent routes whose exact agreement is a correctness certificate.
 
-The H_k and J'_N sums are accumulated over one explicit common
-denominator and collapsed with a single exact division — the one
-diagnostic site; c~' and d are fractions over the factored reciprocals
-of the q-symbols.
+Each sum is taken over the denominator its balanced binomials leave:
+H_k over {2k+2}! and J'_N (Walsh route) over {N}, each collapsed with a
+single exact division — the one diagnostic site.  c~' and d are
+fractions over the factored reciprocals 1/{2k+1}! and 1/{2k+2}!.
 """
 
 from __future__ import annotations
@@ -177,16 +177,18 @@ def c_tilde_prime(k: int, s: int, cache: QSymbolCache | None = None) -> LaurentF
 
 
 def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
-    """Numerator of d_{k,j,p} over the denominator {2k+2}!{k-j}!."""
+    """N_{k,j} = {2k+2}! d_{k,j,p} / {2j+1}!, a Laurent polynomial:
+
+        sum_{i=j}^{k} (-1)^(i+j) A^(-4pi(i+2)) {2i+2} [i+1+j over 2j+1] [2k+2 over k-i]
+    """
     total = _ZERO
     for i in range(j, k + 1):
         sign = -1 if (i + j) & 1 else 1
         term = (
             LaurentPoly.monomial(-4 * p * i * (i + 2), sign)
             * brace(2 * i + 2)
-            * cache.brace_fact(i + 1 + j)
+            * cache.qbinom_balanced(i + 1 + j, 2 * j + 1)
             * cache.qbinom_balanced(2 * k + 2, k - i)
-            * cache.brace_fact_ratio(k - j, i - j)
         )
         total = total + term
     return total
@@ -194,17 +196,17 @@ def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
 
 def d_kjp(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentFraction:
     """d_{k,j,p} = sum_{i=j}^{k} (-1)^(i+j) 𝔮^(-2pi(i+2))
-                   {2i+2}{i+1+j}!/({k+i+2}!{k-i}!{i-j}!).
+                   {2i+2}{i+1+j}!/({k+i+2}!{k-i}!{i-j}!),
 
-    {k-j}! times the value is a Laurent polynomial.
+    taken over {2k+2}! as {2j+1}! N_{k,j} / {2k+2}!.
     """
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"d coefficient needs 0 <= j <= k, got k={k}, j={j}")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
     cache = cache or QSymbolCache()
-    recip = cache.brace_fact_recip(2 * k + 2) * cache.brace_fact_recip(k - j)
-    return recip * _d_num(k, j, p, cache)
+    num = cache.brace_fact(2 * j + 1) * _d_num(k, j, p, cache)
+    return cache.brace_fact_recip(2 * k + 2) * num
 
 
 # -- cyclotomic coefficients ------------------------------------------
@@ -223,8 +225,9 @@ def _require_even(poly: LaurentPoly, what: str) -> LaurentPoly:
 def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> LaurentPoly:
     """H_k(K(p, s/2)) = (-1)^k sum_{j=0}^{k} d_{k,j,p} c'_{j,p} c~'_{j,s/2}.
 
-    The fraction sum must collapse into Z[𝔮^{±1}]; IntegralityFailure
-    (carrying the residual fraction) is a release-blocking diagnostic.
+    The sum is taken over {2k+2}! and must collapse into Z[𝔮^{±1}];
+    IntegralityFailure (carrying the residual fraction) is a
+    release-blocking diagnostic.
     """
     if not isinstance(knot.region, HalfTwists):
         raise TypeError("h_coeff_half needs a HalfTwists knot")
@@ -232,31 +235,18 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> L
         raise IndexOutOfRange("coefficient index must be >= 0")
     cache = cache or QSymbolCache()
     p, s = knot.p, knot.region.s
-    # common denominator {2k+2}!{k}!{2k+1}! across the j-sum
+    # d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, 2s) / {2k+2}!
     num = _ZERO
     for j in range(k + 1):
-        term = (
-            _d_num(k, j, p, cache)
-            * c_prime(j, p, cache)
-            * _c_num(j, 2 * s, False, cache)
-            * cache.brace_fact_ratio(k, k - j)
-            * cache.brace_fact_ratio(2 * k + 1, 2 * j + 1)
-        )
-        num = num + term
+        num = num + _d_num(k, j, p, cache) * c_prime(j, p, cache) * _c_num(j, 2 * s, False, cache)
     if k & 1:
         num = -num
-    den = cache.brace_fact(2 * k + 2) * cache.brace_fact(k) * cache.brace_fact(2 * k + 1)
     try:
-        value = num.exact_div(den)
+        value = num.exact_div(cache.brace_fact(2 * k + 2))
     except RemainderNonzero as exc:
-        residual = (
-            cache.brace_fact_recip(2 * k + 2)
-            * cache.brace_fact_recip(k)
-            * cache.brace_fact_recip(2 * k + 1)
-            * num
-        )
         raise IntegralityFailure(
-            f"H_{k}({knot}) did not collapse to a Laurent polynomial", residual
+            f"H_{k}({knot}) did not collapse to a Laurent polynomial",
+            cache.brace_fact_recip(2 * k + 2) * num,
         ) from exc
     return _require_even(value, f"H_{k}({knot})")
 
@@ -387,8 +377,9 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jo
 
         𝔮^(-2p(N^2-1)) sum_k (-1)^k c'_{k,p} c~'_{k,s/2} {N+k}!/({N-1-k}!{N})
 
-    Shares only the c'/c~' single sums with jones_half; the assembly is
-    disjoint, so exact agreement of the two routes is a strong check.
+    The k-sum is taken over {N} and divided once.  Shares only the
+    c'/c~' single sums with jones_half; the assembly is disjoint, so
+    exact agreement of the two routes is a strong check.
     """
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
@@ -396,19 +387,18 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jo
         raise TypeError("jones_walsh needs a HalfTwists knot")
     cache = cache or QSymbolCache()
     p, s = knot.p, knot.region.s
-    # common denominator {2N-1}! across the k-sum
+    # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, 2s) [N+k over 2k+1] / {N}
     num = _ZERO
     for k in range(N):
         term = (
             c_prime(k, p, cache)
             * _c_num(k, 2 * s, False, cache)
-            * cache.brace_fact_ratio(2 * N - 1, 2 * k + 1)
-            * cache.cyclo_block(N, k)
+            * cache.qbinom_balanced(N + k, 2 * k + 1)
         )
         if k & 1:
             term = -term
         num = num + term
-    total = num.exact_div(cache.brace_fact(2 * N - 1))
+    total = num.exact_div(brace(N))
     prefactor = LaurentPoly.monomial(-4 * p * (N * N - 1))
     return JonesResult(knot, N, prefactor * total, "walsh")
 

@@ -23,10 +23,8 @@ is the polynomial identity a = q * b once no coefficient of q * b can
 leave a balanced limb, which a bound on q and b settles.  The division
 falls back to the loop _exact_div_dicts when the integer remainder is
 nonzero, when the quotient does not fit the limbs, or when the bound
-fails.  A nonzero integer remainder already proves that b does not
-divide a, so try_exact_div answers None without the loop; exact_div
-runs it, and the loop stays the only source of RemainderNonzero
-remainders.
+fails, so the loop stays the only source of RemainderNonzero remainders;
+try_exact_div is exact_div with None in place of that error.
 
 Fractions.  Every denominator the calculator builds ({n}!, (q^a;q)_k,
 1 - q) is a unit times a product of cyclotomic polynomials Φ_d(A), so a
@@ -262,14 +260,13 @@ def _exact_div_kronecker(
 
 
 def _exact_div_terms(
-    a: dict[int, int], b: dict[int, int], remainder: bool = True
+    a: dict[int, int], b: dict[int, int]
 ) -> tuple[dict[int, int] | None, dict[int, int]]:
     """(quotient, remainder) of nonzero a by b, as _exact_div_dicts.
 
     Large divisions go through _exact_div_kronecker first, and fall back
     to the loop when it finds a nonzero remainder or cannot certify its
-    quotient.  With remainder=False a pair that the integer remainder
-    proves not to divide returns (None, {}) without the loop.
+    quotient.
     """
     stride = _lattice_stride(a, b)
     nq = ((max(a) - min(a)) - (max(b) - min(b))) // stride + 1
@@ -281,8 +278,6 @@ def _exact_div_terms(
         else:
             if quot is not None:
                 return quot, {}
-            if not remainder:
-                return None, {}
     return _exact_div_dicts(a, b)
 
 
@@ -492,12 +487,10 @@ class LaurentPoly:
 
     def try_exact_div(self, divisor: LaurentPoly) -> LaurentPoly | None:
         """exact_div, but None instead of RemainderNonzero."""
-        if divisor.is_zero:
+        try:
+            return self.exact_div(divisor)
+        except RemainderNonzero:
             return None
-        if self.is_zero:
-            return _ZERO
-        quot, _ = _exact_div_terms(self._terms, divisor._terms, remainder=False)
-        return None if quot is None else LaurentPoly._raw(quot)
 
     # -- evaluation and display ---------------------------------------
 

@@ -214,26 +214,3 @@ class QSymbolCache:
         den = self.brace_fact(N - 1 - k) * brace(N)
         return num.exact_div(den)
 
-
-def brace_fact(n: int, cache: QSymbolCache | None = None) -> LaurentPoly:
-    return (cache or QSymbolCache()).brace_fact(n)
-
-
-def bracket_fact(n: int, cache: QSymbolCache | None = None) -> LaurentPoly:
-    return (cache or QSymbolCache()).bracket_fact(n)
-
-
-def pochhammer(a: int, k: int, cache: QSymbolCache | None = None) -> LaurentPoly:
-    return (cache or QSymbolCache()).pochhammer(a, k)
-
-
-def qbinom(n: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
-    return (cache or QSymbolCache()).qbinom(n, i)
-
-
-def qbinom_balanced(n: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
-    return (cache or QSymbolCache()).qbinom_balanced(n, i)
-
-
-def cyclo_block(N: int, k: int, cache: QSymbolCache | None = None) -> LaurentPoly:
-    return (cache or QSymbolCache()).cyclo_block(N, k)

@@ -23,7 +23,6 @@ from cyclojones import (
     c_tilde_prime,
     chain_step,
     coefficient_table,
-    cyclo_block,
     d_kjp,
     framing_mu,
     h_coeff,
@@ -37,9 +36,6 @@ from cyclojones import (
     multisum_c_tilde,
     multisum_d,
     pairing_R_e,
-    pochhammer,
-    qbinom,
-    qbinom_balanced,
     s_coeff,
     squared_pair,
     t_coeff,
@@ -174,16 +170,16 @@ def test_criterion_08_qcalc_identities(cache):
                     assert delta * delta * framing_mu(a) * framing_mu(b) == framing_mu(c)
         for n in range(17):
             for i in range(n + 1):
-                assert qbinom_balanced(n, i, cache) == A(-2 * i * (n - i)) * qbinom(n, i, cache)
+                assert cache.qbinom_balanced(n, i) == A(-2 * i * (n - i)) * cache.qbinom(n, i)
         for N in range(1, 9):
             for k in range(N):
                 sign = -1 if k & 1 else 1
                 rhs = (
                     A(-2 * k * (k + 1), sign)
-                    * pochhammer(1 - N, k, cache)
-                    * pochhammer(1 + N, k, cache)
+                    * cache.pochhammer(1 - N, k)
+                    * cache.pochhammer(1 + N, k)
                 )
-                assert cyclo_block(N, k, cache) == rhs
+                assert cache.cyclo_block(N, k) == rhs
 
 
 def test_criterion_09_q_inversion(cache):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,20 @@ def test_coeffs_cache_reuse_is_deterministic(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert list(tmp_path.glob("*.json"))
+
+
+def test_cache_cli_outputs_match_reference_digests(capsys, tmp_path):
+    # the benchmark's cache-cli requests, cold and then warm from one cache
+    # directory, against the recorded SHA-256 of each output
+    digests = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text()
+    )["cache-cli"]
+    assert digests
+    for _ in ("cold", "warm"):
+        for request, expected in digests.items():
+            code, out, err = run_cli(capsys, *request.split(), "--cache-dir", str(tmp_path))
+            assert code == 0, err
+            assert hashlib.sha256(out.encode()).hexdigest() == expected, request
 
 
 def test_jones_display(capsys):

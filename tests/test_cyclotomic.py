@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from cyclojones import (
     jones_int,
     jones_walsh,
 )
+from cyclojones.qcalc import brace
 
 A = LaurentPoly.monomial
 Q = A(4)  # the q-series variable
@@ -137,6 +139,23 @@ def test_jones_walsh(cache):
     assert jones_walsh(2, KnotSpec.half(1, 1), cache).value == 1
 
 
+def test_half_twist_sums_divide_once(cache, monkeypatch):
+    # h_coeff_half divides its own sum once, by {2k+2}!; jones_walsh once, by {N}
+    divisors = []
+    exact_div = LaurentPoly.exact_div
+
+    def recording(self, divisor):
+        divisors.append((sys._getframe(1).f_code.co_name, divisor))
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", recording)
+    knot = KnotSpec.half(-3, 5)
+    h_coeff_half(4, knot, cache)
+    jones_walsh(5, knot, cache)
+    assert [d for name, d in divisors if name == "h_coeff_half"] == [cache.brace_fact(10)]
+    assert [d for name, d in divisors if name == "jones_walsh"] == [brace(5)]
+
+
 def test_jones_int(cache):
     assert jones_int(1, KnotSpec.full(3, -2), cache).value == 1
     assert jones_int(2, KnotSpec.full(1, 1), cache).value == A(4) + A(12) - A(16)
@@ -196,8 +215,6 @@ def test_two_evaluation_orders(cache):
     # the evaluated H_k and blocks
     import mpmath
 
-    from cyclojones import cyclo_block
-
     knot = KnotSpec.half(2, 1)
     N = 4
     value = jones_half(N, knot, cache).value
@@ -206,7 +223,7 @@ def test_two_evaluation_orders(cache):
         assembled = mpmath.mpc(0)
         for k in range(N):
             h = h_coeff_half(k, knot, cache)
-            assembled += h.eval_unit_root(1, 16) * cyclo_block(N, k, cache).eval_unit_root(1, 16)
+            assembled += h.eval_unit_root(1, 16) * cache.cyclo_block(N, k).eval_unit_root(1, 16)
         assert abs(direct - assembled) < mpmath.mpf("1e-40")
 
 

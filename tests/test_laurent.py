@@ -303,7 +303,6 @@ def test_exact_div_remainder_matches_loop(pair, bump):
     expected = _exact_div_dicts(a, b)
     assert expected[0] is None
     assert _exact_div_terms(a, b) == expected
-    assert _exact_div_terms(a, b, remainder=False)[0] is None
     with pytest.raises(RemainderNonzero) as err:
         LaurentPoly(a).exact_div(LaurentPoly(b))
     assert err.value.remainder == LaurentPoly(expected[1])

@@ -7,15 +7,9 @@ from cyclojones import (
     LaurentPoly,
     NotAdmissible,
     brace,
-    brace_fact,
     bracket,
-    bracket_fact,
-    cyclo_block,
     framing_mu,
     half_twist_delta,
-    pochhammer,
-    qbinom,
-    qbinom_balanced,
 )
 
 A = LaurentPoly.monomial
@@ -36,25 +30,25 @@ def test_bracket():
 
 
 def test_factorials(cache):
-    assert brace_fact(0, cache) == 1
-    assert brace_fact(2, cache) == A(6) - A(2) - A(-2) + A(-6)  # {2}{1}
-    assert bracket_fact(2, cache) == A(2) + A(-2)
+    assert cache.brace_fact(0) == 1
+    assert cache.brace_fact(2) == A(6) - A(2) - A(-2) + A(-6)  # {2}{1}
+    assert cache.bracket_fact(2) == A(2) + A(-2)
     with pytest.raises(IndexOutOfRange):
-        brace_fact(-1, cache)
+        cache.brace_fact(-1)
 
 
 def test_balanced_binomial(cache):
     for n in range(0, 21):
-        assert qbinom_balanced(n, 0, cache) == 1
-    assert qbinom_balanced(2, 1, cache) == A(2) + A(-2)  # equals [2]
-    assert qbinom_balanced(3, 5, cache).is_zero
-    assert qbinom_balanced(3, -1, cache).is_zero
+        assert cache.qbinom_balanced(n, 0) == 1
+    assert cache.qbinom_balanced(2, 1) == A(2) + A(-2)  # equals [2]
+    assert cache.qbinom_balanced(3, 5).is_zero
+    assert cache.qbinom_balanced(3, -1).is_zero
 
 
 def test_pochhammer(cache):
-    assert pochhammer(1, 0, cache) == 1
-    assert pochhammer(1, 2, cache) == 1 - A(4) - A(8) + A(12)  # (1-q)(1-q^2)
-    assert pochhammer(1 - 3, 3, cache).is_zero  # contains the factor 1-q^0
+    assert cache.pochhammer(1, 0) == 1
+    assert cache.pochhammer(1, 2) == 1 - A(4) - A(8) + A(12)  # (1-q)(1-q^2)
+    assert cache.pochhammer(1 - 3, 3).is_zero  # contains the factor 1-q^0
 
 
 def _qbinom_pascal(n, i):
@@ -68,21 +62,21 @@ def _qbinom_pascal(n, i):
 
 def test_qbinom(cache):
     for n in range(0, 9):
-        assert qbinom(n, n, cache) == 1
-    assert qbinom(2, 1, cache) == 1 + A(4)
+        assert cache.qbinom(n, n) == 1
+    assert cache.qbinom(2, 1) == 1 + A(4)
     # frozen from the Pascal oracle: 1 + q + 2q^2 + q^3 + q^4
-    assert qbinom(4, 2, cache) == 1 + A(4) + A(8, 2) + A(12) + A(16)
+    assert cache.qbinom(4, 2) == 1 + A(4) + A(8, 2) + A(12) + A(16)
     for n in range(0, 9):
         for i in range(0, n + 1):
-            assert qbinom(n, i, cache) == _qbinom_pascal(n, i)
+            assert cache.qbinom(n, i) == _qbinom_pascal(n, i)
 
 
 def test_cyclo_block(cache):
     for N in range(1, 11):
-        assert cyclo_block(N, 0, cache) == 1
-    assert cyclo_block(2, 1, cache) == A(8) - A(4) - A(-4) + A(-8)  # {3}{1}
+        assert cache.cyclo_block(N, 0) == 1
+    assert cache.cyclo_block(2, 1) == A(8) - A(4) - A(-4) + A(-8)  # {3}{1}
     with pytest.raises(IndexOutOfRange):
-        cyclo_block(3, 3, cache)
+        cache.cyclo_block(3, 3)
 
 
 def test_framing_mu():
@@ -111,14 +105,14 @@ def test_delta_square_law():
 def test_balanced_gaussian_bridge(cache):
     for n in range(0, 17):
         for i in range(0, n + 1):
-            assert qbinom_balanced(n, i, cache) == A(-2 * i * (n - i)) * qbinom(n, i, cache)
+            assert cache.qbinom_balanced(n, i) == A(-2 * i * (n - i)) * cache.qbinom(n, i)
 
 
 def test_pascal_identity(cache):
     for n in range(1, 17):
         for i in range(0, n + 1):
-            rhs = qbinom(n - 1, i - 1, cache) + A(4 * i) * qbinom(n - 1, i, cache)
-            assert qbinom(n, i, cache) == rhs
+            rhs = cache.qbinom(n - 1, i - 1) + A(4 * i) * cache.qbinom(n - 1, i)
+            assert cache.qbinom(n, i) == rhs
 
 
 def test_cyclo_block_pochhammer_identity(cache):
@@ -128,10 +122,10 @@ def test_cyclo_block_pochhammer_identity(cache):
             sign = -1 if k & 1 else 1
             rhs = (
                 A(-2 * k * (k + 1), sign)
-                * pochhammer(1 - N, k, cache)
-                * pochhammer(1 + N, k, cache)
+                * cache.pochhammer(1 - N, k)
+                * cache.pochhammer(1 + N, k)
             )
-            assert cyclo_block(N, k, cache) == rhs
+            assert cache.cyclo_block(N, k) == rhs
 
 
 def test_brace_bracket_symmetry():
@@ -149,10 +143,10 @@ def test_cache_equals_recomputation(cache):
 def test_brace_fact_recip(cache):
     for n in range(17):
         recip = cache.brace_fact_recip(n)
-        expanded = LaurentFraction(1, brace_fact(n, cache))
+        expanded = LaurentFraction(1, cache.brace_fact(n))
         assert recip == expanded
         assert recip.den == expanded.den  # same canonical orientation
-        assert (recip * brace_fact(n, cache)).to_poly() == 1
+        assert (recip * cache.brace_fact(n)).to_poly() == 1
     with pytest.raises(IndexOutOfRange):
         cache.brace_fact_recip(-1)
 
@@ -165,7 +159,7 @@ def test_pochhammer_recip(cache):
                     cache.pochhammer_recip(a, k)
                 continue
             recip = cache.pochhammer_recip(a, k)
-            expanded = LaurentFraction(1, pochhammer(a, k, cache))
+            expanded = LaurentFraction(1, cache.pochhammer(a, k))
             assert recip == expanded, (a, k)
             assert recip.den == expanded.den
     # windows of negative exponents only carry their unit A^(-4t)
