@@ -15,6 +15,14 @@ Each sum is taken over the denominator its balanced binomials leave:
 H_k over {2k+2}! and J'_N (Walsh route) over {N}, each collapsed with a
 single exact division — the one diagnostic site.  c~' and d are
 fractions over the factored reciprocals 1/{2k+1}! and 1/{2k+2}!.
+
+H_k does not evaluate the d-sum term by term: with the sum over j
+taken inside, it needs only the products P_j = c'_j * (numerator of
+c~'_j) and the sums G_i of P_j against balanced binomials (h_coeff_half).
+Both depend on the knot and not on k, so the QSymbolCache keeps them for
+the knot last asked for (knot_memo); a table up to max_k then costs
+O(max_k^2) polynomial products instead of O(max_k^3).  The Walsh route
+reuses the same P_j.
 """
 
 from __future__ import annotations
@@ -180,6 +188,9 @@ def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     """N_{k,j} = {2k+2}! d_{k,j,p} / {2j+1}!, a Laurent polynomial:
 
         sum_{i=j}^{k} (-1)^(i+j) A^(-4pi(i+2)) {2i+2} [i+1+j over 2j+1] [2k+2 over k-i]
+
+    The kernel of d_kjp only; h_coeff_half sums the same terms with the
+    i-sum outside.
     """
     total = _ZERO
     for i in range(j, k + 1):
@@ -222,25 +233,61 @@ def _require_even(poly: LaurentPoly, what: str) -> LaurentPoly:
     return poly
 
 
+def _p_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
+    """The first n of P_j = c'_{j,p} _c_num(j, 2s), kept in the cache's
+    one-knot memo."""
+    p, s = knot.p, knot.region.s
+    P = cache.knot_memo((p, s)).setdefault("P", [])
+    while len(P) < n:
+        j = len(P)
+        P.append(c_prime(j, p, cache) * _c_num(j, 2 * s, False, cache))
+    return P
+
+
+def _g_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
+    """The first n of G_i = sum_{j=0}^{i} (-1)^j [i+1+j over 2j+1] P_j,
+    kept in the cache's one-knot memo beside P."""
+    P = _p_terms(knot, n, cache)
+    G = cache.knot_memo((knot.p, knot.region.s)).setdefault("G", [])
+    while len(G) < n:
+        i = len(G)
+        total = _ZERO
+        for j in range(i + 1):
+            term = cache.qbinom_balanced(i + 1 + j, 2 * j + 1) * P[j]
+            total = total + (-term if j & 1 else term)
+        G.append(total)
+    return G
+
+
 def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> LaurentPoly:
     """H_k(K(p, s/2)) = (-1)^k sum_{j=0}^{k} d_{k,j,p} c'_{j,p} c~'_{j,s/2}.
 
-    The sum is taken over {2k+2}! and must collapse into Z[𝔮^{±1}];
-    IntegralityFailure (carrying the residual fraction) is a
-    release-blocking diagnostic.
+    With d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, 2s) / {2k+2}! and the
+    i-sum of N_{k,j} taken outside, the numerator over {2k+2}! is
+
+        sum_{i=0}^{k} (-1)^i A^(-4pi(i+2)) {2i+2} [2k+2 over k-i] G_i
+
+    with G_i from _g_terms, shared by every k of one knot.  The sum
+    must collapse into Z[𝔮^{±1}]; IntegralityFailure (carrying the
+    residual fraction) is a release-blocking diagnostic.
     """
     if not isinstance(knot.region, HalfTwists):
         raise TypeError("h_coeff_half needs a HalfTwists knot")
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
     cache = cache or QSymbolCache()
-    p, s = knot.p, knot.region.s
-    # d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, 2s) / {2k+2}!
+    p = knot.p
+    G = _g_terms(knot, k + 1, cache)
     num = _ZERO
-    for j in range(k + 1):
-        num = num + _d_num(k, j, p, cache) * c_prime(j, p, cache) * _c_num(j, 2 * s, False, cache)
-    if k & 1:
-        num = -num
+    for i in range(k + 1):
+        sign = -1 if (i + k) & 1 else 1
+        term = (
+            LaurentPoly.monomial(-4 * p * i * (i + 2), sign)
+            * brace(2 * i + 2)
+            * cache.qbinom_balanced(2 * k + 2, k - i)
+            * G[i]
+        )
+        num = num + term
     try:
         value = num.exact_div(cache.brace_fact(2 * k + 2))
     except RemainderNonzero as exc:
@@ -377,29 +424,25 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jo
 
         𝔮^(-2p(N^2-1)) sum_k (-1)^k c'_{k,p} c~'_{k,s/2} {N+k}!/({N-1-k}!{N})
 
-    The k-sum is taken over {N} and divided once.  Shares only the
-    c'/c~' single sums with jones_half; the assembly is disjoint, so
-    exact agreement of the two routes is a strong check.
+    The k-sum, sum_k (-1)^k P_k [N+k over 2k+1] with the memoised
+    P_k = c'_{k,p} _c_num(k, 2s), is taken over {N} and divided once.
+    Shares only P_k, the c'/c~' single sums, with jones_half; the
+    assembly is disjoint, so exact agreement of the two routes is a
+    strong check.
     """
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
     if not isinstance(knot.region, HalfTwists):
         raise TypeError("jones_walsh needs a HalfTwists knot")
     cache = cache or QSymbolCache()
-    p, s = knot.p, knot.region.s
+    P = _p_terms(knot, N, cache)
     # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, 2s) [N+k over 2k+1] / {N}
     num = _ZERO
     for k in range(N):
-        term = (
-            c_prime(k, p, cache)
-            * _c_num(k, 2 * s, False, cache)
-            * cache.qbinom_balanced(N + k, 2 * k + 1)
-        )
-        if k & 1:
-            term = -term
-        num = num + term
+        term = P[k] * cache.qbinom_balanced(N + k, 2 * k + 1)
+        num = num + (-term if k & 1 else term)
     total = num.exact_div(brace(N))
-    prefactor = LaurentPoly.monomial(-4 * p * (N * N - 1))
+    prefactor = LaurentPoly.monomial(-4 * knot.p * (N * N - 1))
     return JonesResult(knot, N, prefactor * total, "walsh")
 
 

@@ -50,3 +50,7 @@ class IntegralityFailure(CyclojonesError, ArithmeticError):
 
 class CacheMismatch(CyclojonesError):
     """A cache entry disagrees with recomputation or fails its digest."""
+
+
+class CacheUnusable(CyclojonesError):
+    """The cache directory cannot be created, read or written."""

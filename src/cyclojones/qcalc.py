@@ -91,9 +91,11 @@ class QSymbolCache:
         self._bracket_fact: list[LaurentPoly] = [_ONE]
         self._poch: dict[int, list[LaurentPoly]] = {}
         self._qbinom: dict[tuple[int, int], LaurentPoly] = {}
-        self._qbinom_balanced: dict[tuple[int, int], LaurentPoly] = {}
+        self._qbinom_balanced: list[list[LaurentPoly]] = [[_ONE]]
         self._brace_fact_recip: list[LaurentFraction] = [LaurentFraction(_ONE)]
         self._poch_recip: dict[int, list[LaurentFraction]] = {}
+        self._knot_key = None
+        self._knot_memo: dict = {}
 
     def _check(self, n: int) -> None:
         if n > self.max_index:
@@ -190,19 +192,42 @@ class QSymbolCache:
         return value
 
     def qbinom_balanced(self, n: int, i: int) -> LaurentPoly:
-        """Balanced binomial [n i] = {n}!/({i}!{n-i}!); 0 out of range."""
+        """Balanced binomial [n i] = {n}!/({i}!{n-i}!); 0 out of range.
+
+        Built row by row by the q-Pascal rule
+        [n i] = A^(-2i) [n-1 i] + A^(2(n-i)) [n-1 i-1], shifts and adds
+        only; each row is symmetric, so only i <= n/2 is stored.
+        """
         if n < 0:
             raise IndexOutOfRange("balanced binomial needs n >= 0")
         if i < 0 or i > n:
             return _ZERO
-        key = (n, min(i, n - i))
-        value = self._qbinom_balanced.get(key)
-        if value is None:
-            num = self.brace_fact(n)
-            den = self.brace_fact(key[1]) * self.brace_fact(n - key[1])
-            value = num.exact_div(den)
-            self._qbinom_balanced[key] = value
-        return value
+        self._check(n)
+        rows = self._qbinom_balanced
+        while len(rows) <= n:
+            m = len(rows)
+            prev = rows[-1]
+            row = [_ONE]
+            for t in range(1, m // 2 + 1):
+                # [m-1 t] lies in the stored half of row m-1 unless t = m/2
+                prev_t = prev[t] if t < len(prev) else prev[m - 1 - t]
+                row.append(
+                    LaurentPoly.monomial(-2 * t) * prev_t
+                    + LaurentPoly.monomial(2 * (m - t)) * prev[t - 1]
+                )
+            rows.append(row)
+        return rows[n][min(i, n - i)]
+
+    def knot_memo(self, key) -> dict:
+        """Scratch memo for the sums of one knot, named by key.
+
+        Holds one knot only: a different key replaces the memo, so a
+        cache shared across many knots never keeps more than one
+        knot's sums.
+        """
+        if key != self._knot_key:
+            self._knot_key, self._knot_memo = key, {}
+        return self._knot_memo
 
     def cyclo_block(self, N: int, k: int) -> LaurentPoly:
         """The cyclotomic expansion block {N+k}!/({N-1-k}!{N})."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cyclotomic import CoeffTable, HalfTwists, JonesResult, KnotSpec
-from .errors import CacheMismatch
+from .errors import CacheMismatch, CacheUnusable
 from .laurent import LaurentPoly
 
 SCHEMA_VERSION = 1
@@ -176,7 +176,9 @@ class CoeffCache:
 
     Keys are (schema version, knot parameters, k); writes go through a
     temp file + rename.  ``check_every`` spot-checks every n-th hit
-    against recomputation (deterministic sampling; 0 disables).
+    against recomputation (deterministic sampling; 0 disables).  A
+    directory that cannot be created, read or written raises
+    CacheUnusable.
     """
 
     directory: Path
@@ -202,22 +204,27 @@ class CoeffCache:
             "digest": poly_digest(value),
         }
         payload = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, self._path(knot, k))
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(payload)
+                os.replace(tmp, self._path(knot, k))
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise self._unusable(exc) from None
 
     def get(self, knot: KnotSpec, k: int) -> LaurentPoly | None:
         path = self._path(knot, k)
-        if not path.exists():
-            return None
         try:
+            if not path.exists():
+                return None
             obj = json.loads(path.read_text())
+        except OSError as exc:
+            raise self._unusable(exc) from None
         except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise CacheMismatch(f"unreadable cache entry {path}: {exc}") from None
         if not isinstance(obj, dict):
@@ -234,6 +241,9 @@ class CoeffCache:
             raise CacheMismatch(f"digest mismatch in {path}")
         self._hits += 1
         return value
+
+    def _unusable(self, exc: OSError) -> CacheUnusable:
+        return CacheUnusable(f"cache directory {self.directory} is unusable: {exc.strerror or exc}")
 
     def should_spot_check(self) -> bool:
         """True on hits 1, 1 + n, 1 + 2n, ... for check_every = n."""

@@ -67,6 +67,41 @@ def test_cache_cli_outputs_match_reference_digests(capsys, tmp_path):
             assert hashlib.sha256(out.encode()).hexdigest() == expected, request
 
 
+def test_coeffs_jones_outputs_match_reference_digests(capsys):
+    # the benchmark's coeffs-jones requests against the recorded SHA-256 of each output
+    digests = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text()
+    )["coeffs-jones"]
+    assert len(digests) == 3
+    for request, expected in digests.items():
+        code, out, err = run_cli(capsys, *request.split())
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, request
+
+
+def test_cache_dir_under_a_file_exits_one(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
+                             "--cache-dir", str(blocker / "sub"))
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cache directory {blocker / 'sub'} is unusable: ")
+
+
+def test_cache_env_naming_a_file_exits_one(capsys, tmp_path, monkeypatch):
+    from cyclojones.serialize import CACHE_ENV
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv(CACHE_ENV, str(blocker))
+    code, out, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
+                             "--cache-dir", str(tmp_path / "unused"))
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cache directory {blocker} is unusable: ")
+
+
 def test_jones_display(capsys):
     code, out, _ = run_cli(capsys, "jones", "--p", "2", "--s", "1", "--N", "2",
                            "--display", "𝔮")

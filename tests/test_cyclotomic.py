@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from cyclojones import (
     KnotSpec,
     LaurentFraction,
     LaurentPoly,
+    QSymbolCache,
     c_prime,
     c_prime_qform,
     c_tilde_prime,
@@ -22,6 +24,7 @@ from cyclojones import (
     jones_int,
     jones_walsh,
 )
+import cyclojones.cyclotomic as cyclotomic_mod
 from cyclojones.qcalc import brace
 
 A = LaurentPoly.monomial
@@ -139,8 +142,10 @@ def test_jones_walsh(cache):
     assert jones_walsh(2, KnotSpec.half(1, 1), cache).value == 1
 
 
-def test_half_twist_sums_divide_once(cache, monkeypatch):
-    # h_coeff_half divides its own sum once, by {2k+2}!; jones_walsh once, by {N}
+def test_half_twist_sums_divide_once(monkeypatch):
+    # h_coeff_half divides its own sum once, by {2k+2}!; jones_walsh once, by {N};
+    # the memoised sums and the q-Pascal binomials divide nothing, cold or warm
+    cache = QSymbolCache()
     divisors = []
     exact_div = LaurentPoly.exact_div
 
@@ -150,10 +155,80 @@ def test_half_twist_sums_divide_once(cache, monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "exact_div", recording)
     knot = KnotSpec.half(-3, 5)
-    h_coeff_half(4, knot, cache)
-    jones_walsh(5, knot, cache)
-    assert [d for name, d in divisors if name == "h_coeff_half"] == [cache.brace_fact(10)]
-    assert [d for name, d in divisors if name == "jones_walsh"] == [brace(5)]
+    for _ in ("cold", "warm"):
+        divisors.clear()
+        h_coeff_half(4, knot, cache)
+        jones_walsh(5, knot, cache)
+        assert [d for name, d in divisors if name == "h_coeff_half"] == [cache.brace_fact(10)]
+        assert [d for name, d in divisors if name == "jones_walsh"] == [brace(5)]
+        assert {name for name, _ in divisors} <= {"h_coeff_half", "jones_walsh", "c_prime"}
+
+
+def test_h_coeff_half_matches_paper_formula(cache):
+    # the regrouped sum against (-1)^k sum_j d_{k,j,p} c'_{j,p} c~'_{j,s/2} term by term
+    for p, s in ((2, 1), (-3, 5), (1, -1), (-2, 3)):
+        knot = KnotSpec.half(p, s)
+        for k in range(9):
+            total = LaurentFraction(0)
+            for j in range(k + 1):
+                total = total + d_kjp(k, j, p, cache) * LaurentFraction(
+                    c_prime(j, p, cache)
+                ) * c_tilde_prime(j, s, cache)
+            expected = total.to_poly()
+            if k & 1:
+                expected = -expected
+            assert h_coeff_half(k, knot, cache) == expected, (knot, k)
+
+
+def test_knot_memo_holds_one_knot():
+    shared = QSymbolCache()
+    first, second = KnotSpec.half(2, 1), KnotSpec.half(-3, 5)
+    for k in (3, 5, 2, 6, 4):
+        for knot in (first, second):
+            assert h_coeff_half(k, knot, shared) == h_coeff_half(k, knot, QSymbolCache())
+    assert shared._knot_key == (second.p, second.region.s)
+    memo = shared.knot_memo((second.p, second.region.s))
+    assert set(memo) == {"P", "G"}
+    assert len(memo["P"]) == len(memo["G"]) == 5  # rebuilt from k = 0 for H_4
+    # jones_walsh of another knot replaces the memo with that knot's P_j alone
+    jones_walsh(4, first, shared)
+    assert shared._knot_key == (first.p, first.region.s)
+    assert set(shared.knot_memo((first.p, first.region.s))) == {"P"}
+
+
+def _spy(monkeypatch, name):
+    calls = Counter()
+    original = getattr(cyclotomic_mod, name)
+
+    def spy(*args):
+        calls[args[:-1]] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cyclotomic_mod, name, spy)
+    return calls
+
+
+def test_half_table_computes_each_c_prime_once(monkeypatch):
+    c_calls = _spy(monkeypatch, "c_prime")
+    d_calls = _spy(monkeypatch, "_d_num")
+    coefficient_table(KnotSpec.half(-3, 5), 16, QSymbolCache())
+    assert sum(c_calls.values()) <= 17
+    assert set(c_calls) == {(j, -3) for j in range(17)}
+    assert not d_calls
+
+
+def test_jones_both_routes_compute_each_p_term_once(monkeypatch, capsys):
+    from cyclojones.cli import main
+
+    c_calls = _spy(monkeypatch, "c_prime")
+    num_calls = _spy(monkeypatch, "_c_num")
+    assert main(["jones", "--p", "2", "--s", "1", "--N", "16", "--route", "both"]) == 0
+    capsys.readouterr()
+    assert c_calls == Counter({(j, 2): 1 for j in range(16)})
+    # _c_num(j, 2s, False): the c~' numerator of P_j, once per j
+    assert Counter({a: n for a, n in num_calls.items() if not a[2]}) == Counter(
+        {(j, 2, False): 1 for j in range(16)}
+    )
 
 
 def test_jones_int(cache):

@@ -6,6 +6,7 @@ from cyclojones import (
     LaurentFraction,
     LaurentPoly,
     NotAdmissible,
+    QSymbolCache,
     brace,
     bracket,
     framing_mu,
@@ -106,6 +107,24 @@ def test_balanced_gaussian_bridge(cache):
     for n in range(0, 17):
         for i in range(0, n + 1):
             assert cache.qbinom_balanced(n, i) == A(-2 * i * (n - i)) * cache.qbinom(n, i)
+
+
+def test_q_pascal_balanced_binomial_matches_factorial_quotient():
+    # a fresh cache builds every row by q-Pascal; compare with {n}!/({i}!{n-i}!)
+    cache = QSymbolCache()
+    for n in range(45):
+        for i in range(n + 1):
+            den = cache.brace_fact(i) * cache.brace_fact(n - i)
+            assert cache.qbinom_balanced(n, i) == cache.brace_fact(n).exact_div(den), (n, i)
+
+
+def test_balanced_binomial_respects_max_index():
+    cache = QSymbolCache(max_index=10)
+    assert cache.qbinom_balanced(10, 4) == cache.brace_fact(10).exact_div(
+        cache.brace_fact(4) * cache.brace_fact(6)
+    )
+    with pytest.raises(IndexOutOfRange):
+        cache.qbinom_balanced(11, 3)
 
 
 def test_pascal_identity(cache):
