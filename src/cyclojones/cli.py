@@ -284,6 +284,8 @@ def _cmd_verify(config: RunConfig) -> int:
             print(result.line())
         status = "OK" if report.ok else "FAILED"
         print(f"suite {report.suite}: {status} ({len(report.results)} checks)")
+    for result, seconds in zip(report.results, report.timings):
+        print(f"timing: {result.check_id} {seconds:.3f}s", file=sys.stderr)
     print(f"wall time: {report.wall_time:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
 

@@ -23,6 +23,12 @@ Both depend on the knot and not on k, so the QSymbolCache keeps them for
 the knot last asked for (knot_memo); a table up to max_k then costs
 O(max_k^2) polynomial products instead of O(max_k^3).  The Walsh route
 reuses the same P_j.
+
+c'_{k,p} depends on one twist and not on the knot: every knot with p
+(or r) in a twist region shares it.  It lives in the cache's coefficient
+store (QSymbolCache.coefficients) for as long as the cache, so a run
+over many knots on one cache computes each c'_{k,p} once.  The numerator
+of c~'_j is not stored there; it enters H_k only through P_j.
 """
 
 from __future__ import annotations
@@ -161,14 +167,21 @@ def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     """c'_{k,p} = {k}! sum_l (-1)^l 𝔮^(2pl(l+1)) {2l+1}/({k+l+1}!{k-l}!).
 
     The sum collapses to a genuine Laurent polynomial; a collapse failure
-    (RemainderNonzero) would signal a formula transcription error.
+    (RemainderNonzero) would signal a formula transcription error.  The
+    value depends on k and p alone, so it is kept in cache.coefficients
+    under ("c_prime", k, p) and computed once per cache.
     """
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
     cache = cache or QSymbolCache()
-    return _c_num(k, 4 * p, True, cache).exact_div(cache.brace_fact(2 * k + 1))
+    key = ("c_prime", k, p)
+    value = cache.coefficients.get(key)
+    if value is None:
+        value = _c_num(k, 4 * p, True, cache).exact_div(cache.brace_fact(2 * k + 1))
+        cache.coefficients[key] = value
+    return value
 
 
 def c_tilde_prime(k: int, s: int, cache: QSymbolCache | None = None) -> LaurentFraction:

@@ -83,6 +83,12 @@ class QSymbolCache:
     never depends on a hit.  ``max_index`` bounds the tables to guard
     against runaway indices.  The tables grow without a lock, so a cache
     must not be shared between threads; give each thread its own.
+
+    ``coefficients`` is a store for coefficients that depend on their
+    indices and not on a knot.  Its owners key it by their function name
+    and indices, read it first and fill it on a miss; each documents its
+    key.  Like the tables, it lives as long as its cache, is not
+    thread-safe, and a hit never changes a result.
     """
 
     def __init__(self, max_index: int = 4096) -> None:
@@ -91,11 +97,12 @@ class QSymbolCache:
         self._bracket_fact: list[LaurentPoly] = [_ONE]
         self._poch: dict[int, list[LaurentPoly]] = {}
         self._qbinom: dict[tuple[int, int], LaurentPoly] = {}
-        self._qbinom_balanced: list[list[LaurentPoly]] = [[_ONE]]
+        self._qbinom_balanced: dict[int, list[LaurentPoly]] = {0: [_ONE]}
         self._brace_fact_recip: list[LaurentFraction] = [LaurentFraction(_ONE)]
         self._poch_recip: dict[int, list[LaurentFraction]] = {}
         self._knot_key = None
         self._knot_memo: dict = {}
+        self.coefficients: dict = {}
 
     def _check(self, n: int) -> None:
         if n > self.max_index:
@@ -194,29 +201,32 @@ class QSymbolCache:
     def qbinom_balanced(self, n: int, i: int) -> LaurentPoly:
         """Balanced binomial [n i] = {n}!/({i}!{n-i}!); 0 out of range.
 
-        Built row by row by the q-Pascal rule
-        [n i] = A^(-2i) [n-1 i] + A^(2(n-i)) [n-1 i-1], shifts and adds
-        only; each row is symmetric, so only i <= n/2 is stored.
+        Built by the q-Pascal rule [n i] = A^(-2i) [n-1 i] + A^(2(n-i)) [n-1 i-1],
+        shifts and adds only, from the nearest stored row below n.  Only the
+        rows asked for are kept, the stepping stones between them are not;
+        each row is symmetric, so only i <= n/2 is stored.
         """
         if n < 0:
             raise IndexOutOfRange("balanced binomial needs n >= 0")
         if i < 0 or i > n:
             return _ZERO
-        self._check(n)
         rows = self._qbinom_balanced
-        while len(rows) <= n:
-            m = len(rows)
-            prev = rows[-1]
-            row = [_ONE]
-            for t in range(1, m // 2 + 1):
-                # [m-1 t] lies in the stored half of row m-1 unless t = m/2
-                prev_t = prev[t] if t < len(prev) else prev[m - 1 - t]
-                row.append(
-                    LaurentPoly.monomial(-2 * t) * prev_t
-                    + LaurentPoly.monomial(2 * (m - t)) * prev[t - 1]
-                )
-            rows.append(row)
-        return rows[n][min(i, n - i)]
+        row = rows.get(n)
+        if row is None:
+            self._check(n)
+            start = max(m for m in rows if m < n)
+            row = rows[start]
+            for m in range(start + 1, n + 1):
+                prev, row = row, [_ONE]
+                for t in range(1, m // 2 + 1):
+                    # [m-1 t] lies in the stored half of row m-1 unless t = m/2
+                    prev_t = prev[t] if t < len(prev) else prev[m - 1 - t]
+                    row.append(
+                        LaurentPoly.monomial(-2 * t) * prev_t
+                        + LaurentPoly.monomial(2 * (m - t)) * prev[t - 1]
+                    )
+            rows[n] = row
+        return row[min(i, n - i)]
 
     def knot_memo(self, key) -> dict:
         """Scratch memo for the sums of one knot, named by key.

@@ -148,13 +148,23 @@ def r_basis(n: int) -> ZPoly:
 
 
 def t_coeff(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
-    """Coefficient of e_i in R_k: {2k+1}!{2i+2}/({k+i+2}!{k-i}!)."""
+    """Coefficient of e_i in R_k: {2k+1}!{2i+2}/({k+i+2}!{k-i}!).
+
+    A factorial quotient, independent of the q-Pascal balanced binomials
+    behind s_coeff; kept in cache.coefficients under ("t_coeff", k, i),
+    so each t_{k,i} is divided out once per cache.
+    """
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"t coefficient needs 0 <= i <= k, got k={k}, i={i}")
     cache = cache or QSymbolCache()
-    num = cache.brace_fact(2 * k + 1) * brace(2 * i + 2)
-    den = cache.brace_fact(k + i + 2) * cache.brace_fact(k - i)
-    return num.exact_div(den)
+    key = ("t_coeff", k, i)
+    value = cache.coefficients.get(key)
+    if value is None:
+        num = cache.brace_fact(2 * k + 1) * brace(2 * i + 2)
+        den = cache.brace_fact(k + i + 2) * cache.brace_fact(k - i)
+        value = num.exact_div(den)
+        cache.coefficients[key] = value
+    return value
 
 
 def s_coeff(i: int, j: int, cache: QSymbolCache | None = None) -> LaurentPoly:

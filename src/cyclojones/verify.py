@@ -2,8 +2,9 @@
 
 Each check aggregates one identity family over its grid and reports a
 single pass/fail row; ordering is stable by check id (also under
-parallel execution), and wall time stays out of the data payload so
-identical configurations produce byte-identical reports.
+parallel execution), and wall time and the per-check timings stay out
+of the data payload so identical configurations produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ class VerificationReport:
     suite: str
     results: tuple[CheckResult, ...]
     wall_time: float
+    timings: tuple[float, ...] = ()  # seconds per check, in results order
 
     @property
     def ok(self) -> bool:
@@ -709,9 +711,11 @@ def suite_checks(suite: str) -> list:
     return list(SUITES[suite])
 
 
-def _run_check(args):
+def _run_check(args) -> tuple[CheckResult, float]:
     fn, grid = args
-    return fn(grid)
+    start = time.monotonic()
+    result = fn(grid)
+    return result, time.monotonic() - start
 
 
 def run_suite(suite: str, grid: VerifyGrid | None = None, jobs: int = 1) -> VerificationReport:
@@ -723,8 +727,13 @@ def run_suite(suite: str, grid: VerifyGrid | None = None, jobs: int = 1) -> Veri
     workers = min(jobs, len(checks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_check, [(fn, grid) for fn in checks]))
+            timed = list(pool.map(_run_check, [(fn, grid) for fn in checks]))
     else:
-        results = [fn(grid) for fn in checks]
-    results.sort(key=lambda r: r.check_id)
-    return VerificationReport(suite, tuple(results), time.monotonic() - start)
+        timed = [_run_check((fn, grid)) for fn in checks]
+    timed.sort(key=lambda rt: rt[0].check_id)
+    return VerificationReport(
+        suite,
+        tuple(result for result, _ in timed),
+        time.monotonic() - start,
+        tuple(seconds for _, seconds in timed),
+    )

@@ -79,6 +79,18 @@ def test_coeffs_jones_outputs_match_reference_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, request
 
 
+def test_verify_timings_leave_the_payload_unchanged(capsys):
+    # one stderr timing line per check, and the report keeps its digest
+    (request, expected), = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text()
+    )["verify-all"].items()
+    code, out, err = run_cli(capsys, *request.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    timed = [line.split()[1] for line in err.splitlines() if line.startswith("timing: ")]
+    assert timed == [check["id"] for check in json.loads(out)["checks"]]
+
+
 def test_cache_dir_under_a_file_exits_one(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

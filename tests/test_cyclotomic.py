@@ -231,6 +231,26 @@ def test_jones_both_routes_compute_each_p_term_once(monkeypatch, capsys):
     )
 
 
+def test_integrality_check_divides_each_c_prime_once(monkeypatch):
+    # c'_{k,p} is shared by every knot with p in a twist region: the check's
+    # 36 knots divide it out once per (k, p) on their one cache
+    from cyclojones.verify import VerifyGrid, check_integrality
+
+    divided = Counter()
+    exact_div = LaurentPoly.exact_div
+
+    def recording(self, divisor):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "c_prime":
+            divided[frame.f_locals["k"], frame.f_locals["p"]] += 1
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", recording)
+    grid = VerifyGrid()
+    assert check_integrality(grid).passed
+    assert divided == Counter({(k, p): 1 for k in range(grid.max_k + 1) for p in grid.p_values})
+
+
 def test_jones_int(cache):
     assert jones_int(1, KnotSpec.full(3, -2), cache).value == 1
     assert jones_int(2, KnotSpec.full(1, 1), cache).value == A(4) + A(12) - A(16)

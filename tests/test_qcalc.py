@@ -1,16 +1,22 @@
+import random
+
 import pytest
 
 from cyclojones import (
     DivisionByZeroDenominator,
     IndexOutOfRange,
+    KnotSpec,
     LaurentFraction,
     LaurentPoly,
     NotAdmissible,
     QSymbolCache,
     brace,
     bracket,
+    c_prime,
+    coefficient_table,
     framing_mu,
     half_twist_delta,
+    t_coeff,
 )
 
 A = LaurentPoly.monomial
@@ -125,6 +131,41 @@ def test_balanced_binomial_respects_max_index():
     )
     with pytest.raises(IndexOutOfRange):
         cache.qbinom_balanced(11, 3)
+
+
+def test_balanced_binomial_keeps_only_requested_rows():
+    # a full-twist table asks only for the rows 2k+1 of c'_k; the even rows
+    # between them are q-Pascal stepping stones and are not kept
+    cache = QSymbolCache()
+    coefficient_table(KnotSpec.full(3, -2), 20, cache)
+    assert sorted(cache._qbinom_balanced) == [0] + list(range(1, 42, 2))
+
+
+def test_balanced_binomial_rows_in_any_order_match_fresh_values():
+    # a missing row is rebuilt from the nearest stored row below, whatever
+    # rows above it are already stored
+    fresh = QSymbolCache()
+    expected = {(n, i): fresh.qbinom_balanced(n, i) for n in range(45) for i in range(n + 1)}
+    requests = list(expected)
+    random.Random(45).shuffle(requests)
+    shared = QSymbolCache(max_index=44)
+    for n, i in requests:
+        assert shared.qbinom_balanced(n, i) == expected[n, i], (n, i)
+    with pytest.raises(IndexOutOfRange):
+        shared.qbinom_balanced(45, 3)
+
+
+def test_coefficient_store_matches_fresh_values():
+    # c' and t interleaved on one cache equal the values of a fresh cache
+    # and of a call without a cache, cold and warm
+    requests = [(c_prime, k, p) for k in range(11) for p in (-3, -2, -1, 1, 2, 3)]
+    requests += [(t_coeff, k, i) for k in range(13) for i in range(k + 1)]
+    random.Random(7).shuffle(requests)
+    shared = QSymbolCache()
+    for _ in ("cold", "warm"):
+        for fn, *args in requests:
+            value = fn(*args, shared)
+            assert value == fn(*args, QSymbolCache()) == fn(*args), (fn.__name__, args)
 
 
 def test_pascal_identity(cache):

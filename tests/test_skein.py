@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from cyclojones import (
@@ -122,3 +125,23 @@ def test_pairing_diagonal(cache):
         if k & 1:
             expect = -expect
         assert pairing_R_e(k, k) == expect
+
+
+def test_twist_inverse_check_divides_each_t_coeff_once(monkeypatch):
+    # twist_coeff_d asks for t_{k,i} again for every j and both twists; the
+    # check's cache divides each (k, i) out once
+    from cyclojones.verify import VerifyGrid, check_twist_inverse
+
+    divided = Counter()
+    exact_div = LaurentPoly.exact_div
+
+    def recording(self, divisor):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "t_coeff":
+            divided[frame.f_locals["k"], frame.f_locals["i"]] += 1
+        return exact_div(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", recording)
+    assert check_twist_inverse(VerifyGrid()).passed
+    assert divided == Counter({(k, i): 1 for k in range(11) for i in range(k + 1)})
+
