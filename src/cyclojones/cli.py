@@ -23,6 +23,9 @@ from .verify import SUITES, VerifyGrid, run_suite
 _DISPLAY_ALIASES = {"A": "A", "q": "q", "Q": "𝔮", "𝔮": "𝔮", "qq": "𝔮"}
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "cyclojones"
 
+# largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 takes ~30 s, 310 MB
+MAX_INDEX = 48
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -106,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     coeffs = commands.add_parser("coeffs", help="emit verified H_k coefficients")
     _add_knot_args(coeffs)
-    coeffs.add_argument("--max-k", type=int, required=True)
+    coeffs.add_argument("--max-k", type=int, required=True, help=f"largest k (0..{MAX_INDEX})")
     coeffs.add_argument("--cross-check", action="store_true",
                         help="also require multi-sum route agreement per entry")
     coeffs.add_argument("--cache-dir", type=Path, default=None,
@@ -116,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     jones = commands.add_parser("jones", help="compute the colored Jones polynomial J'_N")
     _add_knot_args(jones)
-    jones.add_argument("--N", type=int, required=True, help="color (>= 1)")
+    jones.add_argument("--N", type=int, required=True, help=f"color (1..{MAX_INDEX})")
     jones.add_argument("--route", default="theorem", choices=("theorem", "walsh", "both"))
     _add_output_args(jones)
 
@@ -132,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = commands.add_parser("eval", help="numeric J'_N values at a root of unity")
     _add_knot_args(evaluate)
-    evaluate.add_argument("--N", type=int, required=True, help="largest color (one row per N)")
+    evaluate.add_argument("--N", type=int, required=True, help=f"largest color (1..{MAX_INDEX})")
     evaluate.add_argument("--root", type=_root, default=(1, 16), metavar="K/N",
                           help="evaluate at A = exp(2*pi*i*K/N), default 1/16")
     evaluate.add_argument("--digits", type=int, default=50)
@@ -188,16 +191,16 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         fields["knot"] = _knot_from_args(parser, args)
         fields["fmt"] = args.format
         fields["display"] = getattr(args, "display", "𝔮")
+    if command in ("jones", "eval") and not 1 <= args.N <= MAX_INDEX:
+        parser.error(f"--N must be in 1..{MAX_INDEX}")
     if command == "coeffs":
-        if args.max_k < 0:
-            parser.error("--max-k must be >= 0")
+        if not 0 <= args.max_k <= MAX_INDEX:
+            parser.error(f"--max-k must be in 0..{MAX_INDEX}")
         fields["max_k"] = args.max_k
         fields["cross_check"] = args.cross_check
         if not args.no_cache:
             fields["cache_dir"] = args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR
     elif command == "jones":
-        if args.N < 1:
-            parser.error("--N must be >= 1")
         fields["N"] = args.N
         fields["route"] = args.route
         if not fields["knot"].is_half and args.route != "theorem":
@@ -210,8 +213,6 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         fields.update(suite=args.suite, grid=_grid_from_args(parser, args),
                       jobs=args.jobs, fmt=args.format)
     elif command == "eval":
-        if args.N < 1:
-            parser.error("--N must be >= 1")
         if args.digits < 1:
             parser.error("--digits must be >= 1")
         fields.update(N=args.N, root=args.root, digits=args.digits)

@@ -12,9 +12,10 @@ coefficient formulas (c', c~', d) and assembles J'_N along two
 independent routes whose exact agreement is a correctness certificate.
 
 Each sum is taken over the denominator its balanced binomials leave:
-H_k over {2k+2}! and J'_N (Walsh route) over {N}, each collapsed with a
-single exact division — the one diagnostic site.  c~' and d are
-fractions over the factored reciprocals 1/{2k+1}! and 1/{2k+2}!.
+c' over {2k+1}!, H_k over {2k+2}! and J'_N (Walsh route) over {N}, each
+times its factored reciprocal collapsed once by LaurentFraction.to_poly
+(the one diagnostic site for H_k).  c~' and d stay fractions over
+1/{2k+1}! and 1/{2k+2}!.
 
 H_k does not evaluate the d-sum term by term: with the sum over j
 taken inside, it needs only the products P_j = c'_j * (numerator of
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import CacheMismatch, IndexOutOfRange, IntegralityFailure, RemainderNonzero
 from .laurent import LaurentFraction, LaurentPoly
-from .qcalc import QSymbolCache, brace
+from .qcalc import QSymbolCache, brace, brace_recip
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
@@ -166,10 +167,10 @@ def _c_num(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> La
 def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     """c'_{k,p} = {k}! sum_l (-1)^l 𝔮^(2pl(l+1)) {2l+1}/({k+l+1}!{k-l}!).
 
-    The sum collapses to a genuine Laurent polynomial; a collapse failure
+    _c_num over 1/{2k+1}! collapses to a Laurent polynomial; a failure
     (RemainderNonzero) would signal a formula transcription error.  The
     value depends on k and p alone, so it is kept in cache.coefficients
-    under ("c_prime", k, p) and computed once per cache.
+    under ("c_prime", k, p) and collapsed once per cache.
     """
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
@@ -179,7 +180,7 @@ def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     key = ("c_prime", k, p)
     value = cache.coefficients.get(key)
     if value is None:
-        value = _c_num(k, 4 * p, True, cache).exact_div(cache.brace_fact(2 * k + 1))
+        value = (cache.brace_fact_recip(2 * k + 1) * _c_num(k, 4 * p, True, cache)).to_poly()
         cache.coefficients[key] = value
     return value
 
@@ -280,9 +281,9 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> L
 
         sum_{i=0}^{k} (-1)^i A^(-4pi(i+2)) {2i+2} [2k+2 over k-i] G_i
 
-    with G_i from _g_terms, shared by every k of one knot.  The sum
-    must collapse into Z[𝔮^{±1}]; IntegralityFailure (carrying the
-    residual fraction) is a release-blocking diagnostic.
+    with G_i from _g_terms, shared by every k of one knot.  It must
+    collapse into Z[𝔮^{±1}]; IntegralityFailure, carrying the fraction
+    over 1/{2k+2}!, is a release-blocking diagnostic.
     """
     if not isinstance(knot.region, HalfTwists):
         raise TypeError("h_coeff_half needs a HalfTwists knot")
@@ -301,12 +302,12 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> L
             * G[i]
         )
         num = num + term
+    fraction = cache.brace_fact_recip(2 * k + 2) * num
     try:
-        value = num.exact_div(cache.brace_fact(2 * k + 2))
+        value = fraction.to_poly()
     except RemainderNonzero as exc:
         raise IntegralityFailure(
-            f"H_{k}({knot}) did not collapse to a Laurent polynomial",
-            cache.brace_fact_recip(2 * k + 2) * num,
+            f"H_{k}({knot}) did not collapse to a Laurent polynomial", fraction
         ) from exc
     return _require_even(value, f"H_{k}({knot})")
 
@@ -438,10 +439,9 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jo
         𝔮^(-2p(N^2-1)) sum_k (-1)^k c'_{k,p} c~'_{k,s/2} {N+k}!/({N-1-k}!{N})
 
     The k-sum, sum_k (-1)^k P_k [N+k over 2k+1] with the memoised
-    P_k = c'_{k,p} _c_num(k, 2s), is taken over {N} and divided once.
-    Shares only P_k, the c'/c~' single sums, with jones_half; the
-    assembly is disjoint, so exact agreement of the two routes is a
-    strong check.
+    P_k = c'_{k,p} _c_num(k, 2s), is collapsed once over 1/{N}.  Shares
+    only P_k, the c'/c~' single sums, with jones_half; the assembly is
+    disjoint, so exact agreement of the two routes is a strong check.
     """
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
@@ -454,7 +454,7 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jo
     for k in range(N):
         term = P[k] * cache.qbinom_balanced(N + k, 2 * k + 1)
         num = num + (-term if k & 1 else term)
-    total = num.exact_div(brace(N))
+    total = (brace_recip(N) * num).to_poly()
     prefactor = LaurentPoly.monomial(-4 * knot.p * (N * N - 1))
     return JonesResult(knot, N, prefactor * total, "walsh")
 
@@ -465,6 +465,7 @@ def c_prime_qform(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentP
         (-1)^k q^((k^2+3k)/4) sum_l (-1)^l q^(l(l+1)p + l(l-1)/2)
             (1 - q^(2l+1)) (q;q)_k / ((q;q)_{k+l+1} (q;q)_{k-l})
 
+    The sum over (q;q)_{2k+1}, times (q;q)_k, collapses over 1/(q^(k+1);q)_(k+1).
     Must agree exactly with c_prime — a regression identity between the
     brace form and the Pochhammer form.
     """
@@ -473,7 +474,6 @@ def c_prime_qform(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentP
     if p == 0:
         raise ValueError("twist count p must be nonzero")
     cache = cache or QSymbolCache()
-    # common denominator (q;q)_{2k+1}
     total = _ZERO
     for l in range(k + 1):
         a_exp = 4 * l * (l + 1) * p + 2 * l * (l - 1)
@@ -483,6 +483,6 @@ def c_prime_qform(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentP
             * cache.qbinom(2 * k + 1, k - l)
         )
         total = total + term
-    collapsed = (cache.pochhammer(1, k) * total).exact_div(cache.pochhammer(1, 2 * k + 1))
+    collapsed = (cache.pochhammer_recip(k + 1, k + 1) * total).to_poly()
     prefactor = LaurentPoly.monomial(k * (k + 3), -1 if k & 1 else 1)
     return prefactor * collapsed

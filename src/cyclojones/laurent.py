@@ -13,28 +13,25 @@ are packed into one integer each at A^stride = 2^(8*limb_bytes), CPython
 multiplies the integers, and _decode splits the product back into
 balanced limbs.  The limbs are sized from a bound on every product
 coefficient, and _decode raises OverflowError rather than return limbs
-that do not add up to the integer.
-
-Exact division takes the same route when the quotient length times the
-divisor's term count reaches the cutoff: one divmod of the packed
-integers, a balanced decode of the quotient, and a certificate.  The
-integer identity a(x) = quotient * b(x) is checked by divmod itself; it
-is the polynomial identity a = q * b once no coefficient of q * b can
-leave a balanced limb, which a bound on q and b settles.  The division
-falls back to the loop _exact_div_dicts when the integer remainder is
-nonzero, when the quotient does not fit the limbs, or when the bound
-fails, so the loop stays the only source of RemainderNonzero remainders;
+that do not add up to the integer.  exact_div is the top-down loop
+_exact_div_dicts, the only source of RemainderNonzero remainders; it is
+left with the single Φ_d(A), the residuals R and arbitrary divisors.
 try_exact_div is exact_div with None in place of that error.
 
 Fractions.  Every denominator the calculator builds ({n}!, (q^a;q)_k,
-1 - q) is a unit times a product of cyclotomic polynomials Φ_d(A), so a
-LaurentFraction keeps its denominator as an exponent table {d: e} times a
-residual polynomial R, and moves every unit into the numerator.  R is 1
-unless the fraction was made from an arbitrary polynomial denominator.
-Sums take the exponent-wise maximum of the tables and multiply each
-numerator by the factors it lacks, products add the tables, and equality
-compares the lifted numerators; only differing residuals are
-cross-multiplied.  Φ_d and expanded tables are memoised on first use.
+{N}, 1 - q) is a unit times a product of cyclotomic polynomials Φ_d(A),
+so a LaurentFraction keeps its denominator as an exponent table {d: e}
+times a residual polynomial R, and moves every unit into the numerator.
+R is 1 unless the fraction was made from an arbitrary polynomial
+denominator.  Sums take the exponent-wise maximum of the tables and
+multiply each numerator by the factors it lacks, products add the
+tables, and equality compares the lifted numerators; only differing
+residuals are cross-multiplied.  to_poly is the one place where a
+quotient by such a denominator is computed: _binomials groups the table
+into whole binomials A^m - 1, _binomial_quotient divides by each in one
+linear pass of prefix sums on the exponent lattice, and exact_div takes
+the leftover Φ_d and R.  Φ_d, the groupings and the expanded tables are
+memoised on first use.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import functools
 import math
 import sys
 from array import array
+from itertools import accumulate
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from typing import Union
@@ -54,15 +52,9 @@ from .errors import DivisionByZeroDenominator, NotExpressible, RemainderNonzero
 # display variable -> (glyph, required exponent divisor)
 _DISPLAY = {"A": ("A", 1), "𝔮": ("𝔮", 2), "q": ("q", 4)}
 
-# multiply and divide through packed big integers from this many
-# coefficient products on (len(a) * len(b) for a product; quotient length
-# times divisor terms for a division); below it the dict loops are faster
+# multiply through packed big integers from this many coefficient
+# products (len(a) * len(b)) on; below it the dict loop is faster
 _KRONECKER_CUTOFF = 500
-
-# extra bits per division limb beyond a quotient as large as the dividend;
-# the quotients of H_k tables and verify runs outgrow their dividends by
-# at most 18 bits
-_DIV_HEADROOM_BITS = 32
 
 # limb size in bytes -> array typecode of that machine word
 _WORD_TYPECODES = {array(t).itemsize: t for t in "bhiq"}
@@ -224,61 +216,6 @@ def _exact_div_dicts(
     if remainder:
         return None, remainder
     return {amin - bmin + stride * i: c for i, c in enumerate(quot) if c}, {}
-
-
-def _exact_div_kronecker(
-    a: dict[int, int], b: dict[int, int], stride: int
-) -> dict[int, int] | None:
-    """a / b through one big-integer divmod, both on the given lattice stride.
-
-    Returns None when the integer remainder is nonzero, which proves that
-    b does not divide a.  Raises OverflowError when the quotient does not
-    fit the limbs, so that it cannot be certified.
-    """
-    amin, bmin = min(a), min(b)
-    na = (max(a) - amin) // stride + 1
-    nb = (max(b) - bmin) // stride + 1
-    nq = na - nb + 1
-    bmax = max(map(abs, b.values()))
-    limb_bytes = _limb_bytes(
-        max(map(abs, a.values())) * bmax * min(nq, len(b)) << _DIV_HEADROOM_BITS
-    )
-    quot, rem = divmod(
-        _pack(a, amin, stride, na, limb_bytes), _pack(b, bmin, stride, nb, limb_bytes)
-    )
-    if rem:
-        return None
-    terms = _decode(quot, nq, limb_bytes, amin - bmin, stride)
-    # Multiplying back: a(x) = quot * b(x) holds exactly in the integers,
-    # at x = 2^(8*limb_bytes).  It is the polynomial identity a = terms * b
-    # as long as every coefficient of terms * b is a balanced limb, since
-    # a balanced base-x expansion is unique.
-    bound = max(map(abs, terms.values())) * bmax * min(len(terms), len(b))
-    if bound.bit_length() >= 8 * limb_bytes:
-        raise OverflowError("quotient coefficients outgrew the limbs")
-    return terms
-
-
-def _exact_div_terms(
-    a: dict[int, int], b: dict[int, int]
-) -> tuple[dict[int, int] | None, dict[int, int]]:
-    """(quotient, remainder) of nonzero a by b, as _exact_div_dicts.
-
-    Large divisions go through _exact_div_kronecker first, and fall back
-    to the loop when it finds a nonzero remainder or cannot certify its
-    quotient.
-    """
-    stride = _lattice_stride(a, b)
-    nq = ((max(a) - min(a)) - (max(b) - min(b))) // stride + 1
-    if nq > 0 and nq * len(b) >= _KRONECKER_CUTOFF:
-        try:
-            quot = _exact_div_kronecker(a, b, stride)
-        except OverflowError:
-            pass
-        else:
-            if quot is not None:
-                return quot, {}
-    return _exact_div_dicts(a, b)
 
 
 class LaurentPoly:
@@ -478,7 +415,7 @@ class LaurentPoly:
             raise ZeroDivisionError("exact_div by the zero polynomial")
         if self.is_zero:
             return _ZERO
-        quot, rem = _exact_div_terms(self._terms, divisor._terms)
+        quot, rem = _exact_div_dicts(self._terms, divisor._terms)
         if quot is None:
             raise RemainderNonzero(
                 "division left a nonzero remainder", LaurentPoly._raw(rem)
@@ -583,7 +520,8 @@ def _oriented(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
 
 def binomial_table(m: int) -> dict[int, int]:
     """The exponent table of A^m - 1 = prod_{d | m} Φ_d(A), for m >= 1."""
-    return {d: 1 for d in range(1, m + 1) if m % d == 0}
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return {e: 1 for d in small for e in (d, m // d)}
 
 
 @functools.cache
@@ -598,39 +536,100 @@ def cyclotomic_poly(d: int) -> LaurentPoly:
     return value
 
 
-def _cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPoly:
-    """prod Φ_d(A)^e over the table, expanded."""
-    return _expand(tuple(sorted(exponents.items())))
-
-
+# verify --suite all meets about 150 distinct tables, each no larger than
+# the q-symbols it came from; the bounds on _binomials and _expand keep a
+# long-lived process from holding every table it ever met
 @functools.lru_cache(maxsize=1024)
-def _expand(factors: tuple[tuple[int, int], ...]) -> LaurentPoly:
-    # verify --suite all meets about 150 distinct tables, each no larger
-    # than the q-symbols it came from; the bound keeps a long-lived process
-    # from holding every table it ever met.  Every Φ_d with d | m, taken
-    # together, is the binomial A^m - 1, which is far cheaper to multiply
-    # by; the leftover factors go in one at a time.
+def _binomials(
+    factors: tuple[tuple[int, int], ...],
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """A table as binomials ((m, times), ...), A^m - 1 = prod_{d | m} Φ_d(A),
+    and leftover ((d, e), ...).  Taken from the largest m down, a product of
+    binomials ({n}!, (q^a;q)_k, {N} and their products) leaves nothing over."""
     left = dict(factors)
-    out = _ONE
+    binomials = []
     for m in sorted(left, reverse=True):
+        if m not in left:  # taken by a larger binomial
+            continue
         divisors = binomial_table(m)
         if any(d not in left for d in divisors):
             continue
         times = min(left[d] for d in divisors)
-        out = out * LaurentPoly({m: 1, 0: -1}) ** times
+        binomials.append((m, times))
         for d in divisors:
             left[d] -= times
             if not left[d]:
                 del left[d]
-    for d, e in left.items():
+    return tuple(binomials), tuple(sorted(left.items()))
+
+
+@functools.lru_cache(maxsize=1024)
+def _expand(factors: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    binomials, left = _binomials(factors)
+    out = _ONE
+    for m, times in binomials:
+        out = out * LaurentPoly({m: 1, 0: -1}) ** times
+    for d, e in left:
         out = out * cyclotomic_poly(d) ** e
     return out
+
+
+def _cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPoly:
+    """prod Φ_d(A)^e over the table, expanded, binomials first."""
+    return _expand(tuple(sorted(exponents.items())))
+
+
+def _binomial_quotient(
+    terms: dict[int, int], binomials: tuple[tuple[int, int], ...]
+) -> dict[int, int] | None:
+    """terms / prod (A^m - 1)^times over the binomials, or None if inexact.
+
+    One linear pass per binomial on the exponent lattice: the quotient of
+    a by A^m - 1 is minus the prefix sums of a along each residue class
+    mod m, and it is exact iff those sums vanish on the top m exponents.
+    """
+    base = min(terms)
+    step = math.gcd(_lattice_stride(terms), *(m for m, _ in binomials))
+    dense = [0] * ((max(terms) - base) // step + 1)
+    for e, c in terms.items():
+        dense[(e - base) // step] = c
+    sign = 1
+    for m, times in binomials:
+        width = m // step
+        for _ in range(times):
+            for r in range(min(width, len(dense))):
+                dense[r::width] = accumulate(dense[r::width])
+            if len(dense) <= width or any(dense[-width:]):
+                return None
+            del dense[-width:]
+            sign = -sign
+    return {base + step * i: sign * c for i, c in enumerate(dense) if c}
 
 
 def _lift(num: LaurentPoly, have: Mapping[int, int], want: Mapping[int, int]) -> LaurentPoly:
     """num times the factors of the table want that the table have lacks."""
     missing = {d: e - have.get(d, 0) for d, e in want.items() if e > have.get(d, 0)}
     return num * _cyclotomic_product(missing) if missing else num
+
+
+def _divide_out(
+    num: LaurentPoly, res: LaurentPoly, factors: Iterable[tuple[int, int]]
+) -> LaurentPoly:
+    """num / (R * prod Φ_d(A)^e): R first, then one Φ_d at a time, with a
+    RemainderNonzero that names the first factor that does not cancel."""
+    try:
+        quot = num if res is _ONE else num.exact_div(res)
+    except RemainderNonzero as exc:
+        raise RemainderNonzero(f"denominator factor {res} did not cancel", exc.remainder) from None
+    for d, e in factors:
+        for i in range(e):
+            try:
+                quot = quot.exact_div(cyclotomic_poly(d))
+            except RemainderNonzero as exc:
+                raise RemainderNonzero(
+                    f"Φ_{d}(A) did not cancel: exponent {e - i} of {e} left", exc.remainder
+                ) from None
+    return quot
 
 
 class LaurentFraction:
@@ -797,27 +796,21 @@ class LaurentFraction:
     def to_poly(self) -> LaurentPoly:
         """Collapse to an exact Laurent polynomial.
 
+        The whole binomials A^m - 1 of the table go in one pass each
+        (_binomial_quotient), the leftover Φ_d and R through exact_div.
         Raises RemainderNonzero naming the first denominator factor that
         does not cancel: the residual R, or Φ_d(A) with the exponent left.
         """
-        quot = self._num
-        try:
-            quot = quot.exact_div(self._res)
-        except RemainderNonzero as exc:
-            raise RemainderNonzero(
-                f"denominator factor {self._res} did not cancel", exc.remainder
-            ) from None
-        for d in sorted(self._phi):
-            e = self._phi[d]
-            for i in range(e):
-                try:
-                    quot = quot.exact_div(cyclotomic_poly(d))
-                except RemainderNonzero as exc:
-                    raise RemainderNonzero(
-                        f"Φ_{d}(A) did not cancel: exponent {e - i} of {e} left",
-                        exc.remainder,
-                    ) from None
-        return quot
+        factors = tuple(sorted(self._phi.items()))
+        binomials, left = _binomials(factors)
+        terms = _binomial_quotient(self._num._terms, binomials) if binomials else self._num._terms
+        if terms is not None:
+            try:
+                return _divide_out(LaurentPoly._raw(terms), self._res, left)
+            except RemainderNonzero:
+                pass
+        # only a failed collapse is redone factor by factor, to name the factor
+        return _divide_out(self._num, self._res, factors)
 
     def __bool__(self) -> bool:
         return not self.is_zero

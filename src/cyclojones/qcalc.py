@@ -12,6 +12,8 @@ correctly at k = 0); the balanced binomial [n i] equals {n}!/({i}!{n-i}!).
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DivisionByZeroDenominator, IndexOutOfRange, NotAdmissible
 from .laurent import LaurentFraction, LaurentPoly, binomial_table
 
@@ -27,19 +29,21 @@ def brace(n: int) -> LaurentPoly:
 
 
 def bracket(n: int) -> LaurentPoly:
-    """[n] = {n}/{1}; [0] = 0, [1] = 1, odd in n."""
-    if n == 0:
-        return _ZERO
-    return brace(n).exact_div(brace(1))
+    """[n] = {n}/{1} = 𝔮^(n-1) + 𝔮^(n-3) + ... + 𝔮^(1-n); [0] = 0, odd in n."""
+    if n < 0:
+        return -bracket(-n)
+    return LaurentPoly({2 * (n - 1 - 2 * j): 1 for j in range(n)})
 
 
-def _brace_recip(n: int) -> LaurentFraction:
+@functools.cache
+def brace_recip(n: int) -> LaurentFraction:
     """1/{n} for n >= 1: {n} = A^(-2n) (A^(4n) - 1) = A^(-2n) prod_{d | 4n} Φ_d(A)."""
     return LaurentFraction.over_cyclotomic(
         LaurentPoly.monomial(2 * n), binomial_table(4 * n)
     )
 
 
+@functools.cache
 def _one_minus_q_recip(t: int) -> LaurentFraction:
     """1/(1 - q^t) for t != 0: 1 - A^(4t) is -prod_{d | 4t} Φ_d(A) for t > 0
     and A^(4t) prod_{d | -4t} Φ_d(A) for t < 0."""
@@ -157,7 +161,7 @@ class QSymbolCache:
         self._check(n)
         table = self._brace_fact_recip
         while len(table) <= n:
-            table.append(table[-1] * _brace_recip(len(table)))
+            table.append(table[-1] * brace_recip(len(table)))
         return table[n]
 
     def pochhammer_recip(self, a: int, k: int) -> LaurentFraction:
@@ -184,7 +188,10 @@ class QSymbolCache:
         return out
 
     def qbinom(self, n: int, i: int) -> LaurentPoly:
-        """Gaussian binomial (q;q)_n/((q;q)_i (q;q)_{n-i}); 0 out of range."""
+        """Gaussian binomial (q;q)_n/((q;q)_i (q;q)_{n-i}); 0 out of range.
+
+        A factorial quotient collapsed by to_poly, independent of the
+        q-Pascal rule behind qbinom_balanced."""
         if n < 0:
             raise IndexOutOfRange("q-binomial needs n >= 0")
         if i < 0 or i > n:
@@ -192,9 +199,8 @@ class QSymbolCache:
         key = (n, min(i, n - i))
         value = self._qbinom.get(key)
         if value is None:
-            num = self.pochhammer(1, n)
-            den = self.pochhammer(1, key[1]) * self.pochhammer(1, n - key[1])
-            value = num.exact_div(den)
+            recip = self.pochhammer_recip(1, key[1]) * self.pochhammer_recip(1, n - key[1])
+            value = (recip * self.pochhammer(1, n)).to_poly()
             self._qbinom[key] = value
         return value
 
@@ -240,12 +246,11 @@ class QSymbolCache:
         return self._knot_memo
 
     def cyclo_block(self, N: int, k: int) -> LaurentPoly:
-        """The cyclotomic expansion block {N+k}!/({N-1-k}!{N})."""
+        """The cyclotomic expansion block {N+k}!/({N-1-k}!{N}), collapsed by to_poly."""
         if N < 1:
             raise IndexOutOfRange("color N must be >= 1")
         if not 0 <= k <= N - 1:
             raise IndexOutOfRange(f"cyclotomic block needs 0 <= k < N, got k={k}, N={N}")
-        num = self.brace_fact(N + k)
-        den = self.brace_fact(N - 1 - k) * brace(N)
-        return num.exact_div(den)
+        recip = self.brace_fact_recip(N - 1 - k) * brace_recip(N)
+        return (recip * self.brace_fact(N + k)).to_poly()
 

@@ -152,7 +152,7 @@ def t_coeff(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
 
     A factorial quotient, independent of the q-Pascal balanced binomials
     behind s_coeff; kept in cache.coefficients under ("t_coeff", k, i),
-    so each t_{k,i} is divided out once per cache.
+    so each t_{k,i} is collapsed once per cache.
     """
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"t coefficient needs 0 <= i <= k, got k={k}, i={i}")
@@ -160,9 +160,8 @@ def t_coeff(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     key = ("t_coeff", k, i)
     value = cache.coefficients.get(key)
     if value is None:
-        num = cache.brace_fact(2 * k + 1) * brace(2 * i + 2)
-        den = cache.brace_fact(k + i + 2) * cache.brace_fact(k - i)
-        value = num.exact_div(den)
+        recip = cache.brace_fact_recip(k + i + 2) * cache.brace_fact_recip(k - i)
+        value = (recip * (cache.brace_fact(2 * k + 1) * brace(2 * i + 2))).to_poly()
         cache.coefficients[key] = value
     return value
 

@@ -369,3 +369,26 @@ def test_renamed_cache_entry_exits_one(capsys, tmp_path, cache):
                              "--cache-dir", str(tmp_path))
     assert code == 1 and out == ""
     assert "is not for" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "coeffs --p -3 --s 5 --max-k {} --no-cache",
+        "jones --p 2 --s 1 --N {} --route both",
+        "eval --p 2 --s 1 --N {}",
+    ],
+)
+def test_requests_above_the_index_bound_are_usage_errors(argv, capsys):
+    # checked while the arguments are read, before any computation starts
+    from cyclojones.cli import MAX_INDEX, build_parser, config_from_args
+
+    parser = build_parser()
+    config_from_args(parser, parser.parse_args(argv.format(MAX_INDEX).split()))
+    for value in (MAX_INDEX + 1, 5000):
+        with pytest.raises(SystemExit) as err:
+            config_from_args(parser, parser.parse_args(argv.format(value).split()))
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: ")
+        assert lines[-1].endswith(f"must be in {0 if 'max-k' in argv else 1}..{MAX_INDEX}")

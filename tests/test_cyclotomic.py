@@ -25,7 +25,7 @@ from cyclojones import (
     jones_walsh,
 )
 import cyclojones.cyclotomic as cyclotomic_mod
-from cyclojones.qcalc import brace
+from cyclojones.qcalc import brace, brace_recip
 
 A = LaurentPoly.monomial
 Q = A(4)  # the q-series variable
@@ -142,26 +142,60 @@ def test_jones_walsh(cache):
     assert jones_walsh(2, KnotSpec.half(1, 1), cache).value == 1
 
 
+def _record_collapses(monkeypatch, record):
+    """Call record(caller frame, fraction) on every LaurentFraction.to_poly."""
+    to_poly = LaurentFraction.to_poly
+
+    def recording(self):
+        record(sys._getframe(1), self)
+        return to_poly(self)
+
+    monkeypatch.setattr(LaurentFraction, "to_poly", recording)
+
+
 def test_half_twist_sums_divide_once(monkeypatch):
-    # h_coeff_half divides its own sum once, by {2k+2}!; jones_walsh once, by {N};
-    # the memoised sums and the q-Pascal binomials divide nothing, cold or warm
+    # h_coeff_half collapses its own sum once, over {2k+2}!; jones_walsh once,
+    # over {N}; the memoised sums and the q-Pascal binomials collapse nothing,
+    # cold or warm
     cache = QSymbolCache()
-    divisors = []
+    collapses = []
+    _record_collapses(
+        monkeypatch, lambda frame, frac: collapses.append((frame.f_code.co_name, frac))
+    )
+    knot = KnotSpec.half(-3, 5)
+    for _ in ("cold", "warm"):
+        collapses.clear()
+        h_coeff_half(4, knot, cache)
+        jones_walsh(5, knot, cache)
+        dens = lambda caller: [f.den for name, f in collapses if name == caller]
+        assert dens("h_coeff_half") == [cache.brace_fact_recip(10).den]
+        assert dens("jones_walsh") == [brace_recip(5).den]
+        assert {name for name, _ in collapses} <= {"h_coeff_half", "jones_walsh", "c_prime"}
+
+
+def test_coeffs_jones_requests_divide_only_by_single_factors(monkeypatch, capsys):
+    # every quotient by {n}!, (q;q)_n or {N} is collapsed binomial by binomial;
+    # exact_div is left with single cyclotomic polynomials Φ_d(A)
+    from cyclojones.cli import main
+    from cyclojones.laurent import cyclotomic_poly
+
+    divisors = set()
     exact_div = LaurentPoly.exact_div
 
     def recording(self, divisor):
-        divisors.append((sys._getframe(1).f_code.co_name, divisor))
+        divisors.add(divisor)
         return exact_div(self, divisor)
 
     monkeypatch.setattr(LaurentPoly, "exact_div", recording)
-    knot = KnotSpec.half(-3, 5)
-    for _ in ("cold", "warm"):
-        divisors.clear()
-        h_coeff_half(4, knot, cache)
-        jones_walsh(5, knot, cache)
-        assert [d for name, d in divisors if name == "h_coeff_half"] == [cache.brace_fact(10)]
-        assert [d for name, d in divisors if name == "jones_walsh"] == [brace(5)]
-        assert {name for name, _ in divisors} <= {"h_coeff_half", "jones_walsh", "c_prime"}
+    for argv in (
+        "coeffs --p -3 --s 5 --max-k 16 --no-cache --format json",
+        "coeffs --p 3 --r -2 --max-k 20 --no-cache --format json",
+        "jones --p 2 --s 1 --N 16 --route both --format json",
+    ):
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    phis = {cyclotomic_poly(d) for d in range(1, 200)}
+    assert divisors <= phis, sorted(str(d) for d in divisors - phis)
 
 
 def test_h_coeff_half_matches_paper_formula(cache):
@@ -233,22 +267,20 @@ def test_jones_both_routes_compute_each_p_term_once(monkeypatch, capsys):
 
 def test_integrality_check_divides_each_c_prime_once(monkeypatch):
     # c'_{k,p} is shared by every knot with p in a twist region: the check's
-    # 36 knots divide it out once per (k, p) on their one cache
+    # 36 knots collapse it once per (k, p) on their one cache
     from cyclojones.verify import VerifyGrid, check_integrality
 
-    divided = Counter()
-    exact_div = LaurentPoly.exact_div
+    collapsed = Counter()
 
-    def recording(self, divisor):
-        frame = sys._getframe(1)
+    def record(frame, frac):
         if frame.f_code.co_name == "c_prime":
-            divided[frame.f_locals["k"], frame.f_locals["p"]] += 1
-        return exact_div(self, divisor)
+            collapsed[frame.f_locals["k"], frame.f_locals["p"]] += 1
 
-    monkeypatch.setattr(LaurentPoly, "exact_div", recording)
+    _record_collapses(monkeypatch, record)
     grid = VerifyGrid()
     assert check_integrality(grid).passed
-    assert divided == Counter({(k, p): 1 for k in range(grid.max_k + 1) for p in grid.p_values})
+    assert collapsed == Counter({(k, p): 1 for k in range(grid.max_k + 1) for p in grid.p_values})
+    assert sum(collapsed.values()) == 66
 
 
 def test_jones_int(cache):

@@ -1,3 +1,5 @@
+import functools
+import math
 import os
 import random
 import subprocess
@@ -13,10 +15,8 @@ from cyclojones import laurent
 from cyclojones.laurent import (
     _KRONECKER_CUTOFF,
     _exact_div_dicts,
-    _exact_div_kronecker,
-    _exact_div_terms,
-    _lattice_stride,
     _mul_dicts,
+    binomial_table,
 )
 from cyclojones import (
     DivisionByZeroDenominator,
@@ -25,6 +25,7 @@ from cyclojones import (
     NotExpressible,
     RemainderNonzero,
 )
+from cyclojones.qcalc import QSymbolCache, brace_recip
 
 A = LaurentPoly.monomial
 
@@ -181,7 +182,7 @@ def test_fraction_equality_is_representation_independent(a, b, u):
         assert LaurentFraction(a * b, a).to_poly() == b
 
 
-# -- differential tests of the packed kernels against the dict loops ----
+# -- differential tests of multiply and exact_div against the dict loops ----
 
 # operand shapes (terms of a, terms of b) on both sides of the cutoff and
 # above 20,000 products
@@ -275,7 +276,7 @@ def test_mul_coefficient_at_the_limb_bound(m):
 def test_exact_div_matches_loop(pair):
     q, b = pair
     a = _mul_dicts(q, b)
-    assert _exact_div_terms(a, b) == _exact_div_dicts(a, b) == (q, {})
+    assert _exact_div_dicts(a, b) == (q, {})
     assert LaurentPoly(a).exact_div(LaurentPoly(b)) == LaurentPoly(q)
 
 
@@ -284,8 +285,8 @@ def test_exact_div_matches_loop(pair):
 def test_exact_div_cancelling_products(pair):
     a, b = pair
     product = _mul_dicts(a, b)
-    assert _exact_div_terms(product, b) == (a, {})
-    assert _exact_div_terms(product, a) == (b, {})
+    assert _exact_div_dicts(product, b) == (a, {})
+    assert _exact_div_dicts(product, a) == (b, {})
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,45 +303,10 @@ def test_exact_div_remainder_matches_loop(pair, bump):
         del a[low]
     expected = _exact_div_dicts(a, b)
     assert expected[0] is None
-    assert _exact_div_terms(a, b) == expected
     with pytest.raises(RemainderNonzero) as err:
         LaurentPoly(a).exact_div(LaurentPoly(b))
     assert err.value.remainder == LaurentPoly(expected[1])
     assert LaurentPoly(a).try_exact_div(LaurentPoly(b)) is None
-
-
-def _square_quotient(m: int):
-    """(1 - t^m)^2 / (1 - t)^2: the quotient's coefficients reach m while
-    those of both operands stay at most 2."""
-    a = _mul_dicts({0: 1, m: -1}, {0: 1, m: -1})
-    b = {0: 1, 1: -2, 2: 1}
-    q = _mul_dicts({i: 1 for i in range(m)}, {i: 1 for i in range(m)})
-    return a, b, q
-
-
-def test_kronecker_division_answers_large_pairs():
-    a, b, q = _square_quotient(300)
-    assert _exact_div_kronecker(a, b, _lattice_stride(a, b)) == q
-    a = _mul_dicts(q, {0: 3, 4: -5, 8: 7})
-    b = _mul_dicts({0: 3, 4: -5, 8: 7}, {4 * i: 2**70 + i for i in range(200)})
-    prod = _mul_dicts(a, b)
-    assert _exact_div_kronecker(prod, b, _lattice_stride(prod, b)) == a
-
-
-def test_uncertified_quotient_falls_back_to_loop(monkeypatch):
-    a, b, q = _square_quotient(300)
-    monkeypatch.setattr(laurent, "_DIV_HEADROOM_BITS", 0)
-    # one-byte limbs hold a and b but not the quotient's coefficients
-    with pytest.raises(OverflowError, match="outgrew"):
-        _exact_div_kronecker(a, b, 1)
-    loop_calls = []
-    monkeypatch.setattr(
-        laurent,
-        "_exact_div_dicts",
-        lambda x, y: loop_calls.append(1) or _exact_div_dicts(x, y),
-    )
-    assert LaurentPoly(a).exact_div(LaurentPoly(b)) == LaurentPoly(q)
-    assert loop_calls == [1]
 
 
 def test_decode_overflow_raises_without_asserts(tmp_path):
@@ -386,6 +352,7 @@ def _mobius(n: int) -> int:
     return -sign if m > 1 else sign
 
 
+@functools.cache
 def _phi(d: int) -> LaurentPoly:
     num, den = LaurentPoly.one(), LaurentPoly.one()
     for c in range(1, d + 1):
@@ -485,3 +452,108 @@ def test_fraction_collapse_names_the_factor():
     with pytest.raises(RemainderNonzero, match="denominator factor 2 did not cancel"):
         LaurentFraction(1, 2).to_poly()
     assert laurent.cyclotomic_poly(12) == _phi(12)
+
+
+# -- the binomial collapse of to_poly against the per-Φ_d loop ----------
+
+
+@st.composite
+def calculator_tables(draw) -> dict[int, int]:
+    """The denominator tables the calculator collapses, from its own
+    reciprocals: {n}!, {i}!{n-i}! (also the table of (q;q)_i (q;q)_(n-i)),
+    (q^a;q)_k and {N-1-k}!{N}."""
+    cache = QSymbolCache()
+    kind = draw(st.sampled_from(("fact", "pair", "window", "block")))
+    n = draw(st.integers(0, 9))
+    i = draw(st.integers(0, n))
+    if kind == "fact":
+        recip = cache.brace_fact_recip(n)
+    elif kind == "pair":
+        recip = cache.brace_fact_recip(i) * cache.brace_fact_recip(n - i)
+    elif kind == "window":
+        recip = cache.pochhammer_recip(i + 1, n)
+    else:
+        recip = cache.brace_fact_recip(n - i) * brace_recip(n + 1)
+    return dict(recip._phi)
+
+
+@st.composite
+def collapse_cases(draw):
+    """(table, numerator, bumped) with the numerator on a strided, shifted
+    lattice: divisible by the table, or, when bumped by a constant, not."""
+    kind = draw(st.sampled_from(("calculator", "leftover", "lattice")))
+    if kind == "calculator":
+        table = draw(calculator_tables())
+        multiple = _table_product(table)
+    elif kind == "leftover":  # arbitrary Φ_d tables leave factors over
+        table = draw(tables)
+        multiple = _table_product(table)
+    else:  # one binomial A^m - 1 against a numerator of another stride
+        m, times = draw(st.sampled_from((4, 8, 12))), draw(st.integers(1, 2))
+        table = {d: times for d in binomial_table(m)}
+        multiple = (A(math.lcm(m, 8)) - 1) ** times
+    stride = draw(st.sampled_from((1, 2, 4, 8)))
+    shift = draw(st.integers(-20, 20))
+    num = A(shift) * draw(nonzero_small_polys).substitute_power(stride) * multiple
+    bump = draw(st.sampled_from((0, 0, 1, -3, 2**70)))
+    return table, num + A(shift, bump), bool(bump)
+
+
+def _per_factor_collapse(num: LaurentPoly, table: dict[int, int]):
+    """num over the table one Φ_d(A) at a time: (quotient, None), or
+    (None, (message, remainder)) of the first factor that does not cancel."""
+    quot = num
+    for d in sorted(table):
+        e = table[d]
+        for i in range(e):
+            try:
+                quot = quot.exact_div(_phi(d))
+            except RemainderNonzero as exc:
+                message = f"Φ_{d}(A) did not cancel: exponent {e - i} of {e} left"
+                return None, (message, exc.remainder)
+    return quot, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(calculator_tables())
+def test_calculator_tables_split_into_binomials(table):
+    binomials, left = laurent._binomials(tuple(sorted(table.items())))
+    assert left == ()
+    product = LaurentPoly.one()
+    for m, times in binomials:
+        product = product * (A(m) - 1) ** times
+    assert product == _table_product(table)
+
+
+@settings(max_examples=120, deadline=None)
+@given(collapse_cases())
+def test_binomial_collapse_matches_per_factor_loop(case):
+    table, num, bumped = case
+    frac = LaurentFraction.over_cyclotomic(num, table)
+    quot, failure = _per_factor_collapse(num, table)
+    # a constant off a multiple of a non-unit is no multiple of it
+    assert (failure is not None) == (bumped and any(table.values()))
+    if failure is None:
+        assert frac.to_poly() == quot
+        return
+    with pytest.raises(RemainderNonzero) as err:
+        frac.to_poly()
+    assert (str(err.value), err.value.remainder) == failure
+
+
+@pytest.mark.parametrize("stride, m", [(8, 4), (4, 8), (6, 4), (2, 12), (12, 8)])
+def test_binomial_collapse_on_strided_lattices(stride, m):
+    # the numerator's stride and m differ: the quotient of A^lcm - 1 by
+    # A^m - 1 can live on a finer lattice than the numerator
+    p = LaurentPoly({stride * i + 3: i + 1 for i in range(5)})
+    num = p * (A(math.lcm(stride, m)) - 1)
+    frac = LaurentFraction.over_cyclotomic(num, binomial_table(m))
+    assert frac.to_poly() == num.exact_div(A(m) - 1)
+    with pytest.raises(RemainderNonzero, match=r"Φ_\d+\(A\) did not cancel"):
+        LaurentFraction.over_cyclotomic(num + A(3), binomial_table(m)).to_poly()
+
+
+def test_binomial_quotient_rejects_short_numerators():
+    # a numerator narrower than the binomial cannot be a multiple of it
+    assert laurent._binomial_quotient({0: 1, 4: 1}, ((8, 1),)) is None
+    assert laurent._binomial_quotient({0: -1, 8: 1}, ((8, 1),)) == {0: 1}

@@ -5,6 +5,7 @@ import pytest
 
 from cyclojones import (
     IndexOutOfRange,
+    LaurentFraction,
     LaurentPoly,
     ZPoly,
     bracket_e,
@@ -129,19 +130,18 @@ def test_pairing_diagonal(cache):
 
 def test_twist_inverse_check_divides_each_t_coeff_once(monkeypatch):
     # twist_coeff_d asks for t_{k,i} again for every j and both twists; the
-    # check's cache divides each (k, i) out once
+    # check's cache collapses each (k, i) once
     from cyclojones.verify import VerifyGrid, check_twist_inverse
 
-    divided = Counter()
-    exact_div = LaurentPoly.exact_div
+    collapsed = Counter()
+    to_poly = LaurentFraction.to_poly
 
-    def recording(self, divisor):
+    def recording(self):
         frame = sys._getframe(1)
         if frame.f_code.co_name == "t_coeff":
-            divided[frame.f_locals["k"], frame.f_locals["i"]] += 1
-        return exact_div(self, divisor)
+            collapsed[frame.f_locals["k"], frame.f_locals["i"]] += 1
+        return to_poly(self)
 
-    monkeypatch.setattr(LaurentPoly, "exact_div", recording)
+    monkeypatch.setattr(LaurentFraction, "to_poly", recording)
     assert check_twist_inverse(VerifyGrid()).passed
-    assert divided == Counter({(k, i): 1 for k in range(11) for i in range(k + 1)})
-
+    assert collapsed == Counter({(k, i): 1 for k in range(11) for i in range(k + 1)})
