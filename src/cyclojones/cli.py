@@ -25,6 +25,9 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "cyclojones"
 
 # largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 takes ~30 s, 310 MB
 MAX_INDEX = 48
+# largest verify --max-k and --max-n; --suite all takes ~30 s at --max-k 24 and
+# ~11 s at --max-n 24, and --max-n grows as about N^5 (~45 s at 32)
+VERIFY_MAX_INDEX = 24
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run verification suites")
     verify.add_argument("--suite", default="all",
                         help="laurent|qcalc|skein|cyclotomic|bailey|cross|io|all")
-    verify.add_argument("--max-k", type=int, default=None)
-    verify.add_argument("--max-n", type=int, default=None)
+    verify.add_argument("--max-k", type=int, default=None,
+                        help=f"largest coefficient index of the grids (0..{VERIFY_MAX_INDEX})")
+    verify.add_argument("--max-n", type=int, default=None,
+                        help=f"largest color of the grids (1..{VERIFY_MAX_INDEX})")
     verify.add_argument("--p-range", type=_int_range, default=None, metavar="LO..HI")
     verify.add_argument("--m-range", type=_int_range, default=None, metavar="LO..HI")
     verify.add_argument("--jobs", type=int, default=1)
@@ -155,8 +160,8 @@ def _knot_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> VerifyGrid:
     kwargs = {}
     if args.max_k is not None:
-        if args.max_k < 0:
-            parser.error("--max-k must be >= 0")
+        if not 0 <= args.max_k <= VERIFY_MAX_INDEX:
+            parser.error(f"--max-k must be in 0..{VERIFY_MAX_INDEX}")
         kwargs.update(
             max_k=args.max_k,
             bailey_k=args.max_k,
@@ -165,8 +170,8 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             lemma_k=min(args.max_k, 8),
         )
     if args.max_n is not None:
-        if args.max_n < 1:
-            parser.error("--max-n must be >= 1")
+        if not 1 <= args.max_n <= VERIFY_MAX_INDEX:
+            parser.error(f"--max-n must be in 1..{VERIFY_MAX_INDEX}")
         kwargs["max_n"] = args.max_n
     if args.p_range is not None:
         lo, hi = args.p_range

@@ -12,10 +12,11 @@ coefficient formulas (c', c~', d) and assembles J'_N along two
 independent routes whose exact agreement is a correctness certificate.
 
 Each sum is taken over the denominator its balanced binomials leave:
-c' over {2k+1}!, H_k over {2k+2}! and J'_N (Walsh route) over {N}, each
-times its factored reciprocal collapsed once by LaurentFraction.to_poly
-(the one diagnostic site for H_k).  c~' and d stay fractions over
-1/{2k+1}! and 1/{2k+2}!.
+c' over {k+1}...{2k+1} = {2k+1}!/{k}! (its l-sum without the {k}!),
+H_k over {2k+2}! and J'_N (Walsh route) over {N}, each times its
+factored reciprocal collapsed once by LaurentFraction.to_poly (the one
+diagnostic site for H_k).  c~' and d stay fractions over 1/{2k+1}! and
+1/{2k+2}!.  Every sum is accumulated in place by laurent.lincomb.
 
 H_k does not evaluate the d-sum term by term: with the sum over j
 taken inside, it needs only the products P_j = c'_j * (numerator of
@@ -34,13 +35,13 @@ of c~'_j is not stored there; it enters H_k only through P_j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CacheMismatch, IndexOutOfRange, IntegralityFailure, RemainderNonzero
-from .laurent import LaurentFraction, LaurentPoly
+from .laurent import LaurentFraction, LaurentPoly, lincomb
 from .qcalc import QSymbolCache, brace, brace_recip
 
-_ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
@@ -147,28 +148,32 @@ class JonesResult:
 # -- single-sum coefficients ------------------------------------------
 
 
-def _c_num(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> LaurentPoly:
-    """Common numerator kernel over the denominator {2k+1}!:
+def _c_sum(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> LaurentPoly:
+    """The single sum of c' and c~' over the denominator {k+1}...{2k+1}:
 
-        {k}! * sum_l (±1)^l A^(twist_exp * l(l+1)) {2l+1} [2k+1 over k-l]
+        sum_l (±1)^l A^(twist_exp * l(l+1)) {2l+1} [2k+1 over k-l]
     """
-    total = _ZERO
-    for l in range(k + 1):
-        sign = -1 if alternating and l & 1 else 1
-        term = (
-            LaurentPoly.monomial(twist_exp * l * (l + 1), sign)
-            * brace(2 * l + 1)
-            * cache.qbinom_balanced(2 * k + 1, k - l)
+    return lincomb(
+        (
+            LaurentPoly.monomial(twist_exp * l * (l + 1), -1 if alternating and l & 1 else 1)
+            * brace(2 * l + 1),
+            cache.qbinom_balanced(2 * k + 1, k - l),
         )
-        total = total + term
-    return cache.brace_fact(k) * total
+        for l in range(k + 1)
+    )
+
+
+def _c_num(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> LaurentPoly:
+    """{k}! times _c_sum: the numerator over the denominator {2k+1}!."""
+    return cache.brace_fact(k) * _c_sum(k, twist_exp, alternating, cache)
 
 
 def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     """c'_{k,p} = {k}! sum_l (-1)^l 𝔮^(2pl(l+1)) {2l+1}/({k+l+1}!{k-l}!).
 
-    _c_num over 1/{2k+1}! collapses to a Laurent polynomial; a failure
-    (RemainderNonzero) would signal a formula transcription error.  The
+    With {2k+1}!/{k}! = {k+1}...{2k+1}, _c_sum over the product of
+    brace_recip(j), j = k+1..2k+1, collapses to a Laurent polynomial; a
+    failure (RemainderNonzero) would signal a formula transcription error.  The
     value depends on k and p alone, so it is kept in cache.coefficients
     under ("c_prime", k, p) and collapsed once per cache.
     """
@@ -180,7 +185,8 @@ def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     key = ("c_prime", k, p)
     value = cache.coefficients.get(key)
     if value is None:
-        value = (cache.brace_fact_recip(2 * k + 1) * _c_num(k, 4 * p, True, cache)).to_poly()
+        recip = math.prod(brace_recip(j) for j in range(k + 1, 2 * k + 2))
+        value = (recip * _c_sum(k, 4 * p, True, cache)).to_poly()
         cache.coefficients[key] = value
     return value
 
@@ -206,17 +212,15 @@ def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     The kernel of d_kjp only; h_coeff_half sums the same terms with the
     i-sum outside.
     """
-    total = _ZERO
-    for i in range(j, k + 1):
-        sign = -1 if (i + j) & 1 else 1
-        term = (
-            LaurentPoly.monomial(-4 * p * i * (i + 2), sign)
+    return lincomb(
+        (
+            LaurentPoly.monomial(-4 * p * i * (i + 2), -1 if (i + j) & 1 else 1)
             * brace(2 * i + 2)
-            * cache.qbinom_balanced(i + 1 + j, 2 * j + 1)
-            * cache.qbinom_balanced(2 * k + 2, k - i)
+            * cache.qbinom_balanced(i + 1 + j, 2 * j + 1),
+            cache.qbinom_balanced(2 * k + 2, k - i),
         )
-        total = total + term
-    return total
+        for i in range(j, k + 1)
+    )
 
 
 def d_kjp(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentFraction:
@@ -265,11 +269,9 @@ def _g_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
     G = cache.knot_memo((knot.p, knot.region.s)).setdefault("G", [])
     while len(G) < n:
         i = len(G)
-        total = _ZERO
-        for j in range(i + 1):
-            term = cache.qbinom_balanced(i + 1 + j, 2 * j + 1) * P[j]
-            total = total + (-term if j & 1 else term)
-        G.append(total)
+        G.append(lincomb(
+            (cache.qbinom_balanced(i + 1 + j, 2 * j + 1) * (-1) ** j, P[j]) for j in range(i + 1)
+        ))
     return G
 
 
@@ -292,16 +294,15 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> L
     cache = cache or QSymbolCache()
     p = knot.p
     G = _g_terms(knot, k + 1, cache)
-    num = _ZERO
-    for i in range(k + 1):
-        sign = -1 if (i + k) & 1 else 1
-        term = (
-            LaurentPoly.monomial(-4 * p * i * (i + 2), sign)
+    num = lincomb(
+        (
+            LaurentPoly.monomial(-4 * p * i * (i + 2), -1 if (i + k) & 1 else 1)
             * brace(2 * i + 2)
-            * cache.qbinom_balanced(2 * k + 2, k - i)
-            * G[i]
+            * cache.qbinom_balanced(2 * k + 2, k - i),
+            G[i],
         )
-        num = num + term
+        for i in range(k + 1)
+    )
     fraction = cache.brace_fact_recip(2 * k + 2) * num
     try:
         value = fraction.to_poly()
@@ -417,9 +418,7 @@ def jones_from_table(N: int, table: CoeffTable, cache: QSymbolCache | None = Non
     if table.max_k < N - 1:
         raise IndexOutOfRange(f"table covers k <= {table.max_k}, need {N - 1}")
     cache = cache or QSymbolCache()
-    total = _ZERO
-    for k in range(N):
-        total = total + table.h(k) * cache.cyclo_block(N, k)
+    total = lincomb((table.h(k), cache.cyclo_block(N, k)) for k in range(N))
     return JonesResult(table.knot, N, total, "theorem")
 
 
@@ -450,10 +449,7 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jo
     cache = cache or QSymbolCache()
     P = _p_terms(knot, N, cache)
     # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, 2s) [N+k over 2k+1] / {N}
-    num = _ZERO
-    for k in range(N):
-        term = P[k] * cache.qbinom_balanced(N + k, 2 * k + 1)
-        num = num + (-term if k & 1 else term)
+    num = lincomb((cache.qbinom_balanced(N + k, 2 * k + 1) * (-1) ** k, P[k]) for k in range(N))
     total = (brace_recip(N) * num).to_poly()
     prefactor = LaurentPoly.monomial(-4 * knot.p * (N * N - 1))
     return JonesResult(knot, N, prefactor * total, "walsh")
@@ -474,15 +470,14 @@ def c_prime_qform(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentP
     if p == 0:
         raise ValueError("twist count p must be nonzero")
     cache = cache or QSymbolCache()
-    total = _ZERO
-    for l in range(k + 1):
-        a_exp = 4 * l * (l + 1) * p + 2 * l * (l - 1)
-        term = (
-            LaurentPoly.monomial(a_exp, -1 if l & 1 else 1)
-            * (_ONE - LaurentPoly.monomial(4 * (2 * l + 1)))
-            * cache.qbinom(2 * k + 1, k - l)
+    total = lincomb(
+        (
+            LaurentPoly.monomial(4 * l * (l + 1) * p + 2 * l * (l - 1), -1 if l & 1 else 1)
+            * (_ONE - LaurentPoly.monomial(4 * (2 * l + 1))),
+            cache.qbinom(2 * k + 1, k - l),
         )
-        total = total + term
+        for l in range(k + 1)
+    )
     collapsed = (cache.pochhammer_recip(k + 1, k + 1) * total).to_poly()
     prefactor = LaurentPoly.monomial(k * (k + 3), -1 if k & 1 else 1)
     return prefactor * collapsed

@@ -16,7 +16,10 @@ coefficient, and _decode raises OverflowError rather than return limbs
 that do not add up to the integer.  exact_div is the top-down loop
 _exact_div_dicts, the only source of RemainderNonzero remainders; it is
 left with the single Φ_d(A), the residuals R and arbitrary divisors.
-try_exact_div is exact_div with None in place of that error.
+try_exact_div is exact_div with None in place of that error.  lincomb
+sums products m * x into one dict in place: a multiplier of one or two
+terms (±A^e {n}) is applied as shifted adds, a larger one goes through
+the multiply above, and no running total is copied per term.
 
 Fractions.  Every denominator the calculator builds ({n}!, (q^a;q)_k,
 {N}, 1 - q) is a unit times a product of cyclotomic polynomials Φ_d(A),
@@ -434,7 +437,8 @@ class LaurentPoly:
     def eval_unit_root(self, k: int, n: int) -> mpmath.mpc:
         """Evaluate at A = exp(2*pi*i*k/n) to at least 50 significant digits.
 
-        Horner-style over the sorted exponent gaps; working precision is
+        Horner-style over the sorted exponent gaps, with one root power per
+        distinct gap computed once per call; working precision is
         raised with the coefficient size so ring structure is respected to
         ~1e-50 even for 2^256-sized coefficients.
         """
@@ -448,6 +452,7 @@ class LaurentPoly:
         exps = sorted(self._terms)
         with mpmath.workdps(dps):
 
+            @functools.cache  # one value per distinct exponent gap of this call
             def root_power(e: int) -> mpmath.mpc:
                 angle = Fraction(2 * k * e, n) % 2
                 return mpmath.expjpi(
@@ -505,6 +510,43 @@ _ZERO._hash = None
 _ONE = LaurentPoly.__new__(LaurentPoly)
 _ONE._terms = {0: 1}
 _ONE._hash = None
+
+
+def lincomb(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """sum m * x over the (m, x) pairs, accumulated in place into one dict.
+
+    A multiplier of at most two terms (such as ±A^e {n}) is applied as
+    shifted adds of x's terms.  A larger one is first multiplied out with
+    m * x; that product is fresh (a zero one has no terms to adopt), so
+    when it has more terms than the total it takes the total in, rather
+    than the other way round.  Equal to the sum of the products, without
+    a copy of the running total per term.
+    """
+    out: dict[int, int] = {}
+    for m, x in pairs:
+        factors = m._terms
+        if len(factors) > 2:
+            terms = (m * x)._terms
+            if len(terms) > len(out):
+                out, terms = terms, out
+            factors = _ONE._terms
+        else:
+            terms = x._terms
+        get = out.get
+        for shift, scale in factors.items():
+            if scale == 1:
+                for e, c in terms.items():
+                    e += shift
+                    out[e] = get(e, 0) + c
+            elif scale == -1:
+                for e, c in terms.items():
+                    e += shift
+                    out[e] = get(e, 0) - c
+            else:
+                for e, c in terms.items():
+                    e += shift
+                    out[e] = get(e, 0) + scale * c
+    return LaurentPoly._raw({e: c for e, c in out.items() if c})
 
 
 def _oriented(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

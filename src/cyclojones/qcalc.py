@@ -13,6 +13,7 @@ correctly at k = 0); the balanced binomial [n i] equals {n}!/({i}!{n-i}!).
 from __future__ import annotations
 
 import functools
+from operator import add
 
 from .errors import DivisionByZeroDenominator, IndexOutOfRange, NotAdmissible
 from .laurent import LaurentFraction, LaurentPoly, binomial_table
@@ -33,6 +34,11 @@ def bracket(n: int) -> LaurentPoly:
     if n < 0:
         return -bracket(-n)
     return LaurentPoly({2 * (n - 1 - 2 * j): 1 for j in range(n)})
+
+
+def _balanced_exponents(m: int, t: int) -> range:
+    """The exponents of [m t] = A^(-2t(m-t)) [m t]_q(A^4), lowest first."""
+    return range(-2 * t * (m - t), 2 * t * (m - t) + 1, 4)
 
 
 @functools.cache
@@ -207,10 +213,13 @@ class QSymbolCache:
     def qbinom_balanced(self, n: int, i: int) -> LaurentPoly:
         """Balanced binomial [n i] = {n}!/({i}!{n-i}!); 0 out of range.
 
-        Built by the q-Pascal rule [n i] = A^(-2i) [n-1 i] + A^(2(n-i)) [n-1 i-1],
-        shifts and adds only, from the nearest stored row below n.  Only the
-        rows asked for are kept, the stepping stones between them are not;
-        each row is symmetric, so only i <= n/2 is stored.
+        [n i] = A^(-2i(n-i)) [n i]_q at q = A^4.  The Gaussian binomials
+        [m t]_q are stepped up from the nearest stored row below n as dense
+        coefficient lists, by the q-Pascal rule
+        [m t]_q = [m-1 t]_q + q^(m-t) [m-1 t-1]_q, one slice add each; only
+        row n is turned back into Laurent polynomials.  Only the rows asked
+        for are kept, and no dense list outlives the call.  Each row is
+        symmetric, so only i <= n/2 is stored.
         """
         if n < 0:
             raise IndexOutOfRange("balanced binomial needs n >= 0")
@@ -221,17 +230,23 @@ class QSymbolCache:
         if row is None:
             self._check(n)
             start = max(m for m in rows if m < n)
-            row = rows[start]
+            # every coefficient of [m t]_q is positive: no exponent of the
+            # lattice is missing from a stored row, and no zero enters one
+            dense = [
+                list(map(poly._terms.__getitem__, _balanced_exponents(start, t)))
+                for t, poly in enumerate(rows[start])
+            ]
             for m in range(start + 1, n + 1):
-                prev, row = row, [_ONE]
+                prev, dense = dense, [[1]]
                 for t in range(1, m // 2 + 1):
                     # [m-1 t] lies in the stored half of row m-1 unless t = m/2
-                    prev_t = prev[t] if t < len(prev) else prev[m - 1 - t]
-                    row.append(
-                        LaurentPoly.monomial(-2 * t) * prev_t
-                        + LaurentPoly.monomial(2 * (m - t)) * prev[t - 1]
-                    )
-            rows[n] = row
+                    gauss = (prev[t] if t < len(prev) else prev[m - 1 - t]) + [0] * t
+                    gauss[m - t :] = map(add, gauss[m - t :], prev[t - 1])
+                    dense.append(gauss)
+            row = rows[n] = [
+                LaurentPoly._raw(dict(zip(_balanced_exponents(n, t), gauss)))
+                for t, gauss in enumerate(dense)
+            ]
         return row[min(i, n - i)]
 
     def knot_memo(self, key) -> dict:

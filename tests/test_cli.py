@@ -79,6 +79,18 @@ def test_coeffs_jones_outputs_match_reference_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, request
 
 
+# SHA-256 of `coeffs --p -3 --s 5 --max-k 24 --no-cache --format json`, recorded
+# before the in-place sums and dense q-Pascal rows; the benchmark stops at max_k 20
+MAX_K_24_DIGEST = "b0e884f09b1114b590926373a6333e17c8e875d77de2ceb3688bcc8e55c77e28"
+
+
+def test_large_half_twist_table_matches_its_recorded_digest(capsys):
+    request = "coeffs --p -3 --s 5 --max-k 24 --no-cache --format json"
+    code, out, err = run_cli(capsys, *request.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == MAX_K_24_DIGEST
+
+
 def test_verify_timings_leave_the_payload_unchanged(capsys):
     # one stderr timing line per check, and the report keeps its digest
     (request, expected), = json.loads(
@@ -392,3 +404,27 @@ def test_requests_above_the_index_bound_are_usage_errors(argv, capsys):
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith("usage: ")
         assert lines[-1].endswith(f"must be in {0 if 'max-k' in argv else 1}..{MAX_INDEX}")
+
+
+@pytest.mark.parametrize("flag, low, field", [("--max-k", 0, "max_k"), ("--max-n", 1, "max_n")])
+def test_verify_grid_above_its_bound_is_a_usage_error(flag, low, field, capsys, monkeypatch):
+    # checked while the arguments are read: no check of the suite starts
+    from cyclojones import cli
+
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
+    parser = cli.build_parser()
+    bound = cli.VERIFY_MAX_INDEX
+    config = cli.config_from_args(parser, parser.parse_args(["verify", flag, str(bound)]))
+    assert getattr(config.grid, field) == bound
+    for value in (bound + 1, 5000):
+        argv = ["verify", "--suite", "cross", flag, str(value)]
+        with pytest.raises(SystemExit) as err:
+            cli.config_from_args(parser, parser.parse_args(argv))
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: ")
+        assert lines[-1].endswith(f"{flag} must be in {low}..{bound}")
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""

@@ -283,6 +283,31 @@ def test_integrality_check_divides_each_c_prime_once(monkeypatch):
     assert sum(collapsed.values()) == 66
 
 
+def test_c_prime_collapses_over_its_own_denominator(monkeypatch):
+    # c'_{k,p} is its l-sum over {k+1}...{2k+1} = {2k+1}!/{k}!, collapsed
+    # once, and agrees with the q-Pochhammer form and the Bailey multi-sum
+    from cyclojones import bailey
+
+    dens = {}
+
+    def record(frame, frac):
+        if frame.f_code.co_name == "c_prime":
+            dens.setdefault((frame.f_locals["k"], frame.f_locals["p"]), []).append(frac.den)
+
+    _record_collapses(monkeypatch, record)
+    cache = QSymbolCache()
+    for k in range(13):
+        # {j} = A^(-2j) (A^(4j) - 1), so the oriented denominator is the product of A^(4j) - 1
+        block = LaurentPoly.one()
+        for j in range(k + 1, 2 * k + 2):
+            block = block * (A(4 * j) - 1)
+        for p in (-3, -2, -1, 1, 2, 3):
+            value = c_prime(k, p, cache)
+            assert dens[k, p] == [block], (k, p)
+            assert value == c_prime_qform(k, p, cache), (k, p)
+            assert value == bailey.multisum_c_prime(k, p, cache), (k, p)
+
+
 def test_jones_int(cache):
     assert jones_int(1, KnotSpec.full(3, -2), cache).value == 1
     assert jones_int(2, KnotSpec.full(1, 1), cache).value == A(4) + A(12) - A(16)

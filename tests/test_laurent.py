@@ -271,6 +271,56 @@ def test_mul_coefficient_at_the_limb_bound(m):
     assert product == _mul_dicts(a, a)
 
 
+@st.composite
+def lincomb_pairs(draw) -> list[tuple[LaurentPoly, LaurentPoly]]:
+    """(multiplier, polynomial) pairs: multipliers of one, two (some ±A^e {n})
+    and three or more terms with coefficients ±1 or larger, on shifted
+    lattices with negative exponents; some lists end with the negation of
+    the pairs before them, so that their sum cancels to zero."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(("one", "brace", "two", "many")))
+        e = draw(st.integers(-40, 40))
+        if shape == "one":
+            m = A(e, draw(st.sampled_from((1, -1, 3, -(2**70)))))
+        elif shape == "brace":
+            n = draw(st.integers(1, 12))
+            m = A(e, draw(st.sampled_from((1, -1)))) * (A(2 * n) - A(-2 * n))
+        else:
+            m = LaurentPoly(draw(lattice_polys(2 if shape == "two" else draw(st.integers(3, 12)))))
+            m = m * A(e)
+        pairs.append((m, LaurentPoly(draw(lattice_polys(draw(st.integers(1, 120)))))))
+    if pairs and draw(st.booleans()):
+        pairs += [(-m, x) for m, x in pairs]
+    return pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(lincomb_pairs())
+def test_lincomb_matches_products_and_sums(pairs):
+    snapshot = [(dict(m.items()), dict(x.items())) for m, x in pairs]
+    expected = LaurentPoly.zero()
+    for m, x in pairs:
+        expected = expected + m * x
+    total = laurent.lincomb(iter(pairs))
+    assert total == expected
+    assert dict(total.items()) == dict(expected.items())  # no zero coefficient kept
+    # the operands are left as they were, and so is the shared zero
+    assert [(dict(m.items()), dict(x.items())) for m, x in pairs] == snapshot
+    assert LaurentPoly.zero().is_zero
+
+
+def test_lincomb_cancelling_and_empty_sums_are_zero():
+    f = LaurentPoly({-6: 2**80, -2: -1, 4: 7})
+    brace3 = A(6) - A(-6)
+    pairs = [(A(-10, -1) * brace3, f), (f + A(1), f * f), (A(3, 5), f)]
+    cancelled = laurent.lincomb(pairs + [(-m, x) for m, x in pairs])
+    assert cancelled == LaurentPoly.zero() and cancelled.is_zero and len(cancelled) == 0
+    assert laurent.lincomb([]) == LaurentPoly.zero()
+    assert laurent.lincomb(iter(())) == LaurentPoly.zero()
+    assert laurent.lincomb([(LaurentPoly.zero(), f), (f, LaurentPoly.zero())]).is_zero
+
+
 @settings(max_examples=60, deadline=None)
 @given(operand_pairs())
 def test_exact_div_matches_loop(pair):

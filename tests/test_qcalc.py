@@ -1,4 +1,5 @@
 import random
+from sys import getsizeof
 
 import pytest
 
@@ -133,12 +134,55 @@ def test_balanced_binomial_respects_max_index():
         cache.qbinom_balanced(11, 3)
 
 
+def _held_bytes(value) -> int:
+    """sys.getsizeof summed over the stored terms: each term dict with its
+    exponents and coefficients, each coefficient list with its entries."""
+    if isinstance(value, LaurentPoly):
+        terms = value._terms
+        return getsizeof(terms) + sum(getsizeof(e) + getsizeof(c) for e, c in terms.items())
+    if isinstance(value, int):
+        return getsizeof(value)
+    return getsizeof(value) + sum(_held_bytes(item) for item in value)
+
+
+def _is_dense_row(value) -> bool:
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(isinstance(g, list) and all(type(c) is int for c in g) for g in value)
+    )
+
+
 def test_balanced_binomial_keeps_only_requested_rows():
     # a full-twist table asks only for the rows 2k+1 of c'_k; the even rows
-    # between them are q-Pascal stepping stones and are not kept
+    # between them are q-Pascal stepping stones and are not kept, dense or not
     cache = QSymbolCache()
     coefficient_table(KnotSpec.full(3, -2), 20, cache)
-    assert sorted(cache._qbinom_balanced) == [0] + list(range(1, 42, 2))
+    rows = cache._qbinom_balanced
+    assert sorted(rows) == [0] + list(range(1, 42, 2))
+    assert all(isinstance(poly, LaurentPoly) for row in rows.values() for poly in row)
+    # at most one dense row of Gaussian coefficient lists is left to build on
+    attributes = list(vars(cache).values())
+    for value in list(attributes):
+        if isinstance(value, dict):
+            attributes += value.values()
+        elif isinstance(value, (list, tuple)):
+            attributes += value
+    dense = [value for value in attributes if _is_dense_row(value)]
+    assert len(dense) <= 1
+    # and the store holds no more bytes than the same rows built by Laurent
+    # additions, [m t] = A^(-2t) [m-1 t] + A^(2(m-t)) [m-1 t-1], kept row by row
+    reference, row = {0: rows[0]}, [LaurentPoly.one()]
+    for m in range(1, 42):
+        prev, row = row, [LaurentPoly.one()]
+        for t in range(1, m // 2 + 1):
+            prev_t = prev[t] if t < len(prev) else prev[m - 1 - t]
+            row.append(A(-2 * t) * prev_t + A(2 * (m - t)) * prev[t - 1])
+        if m in rows:
+            reference[m] = row
+    assert reference == rows
+    terms = lambda store: sum(_held_bytes(row) - getsizeof(row) for row in store.values())
+    assert terms(rows) + sum(map(_held_bytes, dense)) <= terms(reference)
 
 
 def test_balanced_binomial_rows_in_any_order_match_fresh_values():
