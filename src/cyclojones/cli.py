@@ -14,7 +14,7 @@ from pathlib import Path
 
 import mpmath
 
-from . import cyclotomic, serialize
+from . import bailey, cyclotomic, serialize
 from .cyclotomic import KnotSpec
 from .errors import CacheMismatch, CyclojonesError, IntegralityFailure, RemainderNonzero
 from .qcalc import QSymbolCache
@@ -25,9 +25,12 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "cyclojones"
 
 # largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 takes ~30 s, 310 MB
 MAX_INDEX = 48
-# largest verify --max-k and --max-n; --suite all takes ~30 s at --max-k 24 and
-# ~11 s at --max-n 24, and --max-n grows as about N^5 (~45 s at 32)
+# largest verify --max-k and --max-n; --suite all takes ~50 s at --max-k 24 (its Bailey
+# and skein checks, to 26, 20 s) and ~11 s at --max-n 24; --max-n grows as about N^5
 VERIFY_MAX_INDEX = 24
+# most Bailey chains in one multi-sum: |p| or m up to 5 at max_k 10 (times in README)
+CHAIN_BUDGET = 1001
+MAX_DIGITS = 50  # eval_unit_root guarantees 50 significant digits
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", default="all",
                         help="laurent|qcalc|skein|cyclotomic|bailey|cross|io|all")
     verify.add_argument("--max-k", type=int, default=None,
-                        help=f"largest coefficient index of the grids (0..{VERIFY_MAX_INDEX})")
+                        help=f"largest coefficient index of the grids (0..{VERIFY_MAX_INDEX}); "
+                        "Bailey and skein checks run to max-k + 2, lemma, q-form and bridge checks "
+                        f"to min(max-k, 8); at most {CHAIN_BUDGET} Bailey chains per multi-sum")
     verify.add_argument("--max-n", type=int, default=None,
                         help=f"largest color of the grids (1..{VERIFY_MAX_INDEX})")
     verify.add_argument("--p-range", type=_int_range, default=None, metavar="LO..HI")
@@ -143,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--N", type=int, required=True, help=f"largest color (1..{MAX_INDEX})")
     evaluate.add_argument("--root", type=_root, default=(1, 16), metavar="K/N",
                           help="evaluate at A = exp(2*pi*i*K/N), default 1/16")
-    evaluate.add_argument("--digits", type=int, default=50)
+    evaluate.add_argument("--digits", type=int, default=50, help=f"digits (1..{MAX_DIGITS})")
     evaluate.add_argument("--format", default="text", choices=("text", "json"))
     return parser
 
@@ -162,13 +167,7 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     if args.max_k is not None:
         if not 0 <= args.max_k <= VERIFY_MAX_INDEX:
             parser.error(f"--max-k must be in 0..{VERIFY_MAX_INDEX}")
-        kwargs.update(
-            max_k=args.max_k,
-            bailey_k=args.max_k,
-            basis_k=args.max_k,
-            bridge_k=min(args.max_k, 8),
-            lemma_k=min(args.max_k, 8),
-        )
+        kwargs["max_k"] = args.max_k
     if args.max_n is not None:
         if not 1 <= args.max_n <= VERIFY_MAX_INDEX:
             parser.error(f"--max-n must be in 1..{VERIFY_MAX_INDEX}")
@@ -179,19 +178,18 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         if not values:
             parser.error("--p-range contains no nonzero values")
         kwargs["p_values"] = values
-        kwargs["r_values"] = values
     if args.m_range is not None:
         lo, hi = args.m_range
         if lo < 1:
             parser.error("--m-range must start at 1 or above")
         kwargs["m_values"] = tuple(range(lo, hi + 1))
-        kwargs["s_values"] = tuple(2 * m - 1 for m in range(lo, hi + 1))
     return VerifyGrid(**kwargs)
 
 
 def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
     command = args.command
     fields: dict = {"command": command, "verbose": args.verbose}
+    chains = 0  # most Bailey chains in one multi-sum of the request
     if command in ("coeffs", "jones", "eval"):
         fields["knot"] = _knot_from_args(parser, args)
         fields["fmt"] = args.format
@@ -201,6 +199,9 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     if command == "coeffs":
         if not 0 <= args.max_k <= MAX_INDEX:
             parser.error(f"--max-k must be in 0..{MAX_INDEX}")
+        if args.cross_check:
+            second = abs(args.r) if args.r is not None else (abs(args.s) + 1) // 2
+            chains = bailey.chain_count(args.max_k, max(abs(args.p), second))
         fields["max_k"] = args.max_k
         fields["cross_check"] = args.cross_check
         if not args.no_cache:
@@ -217,10 +218,13 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"unknown suite {args.suite!r} (want one of {', '.join(SUITES)} or all)")
         fields.update(suite=args.suite, grid=_grid_from_args(parser, args),
                       jobs=args.jobs, fmt=args.format)
+        chains = fields["grid"].chains
     elif command == "eval":
-        if args.digits < 1:
-            parser.error("--digits must be >= 1")
+        if not 1 <= args.digits <= MAX_DIGITS:
+            parser.error(f"--digits must be in 1..{MAX_DIGITS}")
         fields.update(N=args.N, root=args.root, digits=args.digits)
+    if chains > CHAIN_BUDGET:
+        parser.error(f"{chains} Bailey chains in one multi-sum exceed the budget of {CHAIN_BUDGET}")
     return RunConfig(**fields)
 
 
@@ -338,14 +342,9 @@ _HANDLERS = {
 def _glue_range_values(argv: list[str]) -> list[str]:
     # argparse reads "-2..2" as an option; fold range values into --flag=value
     out = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--p-range", "--m-range") and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if out and out[-1] in ("--p-range", "--m-range"):
+            out[-1] += f"={token}"
         else:
             out.append(token)
     return out

@@ -20,6 +20,7 @@ from .laurent import LaurentFraction, LaurentPoly, binomial_table
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
+MAX_TABLE_INDEX = 4096  # largest index a QSymbolCache tabulates
 
 
 def brace(n: int) -> LaurentPoly:
@@ -90,8 +91,8 @@ class QSymbolCache:
     """Per-instance memo tables for the factorial/Pochhammer symbols.
 
     Cached values are structurally equal to recomputed ones; correctness
-    never depends on a hit.  ``max_index`` bounds the tables to guard
-    against runaway indices.  The tables grow without a lock, so a cache
+    never depends on a hit.  ``MAX_TABLE_INDEX`` bounds the tables to
+    guard against runaway indices.  The tables grow without a lock, so a cache
     must not be shared between threads; give each thread its own.
 
     ``coefficients`` is a store for coefficients that depend on their
@@ -101,8 +102,7 @@ class QSymbolCache:
     thread-safe, and a hit never changes a result.
     """
 
-    def __init__(self, max_index: int = 4096) -> None:
-        self.max_index = max_index
+    def __init__(self) -> None:
         self._brace_fact: list[LaurentPoly] = [_ONE]
         self._bracket_fact: list[LaurentPoly] = [_ONE]
         self._poch: dict[int, list[LaurentPoly]] = {}
@@ -115,8 +115,8 @@ class QSymbolCache:
         self.coefficients: dict = {}
 
     def _check(self, n: int) -> None:
-        if n > self.max_index:
-            raise IndexOutOfRange(f"index {n} exceeds cache bound {self.max_index}")
+        if n > MAX_TABLE_INDEX:
+            raise IndexOutOfRange(f"index {n} exceeds cache bound {MAX_TABLE_INDEX}")
 
     def brace_fact(self, n: int) -> LaurentPoly:
         """{n}! with {0}! = 1."""

@@ -32,41 +32,46 @@ from .qcalc import (
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
+_SEED = 28087
+_RANDOM_OPS = 200
+_BINOM_N = 16
 
 
 @dataclass(frozen=True)
 class VerifyGrid:
-    """Parameter grids for the verification suites."""
+    """The values a caller sets for the verification suites; every other
+    bound is derived here or is a constant of its check."""
 
     max_k: int = 10
-    bridge_k: int = 8
     max_n: int = 8
     p_values: tuple[int, ...] = (-3, -2, -1, 1, 2, 3)
-    r_values: tuple[int, ...] = (-3, -2, -1, 1, 2, 3)
-    s_values: tuple[int, ...] = (1, 3, 5)
     m_values: tuple[int, ...] = (1, 2, 3)
-    bailey_k: int = 12
-    chain_steps: int = 3
-    lemma_k: int = 8
-    delta_max: int = 20
-    binom_n: int = 16
-    basis_k: int = 12
-    random_polys: int = 1000
-    random_ops: int = 200
-    seed: int = 28087
+
+    @property
+    def bailey_k(self) -> int:  # Bailey pair, chain and skein-basis checks
+        return self.max_k + 2
+
+    @property
+    def bridge_k(self) -> int:  # Bailey-lemma, q-form and skein-bridge checks
+        return min(self.max_k, 8)
+
+    @property
+    def chains(self) -> int:
+        """Most Bailey chains one cross multi-sum enumerates: top max_k, length |p| or m."""
+        return bailey.chain_count(self.max_k, max(map(abs, self.p_values + self.m_values)))
 
     def half_knots(self):
         return [
-            cyclotomic.KnotSpec.half(p, s)
+            cyclotomic.KnotSpec.half(p, 2 * m - 1)
             for p in self.p_values
-            for s in self.s_values
+            for m in self.m_values
         ]
 
     def full_knots(self):
         return [
             cyclotomic.KnotSpec.full(p, r)
             for p in self.p_values
-            for r in self.r_values
+            for r in self.p_values
         ]
 
 
@@ -132,9 +137,9 @@ def _rand_poly(rng: random.Random, terms: int = 8, span: int = 40, bits: int = 6
 
 
 def check_ring_axioms(grid: VerifyGrid) -> CheckResult:
-    rng = random.Random(grid.seed)
+    rng = random.Random(_SEED)
     failures, total = [], 0
-    for trial in range(grid.random_ops):
+    for trial in range(_RANDOM_OPS):
         a, b, c = (_rand_poly(rng) for _ in range(3))
         total += 4
         if a + b != b + a or a * b != b * a:
@@ -145,13 +150,13 @@ def check_ring_axioms(grid: VerifyGrid) -> CheckResult:
             failures.append(("distributivity", trial))
         if not (a - a).is_zero:
             failures.append(("inverse", trial))
-    return _result("laurent/ring-axioms", f"{grid.random_ops} random triples", failures, total)
+    return _result("laurent/ring-axioms", f"{_RANDOM_OPS} random triples", failures, total)
 
 
 def check_exact_div_roundtrip(grid: VerifyGrid) -> CheckResult:
-    rng = random.Random(grid.seed + 1)
+    rng = random.Random(_SEED + 1)
     failures, total = [], 0
-    for trial in range(grid.random_ops):
+    for trial in range(_RANDOM_OPS):
         a = _rand_poly(rng)
         b = _rand_poly(rng)
         if b.is_zero:
@@ -160,14 +165,14 @@ def check_exact_div_roundtrip(grid: VerifyGrid) -> CheckResult:
         if (a * b).exact_div(b) != a:
             failures.append(trial)
     return _result(
-        "laurent/exact-div-roundtrip", f"{grid.random_ops} random pairs", failures, total
+        "laurent/exact-div-roundtrip", f"{_RANDOM_OPS} random pairs", failures, total
     )
 
 
 def check_substitute_involution(grid: VerifyGrid) -> CheckResult:
-    rng = random.Random(grid.seed + 2)
+    rng = random.Random(_SEED + 2)
     failures, total = [], 0
-    for trial in range(grid.random_ops):
+    for trial in range(_RANDOM_OPS):
         f, g = _rand_poly(rng), _rand_poly(rng)
         total += 2
         if f.substitute_power(-1).substitute_power(-1) != f:
@@ -175,14 +180,14 @@ def check_substitute_involution(grid: VerifyGrid) -> CheckResult:
         if (f * g).substitute_power(-1) != f.substitute_power(-1) * g.substitute_power(-1):
             failures.append(("homomorphism", trial))
     return _result(
-        "laurent/substitute-involution", f"{grid.random_ops} random pairs", failures, total
+        "laurent/substitute-involution", f"{_RANDOM_OPS} random pairs", failures, total
     )
 
 
 def check_fraction_equivalence(grid: VerifyGrid) -> CheckResult:
-    rng = random.Random(grid.seed + 3)
+    rng = random.Random(_SEED + 3)
     failures, total = [], 0
-    for trial in range(grid.random_ops // 2):
+    for trial in range(_RANDOM_OPS // 2):
         a = _rand_poly(rng)
         b = _rand_poly(rng, terms=4) + LaurentPoly.monomial(rng.randint(-3, 3))
         u = _rand_poly(rng, terms=3) + _ONE
@@ -203,7 +208,7 @@ def check_fraction_equivalence(grid: VerifyGrid) -> CheckResult:
 
 
 def check_eval_ring_structure(grid: VerifyGrid) -> CheckResult:
-    rng = random.Random(grid.seed + 4)
+    rng = random.Random(_SEED + 4)
     failures, total = [], 0
     cases = [
         (_rand_poly(rng, terms=30, span=100, bits=256), _rand_poly(rng, terms=30, span=100, bits=256))
@@ -228,27 +233,27 @@ def check_eval_ring_structure(grid: VerifyGrid) -> CheckResult:
 def check_pascal(grid: VerifyGrid) -> CheckResult:
     cache = QSymbolCache()
     failures, total = [], 0
-    for n in range(1, grid.binom_n + 1):
+    for n in range(1, _BINOM_N + 1):
         for i in range(0, n + 1):
             total += 1
             lhs = cache.qbinom(n, i)
             rhs = cache.qbinom(n - 1, i - 1) + LaurentPoly.monomial(4 * i) * cache.qbinom(n - 1, i)
             if lhs != rhs:
                 failures.append((n, i))
-    return _result("qcalc/pascal", f"n <= {grid.binom_n}", failures, total)
+    return _result("qcalc/pascal", f"n <= {_BINOM_N}", failures, total)
 
 
 def check_balanced_gaussian_bridge(grid: VerifyGrid) -> CheckResult:
     cache = QSymbolCache()
     failures, total = [], 0
-    for n in range(0, grid.binom_n + 1):
+    for n in range(0, _BINOM_N + 1):
         for i in range(0, n + 1):
             total += 1
             lhs = cache.qbinom_balanced(n, i)
             rhs = LaurentPoly.monomial(-2 * i * (n - i)) * cache.qbinom(n, i)
             if lhs != rhs:
                 failures.append((n, i))
-    return _result("qcalc/balanced-gaussian-bridge", f"n <= {grid.binom_n}", failures, total)
+    return _result("qcalc/balanced-gaussian-bridge", f"n <= {_BINOM_N}", failures, total)
 
 
 def check_cyclo_pochhammer(grid: VerifyGrid) -> CheckResult:
@@ -270,7 +275,7 @@ def check_cyclo_pochhammer(grid: VerifyGrid) -> CheckResult:
 
 def check_delta_square(grid: VerifyGrid) -> CheckResult:
     failures, total = [], 0
-    top = grid.delta_max
+    top = 20
     for a in range(top + 1):
         for b in range(top + 1):
             for c in range(abs(a - b), min(a + b, top) + 1, 2):
@@ -296,7 +301,7 @@ def check_brace_bracket(grid: VerifyGrid) -> CheckResult:
 def check_ts_inverse(grid: VerifyGrid) -> CheckResult:
     cache = QSymbolCache()
     failures, total = [], 0
-    for k in range(grid.basis_k + 1):
+    for k in range(grid.bailey_k + 1):
         for j in range(k + 1):
             total += 1
             acc = _ZERO
@@ -304,7 +309,7 @@ def check_ts_inverse(grid: VerifyGrid) -> CheckResult:
                 acc = acc + skein.t_coeff(k, i, cache) * skein.s_coeff(i, j, cache)
             if acc != (_ONE if j == k else _ZERO):
                 failures.append((k, j))
-    return _result("skein/ts-inverse", f"k <= {grid.basis_k}", failures, total)
+    return _result("skein/ts-inverse", f"k <= {grid.bailey_k}", failures, total)
 
 
 def check_basis_expansion(grid: VerifyGrid) -> CheckResult:
@@ -342,7 +347,7 @@ def check_twist_inverse(grid: VerifyGrid) -> CheckResult:
 def check_pairing(grid: VerifyGrid) -> CheckResult:
     cache = QSymbolCache()
     failures, total = [], 0
-    for k in range(grid.basis_k + 1):
+    for k in range(grid.bailey_k + 1):
         for i in range(k):
             total += 1
             if not skein.pairing_R_e(k, i).is_zero:
@@ -353,7 +358,7 @@ def check_pairing(grid: VerifyGrid) -> CheckResult:
             expect = -expect
         if skein.pairing_R_e(k, k) != expect:
             failures.append(("diagonal", k))
-    return _result("skein/pairing", f"k <= {grid.basis_k}", failures, total)
+    return _result("skein/pairing", f"k <= {grid.bailey_k}", failures, total)
 
 
 # -- cyclotomic suite --------------------------------------------------
@@ -418,12 +423,12 @@ def check_integrality(grid: VerifyGrid) -> CheckResult:
 def check_qform(grid: VerifyGrid) -> CheckResult:
     cache = QSymbolCache()
     failures, total = [], 0
-    for k in range(min(grid.max_k, 8) + 1):
+    for k in range(grid.bridge_k + 1):
         for p in grid.p_values:
             total += 1
             if cyclotomic.c_prime_qform(k, p, cache) != cyclotomic.c_prime(k, p, cache):
                 failures.append((k, p))
-    return _result("cyclotomic/qform", f"k <= {min(grid.max_k, 8)}", failures, total)
+    return _result("cyclotomic/qform", f"k <= {grid.bridge_k}", failures, total)
 
 
 def check_q_inversion(grid: VerifyGrid) -> CheckResult:
@@ -485,17 +490,14 @@ def check_chain_preservation(grid: VerifyGrid) -> CheckResult:
     failures, total = [], 0
     for pair in (bailey.unit_pair(), bailey.squared_pair()):
         current = pair
-        for step in range(1, grid.chain_steps + 1):
+        for step in range(1, 4):
             current = bailey.chain_step(current, cache)
             total += 1
             report = bailey.verify_bailey_pair(current, grid.bailey_k, cache)
             if not report.ok:
                 failures.append((pair.label, step, report.failures))
     return _result(
-        "bailey/chain-preservation",
-        f"{grid.chain_steps} iterations, K = {grid.bailey_k}",
-        failures,
-        total,
+        "bailey/chain-preservation", f"3 iterations, K = {grid.bailey_k}", failures, total
     )
 
 
@@ -506,11 +508,11 @@ def check_bailey_lemma(grid: VerifyGrid) -> CheckResult:
     pairs += [bailey.chain_step(p, cache) for p in pairs]
     pairs += [bailey.chain_step(p, cache) for p in pairs[2:]]
     for pair in pairs:
-        for k in range(grid.lemma_k + 1):
+        for k in range(grid.bridge_k + 1):
             total += 1
             if not bailey.bailey_lemma_check(pair, k, cache):
                 failures.append((pair.label, k))
-    return _result("bailey/lemma", f"k <= {grid.lemma_k}, pairs + 2 iterates", failures, total)
+    return _result("bailey/lemma", f"k <= {grid.bridge_k}, pairs + 2 iterates", failures, total)
 
 
 def check_chain_counts(grid: VerifyGrid) -> CheckResult:
@@ -625,14 +627,14 @@ def check_skein_bridge(grid: VerifyGrid) -> CheckResult:
 
 
 def check_json_roundtrip(grid: VerifyGrid) -> CheckResult:
-    rng = random.Random(grid.seed + 5)
+    rng = random.Random(_SEED + 5)
     failures, total = [], 0
-    for trial in range(grid.random_polys):
+    for trial in range(1000):
         poly = _rand_poly(rng, terms=20, span=200, bits=128)
         total += 1
         if serialize.poly_from_json(serialize.poly_to_json(poly)) != poly:
             failures.append(trial)
-    return _result("io/json-roundtrip", f"{grid.random_polys} random polynomials", failures, total)
+    return _result("io/json-roundtrip", "1000 random polynomials", failures, total)
 
 
 def check_cache_soundness(grid: VerifyGrid) -> CheckResult:
@@ -719,8 +721,7 @@ def _run_check(args) -> tuple[CheckResult, float]:
     return result, time.monotonic() - start
 
 
-def run_suite(suite: str, grid: VerifyGrid | None = None, jobs: int = 1) -> VerificationReport:
-    grid = grid or VerifyGrid()
+def run_suite(suite: str, grid: VerifyGrid = VerifyGrid(), jobs: int = 1) -> VerificationReport:
     checks = suite_checks(suite)
     start = time.monotonic()
     # the pool starts all of its workers at once, so never ask for more

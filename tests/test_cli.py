@@ -428,3 +428,82 @@ def test_verify_grid_above_its_bound_is_a_usage_error(flag, low, field, capsys, 
             cli.main(argv)
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+def test_verify_grid_is_the_four_values_a_caller_sets():
+    import dataclasses
+
+    from cyclojones import KnotSpec
+    from cyclojones.cli import build_parser, config_from_args
+    from cyclojones.verify import VerifyGrid
+
+    names = [field.name for field in dataclasses.fields(VerifyGrid)]
+    assert names == ["max_k", "max_n", "p_values", "m_values"]
+    # the default grid's derived values, which the pinned verify-all digest holds
+    grid = VerifyGrid()
+    assert (grid.bailey_k, grid.bridge_k) == (12, 8)
+    assert grid.half_knots() == [KnotSpec.half(p, s) for p in grid.p_values for s in (1, 3, 5)]
+    assert grid.full_knots() == [KnotSpec.full(p, r) for p in grid.p_values for r in grid.p_values]
+    # the default written out is the default
+    parser = build_parser()
+    assert config_from_args(parser, parser.parse_args(["verify", "--max-k", "10"])).grid == grid
+    argv = ["verify", "--p-range=-2..2", "--m-range=1..2"]
+    narrow = config_from_args(parser, parser.parse_args(argv)).grid
+    assert narrow == VerifyGrid(p_values=(-2, -1, 1, 2), m_values=(1, 2))
+    assert narrow.full_knots() == [KnotSpec.full(p, r) for p in (-2, -1, 1, 2) for r in (-2, -1, 1, 2)]
+    assert narrow.half_knots() == [KnotSpec.half(p, s) for p in (-2, -1, 1, 2) for s in (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        ("verify --p-range=-40..40", "verify --p-range=-5..5"),
+        ("verify --m-range=1..1000", "verify --m-range=1..5"),
+        ("coeffs --p 40 --s 1 --max-k 10 --cross-check", "coeffs --p 5 --s 1 --max-k 10 --cross-check"),
+    ],
+)
+def test_multisums_above_the_chain_budget_are_usage_errors(argv, accepted, capsys, monkeypatch):
+    # checked while the arguments are read, before any chain is enumerated
+    from cyclojones import cli
+
+    monkeypatch.setattr(cli.bailey, "enumerate_chains", lambda *a: pytest.fail("chains enumerated"))
+    parser = cli.build_parser()
+    cli.config_from_args(parser, parser.parse_args(accepted.split()))
+    with pytest.raises(SystemExit) as err:
+        cli.config_from_args(parser, parser.parse_args(argv.split()))
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: ")
+    assert lines[-1].endswith(f"Bailey chains in one multi-sum exceed the budget of {cli.CHAIN_BUDGET}")
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_digits_above_the_evaluation_precision_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["eval", "--p", "2", "--s", "1", "--N", "2", "--root", "1/7", "--digits", "51"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("--digits must be in 1..50")
+
+
+def test_eval_fifty_digits_match_a_high_precision_reference(capsys):
+    import mpmath
+
+    from cyclojones import KnotSpec
+    from cyclojones.cyclotomic import jones_half
+
+    code, out, _ = run_cli(capsys, "eval", "--p", "2", "--s", "1", "--N", "4",
+                           "--root", "3/7", "--digits", "50", "--format", "json")
+    assert code == 0
+    with mpmath.workdps(400):
+        for row in json.loads(out)["values"]:
+            poly = jones_half(row["N"], KnotSpec.half(2, 1)).value
+            ref = mpmath.fsum(c * mpmath.expjpi(mpmath.mpf(6 * e) / 7) for e, c in poly.items())
+            for part, expect in (("re", ref.real), ("im", ref.imag)):
+                # 50 significant digits: within half a unit of the 50th
+                assert abs(mpmath.mpf(row[part]) - expect) <= abs(expect) * mpmath.mpf("5e-50"), (
+                    row["N"], part)

@@ -19,6 +19,7 @@ from cyclojones import (
     half_twist_delta,
     t_coeff,
 )
+from cyclojones.qcalc import MAX_TABLE_INDEX
 
 A = LaurentPoly.monomial
 
@@ -126,12 +127,14 @@ def test_q_pascal_balanced_binomial_matches_factorial_quotient():
 
 
 def test_balanced_binomial_respects_max_index():
-    cache = QSymbolCache(max_index=10)
+    cache = QSymbolCache()
     assert cache.qbinom_balanced(10, 4) == cache.brace_fact(10).exact_div(
         cache.brace_fact(4) * cache.brace_fact(6)
     )
+    # refused before a row is stepped up towards it
     with pytest.raises(IndexOutOfRange):
-        cache.qbinom_balanced(11, 3)
+        cache.qbinom_balanced(MAX_TABLE_INDEX + 1, 3)
+    assert sorted(cache._qbinom_balanced) == [0, 10]
 
 
 def _held_bytes(value) -> int:
@@ -192,11 +195,13 @@ def test_balanced_binomial_rows_in_any_order_match_fresh_values():
     expected = {(n, i): fresh.qbinom_balanced(n, i) for n in range(45) for i in range(n + 1)}
     requests = list(expected)
     random.Random(45).shuffle(requests)
-    shared = QSymbolCache(max_index=44)
+    shared = QSymbolCache()
     for n, i in requests:
         assert shared.qbinom_balanced(n, i) == expected[n, i], (n, i)
+    # refused before a row is stepped up towards it
     with pytest.raises(IndexOutOfRange):
-        shared.qbinom_balanced(45, 3)
+        shared.qbinom_balanced(MAX_TABLE_INDEX + 1, 3)
+    assert sorted(shared._qbinom_balanced) == list(range(45))
 
 
 def test_coefficient_store_matches_fresh_values():
