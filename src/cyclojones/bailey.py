@@ -222,12 +222,22 @@ class Chain:
 
 
 def _descending_tails(bound: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for v in range(bound + 1):
-        for rest in _descending_tails(v, length - 1):
-            yield (v,) + rest
+    """Nonincreasing tuples of length values in 0..bound, lexicographically.
+
+    Iterative, so a long chain costs no recursion depth: each step raises
+    the rightmost entry still below its left neighbour (bound for the first
+    entry) and resets the entries after it to 0.
+    """
+    tail = [0] * length
+    while True:
+        yield tuple(tail)
+        i = length - 1
+        while i >= 0 and tail[i] == (tail[i - 1] if i else bound):
+            i -= 1
+        if i < 0:
+            return
+        tail[i] += 1
+        tail[i + 1:] = [0] * (length - 1 - i)
 
 
 def enumerate_chains(top: int, length: int) -> Iterator[Chain]:

@@ -1,24 +1,30 @@
 """Command-line surface: coeffs | jones | verify | eval.
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
+
+Each command imports what only it uses when it runs: ``verify`` the
+verify module, ``coeffs --cross-check`` the bailey module, ``eval``
+mpmath.  A ``coeffs`` or ``jones`` process loads neither of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import mpmath
-
-from . import bailey, cyclotomic, serialize
+from . import cyclotomic, serialize
 from .cyclotomic import KnotSpec
 from .errors import CacheMismatch, CyclojonesError, IntegralityFailure, RemainderNonzero
 from .qcalc import QSymbolCache
-from .verify import SUITES, VerifyGrid, run_suite
+
+if TYPE_CHECKING:
+    from .verify import VerifyGrid
 
 _DISPLAY_ALIASES = {"A": "A", "q": "q", "Q": "𝔮", "𝔮": "𝔮", "qq": "𝔮"}
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "cyclojones"
@@ -30,6 +36,9 @@ MAX_INDEX = 48
 VERIFY_MAX_INDEX = 24
 # most Bailey chains in one multi-sum: |p| or m up to 5 at max_k 10 (times in README)
 CHAIN_BUDGET = 1001
+# most knots in a verify grid, |p-range|^2 + |p-range| * |m-range| (54 by default): the
+# -5..5 by 1..5 grid, the largest the chain budget admits at max_k 10 (~9 s for --suite all)
+VERIFY_MAX_KNOTS = 150
 MAX_DIGITS = 50  # eval_unit_root guarantees 50 significant digits
 
 
@@ -51,7 +60,7 @@ class RunConfig:
     cache_dir: Path | None = None  # None disables the coefficient cache
     cross_check: bool = False
     suite: str = "all"
-    grid: VerifyGrid = VerifyGrid()
+    grid: VerifyGrid | None = None  # None runs the default grid
     jobs: int = 1
     root: tuple[int, int] = (1, 16)
     digits: int = 50
@@ -104,6 +113,7 @@ def _add_output_args(sub: argparse.ArgumentParser) -> None:
                      help="display variable: A, 𝔮 (alias Q), or q")
 
 
+@functools.cache  # argparse parses without changing the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclojones",
@@ -162,7 +172,19 @@ def _knot_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error(str(exc))
 
 
+def _check_chains(parser: argparse.ArgumentParser, max_k: int, longest: int) -> None:
+    """Refuse a request whose largest multi-sum, at top max_k over chains of
+    length longest (|p|, |r| or m), would enumerate more than CHAIN_BUDGET chains."""
+    from .bailey import chain_count
+
+    chains = chain_count(max_k, longest)
+    if chains > CHAIN_BUDGET:
+        parser.error(f"{chains} Bailey chains in one multi-sum exceed the budget of {CHAIN_BUDGET}")
+
+
 def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> VerifyGrid:
+    from .verify import VerifyGrid
+
     kwargs = {}
     if args.max_k is not None:
         if not 0 <= args.max_k <= VERIFY_MAX_INDEX:
@@ -172,24 +194,30 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         if not 1 <= args.max_n <= VERIFY_MAX_INDEX:
             parser.error(f"--max-n must be in 1..{VERIFY_MAX_INDEX}")
         kwargs["max_n"] = args.max_n
+    # the ranges stay lazy (and sorted) until every bound has passed
+    twists, colors = VerifyGrid.p_values, VerifyGrid.m_values
     if args.p_range is not None:
         lo, hi = args.p_range
-        values = tuple(p for p in range(lo, hi + 1) if p != 0)
-        if not values:
-            parser.error("--p-range contains no nonzero values")
-        kwargs["p_values"] = values
+        twists = range(lo, hi + 1)
     if args.m_range is not None:
         lo, hi = args.m_range
         if lo < 1:
             parser.error("--m-range must start at 1 or above")
-        kwargs["m_values"] = tuple(range(lo, hi + 1))
-    return VerifyGrid(**kwargs)
+        colors = range(lo, hi + 1)
+    count = len(twists) - (0 in twists)
+    if not count:
+        parser.error("--p-range contains no nonzero values")
+    _check_chains(parser, kwargs.get("max_k", VerifyGrid.max_k),
+                  max(-twists[0], twists[-1], colors[-1]))
+    knots = count * (count + len(colors))  # full-twist K(p, r), then half-twist K(p, m - 1/2)
+    if knots > VERIFY_MAX_KNOTS:
+        parser.error(f"--p-range and --m-range give {knots} knots, more than {VERIFY_MAX_KNOTS}")
+    return VerifyGrid(p_values=tuple(p for p in twists if p), m_values=tuple(colors), **kwargs)
 
 
 def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
     command = args.command
     fields: dict = {"command": command, "verbose": args.verbose}
-    chains = 0  # most Bailey chains in one multi-sum of the request
     if command in ("coeffs", "jones", "eval"):
         fields["knot"] = _knot_from_args(parser, args)
         fields["fmt"] = args.format
@@ -201,7 +229,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--max-k must be in 0..{MAX_INDEX}")
         if args.cross_check:
             second = abs(args.r) if args.r is not None else (abs(args.s) + 1) // 2
-            chains = bailey.chain_count(args.max_k, max(abs(args.p), second))
+            _check_chains(parser, args.max_k, max(abs(args.p), second))
         fields["max_k"] = args.max_k
         fields["cross_check"] = args.cross_check
         if not args.no_cache:
@@ -212,19 +240,18 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         if not fields["knot"].is_half and args.route != "theorem":
             parser.error("--route walsh/both applies only to half-twist knots (--s)")
     elif command == "verify":
+        from .verify import SUITES
+
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
         if args.suite != "all" and args.suite not in SUITES:
             parser.error(f"unknown suite {args.suite!r} (want one of {', '.join(SUITES)} or all)")
         fields.update(suite=args.suite, grid=_grid_from_args(parser, args),
                       jobs=args.jobs, fmt=args.format)
-        chains = fields["grid"].chains
     elif command == "eval":
         if not 1 <= args.digits <= MAX_DIGITS:
             parser.error(f"--digits must be in 1..{MAX_DIGITS}")
         fields.update(N=args.N, root=args.root, digits=args.digits)
-    if chains > CHAIN_BUDGET:
-        parser.error(f"{chains} Bailey chains in one multi-sum exceed the budget of {CHAIN_BUDGET}")
     return RunConfig(**fields)
 
 
@@ -286,7 +313,9 @@ def _cmd_jones(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    report = run_suite(config.suite, config.grid, jobs=config.jobs)
+    from . import verify
+
+    report = verify.run_suite(config.suite, config.grid or verify.VerifyGrid(), jobs=config.jobs)
     if config.fmt == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -301,6 +330,8 @@ def _cmd_verify(config: RunConfig) -> int:
 
 
 def _cmd_eval(config: RunConfig) -> int:
+    import mpmath
+
     knot, cache = config.knot, QSymbolCache()
     k, n = config.root
     table = cyclotomic.coefficient_table(knot, config.N - 1, cache)

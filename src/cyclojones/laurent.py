@@ -46,11 +46,12 @@ from array import array
 from itertools import accumulate
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Union
-
-import mpmath
+from typing import TYPE_CHECKING, Union
 
 from .errors import DivisionByZeroDenominator, NotExpressible, RemainderNonzero
+
+if TYPE_CHECKING:
+    import mpmath
 
 # display variable -> (glyph, required exponent divisor)
 _DISPLAY = {"A": ("A", 1), "𝔮": ("𝔮", 2), "q": ("q", 4)}
@@ -442,6 +443,8 @@ class LaurentPoly:
         raised with the coefficient size so ring structure is respected to
         ~1e-50 even for 2^256-sized coefficients.
         """
+        import mpmath
+
         if n < 1:
             raise ValueError("root order n must be >= 1")
         if self.is_zero:

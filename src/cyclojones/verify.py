@@ -14,10 +14,7 @@ import os
 import random
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import mpmath
 
 from . import bailey, cyclotomic, serialize, skein
 from .laurent import LaurentFraction, LaurentPoly
@@ -54,11 +51,6 @@ class VerifyGrid:
     @property
     def bridge_k(self) -> int:  # Bailey-lemma, q-form and skein-bridge checks
         return min(self.max_k, 8)
-
-    @property
-    def chains(self) -> int:
-        """Most Bailey chains one cross multi-sum enumerates: top max_k, length |p| or m."""
-        return bailey.chain_count(self.max_k, max(map(abs, self.p_values + self.m_values)))
 
     def half_knots(self):
         return [
@@ -208,6 +200,8 @@ def check_fraction_equivalence(grid: VerifyGrid) -> CheckResult:
 
 
 def check_eval_ring_structure(grid: VerifyGrid) -> CheckResult:
+    import mpmath
+
     rng = random.Random(_SEED + 4)
     failures, total = [], 0
     cases = [
@@ -728,6 +722,8 @@ def run_suite(suite: str, grid: VerifyGrid = VerifyGrid(), jobs: int = 1) -> Ver
     # than there are checks or cores
     workers = min(jobs, len(checks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             timed = list(pool.map(_run_check, [(fn, grid) for fn in checks]))
     else:

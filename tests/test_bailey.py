@@ -51,6 +51,29 @@ def test_chain_counts_stars_and_bars():
             assert all(parts[0] == top for parts in chains)
 
 
+def _recursive_tails(bound, length):
+    # the recursive enumeration the iterative one replaced
+    if length == 0:
+        yield ()
+        return
+    for v in range(bound + 1):
+        for rest in _recursive_tails(v, length - 1):
+            yield (v,) + rest
+
+
+def test_chains_keep_the_recursive_order():
+    for top in range(7):
+        for length in range(1, 7):
+            expect = [(top,) + tail for tail in _recursive_tails(top, length - 1)]
+            assert [c.parts for c in enumerate_chains(top, length)] == expect
+
+
+def test_long_chains_need_no_recursion_depth():
+    # one level per part used to end in RecursionError near length 1000
+    assert [c.parts for c in enumerate_chains(0, 5000)] == [(0,) * 5000]
+    assert sum(1 for _ in enumerate_chains(1, 1500)) == chain_count(1, 1500)
+
+
 def test_unit_pair_verifies(cache):
     pair = unit_pair()
     assert pair.alpha(0) == pair.beta(0)  # k = 0 degenerate case

@@ -220,9 +220,8 @@ def test_verify_jobs_matches_serial(capsys):
 
 def test_verify_jobs_are_capped(capsys, monkeypatch):
     # the pool starts every worker at once: no more than checks or cores
+    import concurrent.futures
     import os
-
-    from cyclojones import verify
 
     started = []
 
@@ -239,7 +238,7 @@ def test_verify_jobs_are_capped(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     args = ("verify", "--suite", "qcalc", "--format", "json")
     _, serial, _ = run_cli(capsys, *args)
     for cores, expect in ((3, [3]), (64, [5]), (1, []), (None, [])):
@@ -293,7 +292,7 @@ def test_env_cache_override(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    import cyclojones.cli as cli_mod
+    import cyclojones.verify as verify_mod
     from cyclojones.verify import CheckResult, VerificationReport
 
     failing = VerificationReport(
@@ -301,7 +300,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         (CheckResult("qcalc/pascal", "n <= 16", False, "1/10 failed: (3, 1)"),),
         0.1,
     )
-    monkeypatch.setattr(cli_mod, "run_suite", lambda *a, **kw: failing)
+    monkeypatch.setattr(verify_mod, "run_suite", lambda *a, **kw: failing)
     code, out, _ = run_cli(capsys, "verify", "--suite", "qcalc")
     assert code == 1
     assert "suite qcalc: FAILED" in out
@@ -409,9 +408,9 @@ def test_requests_above_the_index_bound_are_usage_errors(argv, capsys):
 @pytest.mark.parametrize("flag, low, field", [("--max-k", 0, "max_k"), ("--max-n", 1, "max_n")])
 def test_verify_grid_above_its_bound_is_a_usage_error(flag, low, field, capsys, monkeypatch):
     # checked while the arguments are read: no check of the suite starts
-    from cyclojones import cli
+    from cyclojones import cli, verify
 
-    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
+    monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
     parser = cli.build_parser()
     bound = cli.VERIFY_MAX_INDEX
     config = cli.config_from_args(parser, parser.parse_args(["verify", flag, str(bound)]))
@@ -464,9 +463,9 @@ def test_verify_grid_is_the_four_values_a_caller_sets():
 )
 def test_multisums_above_the_chain_budget_are_usage_errors(argv, accepted, capsys, monkeypatch):
     # checked while the arguments are read, before any chain is enumerated
-    from cyclojones import cli
+    from cyclojones import bailey, cli
 
-    monkeypatch.setattr(cli.bailey, "enumerate_chains", lambda *a: pytest.fail("chains enumerated"))
+    monkeypatch.setattr(bailey, "enumerate_chains", lambda *a: pytest.fail("chains enumerated"))
     parser = cli.build_parser()
     cli.config_from_args(parser, parser.parse_args(accepted.split()))
     with pytest.raises(SystemExit) as err:
@@ -479,6 +478,53 @@ def test_multisums_above_the_chain_budget_are_usage_errors(argv, accepted, capsy
         cli.main(argv.split())
     assert err.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        ("verify --max-k 1 --p-range=-500..500", "verify --max-k 1 --p-range=-5..5 --m-range=1..5"),
+        ("verify --max-k 0 --p-range=1..1 --m-range=1..150",
+         "verify --max-k 0 --p-range=1..1 --m-range=1..149"),
+        ("verify --max-k 0 --p-range=-1000000..1000000", "verify --max-k 0 --p-range=-3..3 --m-range=1..19"),
+    ],
+)
+def test_verify_grids_above_the_knot_bound_are_usage_errors(argv, accepted, capsys, monkeypatch):
+    # counted from the range ends while the arguments are read: no suite starts
+    from cyclojones import cli, verify
+
+    monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
+    parser = cli.build_parser()
+    grid = cli.config_from_args(parser, parser.parse_args(accepted.split())).grid
+    assert len(grid.full_knots()) + len(grid.half_knots()) == cli.VERIFY_MAX_KNOTS
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv.split())
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: ")
+    assert error.endswith(f"knots, more than {cli.VERIFY_MAX_KNOTS}")
+
+
+def test_long_cross_check_chains_exit_zero(capsys):
+    # 1200 twists at max_k 0 is one chain of 1200 parts
+    code, out, _ = run_cli(capsys, "coeffs", "--p", "1200", "--s", "1", "--max-k", "0",
+                           "--cross-check", "--no-cache")
+    assert code == 0
+    assert out == "H_0 = 1\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    from cyclojones.cli import build_parser, config_from_args
+
+    parser = build_parser()
+    assert build_parser() is parser
+    knot = ["coeffs", "--p", "2", "--s", "1", "--max-k", "3"]
+    first = config_from_args(parser, parser.parse_args(knot + ["--cross-check", "--no-cache"]))
+    second = config_from_args(parser, parser.parse_args(knot))
+    assert first.cross_check and first.cache_dir is None
+    assert not second.cross_check and second.cache_dir is not None
 
 
 def test_eval_digits_above_the_evaluation_precision_are_a_usage_error(capsys):
