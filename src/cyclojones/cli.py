@@ -36,6 +36,8 @@ MAX_INDEX = 48
 VERIFY_MAX_INDEX = 24
 # most Bailey chains in one multi-sum: |p| or m up to 5 at max_k 10 (times in README)
 CHAIN_BUDGET = 1001
+# most multi-sum work in one coeffs --cross-check, in _check_cross_check units (times in README)
+CROSS_CHECK_BUDGET = 20_000_000
 # most knots in a verify grid, |p-range|^2 + |p-range| * |m-range| (54 by default): the
 # -5..5 by 1..5 grid, the largest the chain budget admits at max_k 10 (~9 s for --suite all)
 VERIFY_MAX_KNOTS = 150
@@ -182,6 +184,23 @@ def _check_chains(parser: argparse.ArgumentParser, max_k: int, longest: int) -> 
         parser.error(f"{chains} Bailey chains in one multi-sum exceed the budget of {CHAIN_BUDGET}")
 
 
+def _check_cross_check(parser: argparse.ArgumentParser, max_k: int, p: int, second: int,
+                       half: bool) -> None:
+    """Refuse a coeffs --cross-check whose multi-sums at each k (c', c~' or a second c', and
+    if half the d-sums j <= k) cost more than CROSS_CHECK_BUDGET units: (k + 1)^2 per chain,
+    for q-binomials of span ~k^2, and at least k + 1 chains per sum, for its comparison."""
+    from .bailey import chain_count
+
+    work = 0
+    for k in range(max_k + 1):
+        chains = [chain_count(k, p), chain_count(k, second)]
+        chains += [chain_count(k - j, p) for j in range(k + 1)] if half else []
+        work += (k + 1) ** 2 * sum(max(count, k + 1) for count in chains)
+    if work > CROSS_CHECK_BUDGET:
+        parser.error(f"--cross-check needs {work} units of multi-sum work, over the budget of "
+                     f"{CROSS_CHECK_BUDGET}")
+
+
 def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> VerifyGrid:
     from .verify import VerifyGrid
 
@@ -230,6 +249,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         if args.cross_check:
             second = abs(args.r) if args.r is not None else (abs(args.s) + 1) // 2
             _check_chains(parser, args.max_k, max(abs(args.p), second))
+            _check_cross_check(parser, args.max_k, abs(args.p), second, args.s is not None)
         fields["max_k"] = args.max_k
         fields["cross_check"] = args.cross_check
         if not args.no_cache:

@@ -349,19 +349,26 @@ def coefficient_table(
 
     With a store (a serialize.CoeffCache, or anything with its get, put
     and should_spot_check), each H_k is read from it; a miss is computed
-    and put, and a hit the store picks for a spot check is recomputed,
-    raising CacheMismatch on any difference.
+    and put, and a hit the store picks for a spot check (every hit, for a
+    CoeffCache) is checked at a random point of F_P against the paper's
+    formula (cyclojones.point), raising CacheMismatch on any difference.
     """
     cache = cache or QSymbolCache()
-    entries = []
+    entries, expected = [], None
     for k in range(max_k + 1):
         h = None if store is None else store.get(knot, k)
         if h is None:
             h = h_coeff(k, knot, cache)
             if store is not None:
                 store.put(knot, k, h)
-        elif store.should_spot_check() and h_coeff(k, knot, cache) != h:
-            raise CacheMismatch(f"cache entry for {knot} k={k} disagrees with recomputation")
+        elif store.should_spot_check():
+            from . import point
+            if expected is None:
+                a = point.draw(2 * max_k + 2)
+                expected = point.h_values(knot, max_k, a)
+            if (got := point.evaluate(h, a)) != expected[k]:
+                raise CacheMismatch(f"cache entry for {knot} k={k} disagrees with recomputation at "
+                                    f"A = {a} mod 2^127 - 1: entry {got}, formula {expected[k]}")
         # cache provenance stays out of the entry checks: identical
         # configurations must serialize byte-identically, hit or miss
         checks = {"integrality"}

@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cyclotomic import CoeffTable, HalfTwists, JonesResult, KnotSpec
@@ -41,16 +40,16 @@ def poly_from_obj(obj: dict) -> LaurentPoly:
     return LaurentPoly({int(e): int(c) for e, c in obj["terms"]})
 
 
+def _canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def poly_to_json(poly: LaurentPoly) -> str:
-    return json.dumps(poly_to_obj(poly), sort_keys=True, separators=(",", ":"))
+    return _canonical_json(poly_to_obj(poly))
 
 
 def poly_from_json(text: str) -> LaurentPoly:
     return poly_from_obj(json.loads(text))
-
-
-def poly_digest(poly: LaurentPoly) -> str:
-    return hashlib.sha256(poly_to_json(poly).encode()).hexdigest()
 
 
 def poly_to_latex(poly: LaurentPoly, display: str = "𝔮") -> str:
@@ -134,7 +133,7 @@ def _table_str(table: CoeffTable, fmt: str, display: str) -> str:
                 for entry in table.entries
             ],
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return _canonical_json(obj) + "\n"
     if fmt == "csv":
         lines = ["k,polynomial"]
         lines += [f'{entry.k},"{entry.h.render(display)}"' for entry in table.entries]
@@ -159,7 +158,7 @@ def _jones_str(result: JonesResult, fmt: str, display: str) -> str:
             "route": result.route,
             "value": poly_to_obj(result.value),
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return _canonical_json(obj) + "\n"
     if fmt == "csv":
         return "N,polynomial\n" + f'{result.N},"{result.value.render(display)}"\n'
     if fmt == "latex":
@@ -170,22 +169,18 @@ def _jones_str(result: JonesResult, fmt: str, display: str) -> str:
 # -- disk cache of verified coefficients --------------------------------
 
 
-@dataclass
 class CoeffCache:
     """Atomic JSON cache of verified H_k values.
 
     Keys are (schema version, knot parameters, k); writes go through a
-    temp file + rename.  ``check_every`` spot-checks every n-th hit
-    against recomputation (deterministic sampling; 0 disables).  A
-    directory that cannot be created, read or written raises
-    CacheUnusable.
+    temp file + rename.  Every hit is spot-checked: coefficient_table
+    evaluates it at a random point of F_P against the paper's formula
+    (cyclojones.point).  A directory that cannot be created, read or
+    written raises CacheUnusable.
     """
 
-    directory: Path
-    check_every: int = 8
-
-    def __post_init__(self) -> None:
-        self.directory = Path(self.directory)
+    def __init__(self, directory: str | os.PathLike) -> None:
+        self.directory = Path(directory)
         self._hits = 0
 
     @classmethod
@@ -196,14 +191,16 @@ class CoeffCache:
         return self.directory / f"h_v{SCHEMA_VERSION}_{knot_key(knot)}_k{k}.json"
 
     def put(self, knot: KnotSpec, k: int, value: LaurentPoly) -> None:
-        obj = {
+        # the value is serialized once, for its digest and for the file;
+        # "value" sorts after every other key, so it closes the object
+        text = poly_to_json(value)
+        head = {
             "schema": SCHEMA_VERSION,
             "knot": knot_to_obj(knot),
             "k": k,
-            "value": poly_to_obj(value),
-            "digest": poly_digest(value),
+            "digest": hashlib.sha256(text.encode()).hexdigest(),
         }
-        payload = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        payload = _canonical_json(head)[:-1] + f',"value":{text}}}\n'
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -237,7 +234,8 @@ class CoeffCache:
             value = poly_from_obj(obj["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CacheMismatch(f"malformed value in {path}: {exc}") from None
-        if obj.get("digest") != poly_digest(value):
+        # the value as read, in canonical JSON; coefficient_table vets the value itself
+        if obj.get("digest") != hashlib.sha256(_canonical_json(obj["value"]).encode()).hexdigest():
             raise CacheMismatch(f"digest mismatch in {path}")
         self._hits += 1
         return value
@@ -246,6 +244,5 @@ class CoeffCache:
         return CacheUnusable(f"cache directory {self.directory} is unusable: {exc.strerror or exc}")
 
     def should_spot_check(self) -> bool:
-        """True on hits 1, 1 + n, 1 + 2n, ... for check_every = n."""
-        n = self.check_every
-        return n > 0 and self._hits > 0 and (self._hits - 1) % n == 0
+        """True once get has returned a hit: every hit is checked."""
+        return self._hits > 0

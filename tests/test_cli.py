@@ -354,6 +354,29 @@ def test_cache_mismatch_exits_one(capsys, tmp_path, cache):
     assert "disagrees with recomputation" in err
 
 
+@pytest.mark.parametrize("knot_args", [("--s", "3"), ("--r", "-2")])
+def test_wrong_cache_entry_at_any_k_exits_one(capsys, tmp_path, cache, knot_args):
+    # every hit is checked at a point, not only hits 1, 9, 17, ...
+    from cyclojones import LaurentPoly
+    from cyclojones.cli import build_parser, config_from_args
+    from cyclojones.cyclotomic import coefficient_table
+    from cyclojones.serialize import CoeffCache
+
+    argv = ["coeffs", "--p", "-2", *knot_args, "--max-k", "8"]
+    knot = config_from_args(build_parser(), build_parser().parse_args(argv)).knot
+    table = coefficient_table(knot, 8, cache)
+    for k in range(9):
+        store = CoeffCache(tmp_path / str(k))
+        for entry in table.entries:
+            store.put(knot, entry.k, entry.h)
+        store.put(knot, k, table.h(k) + LaurentPoly.monomial(2 * k - 4))  # valid digest
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / str(k)))
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cache entry for {knot} k={k} disagrees with recomputation at A = ")
+        assert "mod 2^127 - 1: entry " in line and ", formula " in line
+
+
 def test_corrupt_cache_entry_exits_one(capsys, tmp_path):
     from cyclojones import KnotSpec
     from cyclojones.serialize import CoeffCache
@@ -505,6 +528,35 @@ def test_verify_grids_above_the_knot_bound_are_usage_errors(argv, accepted, caps
     usage, error = captured.err.splitlines()
     assert usage.startswith("usage: ")
     assert error.endswith(f"knots, more than {cli.VERIFY_MAX_KNOTS}")
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        ("coeffs --p 2 --s 1 --max-k 48 --cross-check", "coeffs --p 2 --s 1 --max-k 37 --cross-check"),
+        ("coeffs --p -1 --s -1 --max-k 38 --cross-check", "coeffs --p 1 --s 1 --max-k 37 --cross-check"),
+        ("coeffs --p 3 --s 5 --max-k 32 --cross-check", "coeffs --p 3 --s 5 --max-k 26 --cross-check"),
+    ],
+)
+def test_cross_checks_above_the_work_budget_are_usage_errors(argv, accepted, capsys, monkeypatch):
+    # every multi-sum of the request is counted while the arguments are read:
+    # each of these was within the budget of chains for one sum
+    from cyclojones import bailey, cli, cyclotomic
+
+    monkeypatch.setattr(bailey, "enumerate_chains", lambda *a: pytest.fail("chains enumerated"))
+    monkeypatch.setattr(cyclotomic, "coefficient_table", lambda *a: pytest.fail("table started"))
+    parser = cli.build_parser()
+    assert cli.config_from_args(parser, parser.parse_args(accepted.split())).cross_check
+    with pytest.raises(SystemExit) as err:
+        cli.config_from_args(parser, parser.parse_args(argv.split()))
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: ")
+    assert lines[-1].endswith(f"units of multi-sum work, over the budget of {cli.CROSS_CHECK_BUDGET}")
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_long_cross_check_chains_exit_zero(capsys):

@@ -405,7 +405,7 @@ def test_coefficient_table(cache, tmp_path):
     ):
         plain = coefficient_table(knot, 3, cache, cross_check)
         cold = coefficient_table(knot, 3, cache, cross_check, CoeffCache(tmp_path / str(i)))
-        store = CoeffCache(tmp_path / str(i), check_every=1)
+        store = CoeffCache(tmp_path / str(i))
         warm = coefficient_table(knot, 3, cache, cross_check, store)
         assert store._hits == 4
         assert cold == warm == plain

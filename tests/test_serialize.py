@@ -68,7 +68,7 @@ def test_serialize_determinism(cache):
 
 
 def test_cache_roundtrip(tmp_path, cache):
-    store = CoeffCache(tmp_path, check_every=1)
+    store = CoeffCache(tmp_path)
     knot = KnotSpec.half(2, 1)
     assert store.get(knot, 0) is None
     value = h_coeff(1, knot, cache)
@@ -101,21 +101,50 @@ def test_cache_ignores_other_schema(tmp_path, cache):
     assert store.get(knot, 0) is None
 
 
-def test_spot_check_samples_hits_one_plus_multiples(tmp_path, cache):
-    knot = KnotSpec.half(2, 1)
-    for every, expect in ((1, [1, 2, 3, 4, 5]), (2, [1, 3, 5]), (8, [1])):
-        store = CoeffCache(tmp_path, check_every=every)
-        store.put(knot, 0, h_coeff(0, knot, cache))
-        assert not store.should_spot_check()  # no hit yet
-        fired = []
-        for hit in range(1, 6):
-            assert store.get(knot, 0) is not None
-            if store.should_spot_check():
-                fired.append(hit)
-        assert fired == expect
-    store = CoeffCache(tmp_path, check_every=0)
-    store.get(knot, 0)
-    assert not store.should_spot_check()
+def test_every_hit_is_spot_checked(tmp_path, cache, monkeypatch):
+    from cyclojones import point
+
+    knot = KnotSpec.half(-2, 3)
+    store = CoeffCache(tmp_path)
+    assert store.get(knot, 0) is None and not store.should_spot_check()  # no hit yet
+    cold = coefficient_table(knot, 8, cache, store=store)
+    for _ in range(3):
+        assert store.get(knot, 0) is not None and store.should_spot_check()
+    # a warm table evaluates each of its nine hits at the point, and
+    # computes the formula's values once
+    evaluated, formula = [], []
+    evaluate, h_values = point.evaluate, point.h_values
+    monkeypatch.setattr(point, "evaluate", lambda h, a: evaluated.append(h) or evaluate(h, a))
+    monkeypatch.setattr(point, "h_values", lambda *args: formula.append(args) or h_values(*args))
+    warm = coefficient_table(knot, 8, cache, store=CoeffCache(tmp_path))
+    assert warm == cold
+    assert evaluated == [entry.h for entry in cold.entries]
+    assert len(formula) == 1
+
+
+def test_put_writes_the_two_pass_bytes(tmp_path, cache):
+    # the value is serialized once and spliced in; the file keeps the bytes of
+    # the object with the value and its digest serialized separately
+    import hashlib
+
+    store = CoeffCache(tmp_path)
+    values = [h_coeff(k, KnotSpec.half(-3, 5), cache) for k in range(4)]
+    values += [LaurentPoly(), LaurentPoly({-2: -(10 ** 40), 6: 3})]
+    for knot in (KnotSpec.half(-3, 5), KnotSpec.full(2, -1)):
+        for k, value in enumerate(values):
+            value_obj = {"variable": "A", "terms": [[e, str(c)] for e, c in value.items()][::-1]}
+            value_json = json.dumps(value_obj, sort_keys=True, separators=(",", ":"))
+            obj = {
+                "schema": 1,
+                "knot": knot_to_obj(knot),
+                "k": k,
+                "value": value_obj,
+                "digest": hashlib.sha256(value_json.encode()).hexdigest(),
+            }
+            store.put(knot, k, value)
+            expected = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+            assert store._path(knot, k).read_text() == expected
+            assert store.get(knot, k) == value
 
 
 def test_cache_rejects_entry_filed_under_other_knot(tmp_path, cache):

@@ -39,7 +39,7 @@ from cyclojones import cli
 assert cli.main(["coeffs", "--p", "2", "--s", "3", "--max-k", "4", "--no-cache"]) == 0
 assert cli.main(["jones", "--p", "2", "--s", "1", "--N", "3", "--route", "both"]) == 0
 unwanted = ("mpmath", "concurrent.futures", "multiprocessing",
-            "cyclojones.verify", "cyclojones.bailey", "cyclojones.skein")
+            "cyclojones.verify", "cyclojones.bailey", "cyclojones.skein", "cyclojones.point")
 print("loaded:", *(name for name in unwanted if name in sys.modules))
 """
 
