@@ -14,20 +14,19 @@ integrality visible (Gaussian binomials and monomials only).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import comb
 from collections.abc import Callable, Iterator
 
 from .errors import IndexOutOfRange
 from .laurent import LaurentFraction, LaurentPoly
 from .qcalc import QSymbolCache
+from .record import Record
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
 
 
-@dataclass(frozen=True)
-class BaileyPair:
+class BaileyPair(Record):
     """Sequences (alpha, beta) with the parameter x = q^x_exp.
 
     The defining relation is not assumed: verify_bailey_pair checks it
@@ -128,8 +127,7 @@ def beta_from_alpha(pair: BaileyPair, k: int, cache: QSymbolCache | None = None)
     return total
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(Record):
     """Outcome of checking the defining relation for k = 0..max_index."""
 
     label: str
@@ -198,16 +196,15 @@ def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache | None = No
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Nonincreasing chain of summation indices, top element first."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not self.parts:
             raise ValueError("chain must have at least one part")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if self.parts != tuple(sorted(self.parts, reverse=True)):
             raise ValueError("chain parts must be nonincreasing")
         if self.parts[-1] < 0:
             raise ValueError("chain parts must be nonnegative")

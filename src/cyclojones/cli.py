@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -22,6 +21,7 @@ from . import cyclotomic, serialize
 from .cyclotomic import KnotSpec
 from .errors import CacheMismatch, CyclojonesError, IntegralityFailure, RemainderNonzero
 from .qcalc import QSymbolCache
+from .record import Record
 
 if TYPE_CHECKING:
     from .verify import VerifyGrid
@@ -41,11 +41,13 @@ CROSS_CHECK_BUDGET = 20_000_000
 # most knots in a verify grid, |p-range|^2 + |p-range| * |m-range| (54 by default): the
 # -5..5 by 1..5 grid, the largest the chain budget admits at max_k 10 (~9 s for --suite all)
 VERIFY_MAX_KNOTS = 150
+# most cross/route-agreement work in one verify grid, (|p| + m) * max_n^4 per half-twist
+# knot K(p, m - 1/2); the default grid at --max-n 24 is 24 million units (times in README)
+ROUTE_AGREEMENT_BUDGET = 50_000_000
 MAX_DIGITS = 50  # eval_unit_root guarantees 50 significant digits
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated invocation parameters.
 
     Built from parsed arguments before any computation starts, so the
@@ -214,7 +216,8 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             parser.error(f"--max-n must be in 1..{VERIFY_MAX_INDEX}")
         kwargs["max_n"] = args.max_n
     # the ranges stay lazy (and sorted) until every bound has passed
-    twists, colors = VerifyGrid.p_values, VerifyGrid.m_values
+    default = VerifyGrid()
+    twists, colors = default.p_values, default.m_values
     if args.p_range is not None:
         lo, hi = args.p_range
         twists = range(lo, hi + 1)
@@ -226,11 +229,15 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     count = len(twists) - (0 in twists)
     if not count:
         parser.error("--p-range contains no nonzero values")
-    _check_chains(parser, kwargs.get("max_k", VerifyGrid.max_k),
+    _check_chains(parser, kwargs.get("max_k", default.max_k),
                   max(-twists[0], twists[-1], colors[-1]))
     knots = count * (count + len(colors))  # full-twist K(p, r), then half-twist K(p, m - 1/2)
     if knots > VERIFY_MAX_KNOTS:
         parser.error(f"--p-range and --m-range give {knots} knots, more than {VERIFY_MAX_KNOTS}")
+    max_n = kwargs.get("max_n", default.max_n)
+    work = sum(abs(p) + m for p in twists if p for m in colors) * max_n**4
+    if work > ROUTE_AGREEMENT_BUDGET:
+        parser.error(f"route agreement needs {work} units, over the budget of {ROUTE_AGREEMENT_BUDGET}")
     return VerifyGrid(p_values=tuple(p for p in twists if p), m_values=tuple(colors), **kwargs)
 
 

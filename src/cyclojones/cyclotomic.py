@@ -36,33 +36,31 @@ of c~'_j is not stored there; it enters H_k only through P_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CacheMismatch, IndexOutOfRange, IntegralityFailure, RemainderNonzero
 from .laurent import LaurentFraction, LaurentPoly, lincomb
 from .qcalc import QSymbolCache, brace, brace_recip
+from .record import Record
 
 _ONE = LaurentPoly.one()
 
 
-@dataclass(frozen=True)
-class FullTwists:
+class FullTwists(Record):
     """Twist region with r full twists (r nonzero)."""
 
     r: int
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.r == 0:
             raise ValueError("full twist count r must be nonzero")
 
 
-@dataclass(frozen=True)
-class HalfTwists:
+class HalfTwists(Record):
     """Twist region with s half twists (s odd; s = 2m - 1)."""
 
     s: int
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.s % 2 == 0:
             raise ValueError("half twist count s must be odd")
 
@@ -71,14 +69,13 @@ class HalfTwists:
         return (self.s + 1) // 2
 
 
-@dataclass(frozen=True)
-class KnotSpec:
+class KnotSpec(Record):
     """A double twist knot: p full twists plus a second twist region."""
 
     p: int
     region: FullTwists | HalfTwists
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.p == 0:
             raise ValueError("twist count p must be nonzero")
 
@@ -103,22 +100,20 @@ class KnotSpec:
         return self.label()
 
 
-@dataclass(frozen=True)
-class CoeffEntry:
+class CoeffEntry(Record):
     k: int
     h: LaurentPoly
     checks: frozenset[str]
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Record):
     """Verified H_k coefficients of one knot, with check provenance."""
 
     knot: KnotSpec
     entries: tuple[CoeffEntry, ...]
     max_k: int
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if len(self.entries) != self.max_k + 1:
             raise ValueError("coefficient table must cover k = 0..max_k")
         if self.entries[0].h != _ONE:
@@ -131,8 +126,7 @@ class CoeffTable:
         return self.entries[k].h
 
 
-@dataclass(frozen=True)
-class JonesResult:
+class JonesResult(Record):
     """One colored Jones value together with the route that produced it."""
 
     knot: KnotSpec
@@ -140,7 +134,7 @@ class JonesResult:
     value: LaurentPoly
     route: str
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.value.value_at_one() != 1:
             raise ValueError("normalized invariant must evaluate to 1 at A = 1")
 

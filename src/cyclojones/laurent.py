@@ -45,7 +45,6 @@ import sys
 from array import array
 from itertools import accumulate
 from collections.abc import Iterable, Iterator, Mapping
-from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 from .errors import DivisionByZeroDenominator, NotExpressible, RemainderNonzero
@@ -443,6 +442,7 @@ class LaurentPoly:
         raised with the coefficient size so ring structure is respected to
         ~1e-50 even for 2^256-sized coefficients.
         """
+        from fractions import Fraction
         import mpmath
 
         if n < 1:

@@ -110,6 +110,7 @@ class QSymbolCache:
         self._qbinom_balanced: dict[int, list[LaurentPoly]] = {0: [_ONE]}
         self._brace_fact_recip: list[LaurentFraction] = [LaurentFraction(_ONE)]
         self._poch_recip: dict[int, list[LaurentFraction]] = {}
+        self._cyclo_blocks: dict[int, list[LaurentPoly]] = {}
         self._knot_key = None
         self._knot_memo: dict = {}
         self.coefficients: dict = {}
@@ -261,11 +262,14 @@ class QSymbolCache:
         return self._knot_memo
 
     def cyclo_block(self, N: int, k: int) -> LaurentPoly:
-        """The cyclotomic expansion block {N+k}!/({N-1-k}!{N}), collapsed by to_poly."""
+        """The cyclotomic expansion block {N+k}!/({N-1-k}!{N}) = prod_{j=N-k..N+k, j != N} {j},
+        without division: row N starts at 1 and step k multiplies by {N-k}{N+k}; rows are kept."""
         if N < 1:
             raise IndexOutOfRange("color N must be >= 1")
         if not 0 <= k <= N - 1:
             raise IndexOutOfRange(f"cyclotomic block needs 0 <= k < N, got k={k}, N={N}")
-        recip = self.brace_fact_recip(N - 1 - k) * brace_recip(N)
-        return (recip * self.brace_fact(N + k)).to_poly()
+        row = self._cyclo_blocks.setdefault(N, [_ONE])
+        while len(row) <= k:
+            row.append(row[-1] * (brace(N - len(row)) * brace(N + len(row))))
+        return row[k]
 

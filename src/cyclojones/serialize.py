@@ -12,7 +12,6 @@ schema-version header and a content digest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -191,6 +190,8 @@ class CoeffCache:
         return self.directory / f"h_v{SCHEMA_VERSION}_{knot_key(knot)}_k{k}.json"
 
     def put(self, knot: KnotSpec, k: int, value: LaurentPoly) -> None:
+        import hashlib
+
         # the value is serialized once, for its digest and for the file;
         # "value" sorts after every other key, so it closes the object
         text = poly_to_json(value)
@@ -215,6 +216,8 @@ class CoeffCache:
             raise self._unusable(exc) from None
 
     def get(self, knot: KnotSpec, k: int) -> LaurentPoly | None:
+        import hashlib
+
         path = self._path(knot, k)
         try:
             if not path.exists():

@@ -14,7 +14,6 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass
 
 from . import bailey, cyclotomic, serialize, skein
 from .laurent import LaurentFraction, LaurentPoly
@@ -26,6 +25,7 @@ from .qcalc import (
     framing_mu,
     half_twist_delta,
 )
+from .record import Record
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
@@ -34,8 +34,7 @@ _RANDOM_OPS = 200
 _BINOM_N = 16
 
 
-@dataclass(frozen=True)
-class VerifyGrid:
+class VerifyGrid(Record):
     """The values a caller sets for the verification suites; every other
     bound is derived here or is a constant of its check."""
 
@@ -67,8 +66,7 @@ class VerifyGrid:
         ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     check_id: str
     params: str
     passed: bool
@@ -79,8 +77,7 @@ class CheckResult:
         return f"[{status}] {self.check_id:<34} {self.params:<42} {self.detail}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     suite: str
     results: tuple[CheckResult, ...]
     wall_time: float

@@ -453,14 +453,11 @@ def test_verify_grid_above_its_bound_is_a_usage_error(flag, low, field, capsys, 
 
 
 def test_verify_grid_is_the_four_values_a_caller_sets():
-    import dataclasses
-
     from cyclojones import KnotSpec
     from cyclojones.cli import build_parser, config_from_args
     from cyclojones.verify import VerifyGrid
 
-    names = [field.name for field in dataclasses.fields(VerifyGrid)]
-    assert names == ["max_k", "max_n", "p_values", "m_values"]
+    assert list(VerifyGrid._fields) == ["max_k", "max_n", "p_values", "m_values"]
     # the default grid's derived values, which the pinned verify-all digest holds
     grid = VerifyGrid()
     assert (grid.bailey_k, grid.bridge_k) == (12, 8)
@@ -557,6 +554,34 @@ def test_cross_checks_above_the_work_budget_are_usage_errors(argv, accepted, cap
         cli.main(argv.split())
     assert err.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        # refused: took 85 s; accepted: 50 million units, the largest at --max-n 24 (README)
+        ("verify --max-k 0 --max-n 24 --p-range=-5..5 --m-range=1..5", "verify --max-n 24 --m-range=1..5"),
+        # refused: still running at 300 s; accepted: 46 million units at the default --max-n
+        ("verify --max-k 0 --max-n 24 --p-range=1..1 --m-range=1..149",
+         "verify --max-k 0 --p-range=1..1 --m-range=1..149"),
+        ("verify --max-k 0 --p-range=100000..100000", "verify --max-n 24"),
+    ],
+)
+def test_route_agreement_above_the_work_budget_is_a_usage_error(argv, accepted, capsys, monkeypatch):
+    # counted from --max-n and the range ends while the arguments are read: no suite starts
+    from cyclojones import cli, verify
+
+    monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
+    parser = cli.build_parser()
+    cli.config_from_args(parser, parser.parse_args(accepted.split()))
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv.split())
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: ")
+    assert error.endswith(f"units, over the budget of {cli.ROUTE_AGREEMENT_BUDGET}")
 
 
 def test_long_cross_check_chains_exit_zero(capsys):

@@ -35,12 +35,14 @@ EXPORTS = {
 
 STARTUP = """
 import sys
+bare = set(sys.modules)  # what the interpreter and its site hooks loaded before the package
 from cyclojones import cli
 assert cli.main(["coeffs", "--p", "2", "--s", "3", "--max-k", "4", "--no-cache"]) == 0
 assert cli.main(["jones", "--p", "2", "--s", "1", "--N", "3", "--route", "both"]) == 0
-unwanted = ("mpmath", "concurrent.futures", "multiprocessing",
+unwanted = ("mpmath", "concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+            "hashlib", "fractions",
             "cyclojones.verify", "cyclojones.bailey", "cyclojones.skein", "cyclojones.point")
-print("loaded:", *(name for name in unwanted if name in sys.modules))
+print("loaded:", *(name for name in unwanted if name in sys.modules and name not in bare))
 """
 
 
