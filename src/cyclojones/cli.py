@@ -327,12 +327,7 @@ def _cmd_jones(config: RunConfig) -> int:
                 file=sys.stderr,
             )
             return 1
-        if config.fmt == "text":
-            for result in (theorem, walsh):
-                print(f"{result.route}: {result.value.render(config.display)}")
-        else:
-            for result in (theorem, walsh):
-                sys.stdout.buffer.write(serialize.serialize(result, config.fmt, config.display))
+        sys.stdout.buffer.write(serialize.serialize((theorem, walsh), config.fmt, config.display))
         return 0
     result = routes[config.route]()
     sys.stdout.buffer.write(serialize.serialize(result, config.fmt, config.display))

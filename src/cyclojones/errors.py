@@ -20,7 +20,8 @@ class RemainderNonzero(CyclojonesError, ArithmeticError):
 
 
 class DivisionByZeroDenominator(CyclojonesError, ZeroDivisionError):
-    """A fraction was constructed with a zero denominator."""
+    """A q-symbol reciprocal would divide by zero: its window of factors
+    1 - q^j holds 1 - q^0."""
 
 
 class NotExpressible(CyclojonesError, ValueError):

@@ -15,7 +15,7 @@ balanced limbs.  The limbs are sized from a bound on every product
 coefficient, and _decode raises OverflowError rather than return limbs
 that do not add up to the integer.  exact_div is the top-down loop
 _exact_div_dicts, the only source of RemainderNonzero remainders; it is
-left with the single Φ_d(A), the residuals R and arbitrary divisors.
+left with the leftover Φ_d(A) of to_poly and arbitrary divisors.
 try_exact_div is exact_div with None in place of that error.  lincomb
 sums products m * x into one dict in place: a multiplier of one or two
 terms (±A^e {n}) is applied as shifted adds, a larger one goes through
@@ -23,18 +23,16 @@ the multiply above, and no running total is copied per term.
 
 Fractions.  Every denominator the calculator builds ({n}!, (q^a;q)_k,
 {N}, 1 - q) is a unit times a product of cyclotomic polynomials Φ_d(A),
-so a LaurentFraction keeps its denominator as an exponent table {d: e}
-times a residual polynomial R, and moves every unit into the numerator.
-R is 1 unless the fraction was made from an arbitrary polynomial
-denominator.  Sums take the exponent-wise maximum of the tables and
-multiply each numerator by the factors it lacks, products add the
-tables, and equality compares the lifted numerators; only differing
-residuals are cross-multiplied.  to_poly is the one place where a
-quotient by such a denominator is computed: _binomials groups the table
-into whole binomials A^m - 1, _binomial_quotient divides by each in one
-linear pass of prefix sums on the exponent lattice, and exact_div takes
-the leftover Φ_d and R.  Φ_d, the groupings and the expanded tables are
-memoised on first use.
+so a LaurentFraction is a numerator over an exponent table {d: e}, and
+every unit goes into the numerator; over_cyclotomic is the one way to
+build a denominator.  Sums take the exponent-wise maximum of the tables
+and multiply each numerator by the factors it lacks, products add the
+tables, and equality compares the lifted numerators.  to_poly is the one
+place where a quotient by such a denominator is computed: _binomials
+groups the table into whole binomials A^m - 1, _binomial_quotient divides
+by each in one linear pass of prefix sums on the exponent lattice, and
+exact_div takes the leftover Φ_d.  Φ_d, the groupings and the expanded
+tables are memoised on first use.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from itertools import accumulate
 from collections.abc import Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Union
 
-from .errors import DivisionByZeroDenominator, NotExpressible, RemainderNonzero
+from .errors import NotExpressible, RemainderNonzero
 
 if TYPE_CHECKING:
     import mpmath
@@ -552,17 +550,6 @@ def lincomb(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     return LaurentPoly._raw({e: c for e, c in out.items() if c})
 
 
-def _oriented(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """(num, den) times the unit that gives den lowest exponent 0 and a
-    positive leading coefficient."""
-    shift = den.min_exp
-    sign = -1 if den.coeff(den.max_exp) < 0 else 1
-    if shift or sign < 0:
-        unit = LaurentPoly.monomial(-shift, sign)
-        num, den = num * unit, den * unit
-    return num, den
-
-
 def binomial_table(m: int) -> dict[int, int]:
     """The exponent table of A^m - 1 = prod_{d | m} Φ_d(A), for m >= 1."""
     small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
@@ -657,15 +644,10 @@ def _lift(num: LaurentPoly, have: Mapping[int, int], want: Mapping[int, int]) ->
     return num * _cyclotomic_product(missing) if missing else num
 
 
-def _divide_out(
-    num: LaurentPoly, res: LaurentPoly, factors: Iterable[tuple[int, int]]
-) -> LaurentPoly:
-    """num / (R * prod Φ_d(A)^e): R first, then one Φ_d at a time, with a
-    RemainderNonzero that names the first factor that does not cancel."""
-    try:
-        quot = num if res is _ONE else num.exact_div(res)
-    except RemainderNonzero as exc:
-        raise RemainderNonzero(f"denominator factor {res} did not cancel", exc.remainder) from None
+def _divide_out(num: LaurentPoly, factors: Iterable[tuple[int, int]]) -> LaurentPoly:
+    """num / prod Φ_d(A)^e, one Φ_d at a time, with a RemainderNonzero that
+    names the first factor that does not cancel."""
+    quot = num
     for d, e in factors:
         for i in range(e):
             try:
@@ -678,48 +660,23 @@ def _divide_out(
 
 
 class LaurentFraction:
-    """Quotient of Laurent polynomials with a cyclotomic-factored denominator.
+    """num / prod_d Φ_d(A)^e_d, kept as the numerator and the exponent table
+    {d: e_d}, with every unit in the numerator and no gcd taken (see the
+    module docstring).  den expands the denominator on first use."""
 
-    The value is num / (prod_d Φ_d(A)^e_d * R): the exponent table {d: e_d}
-    holds every denominator the calculator builds ({n}!, (q^a;q)_k and
-    1 - q are units times products of Φ_d(A)), and the residual R, oriented
-    to lowest exponent 0 and a positive leading coefficient, holds whatever
-    an arbitrary polynomial denominator brings; it is 1 for every fraction
-    made from the q-symbol reciprocals.  Units go into the numerator.  No
-    gcd is taken.
+    __slots__ = ("_num", "_phi", "_den")
 
-    Sums lift both numerators to the exponent-wise maximum of the tables,
-    products add the tables, and equality compares the lifted numerators;
-    only differing residuals are cross-multiplied.  den expands the
-    denominator on first use.
-    """
-
-    __slots__ = ("_num", "_phi", "_res", "_den")
-
-    def __init__(self, num: PolyLike, den: PolyLike = 1) -> None:
+    def __init__(self, num: PolyLike) -> None:
         num = LaurentPoly._coerce(num)
-        den = LaurentPoly._coerce(den)
-        if num is None or den is None:
-            raise TypeError("LaurentFraction needs LaurentPoly or int parts")
-        if den.is_zero:
-            raise DivisionByZeroDenominator("fraction with zero denominator")
-        num, den = _oriented(num, den)
-        self._set(num, {}, _ONE if den == _ONE else den)
-
-    def _set(self, num: LaurentPoly, phi: dict[int, int], res: LaurentPoly) -> None:
-        if num.is_zero:
-            phi, res = {}, _ONE
-        self._num = num
-        self._phi = phi
-        self._res = res
-        self._den = None
+        if num is None:
+            raise TypeError("LaurentFraction needs a LaurentPoly or int numerator")
+        self._num, self._phi, self._den = num, {}, None
 
     @classmethod
-    def _make(cls, num: LaurentPoly, phi: dict[int, int], res: LaurentPoly) -> LaurentFraction:
-        # internal: phi holds positive exponents and is never mutated, res
-        # is oriented and is the _ONE object when it equals 1
+    def _make(cls, num: LaurentPoly, phi: dict[int, int]) -> LaurentFraction:
+        # internal: phi holds positive exponents and is never mutated
         frac = cls.__new__(cls)
-        frac._set(num, phi, res)
+        frac._num, frac._phi, frac._den = num, phi if num else {}, None
         return frac
 
     @classmethod
@@ -727,10 +684,10 @@ class LaurentFraction:
         """num / prod_d Φ_d(A)^exponents[d]."""
         num = LaurentPoly._coerce(num)
         if num is None:
-            raise TypeError("LaurentFraction needs LaurentPoly or int parts")
+            raise TypeError("LaurentFraction needs a LaurentPoly or int numerator")
         if any(d < 1 or e < 0 for d, e in exponents.items()):
             raise ValueError("cyclotomic exponents need d >= 1 and e >= 0")
-        return cls._make(num, {d: e for d, e in exponents.items() if e}, _ONE)
+        return cls._make(num, {d: e for d, e in exponents.items() if e})
 
     @property
     def num(self) -> LaurentPoly:
@@ -738,10 +695,9 @@ class LaurentFraction:
 
     @property
     def den(self) -> LaurentPoly:
-        """The expanded denominator, lowest exponent 0, leading coefficient > 0."""
+        """The expanded denominator, lowest exponent 0, leading coefficient 1."""
         if self._den is None:
-            den = _cyclotomic_product(self._phi)
-            self._den = den if self._res is _ONE else den * self._res
+            self._den = _cyclotomic_product(self._phi)
         return self._den
 
     @property
@@ -757,20 +713,15 @@ class LaurentFraction:
         return None
 
     def _common(self, other: LaurentFraction):
-        """Both numerators over one denominator: (n1, n2, table, residual)."""
+        """Both numerators over one table: (n1, n2, table)."""
         p1, p2 = self._phi, other._phi
         if p1 == p2:
-            phi, n1, n2 = p1, self._num, other._num
-        else:
-            phi = dict(p1)
-            for d, e in p2.items():
-                if e > phi.get(d, 0):
-                    phi[d] = e
-            n1, n2 = _lift(self._num, p1, phi), _lift(other._num, p2, phi)
-        r1, r2 = self._res, other._res
-        if r1 is r2 or r1 == r2:
-            return n1, n2, phi, r1
-        return n1 * r2, n2 * r1, phi, r1 * r2
+            return self._num, other._num, p1
+        phi = dict(p1)
+        for d, e in p2.items():
+            if e > phi.get(d, 0):
+                phi[d] = e
+        return _lift(self._num, p1, phi), _lift(other._num, p2, phi), phi
 
     def __eq__(self, other: object) -> bool:
         other = self._coerce(other)
@@ -778,7 +729,7 @@ class LaurentFraction:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        n1, n2, _, _ = self._common(other)
+        n1, n2, _ = self._common(other)
         return n1 == n2
 
     def __add__(self, other) -> LaurentFraction:
@@ -789,13 +740,13 @@ class LaurentFraction:
             return self
         if self.is_zero:
             return other
-        n1, n2, phi, res = self._common(other)
-        return LaurentFraction._make(n1 + n2, phi, res)
+        n1, n2, phi = self._common(other)
+        return LaurentFraction._make(n1 + n2, phi)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentFraction:
-        return LaurentFraction._make(-self._num, self._phi, self._res)
+        return LaurentFraction._make(-self._num, self._phi)
 
     def __sub__(self, other) -> LaurentFraction:
         other = self._coerce(other)
@@ -817,53 +768,48 @@ class LaurentFraction:
             phi = dict(p1)
             for d, e in p2.items():
                 phi[d] = phi.get(d, 0) + e
-        r1, r2 = self._res, other._res
-        res = r1 if r2 is _ONE else r2 if r1 is _ONE else r1 * r2
-        return LaurentFraction._make(self._num * other._num, phi, res)
+        return LaurentFraction._make(self._num * other._num, phi)
 
     __rmul__ = __mul__
 
     def substitute_power(self, e: int) -> LaurentFraction:
-        """A -> A^e.  For e = -1 the table is kept: Φ_1(A^-1) = -A^-1 Φ_1(A)
-        and Φ_d(A^-1) = A^-φ(d) Φ_d(A) for d >= 2."""
+        """A -> A^e for e = ±1, keeping the table: Φ_1(A^-1) = -A^-1 Φ_1(A)
+        and Φ_d(A^-1) = A^-φ(d) Φ_d(A) for d >= 2.  Any other e raises
+        ValueError: Φ_d(A^e) is then no unit times Φ_d(A)."""
         if e == 1:
             return self
-        num = self._num.substitute_power(e)
         if e != -1:
-            return LaurentFraction(num, self.den.substitute_power(e))
+            raise ValueError("a fraction substitutes only A -> A^1 or A^-1")
         shift = sum(cyclotomic_poly(d).max_exp * k for d, k in self._phi.items())
         unit = LaurentPoly.monomial(shift, -1 if self._phi.get(1, 0) & 1 else 1)
-        if self._res is _ONE:
-            return LaurentFraction._make(num * unit, self._phi, _ONE)
-        num, res = _oriented(num * unit, self._res.substitute_power(-1))
-        return LaurentFraction._make(num, self._phi, res)
+        return LaurentFraction._make(self._num.substitute_power(-1) * unit, self._phi)
 
     def to_poly(self) -> LaurentPoly:
         """Collapse to an exact Laurent polynomial.
 
         The whole binomials A^m - 1 of the table go in one pass each
-        (_binomial_quotient), the leftover Φ_d and R through exact_div.
-        Raises RemainderNonzero naming the first denominator factor that
-        does not cancel: the residual R, or Φ_d(A) with the exponent left.
+        (_binomial_quotient), the leftover Φ_d through exact_div.  Raises
+        RemainderNonzero naming the first Φ_d(A) that does not cancel, with
+        the exponent left.
         """
         factors = tuple(sorted(self._phi.items()))
         binomials, left = _binomials(factors)
         terms = _binomial_quotient(self._num._terms, binomials) if binomials else self._num._terms
         if terms is not None:
             try:
-                return _divide_out(LaurentPoly._raw(terms), self._res, left)
+                return _divide_out(LaurentPoly._raw(terms), left)
             except RemainderNonzero:
                 pass
         # only a failed collapse is redone factor by factor, to name the factor
-        return _divide_out(self._num, self._res, factors)
+        return _divide_out(self._num, factors)
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __repr__(self) -> str:
-        return f"LaurentFraction({self._num!r}, {self.den!r})"
+        return f"LaurentFraction.over_cyclotomic({self._num!r}, {self._phi!r})"
 
     def __str__(self) -> str:
-        if self.den == _ONE:
+        if not self._phi:
             return str(self._num)
         return f"({self._num}) / ({self.den})"

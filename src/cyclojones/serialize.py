@@ -91,7 +91,8 @@ def knot_key(knot: KnotSpec) -> str:
 
 
 def serialize(value, fmt: str, display: str = "𝔮") -> bytes:
-    """Render a calculator value in one of json/csv/latex/text."""
+    """Render a calculator value, or a tuple of one J'_N's JonesResults by
+    several routes, in one of json/csv/latex/text."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (want one of {FORMATS})")
     if isinstance(value, LaurentPoly):
@@ -100,6 +101,8 @@ def serialize(value, fmt: str, display: str = "𝔮") -> bytes:
         text = _table_str(value, fmt, display)
     elif isinstance(value, JonesResult):
         text = _jones_str(value, fmt, display)
+    elif isinstance(value, tuple) and all(isinstance(r, JonesResult) for r in value):
+        text = _routes_str(value, fmt, display)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
     return text.encode()
@@ -163,6 +166,20 @@ def _jones_str(result: JonesResult, fmt: str, display: str) -> str:
     if fmt == "latex":
         return poly_to_latex(result.value, display) + "\n"
     return result.value.render(display) + "\n"
+
+
+def _routes_str(results: tuple[JonesResult, ...], fmt: str, display: str) -> str:
+    """One line per route, labelled with it (csv: one table, route column)."""
+    if fmt == "json":
+        return "".join(_jones_str(result, fmt, display) for result in results)
+    if fmt == "csv":
+        lines = ["route,N,polynomial"]
+        lines += [f'{r.route},{r.N},"{r.value.render(display)}"' for r in results]
+    elif fmt == "latex":
+        lines = [rf"\text{{{r.route}}}: {poly_to_latex(r.value, display)}" for r in results]
+    else:
+        lines = [f"{r.route}: {r.value.render(display)}" for r in results]
+    return "\n".join(lines) + "\n"
 
 
 # -- disk cache of verified coefficients --------------------------------

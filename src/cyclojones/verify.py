@@ -10,13 +10,14 @@ reports.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import tempfile
 import time
 
 from . import bailey, cyclotomic, serialize, skein
-from .laurent import LaurentFraction, LaurentPoly
+from .laurent import LaurentFraction, LaurentPoly, cyclotomic_poly
 from .qcalc import (
     QSymbolCache,
     brace,
@@ -173,23 +174,30 @@ def check_substitute_involution(grid: VerifyGrid) -> CheckResult:
     )
 
 
+def _rand_table(rng: random.Random) -> dict[int, int]:
+    return {rng.randint(1, 12): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
+
+
+def _phi_product(table: dict[int, int]) -> LaurentPoly:
+    """prod Φ_d(A)^e, multiplied out here, not read from the fractions' memo."""
+    return math.prod((cyclotomic_poly(d) ** e for d, e in table.items()), start=_ONE)
+
+
 def check_fraction_equivalence(grid: VerifyGrid) -> CheckResult:
     rng = random.Random(_SEED + 3)
     failures, total = [], 0
     for trial in range(_RANDOM_OPS // 2):
-        a = _rand_poly(rng)
-        b = _rand_poly(rng, terms=4) + LaurentPoly.monomial(rng.randint(-3, 3))
-        u = _rand_poly(rng, terms=3) + _ONE
-        if b.is_zero or u.is_zero:
-            continue
-        x = LaurentFraction(a, b)
-        y = LaurentFraction(a * u, b * u)  # same value, different representative
+        a, table, extra = _rand_poly(rng), _rand_table(rng), _rand_table(rng)
+        x = LaurentFraction.over_cyclotomic(a, table)
+        # same value over a wider table, a different representative
+        wider = {d: table.get(d, 0) + extra.get(d, 0) for d in table.keys() | extra.keys()}
+        y = LaurentFraction.over_cyclotomic(a * _phi_product(extra), wider)
         total += 3
         if not (x == x and x == y and y == x):
             failures.append(("equivalence", trial))
         if x + (-x) != LaurentFraction(_ZERO):
             failures.append(("inverse", trial))
-        if LaurentFraction(a * b, b).to_poly() != a:
+        if (x * _phi_product(table)).to_poly() != a:
             failures.append(("collapse", trial))
     return _result(
         "laurent/fraction-equivalence", f"{total} fraction identities", failures, total

@@ -20,9 +20,15 @@ from cyclojones import (
     verify_bailey_pair,
 )
 from cyclojones.bailey import beta_from_alpha
+from cyclojones.laurent import binomial_table
 
 A = LaurentPoly.monomial
 Q = A(4)
+
+
+def over_q_minus_1(num: LaurentPoly) -> LaurentFraction:
+    """num / (q - 1), q - 1 = A^4 - 1 = Φ_1(A) Φ_2(A) Φ_4(A)."""
+    return LaurentFraction.over_cyclotomic(num, binomial_table(4))
 
 
 def test_chain_type():
@@ -137,7 +143,7 @@ def test_shifted_pair_feeds_multisum_d(cache):
         for k in range(6):
             assert beta_from_alpha(pair, k, cache) == pair.beta(k)
     # pinned regression: the k=1, j=0 case fixes the (-1)^(k-j) prefactor
-    assert multisum_d(1, 0, 1, cache) == LaurentFraction(A(-4), Q - 1)
+    assert multisum_d(1, 0, 1, cache) == over_q_minus_1(A(-4))
 
 
 def test_multisum_c_prime(cache):
@@ -152,15 +158,15 @@ def test_multisum_c_prime(cache):
 def test_multisum_c_tilde(cache):
     for m in (1, 2, 3):
         assert multisum_c_tilde(0, m, cache) == LaurentFraction(1)
-    assert multisum_c_tilde(1, 1, cache) == LaurentFraction(Q, Q - 1)
-    assert multisum_c_tilde(1, 2, cache) == LaurentFraction(Q * (1 - Q + A(8)), Q - 1)
+    assert multisum_c_tilde(1, 1, cache) == over_q_minus_1(Q)
+    assert multisum_c_tilde(1, 2, cache) == over_q_minus_1(Q * (1 - Q + A(8)))
     with pytest.raises(ValueError):
         multisum_c_tilde(1, 0, cache)
 
 
 def test_multisum_d(cache):
-    assert multisum_d(1, 0, 1, cache) == LaurentFraction(A(-4), Q - 1)
-    assert multisum_d(1, 0, -1, cache) == LaurentFraction(-A(8), Q - 1)
+    assert multisum_d(1, 0, 1, cache) == over_q_minus_1(A(-4))
+    assert multisum_d(1, 0, -1, cache) == over_q_minus_1(-A(8))
     for k in range(6):
         assert multisum_d(k, k, 2, cache) == LaurentFraction(A(-8 * k * (k + 2)))
 
@@ -169,8 +175,8 @@ def test_multisum_d_chain_weight_regression(cache):
     # the chain weight must carry the full x^{k_i} q^{k_i^2} with
     # x = q^(2j+2); hand values at k=1, j=0, |p|=2 pin this down
     # (a q^(k_i^2+k_i) weight would give (q^2+q^4)/(1-q) below)
-    assert multisum_d(1, 0, -2, cache) == LaurentFraction(-(A(8) + A(20)), Q - 1)
-    assert multisum_d(1, 0, 2, cache) == LaurentFraction(A(-4) + A(-16), Q - 1)
+    assert multisum_d(1, 0, -2, cache) == over_q_minus_1(-(A(8) + A(20)))
+    assert multisum_d(1, 0, 2, cache) == over_q_minus_1(A(-4) + A(-16))
     assert multisum_d(1, 0, -2, cache) == d_kjp(1, 0, -2, cache)
     assert multisum_d(1, 0, 2, cache) == d_kjp(1, 0, 2, cache)
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -157,6 +159,25 @@ def test_jones_both_routes_nontrivial(capsys):
     assert routes == ["theorem", "walsh"]
 
 
+def test_jones_both_routes_csv_is_one_table(capsys):
+    code, out, _ = run_cli(capsys, "jones", "--p", "-2", "--s", "5", "--N", "3",
+                           "--route", "both", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["route", "N", "polynomial"]
+    assert [row[:2] for row in rows[1:]] == [["theorem", "3"], ["walsh", "3"]]
+    assert rows[1][2] == rows[2][2] != ""
+
+
+def test_jones_both_routes_latex_labels_each_line(capsys):
+    code, out, _ = run_cli(capsys, "jones", "--p", "-2", "--s", "5", "--N", "3",
+                           "--route", "both", "--format", "latex")
+    assert code == 0
+    _, single, _ = run_cli(capsys, "jones", "--p", "-2", "--s", "5", "--N", "3",
+                           "--format", "latex")
+    assert out == f"\\text{{theorem}}: {single}\\text{{walsh}}: {single}"
+
+
 def test_jones_walsh_needs_half_twists(capsys):
     with pytest.raises(SystemExit) as err:
         main(["jones", "--p", "1", "--r", "2", "--N", "2", "--route", "walsh"])
@@ -307,17 +328,21 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_integrality_failure_exits_one(capsys, tmp_path, monkeypatch):
-    from cyclojones import IntegralityFailure, LaurentFraction
+    from cyclojones import IntegralityFailure, LaurentFraction, LaurentPoly
     import cyclojones.cli as cli_mod
 
+    # (A - 1) / (Φ_1(A) Φ_3(A)): Φ_1 cancels, Φ_3 does not
+    residual = LaurentFraction.over_cyclotomic(LaurentPoly({1: 1, 0: -1}), {1: 1, 3: 1})
+
     def boom(*args, **kwargs):
-        raise IntegralityFailure("synthetic failure", LaurentFraction(1, 2))
+        raise IntegralityFailure("synthetic failure", residual)
 
     monkeypatch.setattr(cli_mod.cyclotomic, "h_coeff", boom)
     code, _, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
                            "--cache-dir", str(tmp_path))
     assert code == 1
-    assert "synthetic failure" in err and "residual" in err
+    assert "synthetic failure" in err
+    assert "residual: Φ_3(A) did not cancel: exponent 1 of 1 left\n" in err
 
 
 def test_integrality_failure_names_the_factor(capsys, tmp_path, monkeypatch):

@@ -25,10 +25,16 @@ from cyclojones import (
     jones_walsh,
 )
 import cyclojones.cyclotomic as cyclotomic_mod
+from cyclojones.laurent import binomial_table
 from cyclojones.qcalc import brace, brace_recip
 
 A = LaurentPoly.monomial
 Q = A(4)  # the q-series variable
+
+
+def over_q_minus_1(num: LaurentPoly) -> LaurentFraction:
+    """num / (q - 1), q - 1 = A^4 - 1 = Φ_1(A) Φ_2(A) Φ_4(A)."""
+    return LaurentFraction.over_cyclotomic(num, binomial_table(4))
 
 
 def eval_balanced(value, b):
@@ -64,8 +70,8 @@ def test_c_prime(cache):
 def test_c_tilde_prime(cache):
     for s in (1, 3, 5, -1, -3):
         assert c_tilde_prime(0, s, cache) == LaurentFraction(1)
-    assert c_tilde_prime(1, 1, cache) == LaurentFraction(Q, Q - 1)
-    assert c_tilde_prime(1, 3, cache) == LaurentFraction(Q * (1 - Q + A(8)), Q - 1)
+    assert c_tilde_prime(1, 1, cache) == over_q_minus_1(Q)
+    assert c_tilde_prime(1, 3, cache) == over_q_minus_1(Q * (1 - Q + A(8)))
     with pytest.raises(ValueError):
         c_tilde_prime(1, 2, cache)
     # {k}! * value is a Laurent polynomial
@@ -81,8 +87,8 @@ def test_d_kjp(cache):
     for k in range(7):
         for p in (-2, 1, 3):
             assert d_kjp(k, k, p, cache) == LaurentFraction(A(-4 * p * k * (k + 2)))
-    assert d_kjp(1, 0, 1, cache) == LaurentFraction(A(-4), Q - 1)
-    assert d_kjp(1, 0, -1, cache) == LaurentFraction(-A(8), Q - 1)  # q^2/(1-q)
+    assert d_kjp(1, 0, 1, cache) == over_q_minus_1(A(-4))
+    assert d_kjp(1, 0, -1, cache) == over_q_minus_1(-A(8))  # q^2/(1-q)
     with pytest.raises(IndexOutOfRange):
         d_kjp(1, 2, 1, cache)
     # {k-j}! * value is a Laurent polynomial

@@ -19,7 +19,6 @@ from cyclojones.laurent import (
     binomial_table,
 )
 from cyclojones import (
-    DivisionByZeroDenominator,
     LaurentFraction,
     LaurentPoly,
     NotExpressible,
@@ -28,6 +27,7 @@ from cyclojones import (
 from cyclojones.qcalc import QSymbolCache, brace_recip
 
 A = LaurentPoly.monomial
+over = LaurentFraction.over_cyclotomic
 
 polys = st.dictionaries(
     st.integers(-60, 60), st.integers(-(2**64), 2**64), max_size=8
@@ -80,27 +80,34 @@ def test_negative_power_rejected():
 def test_fraction_examples():
     f = A(3) - A(-1, 7)
     assert LaurentFraction(f) + LaurentFraction(-f) == LaurentFraction(0)
-    # q^-1/(q-1) == 1/(q^2-q) by cross-multiplication
-    assert LaurentFraction(A(-4), A(4) - 1) == LaurentFraction(1, A(8) - A(4))
-    a, b = A(2) - A(-2), A(2) + A(-2)
-    assert LaurentFraction(a, b) * LaurentFraction(b, a) == LaurentFraction(1)
-    with pytest.raises(DivisionByZeroDenominator):
-        LaurentFraction(1, LaurentPoly.zero())
+    # q^-1/(q-1) == q^-1 (q+1)/(q^2-1), over the tables of A^4 - 1 and A^8 - 1
+    assert over(A(-4), binomial_table(4)) == over(A(-4) * (A(4) + 1), binomial_table(8))
+    # (A^4 - 1)/Φ_8(A) times Φ_8(A)/(A^4 - 1), with Φ_8(A) = A^4 + 1
+    assert over(A(4) - 1, {8: 1}) * over(A(4) + 1, binomial_table(4)) == LaurentFraction(1)
+    with pytest.raises(TypeError):  # a denominator comes only from a table
+        LaurentFraction(1, A(4) - 1)
+    with pytest.raises(ValueError):
+        over(1, {0: 1})
 
 
 def test_fraction_canonical_orientation():
-    # denominator shifted to lowest exponent 0, positive leading coefficient
-    frac = LaurentFraction(A(-4), -(A(6) - A(2)))
-    assert frac.den.min_exp == 0
-    assert frac.den.coeff(frac.den.max_exp) > 0
-    assert frac == LaurentFraction(-A(-6), A(4) - 1)
+    # the expanded denominator has lowest exponent 0 and leading coefficient
+    # 1; A -> A^-1 keeps the table and moves the units into the numerator:
+    # A^-4/(A^4 - 1) becomes A^4/(A^-4 - 1) = -A^8/(A^4 - 1)
+    frac = over(A(-4), binomial_table(4))
+    assert frac.den == A(4) - 1
+    flipped = frac.substitute_power(-1)
+    assert flipped.den == A(4) - 1
+    assert flipped.num == -A(8)
+    assert flipped == over(-A(8), binomial_table(4))
 
 
 def test_frac_to_poly():
-    assert LaurentFraction(A(4) - A(-4), A(2) - A(-2)).to_poly() == A(2) + A(-2)
-    assert LaurentFraction(0, A(2) - 1).to_poly() == LaurentPoly.zero()
-    with pytest.raises(RemainderNonzero):
-        LaurentFraction(1, 1 - A(4)).to_poly()
+    # (A^4 - A^-4)/(A^2 - A^-2), with A^2 - A^-2 = A^-2 (A^4 - 1)
+    assert over(A(2) * (A(4) - A(-4)), binomial_table(4)).to_poly() == A(2) + A(-2)
+    assert over(0, binomial_table(2)).to_poly() == LaurentPoly.zero()
+    with pytest.raises(RemainderNonzero):  # 1/(1 - q)
+        over(-1, binomial_table(4)).to_poly()
 
 
 def test_eval_unit_root_examples():
@@ -169,17 +176,6 @@ def test_substitution_is_ring_involution(f, g):
     assert inv(inv(f)) == f
     assert inv(f * g) == inv(f) * inv(g)
     assert inv(f + g) == inv(f) + inv(g)
-
-
-@settings(max_examples=40, deadline=None)
-@given(polys, nonzero_polys, nonzero_polys)
-def test_fraction_equality_is_representation_independent(a, b, u):
-    x = LaurentFraction(a, b)
-    y = LaurentFraction(a * u, b * u)
-    assert x == y and y == x
-    assert x - y == LaurentFraction(0)
-    if not a.is_zero:
-        assert LaurentFraction(a * b, a).to_poly() == b
 
 
 # -- differential tests of multiply and exact_div against the dict loops ----
@@ -431,14 +427,9 @@ tables = st.dictionaries(st.integers(1, 12), st.integers(0, 2), max_size=4)
 
 @st.composite
 def fraction_pairs(draw):
-    """(LaurentFraction, reference (num, den)) with a factored, generic or
-    mixed denominator."""
-    num = draw(small_polys)
-    kind = draw(st.sampled_from(("factored", "generic", "mixed")))
-    table = draw(tables) if kind != "generic" else {}
-    den = draw(nonzero_small_polys) if kind != "factored" else LaurentPoly.one()
-    frac = LaurentFraction.over_cyclotomic(num, table) * LaurentFraction(1, den)
-    return frac, (num, _table_product(table) * den)
+    """(LaurentFraction, reference (num, den)) over a random Φ_d table."""
+    num, table = draw(small_polys), draw(tables)
+    return over(num, table), (num, _table_product(table))
 
 
 def _same_value(frac: LaurentFraction, ref: tuple[LaurentPoly, LaurentPoly]) -> bool:
@@ -457,6 +448,10 @@ def test_fraction_ops_match_cross_multiplication(x, y):
     assert (fx == fy) == (nx * dy == ny * dx)
     for e in (1, -1):
         assert _same_value(fx.substitute_power(e), (nx.substitute_power(e), dx.substitute_power(e)))
+    assert fx.substitute_power(-1).den == fx.den  # the table is kept
+    for e in (0, 2, -2, 3):  # Φ_d(A^e) leaves the table
+        with pytest.raises(ValueError):
+            fx.substitute_power(e)
     den = fx.den
     assert den.min_exp == 0 and den.coeff(den.max_exp) > 0
     try:
@@ -469,19 +464,28 @@ def test_fraction_ops_match_cross_multiplication(x, y):
 
 
 @settings(max_examples=60, deadline=None)
-@given(fraction_pairs(), tables, nonzero_small_polys, fraction_pairs())
-def test_fraction_representatives_compare_equal(x, extra, u, z):
-    (fx, (nx, dx)), (fz, _) = x, z
-    # the same value over a larger table and over an extra residual factor
-    wider = LaurentFraction.over_cyclotomic(nx * _table_product(extra), extra) * LaurentFraction(
-        1, dx
-    )
-    scaled = LaurentFraction(nx * u, dx * u)
+@given(fraction_pairs(), tables, tables, fraction_pairs())
+def test_fraction_representatives_compare_equal(x, extra, more, z):
+    (fx, _), (fz, _) = x, z
+    # the same value over a larger table, and over one larger still
+    wider = fx * over(_table_product(extra), extra)
+    scaled = wider * over(_table_product(more), more)
     assert fx == wider and wider == fx
     assert fx == scaled and scaled == wider
     assert fx - wider == LaurentFraction(0)
     if not fz.is_zero:
         assert fx + fz != fx and wider != fx + fz
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, tables, tables)
+def test_fraction_equality_is_representation_independent(a, table, extra):
+    x = over(a, table)
+    wider = {d: table.get(d, 0) + extra.get(d, 0) for d in table.keys() | extra.keys()}
+    y = over(a * _table_product(extra), wider)
+    assert x == y and y == x
+    assert x - y == LaurentFraction(0)
+    assert over(a * _table_product(table), table).to_poly() == a
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,9 +503,32 @@ def test_fraction_collapse_names_the_factor():
     frac = LaurentFraction.over_cyclotomic(_phi(3), {3: 3})
     with pytest.raises(RemainderNonzero, match=r"Φ_3\(A\) did not cancel: exponent 2 of 3 left"):
         frac.to_poly()
-    with pytest.raises(RemainderNonzero, match="denominator factor 2 did not cancel"):
-        LaurentFraction(1, 2).to_poly()
     assert laurent.cyclotomic_poly(12) == _phi(12)
+
+
+def test_fraction_equivalence_check_passes():
+    from cyclojones.verify import CheckResult, VerifyGrid, check_fraction_equivalence
+
+    assert check_fraction_equivalence(VerifyGrid()) == CheckResult(
+        "laurent/fraction-equivalence", "300 fraction identities", True, "300 identities checked"
+    )
+
+
+def test_fraction_equivalence_check_catches_a_dropped_factor(monkeypatch):
+    from cyclojones.verify import VerifyGrid, check_fraction_equivalence
+
+    right = laurent._lift
+
+    def short(num, have, want):  # lifts by every missing factor but one
+        missing = [d for d, e in want.items() if e > have.get(d, 0)]
+        if missing:
+            want = {**want, missing[0]: want[missing[0]] - 1}
+        return right(num, have, want)
+
+    monkeypatch.setattr(laurent, "_lift", short)
+    result = check_fraction_equivalence(VerifyGrid())
+    assert not result.passed
+    assert result.detail.split()[0].endswith("/300") and "equivalence" in result.detail
 
 
 # -- the binomial collapse of to_poly against the per-Φ_d loop ----------

@@ -249,12 +249,22 @@ def test_cache_equals_recomputation(cache):
     assert cache.qbinom(9, 4) == fresh.qbinom(9, 4)
 
 
+def _oriented(poly: LaurentPoly) -> LaurentPoly:
+    """poly times the unit that gives it lowest exponent 0 and a positive
+    leading coefficient."""
+    return poly * A(-poly.min_exp, -1 if poly.coeff(poly.max_exp) < 0 else 1)
+
+
+def _is_recip(frac: LaurentFraction, den: LaurentPoly) -> bool:
+    """frac == 1/den, by cross-multiplication."""
+    return frac.num * den == frac.den
+
+
 def test_brace_fact_recip(cache):
     for n in range(17):
         recip = cache.brace_fact_recip(n)
-        expanded = LaurentFraction(1, cache.brace_fact(n))
-        assert recip == expanded
-        assert recip.den == expanded.den  # same canonical orientation
+        assert _is_recip(recip, cache.brace_fact(n))
+        assert recip.den == _oriented(cache.brace_fact(n))  # same canonical orientation
         assert (recip * cache.brace_fact(n)).to_poly() == 1
     with pytest.raises(IndexOutOfRange):
         cache.brace_fact_recip(-1)
@@ -268,11 +278,10 @@ def test_pochhammer_recip(cache):
                     cache.pochhammer_recip(a, k)
                 continue
             recip = cache.pochhammer_recip(a, k)
-            expanded = LaurentFraction(1, cache.pochhammer(a, k))
-            assert recip == expanded, (a, k)
-            assert recip.den == expanded.den
+            assert _is_recip(recip, cache.pochhammer(a, k)), (a, k)
+            assert recip.den == _oriented(cache.pochhammer(a, k))
     # windows of negative exponents only carry their unit A^(-4t)
-    assert cache.pochhammer_recip(-2, 2) == LaurentFraction(1, (1 - A(-8)) * (1 - A(-4)))
+    assert _is_recip(cache.pochhammer_recip(-2, 2), (1 - A(-8)) * (1 - A(-4)))
     assert cache.pochhammer_recip(-2, 2).num == A(12)
     with pytest.raises(IndexOutOfRange):
         cache.pochhammer_recip(1, -1)
