@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 _DISPLAY_ALIASES = {"A": "A", "q": "q", "Q": "𝔮", "𝔮": "𝔮", "qq": "𝔮"}
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "cyclojones"
 
-# largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 takes ~30 s, 310 MB
+# largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 takes ~22 s, 143 MB
 MAX_INDEX = 48
 # largest verify --max-k and --max-n; --suite all takes ~50 s at --max-k 24 (its Bailey
 # and skein checks, to 26, 20 s) and ~11 s at --max-n 24; --max-n grows as about N^5
@@ -44,6 +44,9 @@ VERIFY_MAX_KNOTS = 150
 # most cross/route-agreement work in one verify grid, (|p| + m) * max_n^4 per half-twist
 # knot K(p, m - 1/2); the default grid at --max-n 24 is 24 million units (times in README)
 ROUTE_AGREEMENT_BUDGET = 50_000_000
+# most lattice slots in one coeffs, jones or eval request, (|p| + t) * I^3 units for I =
+# max_k + 1 or N and t = |r| or (|s| + 1)/2; 130-200 bytes of peak RSS a unit (README)
+LATTICE_BUDGET = 1_000_000
 MAX_DIGITS = 50  # eval_unit_root guarantees 50 significant digits
 
 
@@ -176,6 +179,15 @@ def _knot_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         parser.error(str(exc))
 
 
+def _check_lattice(parser: argparse.ArgumentParser, args: argparse.Namespace, indices: int) -> None:
+    """Refuse a request with more than LATTICE_BUDGET units of lattice slots: each of
+    its indices keeps lists of about (|p| + t) * indices^2 slots."""
+    second = abs(args.r) if args.r is not None else (abs(args.s) + 1) // 2
+    units = (abs(args.p) + second) * indices**3
+    if units > LATTICE_BUDGET:
+        parser.error(f"the request needs {units} units of lattice slots, over the budget of {LATTICE_BUDGET}")
+
+
 def _check_chains(parser: argparse.ArgumentParser, max_k: int, longest: int) -> None:
     """Refuse a request whose largest multi-sum, at top max_k over chains of
     length longest (|p|, |r| or m), would enumerate more than CHAIN_BUDGET chains."""
@@ -248,11 +260,14 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         fields["knot"] = _knot_from_args(parser, args)
         fields["fmt"] = args.format
         fields["display"] = getattr(args, "display", "𝔮")
-    if command in ("jones", "eval") and not 1 <= args.N <= MAX_INDEX:
-        parser.error(f"--N must be in 1..{MAX_INDEX}")
+    if command in ("jones", "eval"):
+        if not 1 <= args.N <= MAX_INDEX:
+            parser.error(f"--N must be in 1..{MAX_INDEX}")
+        _check_lattice(parser, args, args.N)
     if command == "coeffs":
         if not 0 <= args.max_k <= MAX_INDEX:
             parser.error(f"--max-k must be in 0..{MAX_INDEX}")
+        _check_lattice(parser, args, args.max_k + 1)
         if args.cross_check:
             second = abs(args.r) if args.r is not None else (abs(args.s) + 1) // 2
             _check_chains(parser, args.max_k, max(abs(args.p), second))

@@ -5,21 +5,28 @@ indeterminate A: the balanced quantum variable is A^2 and the q-series
 variable is A^4, so all exponents stay integral.  Values are immutable
 and all operations are pure functions.
 
-Kernels.  A product with a monomial factor scales and shifts the other
-factor.  Other products of fewer than _KRONECKER_CUTOFF coefficient
-products (len(a) * len(b)) run the dict loop _mul_dicts; larger ones use
-Kronecker substitution: both factors, on their common exponent lattice,
-are packed into one integer each at A^stride = 2^(8*limb_bytes), CPython
-multiplies the integers, and _decode splits the product back into
-balanced limbs.  The limbs are sized from a bound on every product
-coefficient, and _decode raises OverflowError rather than return limbs
-that do not add up to the integer.  exact_div is the top-down loop
-_exact_div_dicts, the only source of RemainderNonzero remainders; it is
-left with the leftover Φ_d(A) of to_poly and arbitrary divisors.
-try_exact_div is exact_div with None in place of that error.  lincomb
-sums products m * x into one dict in place: a multiplier of one or two
-terms (±A^e {n}) is applied as shifted adds, a larger one goes through
-the multiply above, and no running total is copied per term.
+Storage.  A LaurentPoly is one dense run of coefficients on an exponent
+lattice, sum_i coeffs[i] A^(base + stride*i), in canonical form: no zero
+at either end of the list, and the stride the gcd of the nonzero
+offsets (0 for a monomial), so == and hash compare the storage.  len()
+is the number of nonzero coefficients, kept with the list: O(1).
+from_lattice and lattice() are the one way in and out; a stored list is
+shared and never changed.
+
+Kernels.  Every kernel works on the stored lists, placed on the gcd of
+their strides.  A monomial factor scales the other list.  Other products
+below _KRONECKER_CUTOFF coefficient products (len(a) * len(b), nonzero
+terms; measured, see the README) run the loop _mul_terms; larger ones
+pack each list into one integer at A^stride = 2^(8*limb_bytes) with
+array(...).tobytes(), multiply, and _decode the balanced limbs with one
+to_bytes and array.frombytes.  The limbs are sized from a bound on every
+product coefficient, and _decode raises OverflowError rather than return
+limbs that do not add up.  Sums and lincomb's sums of products m * x lay
+one list out from the spans and add each term as a slice; a multiplier
+of one or two terms (±A^e {n}) adds shifted, scaled slices of x.
+exact_div is the top-down loop _divide, the only source of
+RemainderNonzero remainders, left with the leftover Φ_d(A) of to_poly
+and arbitrary divisors; try_exact_div returns None instead.
 
 Fractions.  Every denominator the calculator builds ({n}!, (q^a;q)_k,
 {N}, 1 - q) is a unit times a product of cyclotomic polynomials Φ_d(A),
@@ -30,7 +37,7 @@ and multiply each numerator by the factors it lacks, products add the
 tables, and equality compares the lifted numerators.  to_poly is the one
 place where a quotient by such a denominator is computed: _binomials
 groups the table into whole binomials A^m - 1, _binomial_quotient divides
-by each in one linear pass of prefix sums on the exponent lattice, and
+by each in one linear pass of prefix sums on the numerator's list, and
 exact_div takes the leftover Φ_d.  Φ_d, the groupings and the expanded
 tables are memoised on first use.
 """
@@ -41,8 +48,9 @@ import functools
 import math
 import sys
 from array import array
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from collections.abc import Iterable, Iterator, Mapping
+from operator import add, neg, sub
 from typing import TYPE_CHECKING, Union
 
 from .errors import NotExpressible, RemainderNonzero
@@ -54,8 +62,8 @@ if TYPE_CHECKING:
 _DISPLAY = {"A": ("A", 1), "𝔮": ("𝔮", 2), "q": ("q", 4)}
 
 # multiply through packed big integers from this many coefficient
-# products (len(a) * len(b)) on; below it the dict loop is faster
-_KRONECKER_CUTOFF = 500
+# products (len(a) * len(b), nonzero terms) on; below it the loop is faster
+_KRONECKER_CUTOFF = 200
 
 # limb size in bytes -> array typecode of that machine word
 _WORD_TYPECODES = {array(t).itemsize: t for t in "bhiq"}
@@ -64,38 +72,70 @@ _BIG_ENDIAN = sys.byteorder == "big"
 PolyLike = Union["LaurentPoly", int]
 
 
-def _lattice_stride(*term_dicts: Mapping[int, int]) -> int:
-    """gcd of exponent gaps (each dict relative to its own minimum)."""
-    stride = 0
-    for terms in term_dicts:
-        base = min(terms)
-        stride = math.gcd(stride, *[e - base for e in terms])
-    return stride if stride else 1
+def _new(base: int, step: int, coeffs: list[int], nonzero: int) -> LaurentPoly:
+    # internal: (base, step, coeffs) already canonical, adopted without copying
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly._base, poly._step, poly._coeffs, poly._nz, poly._hash = base, step, coeffs, nonzero, None
+    return poly
 
 
-def _mul_dicts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _lattice(base: int, step: int, coeffs: list[int]) -> LaurentPoly:
+    """sum_i coeffs[i] A^(base + step*i), adopting coeffs: zeros trimmed from
+    both ends, and the stride coarsened to the gcd of the nonzero offsets."""
+    n = len(coeffs)
+    nonzero = n - coeffs.count(0)
+    if not nonzero:
+        return _ZERO
+    if nonzero < n:
+        if not (coeffs[0] and coeffs[-1]):
+            lo = next(compress(count(), coeffs))
+            hi = n - next(compress(count(), reversed(coeffs)))
+            coeffs, base, n = coeffs[lo:hi], base + lo * step, hi - lo
+        if n > 1 and not coeffs[1]:
+            stride = math.gcd(*compress(range(n), coeffs))
+            coeffs, step = coeffs[::stride], step * stride
+    return _new(base, step if n > 1 else 0, coeffs, nonzero)
+
+
+def _spread(coeffs: list[int], ratio: int) -> list[int]:
+    """A new list of coeffs on a lattice ratio times finer (0: a monomial)."""
+    out = [0] * ((len(coeffs) - 1) * ratio + 1)
+    out[:: ratio or 1] = coeffs
+    return out
+
+
+def _add_into(out: list[int], start: int, ratio: int, scale: int, coeffs: list[int],
+              fresh: bool) -> None:
+    """out[start + ratio*i] += scale * coeffs[i], as one slice (fresh: still 0)."""
+    window = slice(start, start + (len(coeffs) - 1) * ratio + 1, ratio or 1)
+    if fresh:
+        out[window] = coeffs if scale == 1 else map(scale.__mul__, coeffs)
+    elif scale == 1:
+        out[window] = map(add, out[window], coeffs)
+    elif scale == -1:
+        out[window] = map(sub, out[window], coeffs)
+    else:
+        out[window] = map(add, out[window], map(scale.__mul__, coeffs))
+
+
+def _mul_terms(a: list[int], ra: int, b: list[int], rb: int) -> list[int]:
+    """The schoolbook product of a and b, ra and rb slots apart on one lattice."""
     if len(a) > len(b):
-        a, b = b, a
-    out: dict[int, int] = {}
-    get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            v = get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+        a, ra, b, rb = b, rb, a, ra
+    out = [0] * ((len(a) - 1) * ra + (len(b) - 1) * rb + 1)
+    terms = [(j * rb, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            i *= ra
+            for j, y in terms:
+                out[i + j] += x * y
     return out
 
 
 def _limb_bytes(bound: int) -> int:
     """Bytes per limb so that every coefficient of size at most ``bound`` is
-    a balanced limb, in [-2^(8*limb_bytes - 1), 2^(8*limb_bytes - 1)).
-
-    Sizes up to a machine word are rounded up to one, so that array
-    converts the limbs in C.
-    """
+    a balanced limb, in [-2^(8*limb_bytes - 1), 2^(8*limb_bytes - 1)); up
+    to a machine word, rounded up to one, so that array converts in C."""
     size = bound.bit_length() // 8 + 1
     return min((w for w in _WORD_TYPECODES if w >= size), default=size)
 
@@ -105,41 +145,27 @@ def _top_bits(n: int, limb_bytes: int) -> int:
     return int.from_bytes((bytes(limb_bytes - 1) + b"\x80") * n, "little")
 
 
-def _pack(
-    terms: Mapping[int, int], base: int, stride: int, n: int, limb_bytes: int
-) -> int:
-    """The polynomial at A^stride = 2^(8*limb_bytes), as one integer.
-
-    Exponent base + stride*i becomes limb i.  The limbs are written in
-    two's complement; flipping the top bit of each turns them into
-    coefficient + 2^(8*limb_bytes - 1), and one subtraction takes those
-    offsets off again.
-    """
-    limbs = [0] * n
-    for e, c in terms.items():
-        limbs[(e - base) // stride] = c
+def _pack(coeffs: list[int], limb_bytes: int) -> int:
+    """The list at A^stride = 2^(8*limb_bytes), as one integer: limbs in
+    two's complement with the top bit of each flipped are coefficient +
+    2^(8*limb_bytes - 1), and one subtraction takes those offsets off."""
     typecode = _WORD_TYPECODES.get(limb_bytes)
     if typecode:
-        words = array(typecode, limbs)
+        words = array(typecode, coeffs)
         if _BIG_ENDIAN:
             words.byteswap()
         data = words.tobytes()
     else:
-        data = b"".join([c.to_bytes(limb_bytes, "little", signed=True) for c in limbs])
-    top = _top_bits(n, limb_bytes)
+        data = b"".join([c.to_bytes(limb_bytes, "little", signed=True) for c in coeffs])
+    top = _top_bits(len(coeffs), limb_bytes)
     return (int.from_bytes(data, "little") ^ top) - top
 
 
-def _decode(
-    value: int, n: int, limb_bytes: int, base: int, stride: int
-) -> dict[int, int]:
-    """Inverse of _pack: the n balanced limbs of value, as a term dict.
-
-    Adding 2^(8*limb_bytes - 1) to every limb makes each balanced limb a
-    plain unsigned one, and flipping its top bit makes it two's
-    complement, so a single to_bytes splits the whole integer.  Raises
-    OverflowError when value has no n-limb balanced form.
-    """
+def _decode(value: int, n: int, limb_bytes: int) -> list[int]:
+    """Inverse of _pack: the n balanced limbs of value, as a list.  Adding
+    2^(8*limb_bytes - 1) to every limb and flipping its top bit makes it
+    two's complement, so a single to_bytes splits the whole integer.
+    Raises OverflowError when value has no n-limb balanced form."""
     top = _top_bits(n, limb_bytes)
     try:
         data = ((value + top) ^ top).to_bytes(n * limb_bytes, "little")
@@ -148,100 +174,74 @@ def _decode(
             f"integer does not fit {n} balanced limbs of {limb_bytes} bytes"
         ) from None
     typecode = _WORD_TYPECODES.get(limb_bytes)
-    if typecode:
-        limbs = array(typecode)
-        limbs.frombytes(data)
-        if _BIG_ENDIAN:
-            limbs.byteswap()
-    else:
-        limbs = [
+    if not typecode:
+        return [
             int.from_bytes(data[i : i + limb_bytes], "little", signed=True)
             for i in range(0, len(data), limb_bytes)
         ]
-    exponents = range(base, base + stride * n, stride)
-    return {e: c for e, c in zip(exponents, limbs) if c}
+    limbs = array(typecode)
+    limbs.frombytes(data)
+    if _BIG_ENDIAN:
+        limbs.byteswap()
+    return limbs.tolist()
 
 
-def _mul_kronecker(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    # Pack coefficients into one big integer per factor so CPython's
-    # subquadratic bigint multiply does the convolution.
-    amin, bmin = min(a), min(b)
-    stride = _lattice_stride(a, b)
-    na = (max(a) - amin) // stride + 1
-    nb = (max(b) - bmin) // stride + 1
-    limb_bytes = _limb_bytes(
-        max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    )
-    prod = _pack(a, amin, stride, na, limb_bytes) * _pack(
-        b, bmin, stride, nb, limb_bytes
-    )
-    return _decode(prod, na + nb - 1, limb_bytes, amin + bmin, stride)
+def _mul_kronecker(a: list[int], b: list[int], terms: int) -> list[int]:
+    """The product of two lists on one lattice; no coefficient sums > terms products."""
+    limb_bytes = _limb_bytes(max(max(a), -min(a)) * max(max(b), -min(b)) * terms)
+    prod = _pack(a, limb_bytes) * _pack(b, limb_bytes)
+    return _decode(prod, len(a) + len(b) - 1, limb_bytes)
 
 
-def _exact_div_dicts(
-    a: dict[int, int], b: dict[int, int]
-) -> tuple[dict[int, int] | None, dict[int, int]]:
-    """Top-down division of a by b over Z[A^{±1}]: (quotient, remainder).
-
-    quotient is None whenever the remainder is nonzero (the remainder then
-    reflects the state where division stalled, for diagnostics).
-    """
-    if not a:
-        return {}, {}
-    amin, bmin = min(a), min(b)
-    stride = _lattice_stride(a, b)
-    na = (max(a) - amin) // stride + 1
-    nb = (max(b) - bmin) // stride + 1
+def _divide(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly]:
+    """Top-down division of a by b over Z[A^{±1}]: (quotient, remainder), with
+    quotient None whenever the remainder (the state where it stalled) is not 0."""
+    step = math.gcd(a._step, b._step) or 1
+    dense = _spread(a._coeffs, a._step // step)
+    divisor = _spread(b._coeffs, b._step // step)
+    na, nb = len(dense), len(divisor)
     if nb > na:
-        return None, dict(a)
-    dense = [0] * na
-    for e, c in a.items():
-        idx, off = divmod(e - amin, stride)
-        if off:  # a does not live on b's lattice shift
-            return None, dict(a)
-        dense[idx] = c
-    b_offsets = [((e - bmin) // stride, c) for e, c in b.items()]
-    blead = b[max(b)]
+        return None, a
+    offsets = [(i, c) for i, c in enumerate(divisor) if c]
+    lead = divisor[-1]
     quot = [0] * (na - nb + 1)
     for qi in range(na - nb, -1, -1):
         c = dense[qi + nb - 1]
         if not c:
             continue
-        qc, res = divmod(c, blead)
+        qc, res = divmod(c, lead)
         if res:
             break
         quot[qi] = qc
-        for off, bc in b_offsets:
+        for off, bc in offsets:
             dense[qi + off] -= qc * bc
-    remainder = {amin + stride * i: c for i, c in enumerate(dense) if c}
+    remainder = _lattice(a._base, step, dense)
     if remainder:
         return None, remainder
-    return {amin - bmin + stride * i: c for i, c in enumerate(quot) if c}, {}
+    return _lattice(a._base - b._base, step, quot), _ZERO
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial over arbitrary-precision integers.
+    """Laurent polynomial over arbitrary-precision integers, stored as one
+    canonical run of coefficients on an exponent lattice (see the module
+    docstring), so structural equality is mathematical equality."""
 
-    Canonical form: no zero coefficient is ever stored, so structural
-    equality coincides with mathematical equality.
-    """
-
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_base", "_step", "_coeffs", "_nz", "_hash")
 
     def __init__(
         self, terms: Mapping[int, int] | Iterable[tuple[int, int]] | None = None
     ) -> None:
         data: dict[int, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for e, c in items:
-                v = data.get(e, 0) + c
-                if v:
-                    data[e] = v
-                elif e in data:
-                    del data[e]
-        self._terms = data
-        self._hash: int | None = None
+        for e, c in terms.items() if isinstance(terms, Mapping) else terms or ():
+            data[e] = data.get(e, 0) + c
+        data = {e: c for e, c in data.items() if c}
+        base = min(data, default=0)
+        step = math.gcd(*[e - base for e in data])
+        coeffs = [0] * ((max(data) - base) // step + 1) if step else list(data.values())
+        for e, c in data.items():
+            coeffs[(e - base) // (step or 1)] = c
+        self._base, self._step, self._coeffs = base, step, coeffs
+        self._nz, self._hash = len(data), None
 
     # -- constructors ------------------------------------------------
 
@@ -255,61 +255,69 @@ class LaurentPoly:
 
     @classmethod
     def from_int(cls, n: int) -> LaurentPoly:
-        return cls({0: n}) if n else _ZERO
+        return _new(0, 0, [n], 1) if n else _ZERO
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> LaurentPoly:
         """coefficient * A^exponent"""
-        return cls({exponent: coefficient}) if coefficient else _ZERO
+        return _new(exponent, 0, [coefficient], 1) if coefficient else _ZERO
 
     @classmethod
-    def _raw(cls, terms: dict[int, int]) -> LaurentPoly:
-        # internal: terms already canonical, adopted without copying
-        poly = cls.__new__(cls)
-        poly._terms = terms
-        poly._hash = None
-        return poly
+    def from_lattice(cls, base: int, step: int, coeffs: list[int]) -> LaurentPoly:
+        """sum_i coeffs[i] A^(base + step*i), for step >= 1; zeros are allowed
+        anywhere.  The list is adopted: the caller must not change it after."""
+        if step < 1:
+            raise ValueError("lattice stride must be >= 1")
+        return _lattice(base, step, coeffs)
 
     # -- inspection --------------------------------------------------
 
+    def lattice(self) -> tuple[int, int, list[int]]:
+        """(base, stride, coeffs) with self = sum_i coeffs[i] A^(base + stride*i),
+        in canonical form; coeffs is the stored list: read it, never change it."""
+        return self._base, self._step, self._coeffs
+
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     @property
     def min_exp(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
+        return self._base
 
     @property
     def max_exp(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
+        return self._base + self.span
 
     @property
     def span(self) -> int:
         """max_exp - min_exp (0 for monomials and for the zero polynomial)."""
-        return 0 if not self._terms else max(self._terms) - min(self._terms)
+        return self._step * (len(self._coeffs) - 1) if self._coeffs else 0
 
     def coeff(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        i, off = divmod(exponent - self._base, self._step or 1)
+        return self._coeffs[i] if not off and 0 <= i < len(self._coeffs) else 0
 
     def items(self) -> Iterator[tuple[int, int]]:
         """Terms as (exponent, coefficient), ascending by exponent."""
-        for e in sorted(self._terms):
-            yield e, self._terms[e]
+        step = self._step or 1
+        exponents = range(self._base, self._base + step * len(self._coeffs), step)
+        return compress(zip(exponents, self._coeffs), self._coeffs)
 
     def value_at_one(self) -> int:
         """Evaluation at A = 1 (the coefficient sum)."""
-        return sum(self._terms.values())
+        return sum(self._coeffs)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        """The number of nonzero coefficients, in O(1)."""
+        return self._nz
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -326,39 +334,43 @@ class LaurentPoly:
             other = LaurentPoly.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.lattice() == other.lattice()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._base, self._step, tuple(self._coeffs)))
         return self._hash
+
+    def _combine(self, other: LaurentPoly, scale: int) -> LaurentPoly:
+        """self + scale * other, with scale = ±1."""
+        if not other._coeffs:
+            return self
+        if not self._coeffs:
+            return other if scale == 1 else -other
+        base = min(self._base, other._base)
+        step = math.gcd(self._step, other._step, self._base - other._base) or 1
+        top = max(self._base + self.span, other._base + other.span)
+        out = [0] * ((top - base) // step + 1)
+        for p, s, fresh in ((self, 1, True), (other, scale, False)):
+            _add_into(out, (p._base - base) // step, p._step // step, s, p._coeffs, fresh)
+        return _lattice(base, step, out)
 
     def __add__(self, other: PolyLike) -> LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for e, c in b.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LaurentPoly._raw(out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
+        return _new(self._base, self._step, list(map(neg, self._coeffs)), self._nz)
 
     def __sub__(self, other: PolyLike) -> LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: PolyLike) -> LaurentPoly:
         return (-self) + other
@@ -367,18 +379,21 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._terms, other._terms
+        a, b = self._coeffs, other._coeffs
         if not a or not b:
             return _ZERO
-        if len(a) == 1:
-            ((ea, ca),) = a.items()
-            return LaurentPoly._raw({e + ea: c * ca for e, c in b.items()})
-        if len(b) == 1:
-            ((eb, cb),) = b.items()
-            return LaurentPoly._raw({e + eb: c * cb for e, c in a.items()})
-        if len(a) * len(b) >= _KRONECKER_CUTOFF:
-            return LaurentPoly._raw(_mul_kronecker(a, b))
-        return LaurentPoly._raw(_mul_dicts(a, b))
+        base = self._base + other._base
+        if len(a) == 1 or len(b) == 1:
+            (c,), row, row_poly = (a, b, other) if len(a) == 1 else (b, a, self)
+            if c != 1:
+                row = list(map(c.__mul__, row))
+            return _new(base, row_poly._step, row, row_poly._nz)
+        step = math.gcd(self._step, other._step)
+        ra, rb = self._step // step, other._step // step
+        if self._nz * other._nz >= _KRONECKER_CUTOFF:
+            terms = min(self._nz, other._nz)
+            return _lattice(base, step, _mul_kronecker(_spread(a, ra), _spread(b, rb), terms))
+        return _lattice(base, step, _mul_terms(a, ra, b, rb))
 
     __rmul__ = __mul__
 
@@ -401,9 +416,12 @@ class LaurentPoly:
         """A -> A^e on every term; a ring homomorphism for any e != 0."""
         if e == 0:
             raise ValueError("substitution exponent must be nonzero")
-        if e == 1:
+        if e == 1 or not self._coeffs:
             return self
-        return LaurentPoly._raw({exp * e: c for exp, c in self._terms.items()})
+        if e > 0:
+            return _new(self._base * e, self._step * e, self._coeffs, self._nz)
+        top = self._base + self.span
+        return _new(top * e, self._step * -e, self._coeffs[::-1], self._nz)
 
     def exact_div(self, divisor: PolyLike) -> LaurentPoly:
         """Exact quotient in Z[A^{±1}].
@@ -416,12 +434,10 @@ class LaurentPoly:
             raise ZeroDivisionError("exact_div by the zero polynomial")
         if self.is_zero:
             return _ZERO
-        quot, rem = _exact_div_dicts(self._terms, divisor._terms)
+        quot, rem = _divide(self, divisor)
         if quot is None:
-            raise RemainderNonzero(
-                "division left a nonzero remainder", LaurentPoly._raw(rem)
-            )
-        return LaurentPoly._raw(quot)
+            raise RemainderNonzero("division left a nonzero remainder", rem)
+        return quot
 
     def try_exact_div(self, divisor: LaurentPoly) -> LaurentPoly | None:
         """exact_div, but None instead of RemainderNonzero."""
@@ -435,8 +451,8 @@ class LaurentPoly:
     def eval_unit_root(self, k: int, n: int) -> mpmath.mpc:
         """Evaluate at A = exp(2*pi*i*k/n) to at least 50 significant digits.
 
-        Horner-style over the sorted exponent gaps, with one root power per
-        distinct gap computed once per call; working precision is
+        Horner-style over the gaps between nonzero terms, with one root
+        power per distinct gap computed once per call; working precision is
         raised with the coefficient size so ring structure is respected to
         ~1e-50 even for 2^256-sized coefficients.
         """
@@ -447,23 +463,21 @@ class LaurentPoly:
             raise ValueError("root order n must be >= 1")
         if self.is_zero:
             return mpmath.mpc(0)
-        max_coeff = max(abs(c) for c in self._terms.values())
+        terms = list(self.items())
+        max_coeff = max(max(self._coeffs), -min(self._coeffs))
         # headroom for products of two evaluations staying within 1e-40
-        dps = 70 + 2 * len(str(max_coeff)) + len(str(len(self._terms)))
-        exps = sorted(self._terms)
+        dps = 70 + 2 * len(str(max_coeff)) + len(str(len(terms)))
         with mpmath.workdps(dps):
 
             @functools.cache  # one value per distinct exponent gap of this call
             def root_power(e: int) -> mpmath.mpc:
                 angle = Fraction(2 * k * e, n) % 2
-                return mpmath.expjpi(
-                    mpmath.mpf(angle.numerator) / angle.denominator
-                )
+                return mpmath.expjpi(mpmath.mpf(angle.numerator) / angle.denominator)
 
-            acc = mpmath.mpc(self._terms[exps[-1]])
-            for i in range(len(exps) - 2, -1, -1):
-                acc = acc * root_power(exps[i + 1] - exps[i]) + self._terms[exps[i]]
-            return acc * root_power(exps[0])
+            acc = mpmath.mpc(terms[-1][1])
+            for i in range(len(terms) - 2, -1, -1):
+                acc = acc * root_power(terms[i + 1][0] - terms[i][0]) + terms[i][1]
+            return acc * root_power(terms[0][0])
 
     def render(self, variable: str = "A") -> str:
         """Deterministic text form, descending by exponent.
@@ -478,8 +492,7 @@ class LaurentPoly:
         if self.is_zero:
             return "0"
         pieces: list[str] = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
+        for e, c in reversed(list(self.items())):
             if e % step:
                 raise NotExpressible(
                     f"exponent {e} is not a multiple of {step} (variable {glyph})"
@@ -505,49 +518,33 @@ class LaurentPoly:
         return f"LaurentPoly({{{inner}}})"
 
 
-_ZERO = LaurentPoly.__new__(LaurentPoly)
-_ZERO._terms = {}
-_ZERO._hash = None
-_ONE = LaurentPoly.__new__(LaurentPoly)
-_ONE._terms = {0: 1}
-_ONE._hash = None
+_ZERO = _new(0, 0, [], 0)
+_ONE = _new(0, 0, [1], 1)
 
 
 def lincomb(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """sum m * x over the (m, x) pairs, accumulated in place into one dict.
-
-    A multiplier of at most two terms (such as ±A^e {n}) is applied as
-    shifted adds of x's terms.  A larger one is first multiplied out with
-    m * x; that product is fresh (a zero one has no terms to adopt), so
-    when it has more terms than the total it takes the total in, rather
-    than the other way round.  Equal to the sum of the products, without
-    a copy of the running total per term.
-    """
-    out: dict[int, int] = {}
+    """sum m * x over the (m, x) pairs, in one list laid out from the factors'
+    spans: a multiplier of at most two terms (such as ±A^e {n}) adds shifted,
+    scaled slices of x, a larger one adds m * x, and no product is kept."""
+    pairs = [(m, x) for m, x in pairs if m and x]
+    if not pairs:
+        return _ZERO
+    base = min(m._base + x._base for m, x in pairs)
+    step = math.gcd(*[math.gcd(m._step, x._step, m._base + x._base - base) for m, x in pairs]) or 1
+    top = max(m._base + x._base + m.span + x.span for m, x in pairs)
+    out = [0] * ((top - base) // step + 1)
+    fresh = True
     for m, x in pairs:
-        factors = m._terms
-        if len(factors) > 2:
-            terms = (m * x)._terms
-            if len(terms) > len(out):
-                out, terms = terms, out
-            factors = _ONE._terms
+        if m._nz > 2:
+            terms = [(0, 1, m * x)]
         else:
-            terms = x._terms
-        get = out.get
-        for shift, scale in factors.items():
-            if scale == 1:
-                for e, c in terms.items():
-                    e += shift
-                    out[e] = get(e, 0) + c
-            elif scale == -1:
-                for e, c in terms.items():
-                    e += shift
-                    out[e] = get(e, 0) - c
-            else:
-                for e, c in terms.items():
-                    e += shift
-                    out[e] = get(e, 0) + scale * c
-    return LaurentPoly._raw({e: c for e, c in out.items() if c})
+            terms = [(e, c, x) for e, c in m.items()]
+        for shift, scale, poly in terms:
+            if poly:
+                start = (poly._base + shift - base) // step
+                _add_into(out, start, poly._step // step, scale, poly._coeffs, fresh)
+                fresh = False
+    return _lattice(base, step, out)
 
 
 def binomial_table(m: int) -> dict[int, int]:
@@ -597,6 +594,7 @@ def _binomials(
 
 @functools.lru_cache(maxsize=1024)
 def _expand(factors: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    """prod Φ_d(A)^e over the sorted table, expanded, binomials first."""
     binomials, left = _binomials(factors)
     out = _ONE
     for m, times in binomials:
@@ -606,25 +604,18 @@ def _expand(factors: tuple[tuple[int, int], ...]) -> LaurentPoly:
     return out
 
 
-def _cyclotomic_product(exponents: Mapping[int, int]) -> LaurentPoly:
-    """prod Φ_d(A)^e over the table, expanded, binomials first."""
-    return _expand(tuple(sorted(exponents.items())))
-
-
 def _binomial_quotient(
-    terms: dict[int, int], binomials: tuple[tuple[int, int], ...]
-) -> dict[int, int] | None:
-    """terms / prod (A^m - 1)^times over the binomials, or None if inexact.
+    num: LaurentPoly, binomials: tuple[tuple[int, int], ...]
+) -> LaurentPoly | None:
+    """num / prod (A^m - 1)^times over the binomials, or None if inexact.
 
-    One linear pass per binomial on the exponent lattice: the quotient of
-    a by A^m - 1 is minus the prefix sums of a along each residue class
-    mod m, and it is exact iff those sums vanish on the top m exponents.
+    One linear pass per binomial on num's list, spread to the gcd of its
+    stride and every m: the quotient of a by A^m - 1 is minus the prefix
+    sums of a along each residue class mod m, and it is exact iff those
+    sums vanish on the top m exponents.
     """
-    base = min(terms)
-    step = math.gcd(_lattice_stride(terms), *(m for m, _ in binomials))
-    dense = [0] * ((max(terms) - base) // step + 1)
-    for e, c in terms.items():
-        dense[(e - base) // step] = c
+    step = math.gcd(num._step, *(m for m, _ in binomials))
+    dense = _spread(num._coeffs, num._step // step)
     sign = 1
     for m, times in binomials:
         width = m // step
@@ -635,13 +626,13 @@ def _binomial_quotient(
                 return None
             del dense[-width:]
             sign = -sign
-    return {base + step * i: sign * c for i, c in enumerate(dense) if c}
+    return _lattice(num._base, step, dense if sign > 0 else list(map(neg, dense)))
 
 
 def _lift(num: LaurentPoly, have: Mapping[int, int], want: Mapping[int, int]) -> LaurentPoly:
     """num times the factors of the table want that the table have lacks."""
     missing = {d: e - have.get(d, 0) for d, e in want.items() if e > have.get(d, 0)}
-    return num * _cyclotomic_product(missing) if missing else num
+    return num * _expand(tuple(sorted(missing.items()))) if missing else num
 
 
 def _divide_out(num: LaurentPoly, factors: Iterable[tuple[int, int]]) -> LaurentPoly:
@@ -697,7 +688,7 @@ class LaurentFraction:
     def den(self) -> LaurentPoly:
         """The expanded denominator, lowest exponent 0, leading coefficient 1."""
         if self._den is None:
-            self._den = _cyclotomic_product(self._phi)
+            self._den = _expand(tuple(sorted(self._phi.items())))
         return self._den
 
     @property
@@ -794,10 +785,10 @@ class LaurentFraction:
         """
         factors = tuple(sorted(self._phi.items()))
         binomials, left = _binomials(factors)
-        terms = _binomial_quotient(self._num._terms, binomials) if binomials else self._num._terms
-        if terms is not None:
+        quot = _binomial_quotient(self._num, binomials) if binomials else self._num
+        if quot is not None:
             try:
-                return _divide_out(LaurentPoly._raw(terms), left)
+                return _divide_out(quot, left)
             except RemainderNonzero:
                 pass
         # only a failed collapse is redone factor by factor, to name the factor

@@ -27,7 +27,7 @@ def brace(n: int) -> LaurentPoly:
     """{n} = 𝔮^n - 𝔮^-n; odd in n, zero at n = 0."""
     if n == 0:
         return _ZERO
-    return LaurentPoly({2 * n: 1, -2 * n: -1})
+    return LaurentPoly.from_lattice(-2 * abs(n), 4 * abs(n), [-1, 1] if n > 0 else [1, -1])
 
 
 def bracket(n: int) -> LaurentPoly:
@@ -35,11 +35,6 @@ def bracket(n: int) -> LaurentPoly:
     if n < 0:
         return -bracket(-n)
     return LaurentPoly({2 * (n - 1 - 2 * j): 1 for j in range(n)})
-
-
-def _balanced_exponents(m: int, t: int) -> range:
-    """The exponents of [m t] = A^(-2t(m-t)) [m t]_q(A^4), lowest first."""
-    return range(-2 * t * (m - t), 2 * t * (m - t) + 1, 4)
 
 
 @functools.cache
@@ -215,12 +210,13 @@ class QSymbolCache:
         """Balanced binomial [n i] = {n}!/({i}!{n-i}!); 0 out of range.
 
         [n i] = A^(-2i(n-i)) [n i]_q at q = A^4.  The Gaussian binomials
-        [m t]_q are stepped up from the nearest stored row below n as dense
-        coefficient lists, by the q-Pascal rule
-        [m t]_q = [m-1 t]_q + q^(m-t) [m-1 t-1]_q, one slice add each; only
-        row n is turned back into Laurent polynomials.  Only the rows asked
-        for are kept, and no dense list outlives the call.  Each row is
-        symmetric, so only i <= n/2 is stored.
+        [m t]_q are stepped up from the nearest stored row below n on the
+        polynomials' own coefficient lists (LaurentPoly.lattice, base
+        -2t(m-t), stride 4), by the q-Pascal rule
+        [m t]_q = [m-1 t]_q + q^(m-t) [m-1 t-1]_q, one slice add each; row n
+        adopts its lists through LaurentPoly.from_lattice.  Only the rows
+        asked for are kept, and no list of a stepping-stone row outlives the
+        call.  Each row is symmetric, so only i <= n/2 is stored.
         """
         if n < 0:
             raise IndexOutOfRange("balanced binomial needs n >= 0")
@@ -231,12 +227,9 @@ class QSymbolCache:
         if row is None:
             self._check(n)
             start = max(m for m in rows if m < n)
-            # every coefficient of [m t]_q is positive: no exponent of the
-            # lattice is missing from a stored row, and no zero enters one
-            dense = [
-                list(map(poly._terms.__getitem__, _balanced_exponents(start, t)))
-                for t, poly in enumerate(rows[start])
-            ]
+            # every coefficient of [m t]_q is positive: a stored row's list
+            # covers its whole lattice, and no zero enters one
+            dense = [poly.lattice()[2] for poly in rows[start]]
             for m in range(start + 1, n + 1):
                 prev, dense = dense, [[1]]
                 for t in range(1, m // 2 + 1):
@@ -245,7 +238,7 @@ class QSymbolCache:
                     gauss[m - t :] = map(add, gauss[m - t :], prev[t - 1])
                     dense.append(gauss)
             row = rows[n] = [
-                LaurentPoly._raw(dict(zip(_balanced_exponents(n, t), gauss)))
+                LaurentPoly.from_lattice(-2 * t * (n - t), 4, gauss)
                 for t, gauss in enumerate(dense)
             ]
         return row[min(i, n - i)]

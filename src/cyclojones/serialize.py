@@ -250,13 +250,14 @@ class CoeffCache:
             return None
         if obj.get("knot") != knot_to_obj(knot) or obj.get("k") != k:
             raise CacheMismatch(f"cache entry {path} is not for {knot} k={k}")
-        try:
-            value = poly_from_obj(obj["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheMismatch(f"malformed value in {path}: {exc}") from None
-        # the value as read, in canonical JSON; coefficient_table vets the value itself
-        if obj.get("digest") != hashlib.sha256(_canonical_json(obj["value"]).encode()).hexdigest():
+        # the value as read, in canonical JSON, before a polynomial fills its span
+        value = obj.get("value")
+        if obj.get("digest") != hashlib.sha256(_canonical_json(value).encode()).hexdigest():
             raise CacheMismatch(f"digest mismatch in {path}")
+        try:  # coefficient_table vets the value itself
+            value = poly_from_obj(value)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CacheMismatch(f"malformed value in {path}: {exc}") from None
         self._hits += 1
         return value
 

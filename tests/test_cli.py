@@ -453,6 +453,37 @@ def test_requests_above_the_index_bound_are_usage_errors(argv, capsys):
         assert lines[-1].endswith(f"must be in {0 if 'max-k' in argv else 1}..{MAX_INDEX}")
 
 
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        # refused: 20 s and 745 MB; accepted: 1.4 s and 78 MB (README)
+        ("coeffs --p 2000 --s 1 --max-k 12 --no-cache", "coeffs --p 200 --s 1 --max-k 12 --no-cache"),
+        # the K(-3, 5/2) table at the largest index stays in; ten twists are refused there
+        ("coeffs --p 10 --s 1 --max-k 48 --no-cache", "coeffs --p -3 --s 5 --max-k 48 --no-cache"),
+        ("coeffs --p 1 --r -2000000 --max-k 0 --no-cache", "coeffs --p 1 --r -2 --max-k 48 --no-cache"),
+        ("jones --p 2 --s 401 --N 20", "jones --p 2 --s 1 --N 48 --route both"),
+        ("eval --p -200 --r 1 --N 20", "eval --p -100 --r 1 --N 20"),
+    ],
+)
+def test_requests_above_the_lattice_budget_are_usage_errors(argv, accepted, capsys, monkeypatch):
+    # counted from |p|, s or r and max_k or N while the arguments are read
+    from cyclojones import cli, cyclotomic
+
+    monkeypatch.setattr(cyclotomic, "coefficient_table", lambda *a: pytest.fail("table started"))
+    parser = cli.build_parser()
+    assert cli.config_from_args(parser, parser.parse_args(accepted.split())).knot
+    with pytest.raises(SystemExit) as err:
+        cli.config_from_args(parser, parser.parse_args(argv.split()))
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: ")
+    assert lines[-1].endswith(f"units of lattice slots, over the budget of {cli.LATTICE_BUDGET}")
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("flag, low, field", [("--max-k", 0, "max_k"), ("--max-n", 1, "max_n")])
 def test_verify_grid_above_its_bound_is_a_usage_error(flag, low, field, capsys, monkeypatch):
     # checked while the arguments are read: no check of the suite starts

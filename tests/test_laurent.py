@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import os
@@ -8,16 +9,11 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cyclojones
 from cyclojones import laurent
-from cyclojones.laurent import (
-    _KRONECKER_CUTOFF,
-    _exact_div_dicts,
-    _mul_dicts,
-    binomial_table,
-)
+from cyclojones.laurent import _KRONECKER_CUTOFF, binomial_table
 from cyclojones import (
     LaurentFraction,
     LaurentPoly,
@@ -33,6 +29,77 @@ polys = st.dictionaries(
     st.integers(-60, 60), st.integers(-(2**64), 2**64), max_size=8
 ).map(LaurentPoly)
 nonzero_polys = polys.filter(lambda f: not f.is_zero)
+
+
+# -- the reference: schoolbook arithmetic on term dicts, over items() ----
+
+
+def _ref_add(a: dict[int, int], b: dict[int, int], scale: int = 1) -> dict[int, int]:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_divmod(a: dict[int, int], b: dict[int, int]):
+    """Top-down long division: (quotient, {}) when b divides a, else (None,
+    the remainder where the division stalled).  It stalls on a leading
+    coefficient that b's does not divide, or when the quotient would need
+    an exponent below a's lowest minus b's lowest."""
+    rem, quot = dict(a), {}
+    low, top_b, span_b = min(a, default=0), max(b), max(b) - min(b)
+    while rem and max(rem) - span_b >= low:
+        top = max(rem)
+        c, r = divmod(rem[top], b[top_b])
+        if r:
+            break
+        quot[top - top_b] = c
+        rem = _ref_add(rem, {e + top - top_b: cb for e, cb in b.items()}, -c)
+    return (None, rem) if rem else (quot, {})
+
+
+def _terms(poly: LaurentPoly) -> dict[int, int]:
+    return dict(poly.items())
+
+
+def _assert_canonical(poly: LaurentPoly) -> None:
+    """No zero at either end of the list, the stride the gcd of the nonzero
+    offsets, len() the nonzero count, and items() the nonzero terms."""
+    base, step, coeffs = poly.lattice()
+    if not coeffs:
+        assert (base, step, len(poly)) == (0, 0, 0)
+        return
+    assert coeffs[0] and coeffs[-1]
+    if len(coeffs) == 1:
+        assert step == 0
+    else:  # the offsets are step * i, and the i have gcd 1
+        assert step >= 1 and math.gcd(*(i for i, c in enumerate(coeffs) if c)) == 1
+    assert len(poly) == sum(1 for c in coeffs if c)
+    assert _terms(poly) == {base + step * i: c for i, c in enumerate(coeffs) if c}
+
+
+@contextlib.contextmanager
+def _spy(name: str):
+    """Record the results of the laurent kernel of that name while inside."""
+    results, original = [], getattr(laurent, name)
+
+    def spy(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    setattr(laurent, name, spy)
+    try:
+        yield results
+    finally:
+        setattr(laurent, name, original)
 
 
 def test_ring_op_examples():
@@ -126,20 +193,15 @@ def test_eval_unit_root_huge_coefficients():
         assert abs(lhs - rhs) < mpmath.mpf("1e-40")
 
 
-def test_kronecker_path_matches_dict_multiplication(monkeypatch):
+def test_kronecker_path_matches_dict_multiplication():
     # operands big enough to take the packed-integer multiply path
-    packed = []
-    kronecker = laurent._mul_kronecker
-    monkeypatch.setattr(
-        laurent, "_mul_kronecker", lambda a, b: packed.append(1) or kronecker(a, b)
-    )
     rng = random.Random(31337)
     f = LaurentPoly({2 * i: rng.randint(-(2**90), 2**90) for i in range(-150, 151)})
     g = LaurentPoly({2 * i + 4: rng.randint(-(2**90), 2**90) for i in range(-100, 101)})
     assert len(f) * len(g) >= _KRONECKER_CUTOFF
-    fast = f * g
-    slow = LaurentPoly(_mul_dicts(dict(f.items()), dict(g.items())))
-    assert packed and fast == slow
+    with _spy("_mul_kronecker") as packed:
+        fast = f * g
+    assert packed and fast == LaurentPoly(_ref_mul(_terms(f), _terms(g)))
 
 
 def test_render():
@@ -245,7 +307,7 @@ def telescoping_pairs(draw) -> tuple[dict[int, int], dict[int, int]]:
 @given(operand_pairs())
 def test_mul_matches_dict_kernel(pair):
     a, b = pair
-    assert _mul(a, b) == _mul_dicts(a, b)
+    assert _mul(a, b) == _ref_mul(a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,7 +315,7 @@ def test_mul_matches_dict_kernel(pair):
 def test_mul_cancelling_products(pair):
     a, b = pair
     product = _mul(a, b)
-    assert product == _mul_dicts(a, b)
+    assert product == _ref_mul(a, b)
     assert len(product) == 2
 
 
@@ -264,7 +326,141 @@ def test_mul_coefficient_at_the_limb_bound(m):
     a = {2 * i: 2**m for i in range(32)}
     product = _mul(a, a)
     assert product[62] == 2 ** (2 * m + 5)
-    assert product == _mul_dicts(a, a)
+    assert product == _ref_mul(a, a)
+
+
+# -- every kernel path against the reference ------------------------------
+
+
+@st.composite
+def kernel_operands(draw) -> tuple[dict[int, int], dict[int, int]]:
+    """Operand pairs for each multiply kernel: a monomial factor, small
+    products and packed ones, on strides 1 to 12 that may differ between
+    the two, with negative exponents and gaps."""
+    kind = draw(st.sampled_from(("monomial", "small", "packed")))
+    sizes = {"monomial": (1, 60), "small": (2, 12), "packed": (30, 80)}[kind]
+    a = draw(strided_polys(draw(st.integers(*sizes)), 64))
+    b = draw(strided_polys(draw(st.integers(max(sizes[0], 2), sizes[1])), 64))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@st.composite
+def strided_polys(draw, terms: int, bits: int, fills=(1.0, 0.7, 0.2)) -> dict[int, int]:
+    """Up to `terms` terms of at most `bits` bits on a stride 1 to 12
+    lattice, the first and last term and one of size 2^bits always there."""
+    rng = draw(st.randoms(use_true_random=False))
+    stride = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12)))
+    shift = draw(st.integers(-200, 200))
+    fill = draw(st.sampled_from(fills))
+    out = {}
+    for i in range(terms):
+        if i in (0, terms - 1) or rng.random() < fill:
+            out[shift + stride * i] = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+    out[rng.choice(sorted(out))] = rng.choice((-1, 1)) * 2**bits
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_operands())
+def test_kernels_match_reference(pair):
+    a, b = pair
+    f, g = LaurentPoly(a), LaurentPoly(b)
+    with _spy("_mul_terms") as loop, _spy("_mul_kronecker") as packed:
+        product = f * g
+    monomial = len(a) == 1 or len(b) == 1
+    products = len(a) * len(b)
+    assert (bool(loop), bool(packed)) == (
+        not monomial and products < _KRONECKER_CUTOFF,
+        not monomial and products >= _KRONECKER_CUTOFF,
+    )
+    assert _terms(product) == _ref_mul(a, b)
+    for value, expected in ((f + g, _ref_add(a, b)), (f - g, _ref_add(a, b, -1)),
+                            (-f, _ref_add({}, a, -1))):
+        assert _terms(value) == expected
+        _assert_canonical(value)
+    _assert_canonical(product)
+
+
+@pytest.mark.parametrize("limb_bytes, bits", [(1, 0), (2, 3), (4, 10), (8, 25), (26, 100)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kronecker_limb_sizes_match_reference(limb_bytes, bits, data):
+    # the coefficient size sets the limb size: machine words of 1, 2, 4
+    # and 8 bytes through array, and 26 bytes through to_bytes
+    a = data.draw(strided_polys(data.draw(st.integers(25, 40)), bits, (1.0, 0.8)))
+    b = data.draw(strided_polys(data.draw(st.integers(25, 40)), bits, (1.0, 0.8)))
+    assume(len(a) * len(b) >= _KRONECKER_CUTOFF)
+    with _spy("_limb_bytes") as limbs, _spy("_mul_kronecker") as packed:
+        product = LaurentPoly(a) * LaurentPoly(b)
+    assert packed and limbs == [limb_bytes]
+    assert _terms(product) == _ref_mul(a, b)
+    _assert_canonical(product)
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_cancellation_and_stride_coarsening(n):
+    # small (n = 3) and packed (n = 40) products whose terms cancel
+    # down to a coarser lattice, or to nothing
+    x = A(2)
+    assert (1 + x) * (1 - x) == 1 - A(4) and (1 - A(4)).lattice() == (0, 4, [1, -1])
+    geometric = sum((x**i for i in range(n)), LaurentPoly.zero())
+    telescoped = geometric * (1 - x)
+    assert telescoped.lattice() == (0, 2 * n, [1, -1]) and len(telescoped) == 2
+    assert (geometric * (1 + x)) * (1 - x) == (1 - A(4)) * geometric
+    zero = geometric * telescoped - telescoped * geometric
+    assert zero.is_zero and zero.lattice() == (0, 0, []) and zero == 0
+    assert (geometric - geometric).lattice() == (0, 0, [])
+    # a sum that cancels at both ends and in every odd slot
+    f = LaurentPoly({-6: 5, -4: 1, -2: 2, 0: 7, 2: 3})
+    g = LaurentPoly({-6: -5, -4: 4, -2: -2, 0: 1, 2: -3})
+    assert (f + g).lattice() == (-4, 4, [5, 8])
+
+
+@settings(max_examples=60, deadline=None)
+@given(strided_polys(12, 40), st.lists(st.tuples(st.sampled_from((2, 4, 6, 8, 12)),
+                                                    st.integers(1, 2)), min_size=1, max_size=3),
+       st.integers(-(2**70), 2**70))
+def test_binomial_quotient_matches_reference(p, binomials, bump):
+    divisor = {0: 1}
+    for m, times in binomials:
+        for _ in range(times):
+            divisor = _ref_mul(divisor, {m: 1, 0: -1})
+    num = _ref_mul(p, divisor)
+    binomials = tuple(binomials)
+    quotient = laurent._binomial_quotient(LaurentPoly(num), binomials)
+    assert _terms(quotient) == p
+    _assert_canonical(quotient)
+    # a unit off a multiple of a non-unit is no multiple of it
+    if bump:
+        bumped = LaurentPoly(_ref_add(num, {min(num) - 2: bump}))
+        assert laurent._binomial_quotient(bumped, binomials) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(strided_polys(30, 64), strided_polys(6, 8))
+def test_equal_polynomials_built_by_different_routes_are_equal(a, b):
+    f, g = LaurentPoly(a), LaurentPoly(b)
+    product = _ref_mul(a, b)
+    low, high = min(product), max(product)
+    # the terms on the stride-1 lattice, with two zeros below and one above
+    padded = [product.get(e, 0) for e in range(low - 2, high + 2)]
+    routes = [
+        LaurentPoly(product),
+        LaurentPoly(list(product.items())[::-1] + [(low - 3, 0), (low, 5), (low, -5)]),
+        LaurentPoly.from_lattice(low - 2, 1, padded),
+        f * g,
+        g * f,
+        sum((A(e, c) for e, c in product.items()), LaurentPoly.zero()),
+        laurent.lincomb([(g, f)]),
+        laurent.lincomb([(A(e, c), f) for e, c in b.items()]),
+        (f * g).substitute_power(-1).substitute_power(-1),
+        (f * g * g).exact_div(g),
+        ((f + g) * g - g * g),
+    ]
+    for route in routes:
+        _assert_canonical(route)
+        assert route == routes[0] and hash(route) == hash(routes[0])
+        assert route.lattice() == routes[0].lattice()
 
 
 @st.composite
@@ -300,6 +496,11 @@ def test_lincomb_matches_products_and_sums(pairs):
         expected = expected + m * x
     total = laurent.lincomb(iter(pairs))
     assert total == expected
+    reference: dict[int, int] = {}
+    for m, x in snapshot:
+        reference = _ref_add(reference, _ref_mul(*(m, x)))
+    assert _terms(total) == reference
+    _assert_canonical(total)
     assert dict(total.items()) == dict(expected.items())  # no zero coefficient kept
     # the operands are left as they were, and so is the shared zero
     assert [(dict(m.items()), dict(x.items())) for m, x in pairs] == snapshot
@@ -321,37 +522,42 @@ def test_lincomb_cancelling_and_empty_sums_are_zero():
 @given(operand_pairs())
 def test_exact_div_matches_loop(pair):
     q, b = pair
-    a = _mul_dicts(q, b)
-    assert _exact_div_dicts(a, b) == (q, {})
-    assert LaurentPoly(a).exact_div(LaurentPoly(b)) == LaurentPoly(q)
+    a = _ref_mul(q, b)
+    assert _ref_divmod(a, b) == (q, {})
+    quotient = LaurentPoly(a).exact_div(LaurentPoly(b))
+    assert quotient == LaurentPoly(q) and _terms(quotient) == q
+    _assert_canonical(quotient)
 
 
 @settings(max_examples=40, deadline=None)
 @given(telescoping_pairs())
 def test_exact_div_cancelling_products(pair):
     a, b = pair
-    product = _mul_dicts(a, b)
-    assert _exact_div_dicts(product, b) == (a, {})
-    assert _exact_div_dicts(product, a) == (b, {})
+    product = LaurentPoly(_ref_mul(a, b))
+    assert _terms(product.exact_div(LaurentPoly(b))) == a
+    assert _terms(product.exact_div(LaurentPoly(a))) == b
 
 
-@settings(max_examples=60, deadline=None)
-@given(operand_pairs(), st.integers(-(2**512), 2**512).filter(bool))
-def test_exact_div_remainder_matches_loop(pair, bump):
+@settings(max_examples=80, deadline=None)
+@given(operand_pairs(), st.integers(-(2**512), 2**512).filter(bool), st.data())
+def test_exact_div_remainder_matches_loop(pair, bump, data):
     q, b = pair
     if len(b) == 1 and abs(next(iter(b.values()))) == 1:
         b = {**b, max(b) + 2: 1}  # a unit divides everything
-    a = _mul_dicts(q, b)
-    # add 1 mod b's lowest coefficient to a's lowest: b no longer divides a
-    low = min(a)
-    a[low] += abs(bump * b[min(b)]) + 1
-    if not a[low]:
-        del a[low]
-    expected = _exact_div_dicts(a, b)
+    a = _ref_mul(q, b)
+    # add 1 mod b's lowest and leading coefficients at one of a's exponents:
+    # b no longer divides a, and where the sum meets b's leading
+    # coefficient the division stalls, possibly half way down
+    e = data.draw(st.sampled_from(sorted(a)))
+    a[e] += abs(bump * b[min(b)] * b[max(b)]) + 1
+    if not a[e]:
+        del a[e]
+    expected = _ref_divmod(a, b)
     assert expected[0] is None
     with pytest.raises(RemainderNonzero) as err:
         LaurentPoly(a).exact_div(LaurentPoly(b))
-    assert err.value.remainder == LaurentPoly(expected[1])
+    assert _terms(err.value.remainder) == expected[1]
+    _assert_canonical(err.value.remainder)
     assert LaurentPoly(a).try_exact_div(LaurentPoly(b)) is None
 
 
@@ -361,12 +567,13 @@ def test_decode_overflow_raises_without_asserts(tmp_path):
     script.write_text(
         "from cyclojones import laurent\n"
         "laurent._limb_bytes = lambda bound: 1\n"
+        "f = laurent.LaurentPoly({i: 12 for i in range(30)})\n"
         "try:\n"
-        "    laurent._mul_kronecker({0: 1, 1: 12}, {0: 1, 1: 12})\n"
+        "    f * f\n"
         "except OverflowError as exc:\n"
         "    print('raised', exc)\n"
         "try:\n"
-        "    laurent._decode(-(1 << 64), 2, 1, 0, 1)\n"
+        "    laurent._decode(-(1 << 64), 2, 1)\n"
         "except OverflowError:\n"
         "    print('raised')\n"
     )
@@ -632,5 +839,5 @@ def test_binomial_collapse_on_strided_lattices(stride, m):
 
 def test_binomial_quotient_rejects_short_numerators():
     # a numerator narrower than the binomial cannot be a multiple of it
-    assert laurent._binomial_quotient({0: 1, 4: 1}, ((8, 1),)) is None
-    assert laurent._binomial_quotient({0: -1, 8: 1}, ((8, 1),)) == {0: 1}
+    assert laurent._binomial_quotient(LaurentPoly({0: 1, 4: 1}), ((8, 1),)) is None
+    assert laurent._binomial_quotient(LaurentPoly({0: -1, 8: 1}), ((8, 1),)) == LaurentPoly.one()

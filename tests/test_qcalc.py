@@ -138,11 +138,10 @@ def test_balanced_binomial_respects_max_index():
 
 
 def _held_bytes(value) -> int:
-    """sys.getsizeof summed over the stored terms: each term dict with its
-    exponents and coefficients, each coefficient list with its entries."""
+    """sys.getsizeof summed over the stored terms: each coefficient list
+    with its entries, a polynomial's stored list included."""
     if isinstance(value, LaurentPoly):
-        terms = value._terms
-        return getsizeof(terms) + sum(getsizeof(e) + getsizeof(c) for e, c in terms.items())
+        value = value.lattice()[2]
     if isinstance(value, int):
         return getsizeof(value)
     return getsizeof(value) + sum(_held_bytes(item) for item in value)
