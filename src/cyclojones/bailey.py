@@ -18,7 +18,7 @@ from math import comb
 from collections.abc import Callable, Iterator
 
 from .errors import IndexOutOfRange
-from .laurent import LaurentFraction, LaurentPoly
+from .laurent import LaurentFraction, LaurentPoly, lincomb
 from .qcalc import QSymbolCache
 from .record import Record
 
@@ -182,7 +182,8 @@ def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache | None = No
             = sum_j x^j q^(j^2)/(q;q)_{k-j} *
               sum_i alpha_i/((q;q)_{j-i}(xq;q)_{j+i})
 
-    Both sides are finite double sums in the pair's alpha alone.
+    Both sides are finite double sums in the pair's alpha alone; the cache
+    keeps each beta_from_alpha(pair, j) of the right side for every k >= j.
     """
     if k < 0:
         raise IndexOutOfRange("index must be >= 0")
@@ -192,7 +193,10 @@ def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache | None = No
     rhs = LaurentFraction(_ZERO)
     for j in range(k + 1):
         weight = LaurentPoly.monomial(4 * (pair.x_exp * j + j * j))
-        rhs = rhs + beta_from_alpha(pair, j, cache) * cache.pochhammer_recip(1, k - j) * weight
+        key = ("beta_from_alpha", pair, j)
+        if key not in cache.coefficients:
+            cache.coefficients[key] = beta_from_alpha(pair, j, cache)
+        rhs = rhs + cache.coefficients[key] * cache.pochhammer_recip(1, k - j) * weight
     return lhs == rhs
 
 
@@ -264,15 +268,15 @@ def _chain_sum(
 ) -> LaurentPoly:
     """sum over chains of prod_{i=1}^{L-1} A^step_a_exp(k_i, k_{i+1})
     [k_{i+1} over k_i]_q, each chain optionally weighted by
-    beta_weight(k_1)."""
-    total = _ZERO
+    beta_weight(k_1); one lincomb adds them."""
+    pairs = []
     for chain in enumerate_chains(top, length):
         ks = chain.ascending()
-        term = _ONE if beta_weight is None else beta_weight(ks[0])
+        term = _ONE
         for a, b in zip(ks, ks[1:]):
             term = term * LaurentPoly.monomial(step_a_exp(a, b)) * cache.qbinom(b, a)
-        total = total + term
-    return total
+        pairs.append((_ONE if beta_weight is None else beta_weight(ks[0]), term))
+    return lincomb(pairs)
 
 
 def multisum_c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:

@@ -29,8 +29,8 @@ reuses the same P_j.
 c'_{k,p} depends on one twist and not on the knot: every knot with p
 (or r) in a twist region shares it.  It lives in the cache's coefficient
 store (QSymbolCache.coefficients) for as long as the cache, so a run
-over many knots on one cache computes each c'_{k,p} once.  The numerator
-of c~'_j is not stored there; it enters H_k only through P_j.
+over many knots on one cache computes each c'_{k,p} once; so does the
+numerator _c_num(j, 2s) of c~'_j, shared by every knot with s.
 """
 
 from __future__ import annotations
@@ -158,8 +158,11 @@ def _c_sum(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> La
 
 
 def _c_num(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> LaurentPoly:
-    """{k}! times _c_sum: the numerator over the denominator {2k+1}!."""
-    return cache.brace_fact(k) * _c_sum(k, twist_exp, alternating, cache)
+    """{k}! times _c_sum, the numerator over {2k+1}!, kept in the cache."""
+    key = ("_c_num", k, twist_exp, alternating)
+    if key not in cache.coefficients:
+        cache.coefficients[key] = cache.brace_fact(k) * _c_sum(k, twist_exp, alternating, cache)
+    return cache.coefficients[key]
 
 
 def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
@@ -199,21 +202,22 @@ def c_tilde_prime(k: int, s: int, cache: QSymbolCache | None = None) -> LaurentF
 
 
 def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
-    """N_{k,j} = {2k+2}! d_{k,j,p} / {2j+1}!, a Laurent polynomial:
+    """{2k+2}! d_{k,j,p} = {2j+1}! N_{k,j}, a Laurent polynomial, with
 
-        sum_{i=j}^{k} (-1)^(i+j) A^(-4pi(i+2)) {2i+2} [i+1+j over 2j+1] [2k+2 over k-i]
+        N_{k,j} = sum_{i=j}^{k} (-1)^(i+j) A^(-4pi(i+2)) {2i+2} [i+1+j over 2j+1] [2k+2 over k-i]
 
-    The kernel of d_kjp only; h_coeff_half sums the same terms with the
-    i-sum outside.
+    The cache keeps the p-free rest of each term for the last (k, j), so a
+    loop over p builds it once.  Used by d_kjp only; h_coeff_half sums the
+    same terms with the i-sum outside.
     """
-    return lincomb(
-        (
-            LaurentPoly.monomial(-4 * p * i * (i + 2), -1 if (i + j) & 1 else 1)
-            * brace(2 * i + 2)
-            * cache.qbinom_balanced(i + 1 + j, 2 * j + 1),
-            cache.qbinom_balanced(2 * k + 2, k - i),
-        )
+    kernel = cache.latest("d_kernel", (k, j), lambda: [
+        brace(2 * i + 2) * cache.qbinom_balanced(i + 1 + j, 2 * j + 1)
+        * cache.qbinom_balanced(2 * k + 2, k - i)
         for i in range(j, k + 1)
+    ])
+    return cache.brace_fact(2 * j + 1) * lincomb(
+        (LaurentPoly.monomial(-4 * p * i * (i + 2), -1 if (i + j) & 1 else 1), term)
+        for i, term in enumerate(kernel, j)
     )
 
 
@@ -221,15 +225,14 @@ def d_kjp(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentF
     """d_{k,j,p} = sum_{i=j}^{k} (-1)^(i+j) 𝔮^(-2pi(i+2))
                    {2i+2}{i+1+j}!/({k+i+2}!{k-i}!{i-j}!),
 
-    taken over {2k+2}! as {2j+1}! N_{k,j} / {2k+2}!.
+    taken over {2k+2}! as _d_num / {2k+2}!.
     """
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"d coefficient needs 0 <= j <= k, got k={k}, j={j}")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
     cache = cache or QSymbolCache()
-    num = cache.brace_fact(2 * j + 1) * _d_num(k, j, p, cache)
-    return cache.brace_fact_recip(2 * k + 2) * num
+    return cache.brace_fact_recip(2 * k + 2) * _d_num(k, j, p, cache)
 
 
 # -- cyclotomic coefficients ------------------------------------------
@@ -272,8 +275,8 @@ def _g_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
 def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> LaurentPoly:
     """H_k(K(p, s/2)) = (-1)^k sum_{j=0}^{k} d_{k,j,p} c'_{j,p} c~'_{j,s/2}.
 
-    With d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, 2s) / {2k+2}! and the
-    i-sum of N_{k,j} taken outside, the numerator over {2k+2}! is
+    With d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, 2s) / {2k+2}! (_d_num)
+    and the i-sum of N_{k,j} taken outside, the numerator over {2k+2}! is
 
         sum_{i=0}^{k} (-1)^i A^(-4pi(i+2)) {2i+2} [2k+2 over k-i] G_i
 

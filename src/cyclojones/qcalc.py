@@ -90,11 +90,12 @@ class QSymbolCache:
     guard against runaway indices.  The tables grow without a lock, so a cache
     must not be shared between threads; give each thread its own.
 
-    ``coefficients`` is a store for coefficients that depend on their
-    indices and not on a knot.  Its owners key it by their function name
-    and indices, read it first and fill it on a miss; each documents its
-    key.  Like the tables, it lives as long as its cache, is not
-    thread-safe, and a hit never changes a result.
+    ``coefficients`` stores values that do not depend on one knot, keyed by
+    owner.  One per index asked for, as long as the cache: ("t_coeff", k, i)
+    skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime, ("_c_num", k, 2s,
+    False) cyclotomic._c_num, ("beta_from_alpha", pair, j) bailey_lemma_check.
+    The last key only (``latest``): "r_basis" (k) skein.pairing_R_e and
+    "d_kernel" (k, j) cyclotomic._d_num.  No hit ever changes a result.
     """
 
     def __init__(self) -> None:
@@ -242,6 +243,12 @@ class QSymbolCache:
                 for t, gauss in enumerate(dense)
             ]
         return row[min(i, n - i)]
+
+    def latest(self, name: str, key, build):
+        """build() for key, kept in coefficients under name for the last key only."""
+        if self.coefficients.get(name, (None,))[0] != key:
+            self.coefficients[name] = (key, build())
+        return self.coefficients[name][1]
 
     def knot_memo(self, key) -> dict:
         """Scratch memo for the sums of one knot, named by key.

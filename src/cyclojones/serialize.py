@@ -185,6 +185,17 @@ def _routes_str(results: tuple[JonesResult, ...], fmt: str, display: str) -> str
 # -- disk cache of verified coefficients --------------------------------
 
 
+def exponent_bound(knot: KnotSpec, k: int) -> int:
+    """A bound on |e| over the A-exponents e of H_k.  The degree at infinity and the order
+    at 0 of 𝔮^e {a_1}..{a_m}/({b_1}..{b_n}) are e + r and e - r, r = sum a - sum b; they add
+    under products, and no sum exceeds its terms' extremes.  In the c', c~' and d sums (as
+    point states them) |e| <= 2|p|, |s| and 2|p| times (k+1)^2 and |r| <= 3, 3 and 6 times
+    (k+1)^2, so every 𝔮-exponent of H_k is within ±(4|p| + |s| + 12)(k+1)^2, or
+    ±(2|p| + 2|r| + 6)(k+1)^2 for c'_p c'_r."""
+    t = knot.region.s if isinstance(knot.region, HalfTwists) else knot.region.r
+    return 2 * (4 * abs(knot.p) + 2 * abs(t) + 12) * (k + 1) ** 2
+
+
 class CoeffCache:
     """Atomic JSON cache of verified H_k values.
 
@@ -254,7 +265,10 @@ class CoeffCache:
         value = obj.get("value")
         if obj.get("digest") != hashlib.sha256(_canonical_json(value).encode()).hexdigest():
             raise CacheMismatch(f"digest mismatch in {path}")
-        try:  # coefficient_table vets the value itself
+        bound = exponent_bound(knot, k)
+        try:  # coefficient_table vets the value; a far exponent, here, before a list spans it
+            if any(abs(int(e)) > bound for e, _ in value["terms"]):
+                raise ValueError(f"an exponent exceeds ±{bound}, the bound of H_{k}")
             value = poly_from_obj(value)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CacheMismatch(f"malformed value in {path}: {exc}") from None

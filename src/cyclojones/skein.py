@@ -186,14 +186,16 @@ def twist_coeff_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> 
     return total
 
 
-def pairing_R_e(k: int, i: int) -> LaurentPoly:
+def pairing_R_e(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     """Bracket pairing <R_k, e_{2i}>, modeled as R_k(lambda_{2i}) <e_{2i}>.
 
-    Vanishes for i < k; the diagonal value is (-1)^k {2k+1}!/{1}.
+    Vanishes for i < k; the diagonal value is (-1)^k {2k+1}!/{1}.  A cache
+    keeps R_k for the last k, so a loop over i builds it once.
     """
     if k < 0 or i < 0:
         raise IndexOutOfRange("pairing indices must be >= 0")
-    return r_basis(k).evaluate(eigenvalue_lambda(2 * i)) * bracket_e(2 * i)
+    r = r_basis(k) if cache is None else cache.latest("r_basis", k, lambda: r_basis(k))
+    return r.evaluate(eigenvalue_lambda(2 * i)) * bracket_e(2 * i)
 
 
 def expand_in_basis(element: ZPoly, basis: Sequence[ZPoly]) -> list[LaurentPoly]:

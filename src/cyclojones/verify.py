@@ -17,7 +17,7 @@ import tempfile
 import time
 
 from . import bailey, cyclotomic, serialize, skein
-from .laurent import LaurentFraction, LaurentPoly, cyclotomic_poly
+from .laurent import LaurentFraction, LaurentPoly, cyclotomic_poly, lincomb
 from .qcalc import (
     QSymbolCache,
     brace,
@@ -303,9 +303,8 @@ def check_ts_inverse(grid: VerifyGrid) -> CheckResult:
     for k in range(grid.bailey_k + 1):
         for j in range(k + 1):
             total += 1
-            acc = _ZERO
-            for i in range(j, k + 1):
-                acc = acc + skein.t_coeff(k, i, cache) * skein.s_coeff(i, j, cache)
+            acc = lincomb((skein.t_coeff(k, i, cache), skein.s_coeff(i, j, cache))
+                          for i in range(j, k + 1))
             if acc != (_ONE if j == k else _ZERO):
                 failures.append((k, j))
     return _result("skein/ts-inverse", f"k <= {grid.bailey_k}", failures, total)
@@ -330,14 +329,12 @@ def check_twist_inverse(grid: VerifyGrid) -> CheckResult:
     cache = QSymbolCache()
     top = min(grid.max_k, 10)
     failures, total = [], 0
+    d = {(k, i, p): skein.twist_coeff_d(k, i, p, cache)
+         for k in range(top + 1) for i in range(k + 1) for p in (1, -1)}
     for k in range(top + 1):
         for j in range(k + 1):
             total += 1
-            acc = _ZERO
-            for i in range(j, k + 1):
-                acc = acc + skein.twist_coeff_d(k, i, 1, cache) * skein.twist_coeff_d(
-                    i, j, -1, cache
-                )
+            acc = lincomb((d[k, i, 1], d[i, j, -1]) for i in range(j, k + 1))
             if acc != (_ONE if j == k else _ZERO):
                 failures.append((k, j))
     return _result("skein/twist-inverse", f"k <= {top}", failures, total)
@@ -349,13 +346,13 @@ def check_pairing(grid: VerifyGrid) -> CheckResult:
     for k in range(grid.bailey_k + 1):
         for i in range(k):
             total += 1
-            if not skein.pairing_R_e(k, i).is_zero:
+            if not skein.pairing_R_e(k, i, cache).is_zero:
                 failures.append(("orthogonality", k, i))
         total += 1
         expect = (brace_recip(1) * cache.brace_fact(2 * k + 1)).to_poly()
         if k & 1:
             expect = -expect
-        if skein.pairing_R_e(k, k) != expect:
+        if skein.pairing_R_e(k, k, cache) != expect:
             failures.append(("diagonal", k))
     return _result("skein/pairing", f"k <= {grid.bailey_k}", failures, total)
 

@@ -215,3 +215,48 @@ def test_inverted_pochhammer_identity(cache):
         for l in range(k + 1):
             lhs = cache.qbinom(k, l).substitute_power(-1)
             assert lhs == A(4 * (l * l - l * k)) * cache.qbinom(k, l)
+
+
+def test_bailey_lemma_check_computes_each_beta_once(monkeypatch):
+    # the right side's beta_j is shared by every k >= j on one cache
+    from collections import Counter
+
+    import cyclojones.bailey as bailey_mod
+    from cyclojones.verify import VerifyGrid, check_bailey_lemma
+
+    calls = Counter()
+    original = bailey_mod.beta_from_alpha
+
+    def spy(pair, k, cache=None):
+        calls[pair.label, k] += 1
+        return original(pair, k, cache)
+
+    monkeypatch.setattr(bailey_mod, "beta_from_alpha", spy)
+    grid = VerifyGrid()
+    assert check_bailey_lemma(grid).passed
+    labels = ("unit", "squared", "chain(unit)", "chain(squared)",
+              "chain(chain(unit))", "chain(chain(squared))")
+    right = Counter({(label, j): 1 for label in labels for j in range(grid.bridge_k + 1)})
+    left = Counter({(f"chain({label})", k): 1 for label in labels for k in range(grid.bridge_k + 1)})
+    assert calls == right + left
+
+
+def test_chain_sums_match_termwise_addition():
+    # _chain_sum adds its chains in one lincomb: the same sum as term by term
+    from cyclojones import QSymbolCache
+    from cyclojones.bailey import _chain_sum
+
+    cache = QSymbolCache()
+    step = lambda a, b: 4 * (-a * b - 3 * a)  # noqa: E731
+    weight = lambda k1: cache.pochhammer_ratio(1, 5, k1)  # noqa: E731
+    for top in range(6):
+        for length in range(1, 4):
+            for beta_weight in (None, weight):
+                expect = LaurentPoly.zero()
+                for chain in enumerate_chains(top, length):
+                    ks = chain.ascending()
+                    term = LaurentPoly.one() if beta_weight is None else beta_weight(ks[0])
+                    for a, b in zip(ks, ks[1:]):
+                        term = term * A(step(a, b)) * cache.qbinom(b, a)
+                    expect = expect + term
+                assert _chain_sum(top, length, step, cache, beta_weight) == expect

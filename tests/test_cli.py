@@ -402,6 +402,31 @@ def test_wrong_cache_entry_at_any_k_exits_one(capsys, tmp_path, cache, knot_args
         assert "mod 2^127 - 1: entry " in line and ", formula " in line
 
 
+def test_cache_entry_with_a_far_exponent_is_refused_before_it_is_built(capsys, tmp_path):
+    # three terms over a span of 10^7: the dense list would take about 90 MB
+    import tracemalloc
+
+    from cyclojones import KnotSpec
+    from cyclojones.serialize import CoeffCache, knot_to_obj
+
+    knot = KnotSpec.half(2, 1)
+    value = {"variable": "A", "terms": [[10 ** 7, "1"], [1, "1"], [0, "1"]]}
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    entry = {"schema": 1, "knot": knot_to_obj(knot), "k": 1, "value": value,
+             "digest": hashlib.sha256(text.encode()).hexdigest()}
+    CoeffCache(tmp_path)._path(knot, 1).write_text(json.dumps(entry))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
+                                 "--cache-dir", str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert "malformed value" in err and "exceeds" in err
+    assert peak < 5 * 2 ** 20
+
+
 def test_corrupt_cache_entry_exits_one(capsys, tmp_path):
     from cyclojones import KnotSpec
     from cyclojones.serialize import CoeffCache

@@ -431,3 +431,48 @@ def test_coeff_table_rejects_bad_entries(cache):
     good = coefficient_table(knot, 2, cache)
     with pytest.raises(ValueError):
         CoeffTable(knot, good.entries[1:], 1)  # H_0 missing
+
+
+def test_d_kjp_through_one_cache_equals_fresh_caches():
+    # the p-free kernel is kept for the last (k, j): p = ±1..±3 in a row reuse it
+    shared = QSymbolCache()
+    for k in range(9):
+        for j in range(k + 1):
+            for p in (-3, -2, -1, 1, 2, 3):
+                assert d_kjp(k, j, p, shared) == d_kjp(k, j, p, QSymbolCache()), (k, j, p)
+            assert shared.coefficients["d_kernel"][0] == (k, j)
+
+
+def test_multisum_d_check_keeps_one_d_kernel(monkeypatch):
+    import cyclojones.verify as verify_mod
+
+    caches = []
+
+    class Recording(QSymbolCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(verify_mod, "QSymbolCache", Recording)
+    grid = verify_mod.VerifyGrid()
+    assert verify_mod.check_multisum_d(grid).passed
+    (cache,) = caches
+    kernels = [key for key in cache.coefficients if "d_kernel" in str(key)]
+    assert kernels == ["d_kernel"]
+    (k, j), kernel = cache.coefficients["d_kernel"]
+    assert (k, j) == (grid.max_k, grid.max_k) and len(kernel) == 1
+
+
+def test_half_twist_knots_on_one_cache_equal_per_knot_caches():
+    # the c~' numerators _c_num(j, 2s) are shared by every knot with the same s
+    from cyclojones.verify import VerifyGrid
+
+    grid = VerifyGrid()
+    shared = QSymbolCache()
+    knots = grid.half_knots()
+    assert len(knots) == 18
+    for knot in knots:
+        fresh = QSymbolCache()
+        for k in range(grid.max_k + 1):
+            assert h_coeff_half(k, knot, shared) == h_coeff_half(k, knot, fresh), (knot, k)
+    assert {key[2] for key in shared.coefficients if key[0] == "_c_num"} == {2, 6, 10}

@@ -181,3 +181,17 @@ def test_cache_invalid_json_is_a_mismatch(tmp_path, payload):
     store._path(knot, 0).write_text(payload)
     with pytest.raises(CacheMismatch):
         store.get(knot, 0)
+
+
+def test_exponent_bound_holds_every_table_entry(cache):
+    from cyclojones.serialize import exponent_bound
+
+    knots = [KnotSpec.half(p, s) for p, s in ((2, 1), (-3, 5), (1, 1), (1, -1), (-2, 3), (2, 21))]
+    knots += [KnotSpec.full(p, r) for p, r in ((3, -2), (-1, -1), (2, 3))]
+    tables = [coefficient_table(knot, 12, cache) for knot in knots]
+    tables += [coefficient_table(knot, 6, cache)
+               for knot in (KnotSpec.half(-40, 1), KnotSpec.full(-40, 3))]
+    for table in tables:
+        for entry in table.entries:
+            bound = exponent_bound(table.knot, entry.k)
+            assert all(abs(e) <= bound for e, _ in entry.h.items()), (table.knot, entry.k)

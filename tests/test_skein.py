@@ -145,3 +145,48 @@ def test_twist_inverse_check_divides_each_t_coeff_once(monkeypatch):
     monkeypatch.setattr(LaurentFraction, "to_poly", recording)
     assert check_twist_inverse(VerifyGrid()).passed
     assert collapsed == Counter({(k, i): 1 for k in range(11) for i in range(k + 1)})
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = Counter()
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls[args[:3]] += 1  # the indices, not the cache
+        return original(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_pairing_check_builds_each_r_basis_once(monkeypatch):
+    # pairing_R_e(k, i, cache) keeps R_k for the last k, and the check asks
+    # for every i of one k in a row
+    import cyclojones.skein as skein_mod
+    from cyclojones.verify import VerifyGrid, check_pairing
+
+    calls = _count_calls(monkeypatch, skein_mod, "r_basis")
+    grid = VerifyGrid()
+    assert check_pairing(grid).passed
+    assert calls == Counter({(k,): 1 for k in range(grid.bailey_k + 1)})
+
+
+def test_twist_inverse_check_computes_each_twist_coefficient_once(monkeypatch):
+    import cyclojones.skein as skein_mod
+    from cyclojones.verify import VerifyGrid, check_twist_inverse
+
+    calls = _count_calls(monkeypatch, skein_mod, "twist_coeff_d")
+    assert check_twist_inverse(VerifyGrid()).passed
+    assert calls == Counter(
+        {(k, i, p): 1 for k in range(11) for i in range(k + 1) for p in (1, -1)}
+    )
+
+
+def test_pairing_with_a_cache_equals_pairing_without():
+    from cyclojones import QSymbolCache
+
+    cache = QSymbolCache()
+    for k in range(7):
+        for i in range(9):
+            assert pairing_R_e(k, i, cache) == pairing_R_e(k, i)
+    assert cache.coefficients["r_basis"] == (6, r_basis(6))
