@@ -182,21 +182,44 @@ def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache | None = No
             = sum_j x^j q^(j^2)/(q;q)_{k-j} *
               sum_i alpha_i/((q;q)_{j-i}(xq;q)_{j+i})
 
-    Both sides are finite double sums in the pair's alpha alone; the cache
-    keeps each beta_from_alpha(pair, j) of the right side for every k >= j.
+    Both sides are finite double sums in the pair's alpha alone.
     """
     if k < 0:
         raise IndexOutOfRange("index must be >= 0")
     cache = cache or QSymbolCache()
+    betas = [beta_from_alpha(pair, j, cache) for j in range(k + 1)]
+    return _lemma_holds(pair, chain_step(pair, cache), k, betas, cache)
+
+
+def bailey_lemma_failures(
+    pair: BaileyPair, top: int, cache: QSymbolCache | None = None
+) -> list[int]:
+    """The k <= top at which bailey_lemma_check(pair, k) fails.
+
+    Each beta_from_alpha(pair, j) of the right side is computed once and
+    shared by every k >= j; the list lives here, not in the cache, where a
+    key holding the pair would tie the cache to itself through a chained
+    pair's closures.
+    """
+    cache = cache or QSymbolCache()
     chained = chain_step(pair, cache)
+    betas, failures = [], []
+    for k in range(top + 1):
+        betas.append(beta_from_alpha(pair, k, cache))
+        if not _lemma_holds(pair, chained, k, betas, cache):
+            failures.append(k)
+    return failures
+
+
+def _lemma_holds(
+    pair: BaileyPair, chained: BaileyPair, k: int, betas: list, cache: QSymbolCache
+) -> bool:
+    """The lemma at k, given chained = chain_step(pair) and betas[j] = beta_from_alpha(pair, j), j <= k."""
     lhs = beta_from_alpha(chained, k, cache)
     rhs = LaurentFraction(_ZERO)
     for j in range(k + 1):
         weight = LaurentPoly.monomial(4 * (pair.x_exp * j + j * j))
-        key = ("beta_from_alpha", pair, j)
-        if key not in cache.coefficients:
-            cache.coefficients[key] = beta_from_alpha(pair, j, cache)
-        rhs = rhs + cache.coefficients[key] * cache.pochhammer_recip(1, k - j) * weight
+        rhs = rhs + betas[j] * cache.pochhammer_recip(1, k - j) * weight
     return lhs == rhs
 
 

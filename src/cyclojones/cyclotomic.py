@@ -345,34 +345,41 @@ def coefficient_table(
     entry's check set.
 
     With a store (a serialize.CoeffCache, or anything with its get, put
-    and should_spot_check), each H_k is read from it; a miss is computed
-    and put, and a hit the store picks for a spot check (every hit, for a
-    CoeffCache) is checked at a random point of F_P against the paper's
+    and should_spot_check), the table is read from it once: get(knot,
+    max_k) serves the stored H_0..H_m up to max_k, and if the store picks
+    the hit for a spot check (every hit, for a CoeffCache) each served
+    entry is checked at one random point of F_P against the paper's
     formula (cyclojones.point), raising CacheMismatch on any difference.
+    Only H_{m+1}..H_max_k are computed, and the table is put back whole,
+    once, only when it grew: of requests run one after another, a shorter
+    one never cuts a longer stored table short.  Concurrent writers of
+    one knot each replace the file, and the last to finish wins; a
+    request that fails part way stores nothing.  Either costs only
+    recomputation.
     """
     cache = cache or QSymbolCache()
-    entries, expected = [], None
-    for k in range(max_k + 1):
-        h = None if store is None else store.get(knot, k)
-        if h is None:
-            h = h_coeff(k, knot, cache)
-            if store is not None:
-                store.put(knot, k, h)
-        elif store.should_spot_check():
-            from . import point
-            if expected is None:
-                a = point.draw(2 * max_k + 2)
-                expected = point.h_values(knot, max_k, a)
+    values = (None if store is None else store.get(knot, max_k)) or []
+    served = len(values)
+    if served and store.should_spot_check():
+        from . import point
+        a = point.draw(2 * served)
+        expected = point.h_values(knot, served - 1, a)
+        for k, h in enumerate(values):
             if (got := point.evaluate(h, a)) != expected[k]:
                 raise CacheMismatch(f"cache entry for {knot} k={k} disagrees with recomputation at "
                                     f"A = {a} mod 2^127 - 1: entry {got}, formula {expected[k]}")
-        # cache provenance stays out of the entry checks: identical
-        # configurations must serialize byte-identically, hit or miss
-        checks = {"integrality"}
+    # cache provenance stays out of the entry checks: identical
+    # configurations must serialize byte-identically, hit or miss
+    checks = frozenset({"integrality", "multisum"} if cross_check else {"integrality"})
+    entries = []
+    for k in range(max_k + 1):
+        if k == len(values):
+            values.append(h_coeff(k, knot, cache))
         if cross_check:
             _multisum_check(knot, k, cache)
-            checks.add("multisum")
-        entries.append(CoeffEntry(k, h, frozenset(checks)))
+        entries.append(CoeffEntry(k, values[k], checks))
+    if store is not None and served <= max_k:
+        store.put(knot, max_k, values)
     return CoeffTable(knot, tuple(entries), max_k)
 
 

@@ -92,10 +92,10 @@ class QSymbolCache:
 
     ``coefficients`` stores values that do not depend on one knot, keyed by
     owner.  One per index asked for, as long as the cache: ("t_coeff", k, i)
-    skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime, ("_c_num", k, 2s,
-    False) cyclotomic._c_num, ("beta_from_alpha", pair, j) bailey_lemma_check.
-    The last key only (``latest``): "r_basis" (k) skein.pairing_R_e and
-    "d_kernel" (k, j) cyclotomic._d_num.  No hit ever changes a result.
+    skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime and ("_c_num", k, 2s,
+    False) cyclotomic._c_num.  The last key only (``latest``): "r_basis" (k)
+    skein.pairing_R_e, "d_kernel" (k, j) cyclotomic._d_num and "twist_kernel"
+    (k, j) skein.twist_coeff_d.  No hit ever changes a result.
     """
 
     def __init__(self) -> None:

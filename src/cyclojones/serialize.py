@@ -6,8 +6,9 @@ bit-exact regardless of display choices):
     {"variable": "A", "terms": [[exponent, "coefficient"], ...]}
 
 terms sorted descending by exponent, coefficients as decimal strings so
-arbitrary precision survives every JSON consumer.  Cache files add a
-schema-version header and a content digest.
+arbitrary precision survives every JSON consumer.  A cache file holds a
+knot's table of such polynomials under a cache-version header and a
+content digest.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .cyclotomic import CoeffTable, HalfTwists, JonesResult, KnotSpec
 from .errors import CacheMismatch, CacheUnusable
 from .laurent import LaurentPoly
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of the coeffs and jones JSON payloads
+CACHE_VERSION = 2  # of the cache files
 CACHE_ENV = "CYCLOJONES_CACHE"
 FORMATS = ("json", "csv", "latex", "text")
 
@@ -197,13 +199,20 @@ def exponent_bound(knot: KnotSpec, k: int) -> int:
 
 
 class CoeffCache:
-    """Atomic JSON cache of verified H_k values.
+    """Atomic JSON cache of verified H_k tables, one file per knot.
 
-    Keys are (schema version, knot parameters, k); writes go through a
-    temp file + rename.  Every hit is spot-checked: coefficient_table
-    evaluates it at a random point of F_P against the paper's formula
-    (cyclojones.point).  A directory that cannot be created, read or
-    written raises CacheUnusable.
+    A knot's file holds its table H_0..H_m:
+
+        {"cache": CACHE_VERSION, "knot": ..., "k": m, "digest": ..., "values": [H_0, ..., H_m]}
+
+    with the SHA-256 of the canonical JSON of the values as the digest.
+    Writes go through a temp file + rename.  A table is served whole or
+    in part: coefficient_table evaluates every served entry at a random
+    point of F_P against the paper's formula (cyclojones.point) and
+    stores the table again only when it computed more of it.  Files of
+    another cache version, such as the per-entry h_v1_*_k*.json of
+    version 1, are never read.  A directory that cannot be created,
+    read or written raises CacheUnusable.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -214,70 +223,78 @@ class CoeffCache:
     def from_env(cls, fallback: str | os.PathLike) -> CoeffCache:
         return cls(Path(os.environ.get(CACHE_ENV, fallback)))
 
-    def _path(self, knot: KnotSpec, k: int) -> Path:
-        return self.directory / f"h_v{SCHEMA_VERSION}_{knot_key(knot)}_k{k}.json"
+    def _path(self, knot: KnotSpec, max_k: int | None = None) -> Path:
+        """The knot's file; every max_k of one knot shares it."""
+        return self.directory / f"h_v{CACHE_VERSION}_{knot_key(knot)}.json"
 
-    def put(self, knot: KnotSpec, k: int, value: LaurentPoly) -> None:
+    def put(self, knot: KnotSpec, max_k: int, values: list[LaurentPoly]) -> None:
+        """Store values = H_0..H_max_k as the knot's table, replacing its file."""
         import hashlib
 
-        # the value is serialized once, for its digest and for the file;
-        # "value" sorts after every other key, so it closes the object
-        text = poly_to_json(value)
+        # the values are serialized once, for the digest and for the file;
+        # "values" sorts after every other key, so it closes the object
+        text = "[" + ",".join(map(poly_to_json, values)) + "]"
         head = {
-            "schema": SCHEMA_VERSION,
+            "cache": CACHE_VERSION,
             "knot": knot_to_obj(knot),
-            "k": k,
+            "k": max_k,
             "digest": hashlib.sha256(text.encode()).hexdigest(),
         }
-        payload = _canonical_json(head)[:-1] + f',"value":{text}}}\n'
+        payload = _canonical_json(head)[:-1] + f',"values":{text}}}\n'
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as handle:
                     handle.write(payload)
-                os.replace(tmp, self._path(knot, k))
+                os.replace(tmp, self._path(knot))
             except BaseException:
                 os.unlink(tmp)
                 raise
         except OSError as exc:
             raise self._unusable(exc) from None
 
-    def get(self, knot: KnotSpec, k: int) -> LaurentPoly | None:
+    def get(self, knot: KnotSpec, max_k: int) -> list[LaurentPoly] | None:
+        """H_0..H_min(m, max_k) from the knot's table to k = m, or None if there is none.
+
+        The whole file is vetted (knot, length, digest, exponent bound of
+        every entry) before any polynomial is built."""
         import hashlib
 
-        path = self._path(knot, k)
+        path = self._path(knot)
         try:
-            if not path.exists():
-                return None
             obj = json.loads(path.read_text())
+        except FileNotFoundError:
+            return None
         except OSError as exc:
             raise self._unusable(exc) from None
         except ValueError as exc:  # invalid JSON or invalid UTF-8
-            raise CacheMismatch(f"unreadable cache entry {path}: {exc}") from None
+            raise CacheMismatch(f"unreadable cache file {path}: {exc}") from None
         if not isinstance(obj, dict):
-            raise CacheMismatch(f"cache entry {path} is not a JSON object")
-        if obj.get("schema") != SCHEMA_VERSION:
+            raise CacheMismatch(f"cache file {path} is not a JSON object")
+        if obj.get("cache") != CACHE_VERSION:
             return None
-        if obj.get("knot") != knot_to_obj(knot) or obj.get("k") != k:
-            raise CacheMismatch(f"cache entry {path} is not for {knot} k={k}")
-        # the value as read, in canonical JSON, before a polynomial fills its span
-        value = obj.get("value")
-        if obj.get("digest") != hashlib.sha256(_canonical_json(value).encode()).hexdigest():
+        values = obj.get("values")
+        if obj.get("knot") != knot_to_obj(knot) or not isinstance(values, list) or not values \
+                or obj.get("k") != len(values) - 1:
+            raise CacheMismatch(f"cache file {path} is not a table for {knot}")
+        # the values as read, in canonical JSON, before a polynomial fills its span
+        if obj.get("digest") != hashlib.sha256(_canonical_json(values).encode()).hexdigest():
             raise CacheMismatch(f"digest mismatch in {path}")
-        bound = exponent_bound(knot, k)
-        try:  # coefficient_table vets the value; a far exponent, here, before a list spans it
-            if any(abs(int(e)) > bound for e, _ in value["terms"]):
-                raise ValueError(f"an exponent exceeds ±{bound}, the bound of H_{k}")
-            value = poly_from_obj(value)
+        try:  # coefficient_table vets the values; a far exponent, here, before a list spans it
+            for k, value in enumerate(values):
+                bound = exponent_bound(knot, k)
+                if any(abs(int(e)) > bound for e, _ in value["terms"]):
+                    raise ValueError(f"an exponent of k={k} exceeds ±{bound}, the bound of H_{k}")
+            served = [poly_from_obj(value) for value in values[: max_k + 1]]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CacheMismatch(f"malformed value in {path}: {exc}") from None
         self._hits += 1
-        return value
+        return served
 
     def _unusable(self, exc: OSError) -> CacheUnusable:
         return CacheUnusable(f"cache directory {self.directory} is unusable: {exc.strerror or exc}")
 
     def should_spot_check(self) -> bool:
-        """True once get has returned a hit: every hit is checked."""
+        """True once get has returned a hit: every hit table is checked."""
         return self._hits > 0

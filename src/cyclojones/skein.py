@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import IndexOutOfRange
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, lincomb
 from .qcalc import QSymbolCache, bracket, brace, framing_mu_power
 
 _ONE = LaurentPoly.one()
@@ -176,14 +176,18 @@ def s_coeff(i: int, j: int, cache: QSymbolCache | None = None) -> LaurentPoly:
 
 
 def twist_coeff_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
-    """Coefficient of R_j in t^p(R_k): sum_{i=j}^{k} t_{k,i} mu_i^p s_{i,j}."""
+    """Coefficient of R_j in t^p(R_k): sum_{i=j}^{k} t_{k,i} mu_i^p s_{i,j}.
+
+    The cache keeps the p-free products t_{k,i} s_{i,j} for the last (k, j),
+    so a loop over p builds them once and adds only monomial-scaled slices.
+    """
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"twist coefficient needs 0 <= j <= k, got k={k}, j={j}")
     cache = cache or QSymbolCache()
-    total = _ZERO
-    for i in range(j, k + 1):
-        total = total + t_coeff(k, i, cache) * framing_mu_power(i, p) * s_coeff(i, j, cache)
-    return total
+    kernel = cache.latest("twist_kernel", (k, j), lambda: [
+        t_coeff(k, i, cache) * s_coeff(i, j, cache) for i in range(j, k + 1)
+    ])
+    return lincomb((framing_mu_power(i, p), term) for i, term in enumerate(kernel, j))
 
 
 def pairing_R_e(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:

@@ -241,6 +241,33 @@ def test_bailey_lemma_check_computes_each_beta_once(monkeypatch):
     assert calls == right + left
 
 
+def test_bailey_lemma_check_frees_its_cache_without_the_cyclic_collector(monkeypatch):
+    # the chained pairs hold the check's cache in their closures; nothing the
+    # cache holds may lead back to them, or the cache outlives the check
+    import gc
+    import weakref
+
+    import cyclojones.verify as verify_mod
+    from cyclojones import QSymbolCache
+
+    refs = []
+
+    class Recording(QSymbolCache):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(verify_mod, "QSymbolCache", Recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert verify_mod.check_bailey_lemma(verify_mod.VerifyGrid()).passed
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_chain_sums_match_termwise_addition():
     # _chain_sum adds its chains in one lincomb: the same sum as term by term
     from cyclojones import QSymbolCache

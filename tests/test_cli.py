@@ -372,7 +372,7 @@ def test_cache_mismatch_exits_one(capsys, tmp_path, cache):
     knot = KnotSpec.half(2, 1)
     store = CoeffCache(tmp_path)
     wrong = h_coeff(0, knot, cache) + h_coeff(0, knot, cache)  # 2, not H_1
-    store.put(knot, 1, wrong)  # valid digest, wrong value
+    store.put(knot, 1, [h_coeff(0, knot, cache), wrong])  # valid digest, wrong value
     code, _, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
                            "--cache-dir", str(tmp_path))
     assert code == 1
@@ -391,10 +391,9 @@ def test_wrong_cache_entry_at_any_k_exits_one(capsys, tmp_path, cache, knot_args
     knot = config_from_args(build_parser(), build_parser().parse_args(argv)).knot
     table = coefficient_table(knot, 8, cache)
     for k in range(9):
-        store = CoeffCache(tmp_path / str(k))
-        for entry in table.entries:
-            store.put(knot, entry.k, entry.h)
-        store.put(knot, k, table.h(k) + LaurentPoly.monomial(2 * k - 4))  # valid digest
+        values = [entry.h for entry in table.entries]
+        values[k] += LaurentPoly.monomial(2 * k - 4)
+        CoeffCache(tmp_path / str(k)).put(knot, 8, values)  # valid digest
         code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / str(k)))
         assert code == 1 and out == ""
         (line,) = err.splitlines()
@@ -410,11 +409,12 @@ def test_cache_entry_with_a_far_exponent_is_refused_before_it_is_built(capsys, t
     from cyclojones.serialize import CoeffCache, knot_to_obj
 
     knot = KnotSpec.half(2, 1)
-    value = {"variable": "A", "terms": [[10 ** 7, "1"], [1, "1"], [0, "1"]]}
-    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    entry = {"schema": 1, "knot": knot_to_obj(knot), "k": 1, "value": value,
+    values = [{"variable": "A", "terms": [[0, "1"]]},
+              {"variable": "A", "terms": [[10 ** 7, "1"], [1, "1"], [0, "1"]]}]
+    text = json.dumps(values, sort_keys=True, separators=(",", ":"))
+    table = {"cache": 2, "knot": knot_to_obj(knot), "k": 1, "values": values,
              "digest": hashlib.sha256(text.encode()).hexdigest()}
-    CoeffCache(tmp_path)._path(knot, 1).write_text(json.dumps(entry))
+    CoeffCache(tmp_path)._path(knot, 1).write_text(json.dumps(table))
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
@@ -423,7 +423,7 @@ def test_cache_entry_with_a_far_exponent_is_refused_before_it_is_built(capsys, t
     finally:
         tracemalloc.stop()
     assert code == 1 and out == ""
-    assert "malformed value" in err and "exceeds" in err
+    assert "malformed value" in err and "k=1 exceeds" in err
     assert peak < 5 * 2 ** 20
 
 
@@ -435,7 +435,7 @@ def test_corrupt_cache_entry_exits_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
                              "--cache-dir", str(tmp_path))
     assert code == 1 and out == ""
-    assert "unreadable cache entry" in err
+    assert "unreadable cache file" in err
 
 
 def test_renamed_cache_entry_exits_one(capsys, tmp_path, cache):
@@ -445,14 +445,89 @@ def test_renamed_cache_entry_exits_one(capsys, tmp_path, cache):
 
     store = CoeffCache(tmp_path)
     source, target = KnotSpec.half(2, 1), KnotSpec.half(3, 1)
-    for k in range(3):
-        store.put(target, k, h_coeff(k, target, cache))
-    store.put(source, 2, h_coeff(2, source, cache))
-    store._path(source, 2).rename(store._path(target, 2))
+    store.put(target, 2, [h_coeff(k, target, cache) for k in range(3)])
+    store.put(source, 2, [h_coeff(k, source, cache) for k in range(3)])
+    store._path(source, 2).replace(store._path(target, 2))
     code, out, err = run_cli(capsys, "coeffs", "--p", "3", "--s", "1", "--max-k", "2",
                              "--cache-dir", str(tmp_path))
     assert code == 1 and out == ""
-    assert "is not for" in err
+    assert "is not a table for" in err
+
+
+def _h_coeff_calls(monkeypatch):
+    import cyclojones.cyclotomic as cyclotomic_mod
+
+    calls, h_coeff = [], cyclotomic_mod.h_coeff
+    monkeypatch.setattr(cyclotomic_mod, "h_coeff",
+                        lambda k, knot, cache=None: calls.append(k) or h_coeff(k, knot, cache))
+    return calls
+
+
+def _coeffs(capsys, tmp_path, max_k):
+    code, out, err = run_cli(capsys, "coeffs", "--p", "-2", "--s", "3", "--max-k", str(max_k),
+                             "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 0, err
+    return out
+
+
+def test_cold_request_leaves_one_file_per_knot(capsys, tmp_path):
+    _coeffs(capsys, tmp_path, 8)
+    (path,) = tmp_path.iterdir()
+    assert path.name == "h_v2_p-2_s3.json"
+    assert len(json.loads(path.read_text())["values"]) == 9
+
+
+def test_longer_request_computes_only_the_missing_entries(capsys, tmp_path, monkeypatch):
+    calls = _h_coeff_calls(monkeypatch)
+    _coeffs(capsys, tmp_path, 8)
+    assert calls == list(range(9))
+    calls.clear()
+    longer = _coeffs(capsys, tmp_path, 12)
+    assert calls == [9, 10, 11, 12]
+    (path,) = tmp_path.iterdir()
+    assert json.loads(path.read_text())["k"] == 12
+    calls.clear()
+    assert _coeffs(capsys, tmp_path, 12) == longer and calls == []
+    assert longer == _coeffs(capsys, tmp_path / "fresh", 12)
+
+
+def test_shorter_request_serves_a_prefix_and_keeps_the_file(capsys, tmp_path, monkeypatch):
+    _coeffs(capsys, tmp_path, 8)
+    (path,) = tmp_path.iterdir()
+    before = path.read_bytes()
+    calls = _h_coeff_calls(monkeypatch)
+    prefix = _coeffs(capsys, tmp_path, 4)
+    assert calls == [] and path.read_bytes() == before
+    assert prefix == _coeffs(capsys, tmp_path / "fresh", 4)
+
+
+def test_tampered_entry_inside_a_table_exits_one(capsys, tmp_path, cache):
+    # H_5 of a 9-entry table changed and the digest recomputed: only the
+    # point check can refuse it, and it names k = 5
+    from cyclojones import KnotSpec
+    from cyclojones.serialize import CoeffCache
+
+    _coeffs(capsys, tmp_path, 8)
+    (path,) = tmp_path.iterdir()
+    obj = json.loads(path.read_text())
+    obj["values"][5]["terms"][0][1] = str(int(obj["values"][5]["terms"][0][1]) + 1)
+    text = json.dumps(obj["values"], sort_keys=True, separators=(",", ":"))
+    obj["digest"] = hashlib.sha256(text.encode()).hexdigest()
+    path.write_text(json.dumps(obj))
+    assert CoeffCache(tmp_path).get(KnotSpec.half(-2, 3), 8) is not None  # it passes the vetting
+    code, out, err = run_cli(capsys, "coeffs", "--p", "-2", "--s", "3", "--max-k", "8",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cache entry for K(-2, 3/2) k=5 disagrees with recomputation")
+
+
+def test_version_1_entry_beside_the_table_is_ignored(capsys, tmp_path, monkeypatch):
+    cold = _coeffs(capsys, tmp_path, 8)
+    old = tmp_path / "h_v1_p-2_s3_k1.json"
+    old.write_text('{"schema": 1, "k": 1, "value": {"variable": "A", "terms": [[0, "7"]]}}')
+    calls = _h_coeff_calls(monkeypatch)
+    assert _coeffs(capsys, tmp_path, 8) == cold and calls == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == [old.name, "h_v2_p-2_s3.json"]
 
 
 @pytest.mark.parametrize(

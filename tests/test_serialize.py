@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -67,37 +68,55 @@ def test_serialize_determinism(cache):
     assert serialize(table, "json") == serialize(table, "json")
 
 
+def _table(knot, max_k, cache):
+    return [h_coeff(k, knot, cache) for k in range(max_k + 1)]
+
+
+def _rewrite(path, edit):
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _digest_of(values):
+    return hashlib.sha256(json.dumps(values, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _redigest(obj):
+    obj["digest"] = _digest_of(obj["values"])
+
+
 def test_cache_roundtrip(tmp_path, cache):
     store = CoeffCache(tmp_path)
     knot = KnotSpec.half(2, 1)
     assert store.get(knot, 0) is None
-    value = h_coeff(1, knot, cache)
-    store.put(knot, 1, value)
-    assert store.get(knot, 1) == value
+    values = _table(knot, 3, cache)
+    store.put(knot, 3, values)
+    assert store.get(knot, 3) == values
+    # a shorter request is served the prefix, a longer one the whole table
+    assert store.get(knot, 1) == values[:2]
+    assert store.get(knot, 8) == values
     # structural equality with recomputation (spot-check contract)
-    assert store.get(knot, 1) == h_coeff(1, knot, QSymbolCache())
+    assert store.get(knot, 3) == _table(knot, 3, QSymbolCache())
+    assert [path.name for path in tmp_path.iterdir()] == ["h_v2_p2_s1.json"]
 
 
 def test_cache_detects_tampering(tmp_path, cache):
     store = CoeffCache(tmp_path)
     knot = KnotSpec.full(1, 1)
-    store.put(knot, 1, h_coeff(1, knot, cache))
+    store.put(knot, 2, _table(knot, 2, cache))
     (path,) = tmp_path.glob("*.json")
-    obj = json.loads(path.read_text())
-    obj["value"]["terms"] = [[8, "-2"]]
-    path.write_text(json.dumps(obj))
-    with pytest.raises(CacheMismatch):
-        store.get(knot, 1)
+    _rewrite(path, lambda obj: obj["values"][1].update(terms=[[8, "-2"]]))
+    with pytest.raises(CacheMismatch, match="digest mismatch"):
+        store.get(knot, 2)
 
 
 def test_cache_ignores_other_schema(tmp_path, cache):
     store = CoeffCache(tmp_path)
     knot = KnotSpec.full(1, 1)
-    store.put(knot, 0, h_coeff(0, knot, cache))
+    store.put(knot, 0, _table(knot, 0, cache))
     (path,) = tmp_path.glob("*.json")
-    obj = json.loads(path.read_text())
-    obj["schema"] = 999
-    path.write_text(json.dumps(obj))
+    _rewrite(path, lambda obj: obj.update(cache=999))
     assert store.get(knot, 0) is None
 
 
@@ -110,7 +129,7 @@ def test_every_hit_is_spot_checked(tmp_path, cache, monkeypatch):
     cold = coefficient_table(knot, 8, cache, store=store)
     for _ in range(3):
         assert store.get(knot, 0) is not None and store.should_spot_check()
-    # a warm table evaluates each of its nine hits at the point, and
+    # a warm table evaluates each of its nine entries at the point, and
     # computes the formula's values once
     evaluated, formula = [], []
     evaluate, h_values = point.evaluate, point.h_values
@@ -120,49 +139,74 @@ def test_every_hit_is_spot_checked(tmp_path, cache, monkeypatch):
     assert warm == cold
     assert evaluated == [entry.h for entry in cold.entries]
     assert len(formula) == 1
+    # a prefix served to a shorter request is checked entry by entry too
+    evaluated.clear()
+    assert coefficient_table(knot, 4, cache, store=CoeffCache(tmp_path)).entries == cold.entries[:5]
+    assert evaluated == [entry.h for entry in cold.entries[:5]]
 
 
 def test_put_writes_the_two_pass_bytes(tmp_path, cache):
-    # the value is serialized once and spliced in; the file keeps the bytes of
-    # the object with the value and its digest serialized separately
-    import hashlib
-
+    # the values are serialized once and spliced in; the file keeps the bytes of
+    # the object with the values and their digest serialized separately
     store = CoeffCache(tmp_path)
-    values = [h_coeff(k, KnotSpec.half(-3, 5), cache) for k in range(4)]
+    values = _table(KnotSpec.half(-3, 5), 3, cache)
     values += [LaurentPoly(), LaurentPoly({-2: -(10 ** 40), 6: 3})]
     for knot in (KnotSpec.half(-3, 5), KnotSpec.full(2, -1)):
-        for k, value in enumerate(values):
-            value_obj = {"variable": "A", "terms": [[e, str(c)] for e, c in value.items()][::-1]}
-            value_json = json.dumps(value_obj, sort_keys=True, separators=(",", ":"))
+        for k in range(len(values)):
+            table = values[: k + 1]
+            value_objs = [{"variable": "A", "terms": [[e, str(c)] for e, c in value.items()][::-1]}
+                          for value in table]
+            values_json = json.dumps(value_objs, sort_keys=True, separators=(",", ":"))
             obj = {
-                "schema": 1,
+                "cache": 2,
                 "knot": knot_to_obj(knot),
                 "k": k,
-                "value": value_obj,
-                "digest": hashlib.sha256(value_json.encode()).hexdigest(),
+                "values": value_objs,
+                "digest": hashlib.sha256(values_json.encode()).hexdigest(),
             }
-            store.put(knot, k, value)
+            store.put(knot, k, table)
             expected = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
             assert store._path(knot, k).read_text() == expected
-            assert store.get(knot, k) == value
+            assert store.get(knot, k) == table
 
 
 def test_cache_rejects_entry_filed_under_other_knot(tmp_path, cache):
     store = CoeffCache(tmp_path)
     source, target = KnotSpec.half(2, 1), KnotSpec.half(3, 1)
-    store.put(source, 2, h_coeff(2, source, cache))
+    store.put(source, 2, _table(source, 2, cache))
     store._path(source, 2).rename(store._path(target, 2))
-    with pytest.raises(CacheMismatch, match="is not for"):
+    with pytest.raises(CacheMismatch, match="is not a table for"):
         store.get(target, 2)
 
 
 def test_cache_rejects_entry_filed_under_other_k(tmp_path, cache):
+    # the header's k must name the last of the values, digest or no digest
     store = CoeffCache(tmp_path)
     knot = KnotSpec.half(2, 1)
-    store.put(knot, 1, h_coeff(1, knot, cache))
-    store._path(knot, 1).rename(store._path(knot, 2))
-    with pytest.raises(CacheMismatch, match="is not for"):
-        store.get(knot, 2)
+    store.put(knot, 1, _table(knot, 1, cache))
+    path = store._path(knot, 1)
+    for edit in (lambda obj: obj.update(k=2), lambda obj: obj.update(k=0),
+                 lambda obj: (obj["values"].append(obj["values"][0]), _redigest(obj)),
+                 lambda obj: (obj.update(k=-1, values=[]), _redigest(obj))):
+        store.put(knot, 1, _table(knot, 1, cache))
+        _rewrite(path, edit)
+        with pytest.raises(CacheMismatch, match="is not a table for"):
+            store.get(knot, 2)
+
+
+def test_version_1_entries_are_never_read(tmp_path, cache):
+    # a per-entry file of the previous layout is a miss, beside a table or not
+    store = CoeffCache(tmp_path)
+    knot = KnotSpec.half(2, 1)
+    old = tmp_path / "h_v1_p2_s1_k1.json"
+    old.write_text('{"schema": 1, "k": 1, "value": "wrong"}')
+    assert store.get(knot, 1) is None
+    store.put(knot, 1, _table(knot, 1, cache))
+    assert store.get(knot, 1) == _table(knot, 1, cache)
+    assert old.read_text() == '{"schema": 1, "k": 1, "value": "wrong"}'
+
+
+_MALFORMED = [{"variable": "A", "terms": [["x", "1"]]}]
 
 
 @pytest.mark.parametrize(
@@ -171,14 +215,16 @@ def test_cache_rejects_entry_filed_under_other_k(tmp_path, cache):
         "{not json",
         "[1, 2]",
         '{"schema": 1, "knot"',
-        '{"schema": 1, "knot": {"p": 1, "region": {"kind": "full", "r": 1}}, "k": 0,'
-        ' "value": {"variable": "A", "terms": [["x", "1"]]}}',
+        '{"schema": 1, "knot": {"p": 1, "region": {"kind": "full", "r": 1}}, "cache": 2, "k": 0,'
+        f' "values": {json.dumps(_MALFORMED)}, "digest": "{_digest_of(_MALFORMED)}"}}',
+        b'{"cache": 2, "knot": "\xff"}',
     ],
 )
 def test_cache_invalid_json_is_a_mismatch(tmp_path, payload):
     store = CoeffCache(tmp_path)
     knot = KnotSpec.full(1, 1)
-    store._path(knot, 0).write_text(payload)
+    path = store._path(knot, 0)
+    path.write_bytes(payload) if isinstance(payload, bytes) else path.write_text(payload)
     with pytest.raises(CacheMismatch):
         store.get(knot, 0)
 

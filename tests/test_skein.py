@@ -102,6 +102,35 @@ def test_twist_coeff_examples(cache):
     assert twist_coeff_d(1, 0, 1, cache) == (A(2) + A(-2)) * (1 + A(3))
 
 
+def test_twist_coefficients_on_one_cache_equal_the_termwise_sum():
+    # the skein-bridge order: p innermost, so one (k, j) kernel serves every twist
+    from cyclojones import QSymbolCache
+
+    shared = QSymbolCache()
+    for k in range(8):
+        for j in range(k + 1):
+            for p in (-12, -8, -4, -1, 0, 1, 4, 8, 12):
+                expect = LaurentPoly.zero()
+                for i in range(j, k + 1):
+                    expect = expect + t_coeff(k, i) * framing_mu_power(i, p) * s_coeff(i, j)
+                assert twist_coeff_d(k, j, p, shared) == expect, (k, j, p)
+            assert shared.coefficients["twist_kernel"][0] == (k, j)
+
+
+def test_skein_bridge_builds_each_twist_kernel_once(monkeypatch):
+    import cyclojones.skein as skein_mod
+    from cyclojones.verify import VerifyGrid, check_skein_bridge
+
+    # s_{i,j} enters the kernel of every (k, j) with k >= i, once for all six twists
+    calls, s_coeff = Counter(), skein_mod.s_coeff
+    monkeypatch.setattr(skein_mod, "s_coeff",
+                        lambda i, j, cache=None: calls.update([(i, j)]) or s_coeff(i, j, cache))
+    grid = VerifyGrid()
+    assert len(grid.p_values) == 6 and check_skein_bridge(grid).passed
+    top = grid.bridge_k
+    assert calls == Counter({(i, j): top + 1 - i for i in range(top + 1) for j in range(i + 1)})
+
+
 def test_twist_matrix_inverse(cache):
     for k in range(11):
         for j in range(k + 1):
