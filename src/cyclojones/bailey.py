@@ -39,13 +39,12 @@ class BaileyPair(Record):
     label: str
 
 
-def unit_pair() -> BaileyPair:
+def unit_pair(cache: QSymbolCache) -> BaileyPair:
     """The classical unit pair relative to x = q:
 
         alpha_k = (-1)^k q^(k(3k+1)/2) (1 - q^(2k+1))/(1 - q)
         beta_k  = 1/(q;q)_k
     """
-    cache = QSymbolCache()
 
     @functools.cache
     def alpha(k: int) -> LaurentFraction:
@@ -61,12 +60,11 @@ def unit_pair() -> BaileyPair:
     return BaileyPair(alpha, beta, 1, "unit")
 
 
-def squared_pair() -> BaileyPair:
+def squared_pair(cache: QSymbolCache) -> BaileyPair:
     """The pair with squared Pochhammer beta, relative to x = q:
 
         alpha_k = q^(k^2) (1 - q^(2k+1))/(1 - q),  beta_k = 1/(q;q)_k^2
     """
-    cache = QSymbolCache()
 
     @functools.cache
     def alpha(k: int) -> LaurentFraction:
@@ -83,7 +81,7 @@ def squared_pair() -> BaileyPair:
     return BaileyPair(alpha, beta, 1, "squared")
 
 
-def shifted_unit_pair(shift: int) -> BaileyPair:
+def shifted_unit_pair(shift: int, cache: QSymbolCache) -> BaileyPair:
     """Unit-type pair relative to x = q^(2*shift+2):
 
         alpha_l = (-1)^l q^(l^2 + (2shift+2)l + l(l-1)/2)
@@ -96,7 +94,6 @@ def shifted_unit_pair(shift: int) -> BaileyPair:
     """
     if shift < 0:
         raise IndexOutOfRange("shift must be >= 0")
-    cache = QSymbolCache()
     x_exp = 2 * shift + 2
 
     @functools.cache
@@ -116,9 +113,8 @@ def shifted_unit_pair(shift: int) -> BaileyPair:
     return BaileyPair(alpha, beta, x_exp, f"shifted-unit({shift})")
 
 
-def beta_from_alpha(pair: BaileyPair, k: int, cache: QSymbolCache | None = None) -> LaurentFraction:
+def beta_from_alpha(pair: BaileyPair, k: int, cache: QSymbolCache) -> LaurentFraction:
     """Right-hand side of the defining relation at index k."""
-    cache = cache or QSymbolCache()
     a = pair.x_exp + 1  # (xq;q) = (q^(x_exp+1);q)
     total = LaurentFraction(_ZERO)
     for j in range(k + 1):
@@ -139,25 +135,21 @@ class PairReport(Record):
         return not self.failures
 
 
-def verify_bailey_pair(
-    pair: BaileyPair, K: int, cache: QSymbolCache | None = None
-) -> PairReport:
+def verify_bailey_pair(pair: BaileyPair, K: int, cache: QSymbolCache) -> PairReport:
     """Exact check of beta_k = sum_j alpha_j/((q;q)_{k-j}(xq;q)_{k+j})
     for every k <= K; failures are data, not exceptions."""
-    cache = cache or QSymbolCache()
     failures = tuple(
         k for k in range(K + 1) if beta_from_alpha(pair, k, cache) != pair.beta(k)
     )
     return PairReport(pair.label, K, failures)
 
 
-def chain_step(pair: BaileyPair, cache: QSymbolCache | None = None) -> BaileyPair:
+def chain_step(pair: BaileyPair, cache: QSymbolCache) -> BaileyPair:
     """One Bailey chain step (same x):
 
         alpha'_k = x^k q^(k^2) alpha_k
         beta'_k  = sum_j x^j q^(j^2) beta_j / (q;q)_{k-j}
     """
-    cache = cache or QSymbolCache()
     x_exp = pair.x_exp
 
     @functools.cache
@@ -175,7 +167,7 @@ def chain_step(pair: BaileyPair, cache: QSymbolCache | None = None) -> BaileyPai
     return BaileyPair(alpha, beta, x_exp, f"chain({pair.label})")
 
 
-def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache | None = None) -> bool:
+def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache) -> bool:
     """Exact check of the special Bailey lemma at index k:
 
         sum_j alpha'_j/((q;q)_{k-j}(xq;q)_{k+j})
@@ -186,14 +178,11 @@ def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache | None = No
     """
     if k < 0:
         raise IndexOutOfRange("index must be >= 0")
-    cache = cache or QSymbolCache()
     betas = [beta_from_alpha(pair, j, cache) for j in range(k + 1)]
     return _lemma_holds(pair, chain_step(pair, cache), k, betas, cache)
 
 
-def bailey_lemma_failures(
-    pair: BaileyPair, top: int, cache: QSymbolCache | None = None
-) -> list[int]:
+def bailey_lemma_failures(pair: BaileyPair, top: int, cache: QSymbolCache) -> list[int]:
     """The k <= top at which bailey_lemma_check(pair, k) fails.
 
     Each beta_from_alpha(pair, j) of the right side is computed once and
@@ -201,7 +190,6 @@ def bailey_lemma_failures(
     key holding the pair would tie the cache to itself through a chained
     pair's closures.
     """
-    cache = cache or QSymbolCache()
     chained = chain_step(pair, cache)
     betas, failures = [], []
     for k in range(top + 1):
@@ -302,7 +290,7 @@ def _chain_sum(
     return lincomb(pairs)
 
 
-def multisum_c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
+def multisum_c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     """Multi-sum form of c'_{k,p} (manifestly in Z[𝔮^{±1}]):
 
         p > 0: (-1)^k q^(k(k+3)/4) sum prod q^(k_i^2+k_i)   [k_{i+1} over k_i]_q
@@ -314,7 +302,6 @@ def multisum_c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> Laure
         raise IndexOutOfRange("coefficient index must be >= 0")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    cache = cache or QSymbolCache()
     if p > 0:
         body = _chain_sum(k, p, lambda a, b: 4 * (a * a + a), cache)
         return LaurentPoly.monomial(k * (k + 3), -1 if k & 1 else 1) * body
@@ -322,7 +309,7 @@ def multisum_c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> Laure
     return LaurentPoly.monomial(-k * (k + 3)) * body
 
 
-def multisum_c_tilde(k: int, m: int, cache: QSymbolCache | None = None) -> LaurentFraction:
+def multisum_c_tilde(k: int, m: int, cache: QSymbolCache) -> LaurentFraction:
     """Multi-sum form of c~'_{k,s/2} for s = 2m - 1, m >= 1:
 
         (-1)^k q^(k(k+3)/4) sum (1/(q;q)_{k_1})
@@ -334,7 +321,6 @@ def multisum_c_tilde(k: int, m: int, cache: QSymbolCache | None = None) -> Laure
         raise IndexOutOfRange("coefficient index must be >= 0")
     if m < 1:
         raise ValueError("multi-sum form needs m >= 1 (s = 2m - 1 positive)")
-    cache = cache or QSymbolCache()
     num = _chain_sum(
         k,
         m,
@@ -346,7 +332,7 @@ def multisum_c_tilde(k: int, m: int, cache: QSymbolCache | None = None) -> Laure
     return cache.pochhammer_recip(1, k) * num
 
 
-def multisum_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentFraction:
+def multisum_d(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentFraction:
     """Multi-sum form of d_{k,j,p}, over chains with top k - j:
 
         p > 0: (-1)^(k-j) q^((j+1)(j-k)-pj(j+2)) (1/(q;q)_{k-j})
@@ -361,7 +347,6 @@ def multisum_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> Lau
         raise IndexOutOfRange(f"d coefficient needs 0 <= j <= k, got k={k}, j={j}")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    cache = cache or QSymbolCache()
     top = k - j
     x_exp = 2 * j + 2
     if p > 0:

@@ -119,7 +119,8 @@ class CoeffTable(Record):
         if self.entries[0].h != _ONE:
             raise ValueError("H_0 must equal 1")
         for entry in self.entries:
-            if any(e % 2 for e, _ in entry.h.items()):
+            base, stride, _ = entry.h.lattice()
+            if base % 2 or stride % 2:
                 raise ValueError(f"H_{entry.k} has odd A-exponents")
 
     def h(self, k: int) -> LaurentPoly:
@@ -239,12 +240,12 @@ def d_kjp(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentF
 
 
 def _require_even(poly: LaurentPoly, what: str) -> LaurentPoly:
-    for e, _ in poly.items():
-        if e % 2:
-            raise IntegralityFailure(
-                f"{what} has odd A-exponent {e} (not in Z[𝔮^±1])",
-                LaurentFraction(poly),
-            )
+    base, stride, _ = poly.lattice()
+    if base % 2 or stride % 2:  # canonical storage: all exponents even iff both are
+        e = next(e for e, _ in poly.items() if e % 2)  # the least odd one
+        raise IntegralityFailure(
+            f"{what} has odd A-exponent {e} (not in Z[𝔮^±1])", LaurentFraction(poly)
+        )
     return poly
 
 

@@ -86,9 +86,9 @@ class QSymbolCache:
     """Per-instance memo tables for the factorial/Pochhammer symbols.
 
     Cached values are structurally equal to recomputed ones; correctness
-    never depends on a hit.  ``MAX_TABLE_INDEX`` bounds the tables to
-    guard against runaway indices.  The tables grow without a lock, so a cache
-    must not be shared between threads; give each thread its own.
+    never depends on a hit.  ``MAX_TABLE_INDEX`` bounds the tables.  One cache
+    serves a whole verify run (one per worker group under --jobs) and one a
+    CLI request.  The tables grow without a lock: give each thread its own.
 
     ``coefficients`` stores values that do not depend on one knot, keyed by
     owner.  One per index asked for, as long as the cache: ("t_coeff", k, i)

@@ -4,7 +4,9 @@ Each check aggregates one identity family over its grid and reports a
 single pass/fail row; ordering is stable by check id (also under
 parallel execution), and wall time and the per-check timings stay out
 of the data payload so identical configurations produce byte-identical
-reports.
+reports.  One QSymbolCache serves a verify run (one per worker's group of
+checks under --jobs), so c', d, t and the q-symbol tables are built once;
+a check reads its group's cache from _GROUP_CACHE, set by _run_group.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import os
 import random
 import tempfile
 import time
+from contextvars import ContextVar
+from functools import partial
 
 from . import bailey, cyclotomic, serialize, skein
 from .laurent import LaurentFraction, LaurentPoly, cyclotomic_poly, lincomb
@@ -33,6 +37,7 @@ _ZERO = LaurentPoly.zero()
 _SEED = 28087
 _RANDOM_OPS = 200
 _BINOM_N = 16
+_GROUP_CACHE: ContextVar[QSymbolCache] = ContextVar("verify_group_cache")
 
 
 class VerifyGrid(Record):
@@ -230,7 +235,7 @@ def check_eval_ring_structure(grid: VerifyGrid) -> CheckResult:
 
 
 def check_pascal(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for n in range(1, _BINOM_N + 1):
         for i in range(0, n + 1):
@@ -243,7 +248,7 @@ def check_pascal(grid: VerifyGrid) -> CheckResult:
 
 
 def check_balanced_gaussian_bridge(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for n in range(0, _BINOM_N + 1):
         for i in range(0, n + 1):
@@ -256,7 +261,7 @@ def check_balanced_gaussian_bridge(grid: VerifyGrid) -> CheckResult:
 
 
 def check_cyclo_pochhammer(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for N in range(1, grid.max_n + 1):
         for k in range(0, N):
@@ -298,7 +303,7 @@ def check_brace_bracket(grid: VerifyGrid) -> CheckResult:
 
 
 def check_ts_inverse(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for k in range(grid.bailey_k + 1):
         for j in range(k + 1):
@@ -311,7 +316,7 @@ def check_ts_inverse(grid: VerifyGrid) -> CheckResult:
 
 
 def check_basis_expansion(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     top = min(grid.max_k, 10)
     es = [skein.chebyshev_e(i) for i in range(top + 1)]
     rs = [skein.r_basis(i) for i in range(top + 1)]
@@ -326,7 +331,7 @@ def check_basis_expansion(grid: VerifyGrid) -> CheckResult:
 
 
 def check_twist_inverse(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     top = min(grid.max_k, 10)
     failures, total = [], 0
     d = {(k, i, p): skein.twist_coeff_d(k, i, p, cache)
@@ -341,7 +346,7 @@ def check_twist_inverse(grid: VerifyGrid) -> CheckResult:
 
 
 def check_pairing(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for k in range(grid.bailey_k + 1):
         for i in range(k):
@@ -361,7 +366,7 @@ def check_pairing(grid: VerifyGrid) -> CheckResult:
 
 
 def check_golden_values(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     A = LaurentPoly.monomial
     failures, total = [], 0
     half11 = cyclotomic.KnotSpec.half(1, 1)
@@ -399,7 +404,7 @@ def check_golden_values(grid: VerifyGrid) -> CheckResult:
 
 
 def check_integrality(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for knot in grid.half_knots() + grid.full_knots():
         for k in range(grid.max_k + 1):
@@ -417,7 +422,7 @@ def check_integrality(grid: VerifyGrid) -> CheckResult:
 
 
 def check_qform(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for k in range(grid.bridge_k + 1):
         for p in grid.p_values:
@@ -428,7 +433,7 @@ def check_qform(grid: VerifyGrid) -> CheckResult:
 
 
 def check_q_inversion(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     ps = [p for p in grid.p_values if abs(p) <= 2] or [-2, -1, 1, 2]
     for k in range(7):
@@ -442,7 +447,7 @@ def check_q_inversion(grid: VerifyGrid) -> CheckResult:
 
 
 def check_normalization(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for knot in grid.half_knots():
         total += 2
@@ -466,25 +471,25 @@ def check_normalization(grid: VerifyGrid) -> CheckResult:
 
 
 def check_bailey_pairs(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
-    for pair in (bailey.unit_pair(), bailey.squared_pair()):
+    for pair in (bailey.unit_pair(cache), bailey.squared_pair(cache)):
         total += 1
         report = bailey.verify_bailey_pair(pair, grid.bailey_k, cache)
         if not report.ok:
             failures.append((pair.label, report.failures))
     for shift in range(3):
         total += 1
-        report = bailey.verify_bailey_pair(bailey.shifted_unit_pair(shift), 8, cache)
+        report = bailey.verify_bailey_pair(bailey.shifted_unit_pair(shift, cache), 8, cache)
         if not report.ok:
             failures.append((f"shifted({shift})", report.failures))
     return _result("bailey/pair-verification", f"K = {grid.bailey_k}", failures, total)
 
 
 def check_chain_preservation(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
-    for pair in (bailey.unit_pair(), bailey.squared_pair()):
+    for pair in (bailey.unit_pair(cache), bailey.squared_pair(cache)):
         current = pair
         for step in range(1, 4):
             current = bailey.chain_step(current, cache)
@@ -498,9 +503,9 @@ def check_chain_preservation(grid: VerifyGrid) -> CheckResult:
 
 
 def check_bailey_lemma(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
-    pairs = [bailey.unit_pair(), bailey.squared_pair()]
+    pairs = [bailey.unit_pair(cache), bailey.squared_pair(cache)]
     pairs += [bailey.chain_step(p, cache) for p in pairs]
     pairs += [bailey.chain_step(p, cache) for p in pairs[2:]]
     for pair in pairs:
@@ -524,7 +529,7 @@ def check_chain_counts(grid: VerifyGrid) -> CheckResult:
 
 def check_inversion_identities(grid: VerifyGrid) -> CheckResult:
     # corrected (1/q;1/q)_k and Gaussian-binomial inversion, k <= 8
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for k in range(9):
         total += 1
@@ -545,7 +550,7 @@ def check_inversion_identities(grid: VerifyGrid) -> CheckResult:
 
 
 def check_multisum_c_prime(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for k in range(grid.max_k + 1):
         for p in grid.p_values:
@@ -556,7 +561,7 @@ def check_multisum_c_prime(grid: VerifyGrid) -> CheckResult:
 
 
 def check_multisum_c_tilde(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for k in range(grid.max_k + 1):
         for m in grid.m_values:
@@ -569,7 +574,7 @@ def check_multisum_c_tilde(grid: VerifyGrid) -> CheckResult:
 
 
 def check_multisum_d(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for k in range(grid.max_k + 1):
         for j in range(k + 1):
@@ -581,7 +586,7 @@ def check_multisum_d(grid: VerifyGrid) -> CheckResult:
 
 
 def check_route_agreement(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for knot in grid.half_knots():
         table = cyclotomic.coefficient_table(knot, grid.max_n - 1, cache)
@@ -600,7 +605,7 @@ def check_route_agreement(grid: VerifyGrid) -> CheckResult:
 
 
 def check_skein_bridge(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     for k in range(grid.bridge_k + 1):
         for j in range(k + 1):
@@ -632,7 +637,7 @@ def check_json_roundtrip(grid: VerifyGrid) -> CheckResult:
 
 
 def check_cache_soundness(grid: VerifyGrid) -> CheckResult:
-    cache = QSymbolCache()
+    cache = _GROUP_CACHE.get()
     failures, total = [], 0
     knot = cyclotomic.KnotSpec.half(2, 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -708,27 +713,35 @@ def suite_checks(suite: str) -> list:
     return list(SUITES[suite])
 
 
-def _run_check(args) -> tuple[CheckResult, float]:
-    fn, grid = args
-    start = time.monotonic()
-    result = fn(grid)
-    return result, time.monotonic() - start
+def _run_group(checks, grid: VerifyGrid) -> list[tuple[CheckResult, float]]:
+    """Run checks in order on one new QSymbolCache, held in _GROUP_CACHE
+    while they run: (result, seconds) each.  A check gets the grid alone, so
+    a wrapper that forwards one argument (perfbench/layers.py) sees it."""
+    token, timed = _GROUP_CACHE.set(QSymbolCache()), []
+    try:
+        for fn in checks:
+            start = time.monotonic()
+            timed.append((fn(grid), time.monotonic() - start))
+        return timed
+    finally:
+        _GROUP_CACHE.reset(token)
 
 
 def run_suite(suite: str, grid: VerifyGrid = VerifyGrid(), jobs: int = 1) -> VerificationReport:
     checks = suite_checks(suite)
     start = time.monotonic()
-    # the pool starts all of its workers at once, so never ask for more
-    # than there are checks or cores
+    # the pool starts all of its workers at once, so never ask for more than
+    # there are checks or cores; the checks are dealt in order, one group per worker
     workers = min(jobs, len(checks), os.cpu_count() or 1)
+    run = partial(_run_group, grid=grid)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            timed = list(pool.map(_run_check, [(fn, grid) for fn in checks]))
+            done = list(pool.map(run, [checks[i::workers] for i in range(workers)]))
     else:
-        timed = [_run_check((fn, grid)) for fn in checks]
-    timed.sort(key=lambda rt: rt[0].check_id)
+        done = [run(checks)]
+    timed = sorted((rt for group in done for rt in group), key=lambda rt: rt[0].check_id)
     return VerificationReport(
         suite,
         tuple(result for result, _ in timed),

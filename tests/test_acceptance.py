@@ -151,7 +151,7 @@ def test_criterion_06_skein_bridge(cache):
 
 def test_criterion_07_bailey_machinery(cache):
     with Timer("7 Bailey machinery", 60.0):
-        for pair in (unit_pair(), squared_pair()):
+        for pair in (unit_pair(cache), squared_pair(cache)):
             assert verify_bailey_pair(pair, 12, cache).ok
             current = pair
             for _ in range(3):

@@ -4,6 +4,7 @@ from cyclojones import (
     Chain,
     LaurentFraction,
     LaurentPoly,
+    QSymbolCache,
     bailey_lemma_check,
     c_prime,
     c_tilde_prime,
@@ -81,25 +82,25 @@ def test_long_chains_need_no_recursion_depth():
 
 
 def test_unit_pair_verifies(cache):
-    pair = unit_pair()
+    pair = unit_pair(cache)
     assert pair.alpha(0) == pair.beta(0)  # k = 0 degenerate case
     report = verify_bailey_pair(pair, 12, cache)
     assert report.ok, report.failures
 
 
 def test_squared_pair_verifies(cache):
-    report = verify_bailey_pair(squared_pair(), 12, cache)
+    report = verify_bailey_pair(squared_pair(cache), 12, cache)
     assert report.ok, report.failures
 
 
 def test_shifted_pair_verifies(cache):
     for shift in range(3):
-        report = verify_bailey_pair(shifted_unit_pair(shift), 8, cache)
+        report = verify_bailey_pair(shifted_unit_pair(shift, cache), 8, cache)
         assert report.ok, (shift, report.failures)
 
 
 def test_broken_pair_is_reported(cache):
-    pair = unit_pair()
+    pair = unit_pair(cache)
     broken = type(pair)(pair.alpha, lambda k: LaurentFraction(k + 2), pair.x_exp, "broken")
     report = verify_bailey_pair(broken, 4, cache)
     assert not report.ok
@@ -107,7 +108,7 @@ def test_broken_pair_is_reported(cache):
 
 
 def test_chain_step_preserves_relation(cache):
-    for base in (unit_pair(), squared_pair()):
+    for base in (unit_pair(cache), squared_pair(cache)):
         current = base
         for _ in range(3):
             current = chain_step(current, cache)
@@ -115,7 +116,7 @@ def test_chain_step_preserves_relation(cache):
 
 
 def test_chain_step_alpha_prefactor(cache):
-    base = unit_pair()
+    base = unit_pair(cache)
     assert chain_step(base, cache).alpha(0) == base.alpha(0)
     # p-1 steps multiply alpha_l by q^((l^2+l)(p-1)) when x = q
     current = base
@@ -127,7 +128,7 @@ def test_chain_step_alpha_prefactor(cache):
 
 
 def test_bailey_lemma(cache):
-    for pair in (unit_pair(), squared_pair()):
+    for pair in (unit_pair(cache), squared_pair(cache)):
         assert bailey_lemma_check(pair, 0, cache)
         for k in range(9):
             assert bailey_lemma_check(pair, k, cache)
@@ -139,7 +140,7 @@ def test_bailey_lemma(cache):
 def test_shifted_pair_feeds_multisum_d(cache):
     # beta reproduction for the x = q^(2j+2) pair underlies multisum_d
     for shift in range(3):
-        pair = shifted_unit_pair(shift)
+        pair = shifted_unit_pair(shift, cache)
         for k in range(6):
             assert beta_from_alpha(pair, k, cache) == pair.beta(k)
     # pinned regression: the k=1, j=0 case fixes the (-1)^(k-j) prefactor
@@ -222,7 +223,7 @@ def test_bailey_lemma_check_computes_each_beta_once(monkeypatch):
     from collections import Counter
 
     import cyclojones.bailey as bailey_mod
-    from cyclojones.verify import VerifyGrid, check_bailey_lemma
+    from cyclojones.verify import VerifyGrid, _run_group, check_bailey_lemma
 
     calls = Counter()
     original = bailey_mod.beta_from_alpha
@@ -233,7 +234,8 @@ def test_bailey_lemma_check_computes_each_beta_once(monkeypatch):
 
     monkeypatch.setattr(bailey_mod, "beta_from_alpha", spy)
     grid = VerifyGrid()
-    assert check_bailey_lemma(grid).passed
+    [(result, _)] = _run_group([check_bailey_lemma], grid)
+    assert result.passed
     labels = ("unit", "squared", "chain(unit)", "chain(squared)",
               "chain(chain(unit))", "chain(chain(squared))")
     right = Counter({(label, j): 1 for label in labels for j in range(grid.bridge_k + 1)})
@@ -242,13 +244,12 @@ def test_bailey_lemma_check_computes_each_beta_once(monkeypatch):
 
 
 def test_bailey_lemma_check_frees_its_cache_without_the_cyclic_collector(monkeypatch):
-    # the chained pairs hold the check's cache in their closures; nothing the
-    # cache holds may lead back to them, or the cache outlives the check
+    # the pairs hold the group's cache in their closures; nothing the cache
+    # holds may lead back to them, or the cache outlives the verify run
     import gc
     import weakref
 
     import cyclojones.verify as verify_mod
-    from cyclojones import QSymbolCache
 
     refs = []
 
@@ -261,7 +262,8 @@ def test_bailey_lemma_check_frees_its_cache_without_the_cyclic_collector(monkeyp
     enabled = gc.isenabled()
     gc.disable()
     try:
-        assert verify_mod.check_bailey_lemma(verify_mod.VerifyGrid()).passed
+        [(result, _)] = verify_mod._run_group([verify_mod.check_bailey_lemma], verify_mod.VerifyGrid())
+        assert result.passed
         assert len(refs) == 1 and refs[0]() is None
     finally:
         if enabled:
@@ -270,7 +272,6 @@ def test_bailey_lemma_check_frees_its_cache_without_the_cyclic_collector(monkeyp
 
 def test_chain_sums_match_termwise_addition():
     # _chain_sum adds its chains in one lincomb: the same sum as term by term
-    from cyclojones import QSymbolCache
     from cyclojones.bailey import _chain_sum
 
     cache = QSymbolCache()

@@ -233,10 +233,28 @@ def test_verify_jobs(capsys):
 
 
 def test_verify_jobs_matches_serial(capsys):
-    args = ("verify", "--suite", "laurent", "--format", "json")
-    _, serial, _ = run_cli(capsys, *args)
-    _, parallel, _ = run_cli(capsys, *args, "--jobs", "3")
-    assert serial == parallel
+    for suite, jobs in (("laurent", "3"), ("cross", "2")):
+        args = ("verify", "--suite", suite, "--format", "json")
+        _, serial, _ = run_cli(capsys, *args)
+        _, parallel, _ = run_cli(capsys, *args, "--jobs", jobs)
+        assert serial == parallel, suite
+
+
+def _count_caches(monkeypatch) -> list:
+    from cyclojones.qcalc import QSymbolCache
+
+    built, init = [], QSymbolCache.__init__
+    monkeypatch.setattr(QSymbolCache, "__init__", lambda self: built.append(1) or init(self))
+    return built
+
+
+def test_serial_verify_builds_one_cache(monkeypatch):
+    # the 31 checks, and the Bailey pairs they build, share one QSymbolCache
+    from cyclojones import verify
+
+    built = _count_caches(monkeypatch)
+    report = verify.run_suite("all", verify.VerifyGrid())
+    assert report.ok and len(report.results) == 31 and len(built) == 1
 
 
 def test_verify_jobs_are_capped(capsys, monkeypatch):
@@ -244,7 +262,9 @@ def test_verify_jobs_are_capped(capsys, monkeypatch):
     import concurrent.futures
     import os
 
-    started = []
+    from cyclojones.verify import suite_checks
+
+    started, groups = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -257,17 +277,26 @@ def test_verify_jobs_are_capped(capsys, monkeypatch):
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
+            groups.extend(items)
+            return map(fn, groups)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    built = _count_caches(monkeypatch)
     args = ("verify", "--suite", "qcalc", "--format", "json")
     _, serial, _ = run_cli(capsys, *args)
+    checks = suite_checks("qcalc")
     for cores, expect in ((3, [3]), (64, [5]), (1, []), (None, [])):
         started.clear()
+        groups.clear()
+        built.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         code, out, _ = run_cli(capsys, *args, "--jobs", "10000")
         assert code == 0 and out == serial
         assert started == expect
+        # the checks are dealt in order, one group and one cache per worker
+        workers = expect[0] if expect else 1
+        assert groups == ([checks[i::workers] for i in range(workers)] if expect else [])
+        assert len(built) == workers
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -67,6 +67,14 @@ def test_c_prime(cache):
         c_prime(1, 0, cache)
 
 
+def test_c_prime_mirror(cache):
+    # c'_{k,-p}(A) = (-1)^k c'_{k,p}(A^-1): the mirror changes the sign of p
+    for k in range(13):
+        for p in range(1, 6):
+            mirror = c_prime(k, p, cache).substitute_power(-1)
+            assert c_prime(k, -p, cache) == (-mirror if k & 1 else mirror), (k, p)
+
+
 def test_c_tilde_prime(cache):
     for s in (1, 3, 5, -1, -3):
         assert c_tilde_prime(0, s, cache) == LaurentFraction(1)
@@ -274,7 +282,7 @@ def test_jones_both_routes_compute_each_p_term_once(monkeypatch, capsys):
 def test_integrality_check_divides_each_c_prime_once(monkeypatch):
     # c'_{k,p} is shared by every knot with p in a twist region: the check's
     # 36 knots collapse it once per (k, p) on their one cache
-    from cyclojones.verify import VerifyGrid, check_integrality
+    from cyclojones.verify import VerifyGrid, _run_group, check_integrality
 
     collapsed = Counter()
 
@@ -284,7 +292,8 @@ def test_integrality_check_divides_each_c_prime_once(monkeypatch):
 
     _record_collapses(monkeypatch, record)
     grid = VerifyGrid()
-    assert check_integrality(grid).passed
+    [(result, _)] = _run_group([check_integrality], grid)
+    assert result.passed
     assert collapsed == Counter({(k, p): 1 for k in range(grid.max_k + 1) for p in grid.p_values})
     assert sum(collapsed.values()) == 66
 
@@ -431,6 +440,18 @@ def test_coeff_table_rejects_bad_entries(cache):
     good = coefficient_table(knot, 2, cache)
     with pytest.raises(ValueError):
         CoeffTable(knot, good.entries[1:], 1)  # H_0 missing
+    # an odd base, and an even base with an odd stride (no A^1 term: the
+    # least odd exponent is A^3) are refused; even base and stride pass
+    table = lambda h1: CoeffTable(  # noqa: E731
+        knot, (good.entries[0], cyclotomic_mod.CoeffEntry(1, h1, frozenset())), 1
+    )
+    for bad, least_odd in ((A(1) + A(5), 1), (A(0) + A(3) + A(5), 3)):
+        with pytest.raises(ValueError, match="H_1 has odd A-exponents"):
+            table(bad)
+        with pytest.raises(IntegralityFailure, match=f"odd A-exponent {least_odd} "):
+            cyclotomic_mod._require_even(bad, "H_1")
+    even = A(2) - A(6)
+    assert table(even).h(1) == even and cyclotomic_mod._require_even(even, "H_1") is even
 
 
 def test_d_kjp_through_one_cache_equals_fresh_caches():
@@ -455,7 +476,8 @@ def test_multisum_d_check_keeps_one_d_kernel(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "QSymbolCache", Recording)
     grid = verify_mod.VerifyGrid()
-    assert verify_mod.check_multisum_d(grid).passed
+    [(result, _)] = verify_mod._run_group([verify_mod.check_multisum_d], grid)
+    assert result.passed
     (cache,) = caches
     kernels = [key for key in cache.coefficients if "d_kernel" in str(key)]
     assert kernels == ["d_kernel"]

@@ -7,6 +7,7 @@ from cyclojones import (
     IndexOutOfRange,
     LaurentFraction,
     LaurentPoly,
+    QSymbolCache,
     ZPoly,
     bracket_e,
     chebyshev_e,
@@ -104,7 +105,6 @@ def test_twist_coeff_examples(cache):
 
 def test_twist_coefficients_on_one_cache_equal_the_termwise_sum():
     # the skein-bridge order: p innermost, so one (k, j) kernel serves every twist
-    from cyclojones import QSymbolCache
 
     shared = QSymbolCache()
     for k in range(8):
@@ -119,14 +119,15 @@ def test_twist_coefficients_on_one_cache_equal_the_termwise_sum():
 
 def test_skein_bridge_builds_each_twist_kernel_once(monkeypatch):
     import cyclojones.skein as skein_mod
-    from cyclojones.verify import VerifyGrid, check_skein_bridge
+    from cyclojones.verify import VerifyGrid, _run_group, check_skein_bridge
 
     # s_{i,j} enters the kernel of every (k, j) with k >= i, once for all six twists
     calls, s_coeff = Counter(), skein_mod.s_coeff
     monkeypatch.setattr(skein_mod, "s_coeff",
                         lambda i, j, cache=None: calls.update([(i, j)]) or s_coeff(i, j, cache))
     grid = VerifyGrid()
-    assert len(grid.p_values) == 6 and check_skein_bridge(grid).passed
+    [(result, _)] = _run_group([check_skein_bridge], grid)
+    assert len(grid.p_values) == 6 and result.passed
     top = grid.bridge_k
     assert calls == Counter({(i, j): top + 1 - i for i in range(top + 1) for j in range(i + 1)})
 
@@ -160,7 +161,7 @@ def test_pairing_diagonal(cache):
 def test_twist_inverse_check_divides_each_t_coeff_once(monkeypatch):
     # twist_coeff_d asks for t_{k,i} again for every j and both twists; the
     # check's cache collapses each (k, i) once
-    from cyclojones.verify import VerifyGrid, check_twist_inverse
+    from cyclojones.verify import VerifyGrid, _run_group, check_twist_inverse
 
     collapsed = Counter()
     to_poly = LaurentFraction.to_poly
@@ -172,7 +173,8 @@ def test_twist_inverse_check_divides_each_t_coeff_once(monkeypatch):
         return to_poly(self)
 
     monkeypatch.setattr(LaurentFraction, "to_poly", recording)
-    assert check_twist_inverse(VerifyGrid()).passed
+    [(result, _)] = _run_group([check_twist_inverse], VerifyGrid())
+    assert result.passed
     assert collapsed == Counter({(k, i): 1 for k in range(11) for i in range(k + 1)})
 
 
@@ -192,27 +194,28 @@ def test_pairing_check_builds_each_r_basis_once(monkeypatch):
     # pairing_R_e(k, i, cache) keeps R_k for the last k, and the check asks
     # for every i of one k in a row
     import cyclojones.skein as skein_mod
-    from cyclojones.verify import VerifyGrid, check_pairing
+    from cyclojones.verify import VerifyGrid, _run_group, check_pairing
 
     calls = _count_calls(monkeypatch, skein_mod, "r_basis")
     grid = VerifyGrid()
-    assert check_pairing(grid).passed
+    [(result, _)] = _run_group([check_pairing], grid)
+    assert result.passed
     assert calls == Counter({(k,): 1 for k in range(grid.bailey_k + 1)})
 
 
 def test_twist_inverse_check_computes_each_twist_coefficient_once(monkeypatch):
     import cyclojones.skein as skein_mod
-    from cyclojones.verify import VerifyGrid, check_twist_inverse
+    from cyclojones.verify import VerifyGrid, _run_group, check_twist_inverse
 
     calls = _count_calls(monkeypatch, skein_mod, "twist_coeff_d")
-    assert check_twist_inverse(VerifyGrid()).passed
+    [(result, _)] = _run_group([check_twist_inverse], VerifyGrid())
+    assert result.passed
     assert calls == Counter(
         {(k, i, p): 1 for k in range(11) for i in range(k + 1) for p in (1, -1)}
     )
 
 
 def test_pairing_with_a_cache_equals_pairing_without():
-    from cyclojones import QSymbolCache
 
     cache = QSymbolCache()
     for k in range(7):
