@@ -16,7 +16,7 @@ c' over {k+1}...{2k+1} = {2k+1}!/{k}! (its l-sum without the {k}!),
 H_k over {2k+2}! and J'_N (Walsh route) over {N}, each times its
 factored reciprocal collapsed once by LaurentFraction.to_poly (the one
 diagnostic site for H_k).  c~' and d stay fractions over 1/{2k+1}! and
-1/{2k+2}!.  Every sum is accumulated in place by laurent.lincomb.
+1/{2k+2}!.  Every sum is accumulated in place in one list (_c_sum, lincomb).
 
 H_k does not evaluate the d-sum term by term: with the sum over j
 taken inside, it needs only the products P_j = c'_j * (numerator of
@@ -36,6 +36,7 @@ numerator _c_num(j, 2s) of c~'_j, shared by every knot with s.
 from __future__ import annotations
 
 import math
+from operator import add, sub
 
 from .errors import CacheMismatch, IndexOutOfRange, IntegralityFailure, RemainderNonzero
 from .laurent import LaurentFraction, LaurentPoly, lincomb
@@ -147,15 +148,22 @@ def _c_sum(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> La
     """The single sum of c' and c~' over the denominator {k+1}...{2k+1}:
 
         sum_l (±1)^l A^(twist_exp * l(l+1)) {2l+1} [2k+1 over k-l]
+
+    {2l+1} = A^(4l+2) - A^-(4l+2) adds two shifted copies of each binomial's list
+    into one list; for an even twist_exp all lie on one stride-4 lattice.
     """
-    return lincomb(
-        (
-            LaurentPoly.monomial(twist_exp * l * (l + 1), -1 if alternating and l & 1 else 1)
-            * brace(2 * l + 1),
-            cache.qbinom_balanced(2 * k + 1, k - l),
-        )
-        for l in range(k + 1)
-    )
+    copies = []
+    for l in range(k + 1):
+        base, _, row = cache.qbinom_balanced(2 * k + 1, k - l).lattice()
+        up, down = (sub, add) if alternating and l & 1 else (add, sub)
+        start = twist_exp * l * (l + 1) + base + 4 * l + 2
+        copies += [(start, up, row), (start - 8 * l - 4, down, row)]
+    low = min(start for start, _, _ in copies)
+    out = [0] * ((max(start + 4 * len(row) for start, _, row in copies) - low) // 4)
+    for start, op, row in copies:
+        i = (start - low) // 4
+        out[i : i + len(row)] = map(op, out[i : i + len(row)], row)
+    return LaurentPoly.from_lattice(low, 4, out)
 
 
 def _c_num(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> LaurentPoly:

@@ -449,35 +449,34 @@ class LaurentPoly:
     # -- evaluation and display ---------------------------------------
 
     def eval_unit_root(self, k: int, n: int) -> mpmath.mpc:
-        """Evaluate at A = exp(2*pi*i*k/n) to at least 50 significant digits.
+        """Evaluate at A = ζ = exp(2*pi*i*k/n) to at least 50 significant digits.
 
-        Horner-style over the gaps between nonzero terms, with one root
-        power per distinct gap computed once per call; working precision is
-        raised with the coefficient size so ring structure is respected to
-        ~1e-50 even for 2^256-sized coefficients.
+        w = ζ^stride has some order t | n, so the stored list folds exactly
+        into t integer buckets, bucket j the sum of coeffs[j::t]; the value
+        is ζ^base times the buckets at w by Horner.  Working precision grows
+        with the largest bucket, so ring structure is respected to ~1e-50
+        even for 2^256-sized coefficients.
         """
-        from fractions import Fraction
         import mpmath
 
         if n < 1:
             raise ValueError("root order n must be >= 1")
         if self.is_zero:
             return mpmath.mpc(0)
-        terms = list(self.items())
-        max_coeff = max(max(self._coeffs), -min(self._coeffs))
+        order = n // math.gcd(k * self._step, n)
+        buckets = [sum(self._coeffs[j::order]) for j in range(min(order, len(self._coeffs)))]
+        largest = max(max(buckets), -min(buckets))
         # headroom for products of two evaluations staying within 1e-40
-        dps = 70 + 2 * len(str(max_coeff)) + len(str(len(terms)))
+        dps = 70 + 2 * len(str(largest)) + len(str(len(buckets)))
         with mpmath.workdps(dps):
 
-            @functools.cache  # one value per distinct exponent gap of this call
-            def root_power(e: int) -> mpmath.mpc:
-                angle = Fraction(2 * k * e, n) % 2
-                return mpmath.expjpi(mpmath.mpf(angle.numerator) / angle.denominator)
+            def root_power(e: int) -> mpmath.mpc:  # ζ^e
+                return mpmath.expjpi(mpmath.mpf(2 * (k * e % n)) / n)
 
-            acc = mpmath.mpc(terms[-1][1])
-            for i in range(len(terms) - 2, -1, -1):
-                acc = acc * root_power(terms[i + 1][0] - terms[i][0]) + terms[i][1]
-            return acc * root_power(terms[0][0])
+            w, acc = root_power(self._step), mpmath.mpc(0)
+            for c in reversed(buckets):
+                acc = acc * w + c
+            return acc * root_power(self._base)
 
     def render(self, variable: str = "A") -> str:
         """Deterministic text form, descending by exponent.

@@ -24,17 +24,12 @@ def draw(top: int) -> int:
 
 
 def evaluate(poly, a: int) -> int:
-    """poly(a) by Horner over descending exponents, one pow per distinct gap."""
-    terms = list(poly.items())
-    if not terms:
-        return 0
-    (last, acc), steps = terms.pop(), {}
-    for e, c in reversed(terms):
-        if last - e not in steps:
-            steps[last - e] = pow(a, last - e, P)
-        acc = (acc * steps[last - e] + c) % P
-        last = e
-    return acc * pow(a, last, P) % P
+    """poly(a) by Horner over the stored list (LaurentPoly.lattice), one pow for the stride."""
+    base, step, coeffs = poly.lattice()
+    x, acc = pow(a, step, P), 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % P
+    return acc * pow(a, base, P) % P
 
 
 def h_values(knot, max_k: int, a: int) -> list[int]:

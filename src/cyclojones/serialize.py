@@ -3,19 +3,22 @@
 JSON polynomial schema (always in the A variable, so round trips are
 bit-exact regardless of display choices):
 
-    {"variable": "A", "terms": [[exponent, "coefficient"], ...]}
+    {"terms": [[exponent, "coefficient"], ...], "variable": "A"}
 
-terms sorted descending by exponent, coefficients as decimal strings so
-arbitrary precision survives every JSON consumer.  A cache file holds a
-knot's table of such polynomials under a cache-version header and a
-content digest.
+terms strictly descending by exponent, coefficients nonzero decimal strings
+(arbitrary precision survives every JSON consumer), written canonically
+(sorted keys, no spaces) off the stored list by poly_to_json and read back
+by poly_from_obj alone.  A cache file holds a knot's table of such
+polynomials under a cache-version header and a content digest.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
+from operator import gt
 from pathlib import Path
 
 from .cyclotomic import CoeffTable, HalfTwists, JonesResult, KnotSpec
@@ -27,18 +30,17 @@ CACHE_VERSION = 2  # of the cache files
 CACHE_ENV = "CYCLOJONES_CACHE"
 FORMATS = ("json", "csv", "latex", "text")
 
-_LATEX_GLYPH = {"A": "A", "𝔮": r"\mathfrak{q}", "q": "q"}
+
+def _terms(poly: LaurentPoly) -> list[tuple[int, int]]:
+    """(exponent, coefficient) of each nonzero term, descending, off LaurentPoly.lattice."""
+    base, step, coeffs = poly.lattice()
+    top = base + step * (len(coeffs) - 1)
+    return [(e, c) for e, c in zip(range(top, base - 1, -step or -1), reversed(coeffs)) if c]
 
 
-def poly_to_obj(poly: LaurentPoly) -> dict:
-    terms = sorted(poly.items(), reverse=True)
-    return {"variable": "A", "terms": [[e, str(c)] for e, c in terms]}
-
-
-def poly_from_obj(obj: dict) -> LaurentPoly:
-    if obj.get("variable") != "A":
-        raise ValueError(f"unsupported polynomial variable {obj.get('variable')!r}")
-    return LaurentPoly({int(e): int(c) for e, c in obj["terms"]})
+def _object(**fields: str) -> str:
+    """The canonical JSON object of already serialized values, keys sorted."""
+    return "{" + ",".join(f'"{key}":{text}' for key, text in sorted(fields.items())) + "}"
 
 
 def _canonical_json(obj) -> str:
@@ -46,7 +48,34 @@ def _canonical_json(obj) -> str:
 
 
 def poly_to_json(poly: LaurentPoly) -> str:
-    return _canonical_json(poly_to_obj(poly))
+    terms = ",".join([f'[{e},"{c}"]' for e, c in _terms(poly)])
+    return f'{{"terms":[{terms}],"variable":"A"}}'
+
+
+def poly_from_obj(obj: dict, bound: int | None = None) -> LaurentPoly:
+    """The polynomial of a parsed poly_to_json object, its terms placed on
+    their lattice.  Exponents not strictly descending, a zero coefficient,
+    and with a bound an exponent beyond ±bound raise ValueError before the
+    list is laid out."""
+    try:
+        variable, terms = obj["variable"], obj["terms"]
+        exponents, coeffs = [int(e) for e, _ in terms], [int(c) for _, c in terms]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ValueError("is not a polynomial object of integer terms") from None
+    if variable != "A":
+        raise ValueError(f"has unsupported polynomial variable {variable!r}")
+    if not all(map(gt, exponents, exponents[1:])) or 0 in coeffs:
+        raise ValueError("has exponents out of strictly descending order or a zero coefficient")
+    if not exponents:
+        return LaurentPoly.zero()
+    top, base = exponents[0], exponents[-1]
+    if bound is not None and max(top, -base) > bound:
+        raise ValueError(f"exceeds ±{bound}, the bound of its exponents")
+    step = math.gcd(*[e - base for e in exponents]) or 1
+    dense = [0] * ((top - base) // step + 1)
+    for e, c in zip(exponents, coeffs):
+        dense[(e - base) // step] = c
+    return LaurentPoly.from_lattice(base, step, dense)
 
 
 def poly_from_json(text: str) -> LaurentPoly:
@@ -54,18 +83,9 @@ def poly_from_json(text: str) -> LaurentPoly:
 
 
 def poly_to_latex(poly: LaurentPoly, display: str = "𝔮") -> str:
-    glyph = _LATEX_GLYPH[display]
-    text = poly.render(display)
-    out = []
-    for piece in text.split(" "):
-        if "^" in piece:
-            head, exp = piece.split("^", 1)
-            piece = f"{head}^{{{exp}}}"
-        out.append(piece)
-    rendered = " ".join(out)
-    if display == "𝔮":
-        rendered = rendered.replace("𝔮", glyph)
-    return rendered
+    pieces = (piece.partition("^") for piece in poly.render(display).split(" "))
+    text = " ".join(f"{head}^{{{exp}}}" if exp else head for head, _, exp in pieces)
+    return text.replace("𝔮", r"\mathfrak{q}")
 
 
 def knot_to_obj(knot: KnotSpec) -> dict:
@@ -114,9 +134,7 @@ def _poly_str(poly: LaurentPoly, fmt: str, display: str) -> str:
     if fmt == "json":
         return poly_to_json(poly) + "\n"
     if fmt == "csv":
-        lines = ["exponent,coefficient"]
-        lines += [f"{e},{c}" for e, c in sorted(poly.items(), reverse=True)]
-        return "\n".join(lines) + "\n"
+        return "".join(["exponent,coefficient\n"] + [f"{e},{c}\n" for e, c in _terms(poly)])
     if fmt == "latex":
         return poly_to_latex(poly, display) + "\n"
     return poly.render(display) + "\n"
@@ -124,45 +142,28 @@ def _poly_str(poly: LaurentPoly, fmt: str, display: str) -> str:
 
 def _table_str(table: CoeffTable, fmt: str, display: str) -> str:
     if fmt == "json":
-        obj = {
-            "schema": SCHEMA_VERSION,
-            "knot": knot_to_obj(table.knot),
-            "max_k": table.max_k,
-            "entries": [
-                {
-                    "k": entry.k,
-                    "H": poly_to_obj(entry.h),
-                    "checks": sorted(entry.checks),
-                }
-                for entry in table.entries
-            ],
-        }
-        return _canonical_json(obj) + "\n"
+        entries = ",".join([
+            _object(H=poly_to_json(e.h), checks=_canonical_json(sorted(e.checks)), k=str(e.k))
+            for e in table.entries
+        ])
+        knot = _canonical_json(knot_to_obj(table.knot))
+        return _object(schema=str(SCHEMA_VERSION), knot=knot, max_k=str(table.max_k),
+                       entries=f"[{entries}]") + "\n"
     if fmt == "csv":
-        lines = ["k,polynomial"]
-        lines += [f'{entry.k},"{entry.h.render(display)}"' for entry in table.entries]
-        return "\n".join(lines) + "\n"
+        rows = [f'{e.k},"{e.h.render(display)}"\n' for e in table.entries]
+        return "".join(["k,polynomial\n"] + rows)
     if fmt == "latex":
-        lines = [r"\begin{tabular}{rl}", r"$k$ & $H_k$ \\ \hline"]
-        for entry in table.entries:
-            lines.append(rf"{entry.k} & ${poly_to_latex(entry.h, display)}$ \\")
-        lines.append(r"\end{tabular}")
+        rows = [rf"{e.k} & ${poly_to_latex(e.h, display)}$ \\" for e in table.entries]
+        lines = [r"\begin{tabular}{rl}", r"$k$ & $H_k$ \\ \hline", *rows, r"\end{tabular}"]
         return "\n".join(lines) + "\n"
-    return "".join(
-        f"H_{entry.k} = {entry.h.render(display)}\n" for entry in table.entries
-    )
+    return "".join([f"H_{e.k} = {e.h.render(display)}\n" for e in table.entries])
 
 
 def _jones_str(result: JonesResult, fmt: str, display: str) -> str:
     if fmt == "json":
-        obj = {
-            "schema": SCHEMA_VERSION,
-            "knot": knot_to_obj(result.knot),
-            "N": result.N,
-            "route": result.route,
-            "value": poly_to_obj(result.value),
-        }
-        return _canonical_json(obj) + "\n"
+        knot = _canonical_json(knot_to_obj(result.knot))
+        return _object(schema=str(SCHEMA_VERSION), knot=knot, N=str(result.N),
+                       route=_canonical_json(result.route), value=poly_to_json(result.value)) + "\n"
     if fmt == "csv":
         return "N,polynomial\n" + f'{result.N},"{result.value.render(display)}"\n'
     if fmt == "latex":
@@ -231,16 +232,11 @@ class CoeffCache:
         """Store values = H_0..H_max_k as the knot's table, replacing its file."""
         import hashlib
 
-        # the values are serialized once, for the digest and for the file;
-        # "values" sorts after every other key, so it closes the object
+        # the values are serialized once, for the digest and for the file
         text = "[" + ",".join(map(poly_to_json, values)) + "]"
-        head = {
-            "cache": CACHE_VERSION,
-            "knot": knot_to_obj(knot),
-            "k": max_k,
-            "digest": hashlib.sha256(text.encode()).hexdigest(),
-        }
-        payload = _canonical_json(head)[:-1] + f',"values":{text}}}\n'
+        digest = f'"{hashlib.sha256(text.encode()).hexdigest()}"'
+        payload = _object(cache=str(CACHE_VERSION), knot=_canonical_json(knot_to_obj(knot)),
+                          k=str(max_k), digest=digest, values=text) + "\n"
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -257,8 +253,9 @@ class CoeffCache:
     def get(self, knot: KnotSpec, max_k: int) -> list[LaurentPoly] | None:
         """H_0..H_min(m, max_k) from the knot's table to k = m, or None if there is none.
 
-        The whole file is vetted (knot, length, digest, exponent bound of
-        every entry) before any polynomial is built."""
+        The file is vetted (knot, length, digest) before any polynomial is
+        built, and each entry by poly_from_obj (order, nonzero coefficients,
+        exponent bound) before its list is laid out."""
         import hashlib
 
         path = self._path(knot)
@@ -281,14 +278,13 @@ class CoeffCache:
         # the values as read, in canonical JSON, before a polynomial fills its span
         if obj.get("digest") != hashlib.sha256(_canonical_json(values).encode()).hexdigest():
             raise CacheMismatch(f"digest mismatch in {path}")
-        try:  # coefficient_table vets the values; a far exponent, here, before a list spans it
-            for k, value in enumerate(values):
-                bound = exponent_bound(knot, k)
-                if any(abs(int(e)) > bound for e, _ in value["terms"]):
-                    raise ValueError(f"an exponent of k={k} exceeds ±{bound}, the bound of H_{k}")
-            served = [poly_from_obj(value) for value in values[: max_k + 1]]
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise CacheMismatch(f"malformed value in {path}: {exc}") from None
+        served = []
+        for k, value in enumerate(values):  # their form; coefficient_table checks their values
+            try:
+                served.append(poly_from_obj(value, exponent_bound(knot, k)))
+            except ValueError as exc:
+                raise CacheMismatch(f"malformed value in {path}: k={k} {exc}") from None
+        del served[max_k + 1:]
         self._hits += 1
         return served
 

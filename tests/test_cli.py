@@ -93,6 +93,31 @@ def test_large_half_twist_table_matches_its_recorded_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MAX_K_24_DIGEST
 
 
+# SHA-256 of the csv, latex and text outputs of two requests, recorded before the
+# writers walked the stored coefficient lists; no benchmark digest covers them
+TEXT_FORMAT_DIGESTS = {
+    ("coeffs --p -3 --s 5 --max-k 6 --no-cache", "csv"):
+        "0cc907350b2c5514eebee6006b8d99770fee017789394a629e2d62fdd4404a02",
+    ("coeffs --p -3 --s 5 --max-k 6 --no-cache", "latex"):
+        "a2b697f442d6e210b4f1cf25f1e5391c4335c477c1e22f1b14a9aad63487e13f",
+    ("coeffs --p -3 --s 5 --max-k 6 --no-cache", "text"):
+        "d5d2a3dd1296738f167ad6b02e1aabe02332c8ec6eeb695012b35a212d0032b1",
+    ("jones --p 2 --s 1 --N 5 --route both", "csv"):
+        "6a4f15f7f26d302d0e727e2864411086cbb53739179c4485e38ea7a44f5a1e3d",
+    ("jones --p 2 --s 1 --N 5 --route both", "latex"):
+        "38c4741c74e978e34bf04ae4b000ef07f79103a1ab5cfe7e854437cd659325b0",
+    ("jones --p 2 --s 1 --N 5 --route both", "text"):
+        "39db577cb72ed5a2bcbfbc46a7230b5f962e1e1396e0e7d390ed77c23232d562",
+}
+
+
+@pytest.mark.parametrize("request_, fmt", sorted(TEXT_FORMAT_DIGESTS))
+def test_text_formats_match_their_recorded_digests(request_, fmt, capsys):
+    code, out, err = run_cli(capsys, *request_.split(), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_FORMAT_DIGESTS[request_, fmt]
+
+
 def test_verify_timings_leave_the_payload_unchanged(capsys):
     # one stderr timing line per check, and the report keeps its digest
     (request, expected), = json.loads(
@@ -532,14 +557,16 @@ def test_shorter_request_serves_a_prefix_and_keeps_the_file(capsys, tmp_path, mo
 
 def test_tampered_entry_inside_a_table_exits_one(capsys, tmp_path, cache):
     # H_5 of a 9-entry table changed and the digest recomputed: only the
-    # point check can refuse it, and it names k = 5
+    # point check can refuse it, and it names k = 5.  The coefficient is
+    # doubled, not incremented, so that it stays nonzero: the reader refuses
+    # a zero coefficient as malformed before any point check
     from cyclojones import KnotSpec
     from cyclojones.serialize import CoeffCache
 
     _coeffs(capsys, tmp_path, 8)
     (path,) = tmp_path.iterdir()
     obj = json.loads(path.read_text())
-    obj["values"][5]["terms"][0][1] = str(int(obj["values"][5]["terms"][0][1]) + 1)
+    obj["values"][5]["terms"][0][1] = str(int(obj["values"][5]["terms"][0][1]) * 2)
     text = json.dumps(obj["values"], sort_keys=True, separators=(",", ":"))
     obj["digest"] = hashlib.sha256(text.encode()).hexdigest()
     path.write_text(json.dumps(obj))

@@ -184,6 +184,25 @@ def test_eval_unit_root_examples():
     assert (LaurentPoly.zero()).eval_unit_root(3, 5) == 0
 
 
+@pytest.mark.parametrize("k, n", [(1, 16), (3, 7), (5, 24), (1, 1), (4, 1)])
+def test_eval_unit_root_matches_a_direct_sum(k, n):
+    # the bucket fold against sum c zeta^e at 400 digits: strides 0 (monomials),
+    # 1 and 4 (H_8 of K(-3, 5/2)), negative exponents and 2^200-sized terms
+    from cyclojones import KnotSpec
+    from cyclojones.cyclotomic import h_coeff
+
+    rng = random.Random(100 * n + k)
+    cases = [A(-9, 5), A(0, -(2**200)), h_coeff(8, KnotSpec.half(-3, 5)),
+             LaurentPoly({-40: 2**200, -12: -3, 4: 7, 36: -(2**200)}),
+             LaurentPoly({e: rng.randint(-(10**30), 10**30) for e in range(-101, 100)})]
+    for poly in cases:
+        got = poly.eval_unit_root(k, n)
+        with mpmath.workdps(400):
+            direct = mpmath.fsum(c * mpmath.expjpi(mpmath.mpf(2 * k * e) / n)
+                                 for e, c in poly.items())
+            assert abs(got - direct) < mpmath.mpf("1e-50"), (k, n, poly)
+
+
 def test_eval_unit_root_huge_coefficients():
     f = LaurentPoly({100: 2**256, -100: -(2**256), 3: 12345})
     g = LaurentPoly({50: 3**100, -7: -9})

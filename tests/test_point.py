@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cyclojones import KnotSpec, LaurentPoly, QSymbolCache, coefficient_table, point
 
@@ -49,6 +50,21 @@ def test_evaluate_is_horner_over_the_exponents():
     poly = LaurentPoly({-6: 3, -2: -1, 4: 7, 10: 1})
     direct = sum(c * pow(a, e % (point.P - 1), point.P) for e, c in poly.items()) % point.P
     assert point.evaluate(poly, a) == direct
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(-60, 60),
+    st.dictionaries(st.integers(-25, 25), st.integers(-(10**40), 10**40), max_size=12),
+    st.integers(2, point.P - 1),
+)
+@example(1, 0, {}, 5)  # zero
+@example(1, -9, {0: -3}, 5)  # a monomial at a negative exponent
+def test_evaluate_equals_the_naive_sum(stride, shift, terms, a):
+    # negative exponents, strides above 1 and lists with gaps, against sum c a^e mod P
+    poly = LaurentPoly({shift + stride * e: c for e, c in terms.items()})
+    naive = sum(c * pow(a, e, point.P) for e, c in poly.items()) % point.P
+    assert point.evaluate(poly, a) == naive
 
 
 def test_draw_redraws_points_where_a_brace_vanishes(monkeypatch):

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cyclojones import KnotSpec, LaurentPoly, NotExpressible, QSymbolCache, coefficient_table
 from cyclojones.cyclotomic import h_coeff
@@ -12,11 +15,20 @@ from cyclojones.serialize import (
     knot_from_obj,
     knot_to_obj,
     poly_from_json,
+    poly_from_obj,
     poly_to_json,
     serialize,
 )
 
 A = LaurentPoly.monomial
+
+# zero, monomials, strides above 1, negative exponents, |c| up to 10^40
+wire_polys = st.builds(
+    lambda stride, shift, terms: LaurentPoly({shift + stride * e: c for e, c in terms.items()}),
+    st.integers(1, 6),
+    st.integers(-40, 40),
+    st.dictionaries(st.integers(-30, 30), st.integers(-(10**40), 10**40), max_size=12),
+)
 
 
 def test_poly_json_schema():
@@ -31,6 +43,85 @@ def test_poly_json_roundtrip_random():
             {rng.randint(-200, 200): rng.randint(-(2**130), 2**130) for _ in range(rng.randint(0, 20))}
         )
         assert poly_from_json(poly_to_json(poly)) == poly
+
+
+@given(wire_polys)
+@example(LaurentPoly())
+@example(A(-7, -(10**40)))
+def test_writer_is_the_canonical_json_of_the_term_tree_and_the_reader_inverts_it(poly):
+    tree = {"variable": "A", "terms": [[e, str(c)] for e, c in sorted(poly.items(), reverse=True)]}
+    text = poly_to_json(poly)
+    assert text == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    assert poly_from_obj(json.loads(text)) == poly
+
+
+_ORDER = "has exponents out of strictly descending order or a zero coefficient"
+
+
+@pytest.mark.parametrize(
+    "terms, reason",
+    [
+        ([[0, "1"], [4, "2"]], _ORDER),  # ascending
+        ([[4, "1"], [0, "2"], [8, "1"]], _ORDER),  # unsorted
+        ([[4, "1"], [4, "2"], [0, "1"]], _ORDER),  # a repeated exponent
+        ([[4, "1"], [2, "0"], [0, "1"]], _ORDER),  # a zero coefficient
+        ([[0, "0"]], _ORDER),
+        ([[float("inf"), "1"]], "is not a polynomial object"),  # JSON's Infinity
+    ],
+    ids=["ascending", "unsorted", "repeated", "zero", "zero-monomial", "infinite"],
+)
+def test_reader_refuses_all_but_the_writers_form(tmp_path, terms, reason):
+    # the old reader summed a repeated exponent, dropped a zero and let the
+    # OverflowError of an infinite exponent escape; a valid digest does not
+    # make such an entry servable
+    value = {"variable": "A", "terms": terms}
+    with pytest.raises(ValueError, match=reason):
+        poly_from_obj(value)
+    knot = KnotSpec.half(2, 1)
+    values = [{"variable": "A", "terms": [[0, "1"]]}, value]
+    obj = {"cache": 2, "knot": knot_to_obj(knot), "k": 1, "values": values,
+           "digest": _digest_of(values)}
+    store = CoeffCache(tmp_path)
+    store._path(knot, 1).write_text(json.dumps(obj))
+    with pytest.raises(CacheMismatch, match=f"malformed value in .*: k=1 {reason}"):
+        store.get(knot, 1)
+
+
+@pytest.mark.parametrize("far", [10**7, -(10**7)])
+def test_reader_refuses_an_exponent_beyond_the_bound_at_either_end(tmp_path, far):
+    terms = sorted([[far, "1"], [1, "1"], [0, "1"]], reverse=True)
+    with pytest.raises(ValueError, match="exceeds ±480"):
+        poly_from_obj({"variable": "A", "terms": terms}, 480)
+    knot = KnotSpec.half(2, 1)
+    values = [{"variable": "A", "terms": [[0, "1"]]}, {"variable": "A", "terms": terms}]
+    obj = {"cache": 2, "knot": knot_to_obj(knot), "k": 1, "values": values,
+           "digest": _digest_of(values)}
+    store = CoeffCache(tmp_path)
+    store._path(knot, 1).write_text(json.dumps(obj))
+    with pytest.raises(CacheMismatch, match="k=1 exceeds"):
+        store.get(knot, 1)
+
+
+def test_a_cache_file_of_the_previous_reader_is_served_unchanged(tmp_path, capsys, monkeypatch):
+    # written by `coeffs --p 2 --s -3 --max-k 4 --format json` before the reader took
+    # only the canonical form; that request printed the bytes with this SHA-256
+    from cyclojones import cyclotomic
+    from cyclojones.cli import main
+
+    name = "h_v2_p2_s-3.json"
+    shutil.copy(Path(__file__).parent / "data" / name, tmp_path / name)
+    before = (tmp_path / name).read_bytes()
+    monkeypatch.setattr(cyclotomic, "h_coeff", lambda *args: pytest.fail("recomputed"))
+    assert main(["coeffs", "--p", "2", "--s", "-3", "--max-k", "4", "--format", "json",
+                 "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c991c6b87607a335327c6c5188f8a7695e5d293aac9b131bc7e6a7637483aee4")
+    assert (tmp_path / name).read_bytes() == before
+    # and put writes the same bytes again
+    store, knot = CoeffCache(tmp_path), KnotSpec.half(2, -3)
+    store.put(knot, 4, store.get(knot, 4))
+    assert (tmp_path / name).read_bytes() == before
 
 
 def test_knot_roundtrip():
