@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 _DISPLAY_ALIASES = {"A": "A", "q": "q", "Q": "𝔮", "𝔮": "𝔮", "qq": "𝔮"}
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "cyclojones"
 
-# largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 takes ~22 s, 143 MB
+# largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 (times in README)
 MAX_INDEX = 48
 # largest verify --max-k and --max-n; --suite all takes ~50 s at --max-k 24 (its Bailey
 # and skein checks, to 26, 20 s) and ~11 s at --max-n 24; --max-n grows as about N^5

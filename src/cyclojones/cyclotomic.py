@@ -22,7 +22,7 @@ H_k does not evaluate the d-sum term by term: with the sum over j
 taken inside, it needs only the products P_j = c'_j * (numerator of
 c~'_j) and the sums G_i of P_j against balanced binomials (h_coeff_half).
 Both depend on the knot and not on k, so the QSymbolCache keeps them for
-the knot last asked for (knot_memo); a table up to max_k then costs
+the knot last asked for (its "knot" slot); a table up to max_k then costs
 O(max_k^2) polynomial products instead of O(max_k^3).  The Walsh route
 reuses the same P_j.
 
@@ -174,7 +174,7 @@ def _c_num(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> La
     return cache.coefficients[key]
 
 
-def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
+def c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     """c'_{k,p} = {k}! sum_l (-1)^l 𝔮^(2pl(l+1)) {2l+1}/({k+l+1}!{k-l}!).
 
     With {2k+1}!/{k}! = {k+1}...{2k+1}, _c_sum over the product of
@@ -187,7 +187,6 @@ def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
         raise IndexOutOfRange("coefficient index must be >= 0")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    cache = cache or QSymbolCache()
     key = ("c_prime", k, p)
     value = cache.coefficients.get(key)
     if value is None:
@@ -197,7 +196,7 @@ def c_prime(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     return value
 
 
-def c_tilde_prime(k: int, s: int, cache: QSymbolCache | None = None) -> LaurentFraction:
+def c_tilde_prime(k: int, s: int, cache: QSymbolCache) -> LaurentFraction:
     """c~'_{k,s/2} = {k}! sum_l 𝔮^(sl(l+1)) {2l+1}/({k+l+1}!{k-l}!).
 
     Not a polynomial in general; {k}! times the value is.
@@ -206,7 +205,6 @@ def c_tilde_prime(k: int, s: int, cache: QSymbolCache | None = None) -> LaurentF
         raise IndexOutOfRange("coefficient index must be >= 0")
     if s % 2 == 0:
         raise ValueError("half twist count s must be odd")
-    cache = cache or QSymbolCache()
     return cache.brace_fact_recip(2 * k + 1) * _c_num(k, 2 * s, False, cache)
 
 
@@ -230,7 +228,7 @@ def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     )
 
 
-def d_kjp(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentFraction:
+def d_kjp(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentFraction:
     """d_{k,j,p} = sum_{i=j}^{k} (-1)^(i+j) 𝔮^(-2pi(i+2))
                    {2i+2}{i+1+j}!/({k+i+2}!{k-i}!{i-j}!),
 
@@ -240,7 +238,6 @@ def d_kjp(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentF
         raise IndexOutOfRange(f"d coefficient needs 0 <= j <= k, got k={k}, j={j}")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    cache = cache or QSymbolCache()
     return cache.brace_fact_recip(2 * k + 2) * _d_num(k, j, p, cache)
 
 
@@ -259,9 +256,9 @@ def _require_even(poly: LaurentPoly, what: str) -> LaurentPoly:
 
 def _p_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
     """The first n of P_j = c'_{j,p} _c_num(j, 2s), kept in the cache's
-    one-knot memo."""
+    "knot" slot, which holds the last knot asked for."""
     p, s = knot.p, knot.region.s
-    P = cache.knot_memo((p, s)).setdefault("P", [])
+    P = cache.latest("knot", (p, s), dict).setdefault("P", [])
     while len(P) < n:
         j = len(P)
         P.append(c_prime(j, p, cache) * _c_num(j, 2 * s, False, cache))
@@ -270,9 +267,9 @@ def _p_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
 
 def _g_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
     """The first n of G_i = sum_{j=0}^{i} (-1)^j [i+1+j over 2j+1] P_j,
-    kept in the cache's one-knot memo beside P."""
+    kept in the cache's "knot" slot beside P."""
     P = _p_terms(knot, n, cache)
-    G = cache.knot_memo((knot.p, knot.region.s)).setdefault("G", [])
+    G = cache.latest("knot", (knot.p, knot.region.s), dict).setdefault("G", [])
     while len(G) < n:
         i = len(G)
         G.append(lincomb(
@@ -281,7 +278,7 @@ def _g_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
     return G
 
 
-def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> LaurentPoly:
+def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     """H_k(K(p, s/2)) = (-1)^k sum_{j=0}^{k} d_{k,j,p} c'_{j,p} c~'_{j,s/2}.
 
     With d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, 2s) / {2k+2}! (_d_num)
@@ -297,7 +294,6 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> L
         raise TypeError("h_coeff_half needs a HalfTwists knot")
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
-    cache = cache or QSymbolCache()
     p = knot.p
     G = _g_terms(knot, k + 1, cache)
     num = lincomb(
@@ -319,20 +315,19 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> L
     return _require_even(value, f"H_{k}({knot})")
 
 
-def h_coeff_int(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> LaurentPoly:
+def h_coeff_int(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     """H_k(K(p, r)) = (-1)^k c'_{k,p} c'_{k,r}."""
     if not isinstance(knot.region, FullTwists):
         raise TypeError("h_coeff_int needs a FullTwists knot")
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
-    cache = cache or QSymbolCache()
     value = c_prime(k, knot.p, cache) * c_prime(k, knot.region.r, cache)
     if k & 1:
         value = -value
     return _require_even(value, f"H_{k}({knot})")
 
 
-def h_coeff(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> LaurentPoly:
+def h_coeff(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     """H_k for either knot family."""
     if isinstance(knot.region, HalfTwists):
         return h_coeff_half(k, knot, cache)
@@ -342,7 +337,7 @@ def h_coeff(k: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Lauren
 def coefficient_table(
     knot: KnotSpec,
     max_k: int,
-    cache: QSymbolCache | None = None,
+    cache: QSymbolCache,
     cross_check: bool = False,
     store=None,
 ) -> CoeffTable:
@@ -366,7 +361,6 @@ def coefficient_table(
     request that fails part way stores nothing.  Either costs only
     recomputation.
     """
-    cache = cache or QSymbolCache()
     values = (None if store is None else store.get(knot, max_k)) or []
     served = len(values)
     if served and store.should_spot_check():
@@ -421,38 +415,35 @@ def _multisum_check(knot: KnotSpec, k: int, cache: QSymbolCache) -> None:
 # -- colored Jones polynomials ----------------------------------------
 
 
-def jones_half(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> JonesResult:
+def jones_half(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
     """J'_N via the cyclotomic expansion: sum_k H_k {N+k}!/({N-1-k}!{N})."""
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
     if not isinstance(knot.region, HalfTwists):
         raise TypeError("jones_half needs a HalfTwists knot")
-    cache = cache or QSymbolCache()
     return jones_from_table(N, coefficient_table(knot, N - 1, cache), cache)
 
 
-def jones_from_table(N: int, table: CoeffTable, cache: QSymbolCache | None = None) -> JonesResult:
+def jones_from_table(N: int, table: CoeffTable, cache: QSymbolCache) -> JonesResult:
     """Assemble J'_N from precomputed H_k (needs max_k >= N-1)."""
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
     if table.max_k < N - 1:
         raise IndexOutOfRange(f"table covers k <= {table.max_k}, need {N - 1}")
-    cache = cache or QSymbolCache()
     total = lincomb((table.h(k), cache.cyclo_block(N, k)) for k in range(N))
     return JonesResult(table.knot, N, total, "theorem")
 
 
-def jones_int(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> JonesResult:
+def jones_int(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
     """J'_N(K(p, r)) = sum_k (-1)^k c'_{k,p} c'_{k,r} {N+k}!/({N-1-k}!{N})."""
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
     if not isinstance(knot.region, FullTwists):
         raise TypeError("jones_int needs a FullTwists knot")
-    cache = cache or QSymbolCache()
     return jones_from_table(N, coefficient_table(knot, N - 1, cache), cache)
 
 
-def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> JonesResult:
+def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
     """J'_N via the twist-prefactor route:
 
         𝔮^(-2p(N^2-1)) sum_k (-1)^k c'_{k,p} c~'_{k,s/2} {N+k}!/({N-1-k}!{N})
@@ -466,7 +457,6 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jo
         raise IndexOutOfRange("color N must be >= 1")
     if not isinstance(knot.region, HalfTwists):
         raise TypeError("jones_walsh needs a HalfTwists knot")
-    cache = cache or QSymbolCache()
     P = _p_terms(knot, N, cache)
     # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, 2s) [N+k over 2k+1] / {N}
     num = lincomb((cache.qbinom_balanced(N + k, 2 * k + 1) * (-1) ** k, P[k]) for k in range(N))
@@ -475,7 +465,7 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache | None = None) -> Jo
     return JonesResult(knot, N, prefactor * total, "walsh")
 
 
-def c_prime_qform(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
+def c_prime_qform(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     """c'_{k,p} rearranged through q-Pochhammer symbols:
 
         (-1)^k q^((k^2+3k)/4) sum_l (-1)^l q^(l(l+1)p + l(l-1)/2)
@@ -489,7 +479,6 @@ def c_prime_qform(k: int, p: int, cache: QSymbolCache | None = None) -> LaurentP
         raise IndexOutOfRange("coefficient index must be >= 0")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    cache = cache or QSymbolCache()
     total = lincomb(
         (
             LaurentPoly.monomial(4 * l * (l + 1) * p + 2 * l * (l - 1), -1 if l & 1 else 1)

@@ -338,7 +338,10 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._base, self._step, tuple(self._coeffs)))
+            if self._base == self._step == 0:  # a constant hashes as the int it equals
+                self._hash = hash(self._coeffs[0] if self._coeffs else 0)
+            else:
+                self._hash = hash((self._base, self._step, tuple(self._coeffs)))
         return self._hash
 
     def _combine(self, other: LaurentPoly, scale: int) -> LaurentPoly:

@@ -94,8 +94,9 @@ class QSymbolCache:
     owner.  One per index asked for, as long as the cache: ("t_coeff", k, i)
     skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime and ("_c_num", k, 2s,
     False) cyclotomic._c_num.  The last key only (``latest``): "r_basis" (k)
-    skein.pairing_R_e, "d_kernel" (k, j) cyclotomic._d_num and "twist_kernel"
-    (k, j) skein.twist_coeff_d.  No hit ever changes a result.
+    skein.pairing_R_e, "d_kernel" (k, j) cyclotomic._d_num, "twist_kernel"
+    (k, j) skein.twist_coeff_d and "knot" (p, s), the P and G sums of
+    cyclotomic._p_terms and _g_terms.  No hit ever changes a result.
     """
 
     def __init__(self) -> None:
@@ -107,8 +108,6 @@ class QSymbolCache:
         self._brace_fact_recip: list[LaurentFraction] = [LaurentFraction(_ONE)]
         self._poch_recip: dict[int, list[LaurentFraction]] = {}
         self._cyclo_blocks: dict[int, list[LaurentPoly]] = {}
-        self._knot_key = None
-        self._knot_memo: dict = {}
         self.coefficients: dict = {}
 
     def _check(self, n: int) -> None:
@@ -249,17 +248,6 @@ class QSymbolCache:
         if self.coefficients.get(name, (None,))[0] != key:
             self.coefficients[name] = (key, build())
         return self.coefficients[name][1]
-
-    def knot_memo(self, key) -> dict:
-        """Scratch memo for the sums of one knot, named by key.
-
-        Holds one knot only: a different key replaces the memo, so a
-        cache shared across many knots never keeps more than one
-        knot's sums.
-        """
-        if key != self._knot_key:
-            self._knot_key, self._knot_memo = key, {}
-        return self._knot_memo
 
     def cyclo_block(self, N: int, k: int) -> LaurentPoly:
         """The cyclotomic expansion block {N+k}!/({N-1-k}!{N}) = prod_{j=N-k..N+k, j != N} {j},

@@ -94,15 +94,6 @@ def knot_to_obj(knot: KnotSpec) -> dict:
     return {"p": knot.p, "region": {"kind": "full", "r": knot.region.r}}
 
 
-def knot_from_obj(obj: dict) -> KnotSpec:
-    region = obj["region"]
-    if region["kind"] == "half":
-        return KnotSpec.half(int(obj["p"]), int(region["s"]))
-    if region["kind"] == "full":
-        return KnotSpec.full(int(obj["p"]), int(region["r"]))
-    raise ValueError(f"unknown twist region kind {region['kind']!r}")
-
-
 def knot_key(knot: KnotSpec) -> str:
     if isinstance(knot.region, HalfTwists):
         return f"p{knot.p}_s{knot.region.s}"

@@ -147,7 +147,7 @@ def r_basis(n: int) -> ZPoly:
     return out
 
 
-def t_coeff(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
+def t_coeff(k: int, i: int, cache: QSymbolCache) -> LaurentPoly:
     """Coefficient of e_i in R_k: {2k+1}!{2i+2}/({k+i+2}!{k-i}!).
 
     A factorial quotient, independent of the q-Pascal balanced binomials
@@ -156,7 +156,6 @@ def t_coeff(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     """
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"t coefficient needs 0 <= i <= k, got k={k}, i={i}")
-    cache = cache or QSymbolCache()
     key = ("t_coeff", k, i)
     value = cache.coefficients.get(key)
     if value is None:
@@ -166,16 +165,15 @@ def t_coeff(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
     return value
 
 
-def s_coeff(i: int, j: int, cache: QSymbolCache | None = None) -> LaurentPoly:
+def s_coeff(i: int, j: int, cache: QSymbolCache) -> LaurentPoly:
     """Coefficient of R_j in e_i: (-1)^(i+j) [i+1+j over i-j]."""
     if not 0 <= j <= i:
         raise IndexOutOfRange(f"s coefficient needs 0 <= j <= i, got i={i}, j={j}")
-    cache = cache or QSymbolCache()
     value = cache.qbinom_balanced(i + 1 + j, i - j)
     return -value if (i + j) & 1 else value
 
 
-def twist_coeff_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> LaurentPoly:
+def twist_coeff_d(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     """Coefficient of R_j in t^p(R_k): sum_{i=j}^{k} t_{k,i} mu_i^p s_{i,j}.
 
     The cache keeps the p-free products t_{k,i} s_{i,j} for the last (k, j),
@@ -183,22 +181,21 @@ def twist_coeff_d(k: int, j: int, p: int, cache: QSymbolCache | None = None) -> 
     """
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"twist coefficient needs 0 <= j <= k, got k={k}, j={j}")
-    cache = cache or QSymbolCache()
     kernel = cache.latest("twist_kernel", (k, j), lambda: [
         t_coeff(k, i, cache) * s_coeff(i, j, cache) for i in range(j, k + 1)
     ])
     return lincomb((framing_mu_power(i, p), term) for i, term in enumerate(kernel, j))
 
 
-def pairing_R_e(k: int, i: int, cache: QSymbolCache | None = None) -> LaurentPoly:
+def pairing_R_e(k: int, i: int, cache: QSymbolCache) -> LaurentPoly:
     """Bracket pairing <R_k, e_{2i}>, modeled as R_k(lambda_{2i}) <e_{2i}>.
 
-    Vanishes for i < k; the diagonal value is (-1)^k {2k+1}!/{1}.  A cache
+    Vanishes for i < k; the diagonal value is (-1)^k {2k+1}!/{1}.  The cache
     keeps R_k for the last k, so a loop over i builds it once.
     """
     if k < 0 or i < 0:
         raise IndexOutOfRange("pairing indices must be >= 0")
-    r = r_basis(k) if cache is None else cache.latest("r_basis", k, lambda: r_basis(k))
+    r = cache.latest("r_basis", k, lambda: r_basis(k))
     return r.evaluate(eigenvalue_lambda(2 * i)) * bracket_e(2 * i)
 
 

@@ -142,11 +142,11 @@ def test_criterion_06_skein_bridge(cache):
                 assert total == (LaurentPoly.one() if j == k else LaurentPoly.zero())
         for k in range(13):
             for i in range(k):
-                assert pairing_R_e(k, i).is_zero
+                assert pairing_R_e(k, i, cache).is_zero
             diagonal = cache.brace_fact(2 * k + 1).exact_div(brace(1))
             if k & 1:
                 diagonal = -diagonal
-            assert pairing_R_e(k, k) == diagonal
+            assert pairing_R_e(k, k, cache) == diagonal
 
 
 def test_criterion_07_bailey_machinery(cache):

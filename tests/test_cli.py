@@ -828,15 +828,16 @@ def test_eval_digits_above_the_evaluation_precision_are_a_usage_error(capsys):
 def test_eval_fifty_digits_match_a_high_precision_reference(capsys):
     import mpmath
 
-    from cyclojones import KnotSpec
+    from cyclojones import KnotSpec, QSymbolCache
     from cyclojones.cyclotomic import jones_half
 
     code, out, _ = run_cli(capsys, "eval", "--p", "2", "--s", "1", "--N", "4",
                            "--root", "3/7", "--digits", "50", "--format", "json")
     assert code == 0
+    cache = QSymbolCache()
     with mpmath.workdps(400):
         for row in json.loads(out)["values"]:
-            poly = jones_half(row["N"], KnotSpec.half(2, 1)).value
+            poly = jones_half(row["N"], KnotSpec.half(2, 1), cache).value
             ref = mpmath.fsum(c * mpmath.expjpi(mpmath.mpf(6 * e) / 7) for e, c in poly.items())
             for part, expect in (("re", ref.real), ("im", ref.imag)):
                 # 50 significant digits: within half a unit of the 50th

@@ -234,14 +234,15 @@ def test_knot_memo_holds_one_knot():
     for k in (3, 5, 2, 6, 4):
         for knot in (first, second):
             assert h_coeff_half(k, knot, shared) == h_coeff_half(k, knot, QSymbolCache())
-    assert shared._knot_key == (second.p, second.region.s)
-    memo = shared.knot_memo((second.p, second.region.s))
+    key, memo = shared.coefficients["knot"]
+    assert key == (second.p, second.region.s)
     assert set(memo) == {"P", "G"}
     assert len(memo["P"]) == len(memo["G"]) == 5  # rebuilt from k = 0 for H_4
-    # jones_walsh of another knot replaces the memo with that knot's P_j alone
+    # jones_walsh of another knot replaces the slot with that knot's P_j alone
     jones_walsh(4, first, shared)
-    assert shared._knot_key == (first.p, first.region.s)
-    assert set(shared.knot_memo((first.p, first.region.s))) == {"P"}
+    key, memo = shared.coefficients["knot"]
+    assert key == (first.p, first.region.s)
+    assert set(memo) == {"P"}
 
 
 def _spy(monkeypatch, name):

@@ -117,6 +117,17 @@ def test_canonical_form_no_zero_coefficients():
     assert LaurentPoly({1: 2, 2: 0}) + LaurentPoly({1: -2}) == LaurentPoly()
 
 
+def test_constants_hash_like_the_ints_they_equal():
+    # equal objects hash equal: a constant stands in for its int in sets and dict keys
+    for n in (0, 1, -1, 3, 2**200):
+        poly = LaurentPoly.from_int(n)
+        assert poly == n and hash(poly) == hash(n)
+        assert n in {poly} and poly in {n}
+        assert {n: "int"}.get(poly) == "int"
+    assert 0 in {LaurentPoly.zero()} and 1 in {LaurentPoly.one()}
+    assert 3 not in {A(1, 3)}
+
+
 def test_exact_div_examples():
     assert (A(4) - A(-4)).exact_div(A(2) - A(-2)) == A(2) + A(-2)
     f = A(7) - A(-3, 2) + 1
@@ -192,7 +203,7 @@ def test_eval_unit_root_matches_a_direct_sum(k, n):
     from cyclojones.cyclotomic import h_coeff
 
     rng = random.Random(100 * n + k)
-    cases = [A(-9, 5), A(0, -(2**200)), h_coeff(8, KnotSpec.half(-3, 5)),
+    cases = [A(-9, 5), A(0, -(2**200)), h_coeff(8, KnotSpec.half(-3, 5), QSymbolCache()),
              LaurentPoly({-40: 2**200, -12: -3, 4: 7, 36: -(2**200)}),
              LaurentPoly({e: rng.randint(-(10**30), 10**30) for e in range(-101, 100)})]
     for poly in cases:

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from cyclojones import CoeffTable, JonesResult, KnotSpec, LaurentPoly, coefficient_table
+from cyclojones import CoeffTable, JonesResult, KnotSpec, LaurentPoly, QSymbolCache, coefficient_table
 from cyclojones.cyclotomic import FullTwists, HalfTwists
 from cyclojones.verify import CheckResult, VerifyGrid
 
@@ -47,7 +47,11 @@ def test_construction_takes_positions_keywords_and_defaults():
         (lambda: KnotSpec.full(1, 0), "full twist count r must be nonzero"),
         (lambda: KnotSpec.half(1, 2), "half twist count s must be odd"),
         (
-            lambda: CoeffTable(KnotSpec.half(2, 1), coefficient_table(KnotSpec.half(2, 1), 2).entries[:2], 2),
+            lambda: CoeffTable(
+                KnotSpec.half(2, 1),
+                coefficient_table(KnotSpec.half(2, 1), 2, QSymbolCache()).entries[:2],
+                2,
+            ),
             "coefficient table must cover k = 0..max_k",
         ),
         (

@@ -12,7 +12,6 @@ from cyclojones.cyclotomic import h_coeff
 from cyclojones.serialize import (
     CacheMismatch,
     CoeffCache,
-    knot_from_obj,
     knot_to_obj,
     poly_from_json,
     poly_from_obj,
@@ -122,11 +121,6 @@ def test_a_cache_file_of_the_previous_reader_is_served_unchanged(tmp_path, capsy
     store, knot = CoeffCache(tmp_path), KnotSpec.half(2, -3)
     store.put(knot, 4, store.get(knot, 4))
     assert (tmp_path / name).read_bytes() == before
-
-
-def test_knot_roundtrip():
-    for knot in (KnotSpec.half(2, 1), KnotSpec.half(-3, 5), KnotSpec.full(1, -2)):
-        assert knot_from_obj(knot_to_obj(knot)) == knot
 
 
 def test_serialize_poly_formats():

@@ -106,13 +106,14 @@ def test_twist_coeff_examples(cache):
 def test_twist_coefficients_on_one_cache_equal_the_termwise_sum():
     # the skein-bridge order: p innermost, so one (k, j) kernel serves every twist
 
-    shared = QSymbolCache()
+    shared, fresh = QSymbolCache(), QSymbolCache()
     for k in range(8):
         for j in range(k + 1):
             for p in (-12, -8, -4, -1, 0, 1, 4, 8, 12):
                 expect = LaurentPoly.zero()
                 for i in range(j, k + 1):
-                    expect = expect + t_coeff(k, i) * framing_mu_power(i, p) * s_coeff(i, j)
+                    term = t_coeff(k, i, fresh) * framing_mu_power(i, p) * s_coeff(i, j, fresh)
+                    expect = expect + term
                 assert twist_coeff_d(k, j, p, shared) == expect, (k, j, p)
             assert shared.coefficients["twist_kernel"][0] == (k, j)
 
@@ -142,20 +143,20 @@ def test_twist_matrix_inverse(cache):
 
 
 def test_pairing_orthogonality(cache):
-    assert pairing_R_e(1, 0).is_zero
-    assert pairing_R_e(3, 1).is_zero
+    assert pairing_R_e(1, 0, cache).is_zero
+    assert pairing_R_e(3, 1, cache).is_zero
     for k in range(13):
         for i in range(k):
-            assert pairing_R_e(k, i).is_zero
+            assert pairing_R_e(k, i, cache).is_zero
 
 
 def test_pairing_diagonal(cache):
-    assert pairing_R_e(1, 1) == -(brace(3) * brace(2))  # -{3}!/{1}
+    assert pairing_R_e(1, 1, cache) == -(brace(3) * brace(2))  # -{3}!/{1}
     for k in range(13):
         expect = cache.brace_fact(2 * k + 1).exact_div(brace(1))
         if k & 1:
             expect = -expect
-        assert pairing_R_e(k, k) == expect
+        assert pairing_R_e(k, k, cache) == expect
 
 
 def test_twist_inverse_check_divides_each_t_coeff_once(monkeypatch):
@@ -220,5 +221,7 @@ def test_pairing_with_a_cache_equals_pairing_without():
     cache = QSymbolCache()
     for k in range(7):
         for i in range(9):
-            assert pairing_R_e(k, i, cache) == pairing_R_e(k, i)
+            # the pairing without a cache: R_k(lambda_2i) <e_2i>, built here
+            direct = r_basis(k).evaluate(eigenvalue_lambda(2 * i)) * bracket_e(2 * i)
+            assert pairing_R_e(k, i, cache) == direct
     assert cache.coefficients["r_basis"] == (6, r_basis(6))
