@@ -15,8 +15,6 @@ import importlib
 
 from .cyclotomic import (
     CoeffTable,
-    FullTwists,
-    HalfTwists,
     JonesResult,
     KnotSpec,
     c_prime,

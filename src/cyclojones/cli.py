@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 Each command imports what only it uses when it runs: ``verify`` the
 verify module, ``coeffs --cross-check`` the bailey module, ``eval``
 mpmath.  A ``coeffs`` or ``jones`` process loads neither of them.
+
+A request is its argparse namespace: config_from_args checks it and sets
+on it the knot, coeffs's cache_dir and verify's grid; the handlers read it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from . import cyclotomic, serialize
 from .cyclotomic import KnotSpec
 from .errors import CacheMismatch, CyclojonesError, IntegralityFailure, RemainderNonzero
 from .qcalc import QSymbolCache
-from .record import Record
 
 if TYPE_CHECKING:
     from .verify import VerifyGrid
@@ -48,30 +50,6 @@ ROUTE_AGREEMENT_BUDGET = 50_000_000
 # max_k + 1 or N and t = |r| or (|s| + 1)/2; 130-200 bytes of peak RSS a unit (README)
 LATTICE_BUDGET = 1_000_000
 MAX_DIGITS = 50  # eval_unit_root guarantees 50 significant digits
-
-
-class RunConfig(Record):
-    """Validated invocation parameters.
-
-    Built from parsed arguments before any computation starts, so the
-    knot invariants (p != 0, s odd, r != 0) are already enforced here.
-    """
-
-    command: str
-    knot: KnotSpec | None = None
-    N: int = 1
-    max_k: int = 0
-    route: str = "theorem"
-    fmt: str = "text"
-    display: str = "𝔮"
-    cache_dir: Path | None = None  # None disables the coefficient cache
-    cross_check: bool = False
-    suite: str = "all"
-    grid: VerifyGrid | None = None  # None runs the default grid
-    jobs: int = 1
-    root: tuple[int, int] = (1, 16)
-    digits: int = 50
-    verbose: bool = False
 
 
 def _display(value: str) -> str:
@@ -170,20 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _knot_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> KnotSpec:
-    try:
-        if args.s is not None:
-            return KnotSpec.half(args.p, args.s)
-        return KnotSpec.full(args.p, args.r)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _check_lattice(parser: argparse.ArgumentParser, args: argparse.Namespace, indices: int) -> None:
+def _check_lattice(parser: argparse.ArgumentParser, twists: int, indices: int) -> None:
     """Refuse a request with more than LATTICE_BUDGET units of lattice slots: each of
-    its indices keeps lists of about (|p| + t) * indices^2 slots."""
-    second = abs(args.r) if args.r is not None else (abs(args.s) + 1) // 2
-    units = (abs(args.p) + second) * indices**3
+    its indices keeps lists of about twists * indices^2 slots, twists = |p| + t."""
+    units = twists * indices**3
     if units > LATTICE_BUDGET:
         parser.error(f"the request needs {units} units of lattice slots, over the budget of {LATTICE_BUDGET}")
 
@@ -253,33 +221,35 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     return VerifyGrid(p_values=tuple(p for p in twists if p), m_values=tuple(colors), **kwargs)
 
 
-def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed arguments before any computation starts, and set on them what
+    the handlers derive: the knot (whose invariants KnotSpec enforces), coeffs's
+    cache_dir (None disables the coefficient cache) and verify's grid."""
     command = args.command
-    fields: dict = {"command": command, "verbose": args.verbose}
     if command in ("coeffs", "jones", "eval"):
-        fields["knot"] = _knot_from_args(parser, args)
-        fields["fmt"] = args.format
-        fields["display"] = getattr(args, "display", "𝔮")
+        try:
+            knot = args.knot = KnotSpec(args.p, args.r, args.s)
+        except ValueError as exc:
+            parser.error(str(exc))
+        # t of the lattice and cross-check budgets: |r| full twists or (|s| + 1)/2 half twists
+        second = abs(knot.r) if knot.s is None else (abs(knot.s) + 1) // 2
     if command in ("jones", "eval"):
         if not 1 <= args.N <= MAX_INDEX:
             parser.error(f"--N must be in 1..{MAX_INDEX}")
-        _check_lattice(parser, args, args.N)
+        _check_lattice(parser, abs(args.p) + second, args.N)
     if command == "coeffs":
         if not 0 <= args.max_k <= MAX_INDEX:
             parser.error(f"--max-k must be in 0..{MAX_INDEX}")
-        _check_lattice(parser, args, args.max_k + 1)
+        _check_lattice(parser, abs(args.p) + second, args.max_k + 1)
         if args.cross_check:
-            second = abs(args.r) if args.r is not None else (abs(args.s) + 1) // 2
             _check_chains(parser, args.max_k, max(abs(args.p), second))
-            _check_cross_check(parser, args.max_k, abs(args.p), second, args.s is not None)
-        fields["max_k"] = args.max_k
-        fields["cross_check"] = args.cross_check
-        if not args.no_cache:
-            fields["cache_dir"] = args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR
+            _check_cross_check(parser, args.max_k, abs(args.p), second, knot.is_half)
+        if args.no_cache:
+            args.cache_dir = None
+        elif args.cache_dir is None:
+            args.cache_dir = DEFAULT_CACHE_DIR
     elif command == "jones":
-        fields["N"] = args.N
-        fields["route"] = args.route
-        if not fields["knot"].is_half and args.route != "theorem":
+        if not knot.is_half and args.route != "theorem":
             parser.error("--route walsh/both applies only to half-twist knots (--s)")
     elif command == "verify":
         from .verify import SUITES
@@ -288,13 +258,11 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error("--jobs must be >= 1")
         if args.suite != "all" and args.suite not in SUITES:
             parser.error(f"unknown suite {args.suite!r} (want one of {', '.join(SUITES)} or all)")
-        fields.update(suite=args.suite, grid=_grid_from_args(parser, args),
-                      jobs=args.jobs, fmt=args.format)
+        args.grid = _grid_from_args(parser, args)
     elif command == "eval":
         if not 1 <= args.digits <= MAX_DIGITS:
             parser.error(f"--digits must be in 1..{MAX_DIGITS}")
-        fields.update(N=args.N, root=args.root, digits=args.digits)
-    return RunConfig(**fields)
+    return args
 
 
 def _obstruction(residual) -> str:
@@ -306,11 +274,11 @@ def _obstruction(residual) -> str:
         return str(exc)
 
 
-def _cmd_coeffs(config: RunConfig) -> int:
-    store = None if config.cache_dir is None else serialize.CoeffCache.from_env(config.cache_dir)
+def _cmd_coeffs(args: argparse.Namespace) -> int:
+    store = None if args.cache_dir is None else serialize.CoeffCache.from_env(args.cache_dir)
     try:
         table = cyclotomic.coefficient_table(
-            config.knot, config.max_k, QSymbolCache(), config.cross_check, store
+            args.knot, args.max_k, QSymbolCache(), args.cross_check, store
         )
     except (IntegralityFailure, CacheMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -318,42 +286,42 @@ def _cmd_coeffs(config: RunConfig) -> int:
         if residual is not None:
             print(f"residual: {_obstruction(residual)}", file=sys.stderr)
         return 1
-    sys.stdout.buffer.write(serialize.serialize(table, config.fmt, config.display))
+    sys.stdout.buffer.write(serialize.serialize(table, args.format, args.display))
     return 0
 
 
-def _cmd_jones(config: RunConfig) -> int:
-    knot, cache = config.knot, QSymbolCache()
+def _cmd_jones(args: argparse.Namespace) -> int:
+    knot, cache = args.knot, QSymbolCache()
     if knot.is_half:
         routes = {
-            "theorem": lambda: cyclotomic.jones_half(config.N, knot, cache),
-            "walsh": lambda: cyclotomic.jones_walsh(config.N, knot, cache),
+            "theorem": lambda: cyclotomic.jones_half(args.N, knot, cache),
+            "walsh": lambda: cyclotomic.jones_walsh(args.N, knot, cache),
         }
     else:
-        routes = {"theorem": lambda: cyclotomic.jones_int(config.N, knot, cache)}
-    if config.route == "both":
+        routes = {"theorem": lambda: cyclotomic.jones_int(args.N, knot, cache)}
+    if args.route == "both":
         theorem = routes["theorem"]()
         walsh = routes["walsh"]()
         if theorem.value != walsh.value:
             print(
-                f"route disagreement for {knot}, N={config.N}:\n"
+                f"route disagreement for {knot}, N={args.N}:\n"
                 f"  theorem: {theorem.value.render('A')}\n"
                 f"  walsh:   {walsh.value.render('A')}",
                 file=sys.stderr,
             )
             return 1
-        sys.stdout.buffer.write(serialize.serialize((theorem, walsh), config.fmt, config.display))
+        sys.stdout.buffer.write(serialize.serialize((theorem, walsh), args.format, args.display))
         return 0
-    result = routes[config.route]()
-    sys.stdout.buffer.write(serialize.serialize(result, config.fmt, config.display))
+    result = routes[args.route]()
+    sys.stdout.buffer.write(serialize.serialize(result, args.format, args.display))
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    report = verify.run_suite(config.suite, config.grid or verify.VerifyGrid(), jobs=config.jobs)
-    if config.fmt == "json":
+    report = verify.run_suite(args.suite, args.grid, jobs=args.jobs)
+    if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
         for result in report.results:
@@ -366,23 +334,23 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_eval(config: RunConfig) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     import mpmath
 
-    knot, cache = config.knot, QSymbolCache()
-    k, n = config.root
-    table = cyclotomic.coefficient_table(knot, config.N - 1, cache)
+    knot, cache = args.knot, QSymbolCache()
+    k, n = args.root
+    table = cyclotomic.coefficient_table(knot, args.N - 1, cache)
     rows = []
-    for color in range(1, config.N + 1):
+    for color in range(1, args.N + 1):
         value = cyclotomic.jones_from_table(color, table, cache).value
         rows.append((color, value.eval_unit_root(k, n)))
-    with mpmath.workdps(config.digits + 10):
-        if config.fmt == "json":
+    with mpmath.workdps(args.digits + 10):
+        if args.format == "json":
             payload = [
                 {
                     "N": color,
-                    "re": mpmath.nstr(val.real, config.digits),
-                    "im": mpmath.nstr(val.imag, config.digits),
+                    "re": mpmath.nstr(val.real, args.digits),
+                    "im": mpmath.nstr(val.imag, args.digits),
                 }
                 for color, val in rows
             ]
@@ -395,7 +363,7 @@ def _cmd_eval(config: RunConfig) -> int:
         else:
             print(f"J'_N({knot}) at A = exp(2*pi*i*{k}/{n})")
             for color, val in rows:
-                print(f"N={color}: {mpmath.nstr(val, config.digits)}")
+                print(f"N={color}: {mpmath.nstr(val, args.digits)}")
     return 0
 
 
@@ -422,19 +390,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_glue_range_values(list(argv)))
-    try:
-        config = config_from_args(parser, args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    args = config_from_args(parser, parser.parse_args(_glue_range_values(list(argv))))
     start = time.monotonic()
     try:
-        code = _HANDLERS[config.command](config)
+        code = _HANDLERS[args.command](args)
     except CyclojonesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.verbose:
-        print(f"{config.command}: {time.monotonic() - start:.2f}s", file=sys.stderr)
+    if args.verbose:
+        print(f"{args.command}: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 
 

@@ -10,6 +10,8 @@ the cyclotomic expansion
 with H_k in Z[𝔮^{±1}].  This module computes H_k by the single-sum
 coefficient formulas (c', c~', d) and assembles J'_N along two
 independent routes whose exact agreement is a correctness certificate.
+A knot is KnotSpec(p, r) or KnotSpec(p, s=s); a CoeffTable holds its
+H_0..H_max_k as one tuple and the one check set every entry passed.
 
 Each sum is taken over the denominator its balanced binomials leave:
 c' over {k+1}...{2k+1} = {2k+1}!/{k}! (its l-sum without the {k}!),
@@ -46,86 +48,58 @@ from .record import Record
 _ONE = LaurentPoly.one()
 
 
-class FullTwists(Record):
-    """Twist region with r full twists (r nonzero)."""
-
-    r: int
-
-    def _validate(self) -> None:
-        if self.r == 0:
-            raise ValueError("full twist count r must be nonzero")
-
-
-class HalfTwists(Record):
-    """Twist region with s half twists (s odd; s = 2m - 1)."""
-
-    s: int
-
-    def _validate(self) -> None:
-        if self.s % 2 == 0:
-            raise ValueError("half twist count s must be odd")
-
-    @property
-    def m(self) -> int:
-        return (self.s + 1) // 2
-
-
 class KnotSpec(Record):
-    """A double twist knot: p full twists plus a second twist region."""
+    """A double twist knot: p full twists, and in the second region either r full
+    twists, K(p, r), or s half twists, K(p, s/2); exactly one of r and s is set."""
 
     p: int
-    region: FullTwists | HalfTwists
+    r: int | None = None
+    s: int | None = None
 
     def _validate(self) -> None:
         if self.p == 0:
             raise ValueError("twist count p must be nonzero")
+        if (self.r is None) == (self.s is None):
+            raise ValueError("exactly one of r and s must be set")
+        if self.r == 0:
+            raise ValueError("full twist count r must be nonzero")
+        if self.s is not None and self.s % 2 == 0:
+            raise ValueError("half twist count s must be odd")
 
     @classmethod
     def full(cls, p: int, r: int) -> KnotSpec:
-        return cls(p, FullTwists(r))
+        return cls(p, r)
 
     @classmethod
     def half(cls, p: int, s: int) -> KnotSpec:
-        return cls(p, HalfTwists(s))
+        return cls(p, s=s)
 
     @property
     def is_half(self) -> bool:
-        return isinstance(self.region, HalfTwists)
-
-    def label(self) -> str:
-        if isinstance(self.region, HalfTwists):
-            return f"K({self.p}, {self.region.s}/2)"
-        return f"K({self.p}, {self.region.r})"
+        return self.s is not None
 
     def __str__(self) -> str:
-        return self.label()
-
-
-class CoeffEntry(Record):
-    k: int
-    h: LaurentPoly
-    checks: frozenset[str]
+        return f"K({self.p}, {self.s}/2)" if self.is_half else f"K({self.p}, {self.r})"
 
 
 class CoeffTable(Record):
-    """Verified H_k coefficients of one knot, with check provenance."""
+    """Verified H_0..H_max_k of one knot, every entry with the same check provenance."""
 
     knot: KnotSpec
-    entries: tuple[CoeffEntry, ...]
-    max_k: int
+    values: tuple[LaurentPoly, ...]
+    checks: frozenset[str]
 
     def _validate(self) -> None:
-        if len(self.entries) != self.max_k + 1:
-            raise ValueError("coefficient table must cover k = 0..max_k")
-        if self.entries[0].h != _ONE:
+        if not self.values or self.values[0] != _ONE:
             raise ValueError("H_0 must equal 1")
-        for entry in self.entries:
-            base, stride, _ = entry.h.lattice()
+        for k, h in enumerate(self.values):
+            base, stride, _ = h.lattice()
             if base % 2 or stride % 2:
-                raise ValueError(f"H_{entry.k} has odd A-exponents")
+                raise ValueError(f"H_{k} has odd A-exponents")
 
-    def h(self, k: int) -> LaurentPoly:
-        return self.entries[k].h
+    @property
+    def max_k(self) -> int:
+        return len(self.values) - 1
 
 
 class JonesResult(Record):
@@ -257,7 +231,7 @@ def _require_even(poly: LaurentPoly, what: str) -> LaurentPoly:
 def _p_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
     """The first n of P_j = c'_{j,p} _c_num(j, 2s), kept in the cache's
     "knot" slot, which holds the last knot asked for."""
-    p, s = knot.p, knot.region.s
+    p, s = knot.p, knot.s
     P = cache.latest("knot", (p, s), dict).setdefault("P", [])
     while len(P) < n:
         j = len(P)
@@ -269,7 +243,7 @@ def _g_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
     """The first n of G_i = sum_{j=0}^{i} (-1)^j [i+1+j over 2j+1] P_j,
     kept in the cache's "knot" slot beside P."""
     P = _p_terms(knot, n, cache)
-    G = cache.latest("knot", (knot.p, knot.region.s), dict).setdefault("G", [])
+    G = cache.latest("knot", (knot.p, knot.s), dict).setdefault("G", [])
     while len(G) < n:
         i = len(G)
         G.append(lincomb(
@@ -290,8 +264,8 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     collapse into Z[𝔮^{±1}]; IntegralityFailure, carrying the fraction
     over 1/{2k+2}!, is a release-blocking diagnostic.
     """
-    if not isinstance(knot.region, HalfTwists):
-        raise TypeError("h_coeff_half needs a HalfTwists knot")
+    if not knot.is_half:
+        raise TypeError("h_coeff_half needs a half-twist knot")
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
     p = knot.p
@@ -317,11 +291,11 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
 
 def h_coeff_int(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     """H_k(K(p, r)) = (-1)^k c'_{k,p} c'_{k,r}."""
-    if not isinstance(knot.region, FullTwists):
-        raise TypeError("h_coeff_int needs a FullTwists knot")
+    if knot.is_half:
+        raise TypeError("h_coeff_int needs a full-twist knot")
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
-    value = c_prime(k, knot.p, cache) * c_prime(k, knot.region.r, cache)
+    value = c_prime(k, knot.p, cache) * c_prime(k, knot.r, cache)
     if k & 1:
         value = -value
     return _require_even(value, f"H_{k}({knot})")
@@ -329,7 +303,7 @@ def h_coeff_int(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
 
 def h_coeff(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     """H_k for either knot family."""
-    if isinstance(knot.region, HalfTwists):
+    if knot.is_half:
         return h_coeff_half(k, knot, cache)
     return h_coeff_int(k, knot, cache)
 
@@ -346,7 +320,7 @@ def coefficient_table(
     Every entry passes the integrality collapse; with cross_check the
     multi-sum route is also required to agree (c', c~' and d for half
     knots; both c' factors for integer knots) and recorded in the
-    entry's check set.
+    table's check set.
 
     With a store (a serialize.CoeffCache, or anything with its get, put
     and should_spot_check), the table is read from it once: get(knot,
@@ -371,19 +345,17 @@ def coefficient_table(
             if (got := point.evaluate(h, a)) != expected[k]:
                 raise CacheMismatch(f"cache entry for {knot} k={k} disagrees with recomputation at "
                                     f"A = {a} mod 2^127 - 1: entry {got}, formula {expected[k]}")
-    # cache provenance stays out of the entry checks: identical
-    # configurations must serialize byte-identically, hit or miss
-    checks = frozenset({"integrality", "multisum"} if cross_check else {"integrality"})
-    entries = []
     for k in range(max_k + 1):
         if k == len(values):
             values.append(h_coeff(k, knot, cache))
         if cross_check:
             _multisum_check(knot, k, cache)
-        entries.append(CoeffEntry(k, values[k], checks))
     if store is not None and served <= max_k:
         store.put(knot, max_k, values)
-    return CoeffTable(knot, tuple(entries), max_k)
+    # cache provenance stays out of the checks: identical
+    # configurations must serialize byte-identically, hit or miss
+    checks = frozenset({"integrality", "multisum"} if cross_check else {"integrality"})
+    return CoeffTable(knot, tuple(values), checks)
 
 
 def _multisum_check(knot: KnotSpec, k: int, cache: QSymbolCache) -> None:
@@ -392,8 +364,8 @@ def _multisum_check(knot: KnotSpec, k: int, cache: QSymbolCache) -> None:
     p = knot.p
     if bailey.multisum_c_prime(k, p, cache) != c_prime(k, p, cache):
         raise IntegralityFailure(f"multi-sum c' mismatch at k={k}, p={p}")
-    if isinstance(knot.region, HalfTwists):
-        s = knot.region.s
+    if knot.is_half:
+        s = knot.s
         if s >= 1:
             multi = bailey.multisum_c_tilde(k, (s + 1) // 2, cache)
         else:
@@ -407,7 +379,7 @@ def _multisum_check(knot: KnotSpec, k: int, cache: QSymbolCache) -> None:
             if bailey.multisum_d(k, j, p, cache) != d_kjp(k, j, p, cache):
                 raise IntegralityFailure(f"multi-sum d mismatch at k={k}, j={j}, p={p}")
     else:
-        r = knot.region.r
+        r = knot.r
         if bailey.multisum_c_prime(k, r, cache) != c_prime(k, r, cache):
             raise IntegralityFailure(f"multi-sum c' mismatch at k={k}, r={r}")
 
@@ -419,8 +391,8 @@ def jones_half(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
     """J'_N via the cyclotomic expansion: sum_k H_k {N+k}!/({N-1-k}!{N})."""
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
-    if not isinstance(knot.region, HalfTwists):
-        raise TypeError("jones_half needs a HalfTwists knot")
+    if not knot.is_half:
+        raise TypeError("jones_half needs a half-twist knot")
     return jones_from_table(N, coefficient_table(knot, N - 1, cache), cache)
 
 
@@ -430,7 +402,7 @@ def jones_from_table(N: int, table: CoeffTable, cache: QSymbolCache) -> JonesRes
         raise IndexOutOfRange("color N must be >= 1")
     if table.max_k < N - 1:
         raise IndexOutOfRange(f"table covers k <= {table.max_k}, need {N - 1}")
-    total = lincomb((table.h(k), cache.cyclo_block(N, k)) for k in range(N))
+    total = lincomb((table.values[k], cache.cyclo_block(N, k)) for k in range(N))
     return JonesResult(table.knot, N, total, "theorem")
 
 
@@ -438,8 +410,8 @@ def jones_int(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
     """J'_N(K(p, r)) = sum_k (-1)^k c'_{k,p} c'_{k,r} {N+k}!/({N-1-k}!{N})."""
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
-    if not isinstance(knot.region, FullTwists):
-        raise TypeError("jones_int needs a FullTwists knot")
+    if knot.is_half:
+        raise TypeError("jones_int needs a full-twist knot")
     return jones_from_table(N, coefficient_table(knot, N - 1, cache), cache)
 
 
@@ -455,8 +427,8 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
     """
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
-    if not isinstance(knot.region, HalfTwists):
-        raise TypeError("jones_walsh needs a HalfTwists knot")
+    if not knot.is_half:
+        raise TypeError("jones_walsh needs a half-twist knot")
     P = _p_terms(knot, N, cache)
     # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, 2s) [N+k over 2k+1] / {N}
     num = lincomb((cache.qbinom_balanced(N + k, 2 * k + 1) * (-1) ** k, P[k]) for k in range(N))

@@ -58,9 +58,9 @@ def h_values(knot, max_k: int, a: int) -> list[int]:
     p, signs = knot.p, [(-1) ** k for k in range(max_k + 1)]
     c_p = c_values(2 * p, True)
     if not knot.is_half:
-        c_r = c_values(2 * knot.region.r, True)
+        c_r = c_values(2 * knot.r, True)
         return [sign * c * r % P for sign, c, r in zip(signs, c_p, c_r)]
-    pairs = [c * t % P for c, t in zip(c_p, c_values(knot.region.s, False))]
+    pairs = [c * t % P for c, t in zip(c_p, c_values(knot.s, False))]
     twist = [q_power(-2 * p * i * (i + 2)) * brace[2 * i + 2] % P for i in range(max_k + 1)]
 
     def d(k: int, j: int) -> int:

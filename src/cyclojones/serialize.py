@@ -5,8 +5,9 @@ bit-exact regardless of display choices):
 
     {"terms": [[exponent, "coefficient"], ...], "variable": "A"}
 
-terms strictly descending by exponent, coefficients nonzero decimal strings
-(arbitrary precision survives every JSON consumer), written canonically
+terms strictly descending by integer exponent, coefficients nonzero
+canonical decimal strings, str(int(c)) == c (arbitrary precision survives
+every JSON consumer), written canonically
 (sorted keys, no spaces) off the stored list by poly_to_json and read back
 by poly_from_obj alone.  A cache file holds a knot's table of such
 polynomials under a cache-version header and a content digest.
@@ -21,7 +22,7 @@ import tempfile
 from operator import gt
 from pathlib import Path
 
-from .cyclotomic import CoeffTable, HalfTwists, JonesResult, KnotSpec
+from .cyclotomic import CoeffTable, JonesResult, KnotSpec
 from .errors import CacheMismatch, CacheUnusable
 from .laurent import LaurentPoly
 
@@ -54,14 +55,20 @@ def poly_to_json(poly: LaurentPoly) -> str:
 
 def poly_from_obj(obj: dict, bound: int | None = None) -> LaurentPoly:
     """The polynomial of a parsed poly_to_json object, its terms placed on
-    their lattice.  Exponents not strictly descending, a zero coefficient,
-    and with a bound an exponent beyond ±bound raise ValueError before the
-    list is laid out."""
+    their lattice.  An exponent that is not a JSON integer, a coefficient
+    that is not a canonical decimal string, exponents not strictly
+    descending, a zero coefficient, and with a bound an exponent beyond
+    ±bound raise ValueError before the list is laid out."""
     try:
         variable, terms = obj["variable"], obj["terms"]
-        exponents, coeffs = [int(e) for e, _ in terms], [int(c) for _, c in terms]
+        exponents, texts = [e for e, _ in terms], [c for _, c in terms]
+        if not all(type(e) is int for e in exponents):  # not a float, a bool or a string
+            raise TypeError
+        coeffs = list(map(int, texts))
     except (KeyError, TypeError, ValueError, OverflowError):
         raise ValueError("is not a polynomial object of integer terms") from None
+    if list(map(str, coeffs)) != texts:
+        raise ValueError("has a coefficient that is not a canonical decimal string")
     if variable != "A":
         raise ValueError(f"has unsupported polynomial variable {variable!r}")
     if not all(map(gt, exponents, exponents[1:])) or 0 in coeffs:
@@ -89,15 +96,13 @@ def poly_to_latex(poly: LaurentPoly, display: str = "𝔮") -> str:
 
 
 def knot_to_obj(knot: KnotSpec) -> dict:
-    if isinstance(knot.region, HalfTwists):
-        return {"p": knot.p, "region": {"kind": "half", "s": knot.region.s}}
-    return {"p": knot.p, "region": {"kind": "full", "r": knot.region.r}}
+    if knot.is_half:
+        return {"p": knot.p, "region": {"kind": "half", "s": knot.s}}
+    return {"p": knot.p, "region": {"kind": "full", "r": knot.r}}
 
 
 def knot_key(knot: KnotSpec) -> str:
-    if isinstance(knot.region, HalfTwists):
-        return f"p{knot.p}_s{knot.region.s}"
-    return f"p{knot.p}_r{knot.region.r}"
+    return f"p{knot.p}_s{knot.s}" if knot.is_half else f"p{knot.p}_r{knot.r}"
 
 
 # -- top-level serializer ----------------------------------------------
@@ -132,22 +137,20 @@ def _poly_str(poly: LaurentPoly, fmt: str, display: str) -> str:
 
 
 def _table_str(table: CoeffTable, fmt: str, display: str) -> str:
+    values = enumerate(table.values)
     if fmt == "json":
-        entries = ",".join([
-            _object(H=poly_to_json(e.h), checks=_canonical_json(sorted(e.checks)), k=str(e.k))
-            for e in table.entries
-        ])
+        checks = _canonical_json(sorted(table.checks))
+        entries = ",".join([_object(H=poly_to_json(h), checks=checks, k=str(k)) for k, h in values])
         knot = _canonical_json(knot_to_obj(table.knot))
         return _object(schema=str(SCHEMA_VERSION), knot=knot, max_k=str(table.max_k),
                        entries=f"[{entries}]") + "\n"
     if fmt == "csv":
-        rows = [f'{e.k},"{e.h.render(display)}"\n' for e in table.entries]
-        return "".join(["k,polynomial\n"] + rows)
+        return "".join(["k,polynomial\n"] + [f'{k},"{h.render(display)}"\n' for k, h in values])
     if fmt == "latex":
-        rows = [rf"{e.k} & ${poly_to_latex(e.h, display)}$ \\" for e in table.entries]
+        rows = [rf"{k} & ${poly_to_latex(h, display)}$ \\" for k, h in values]
         lines = [r"\begin{tabular}{rl}", r"$k$ & $H_k$ \\ \hline", *rows, r"\end{tabular}"]
         return "\n".join(lines) + "\n"
-    return "".join([f"H_{e.k} = {e.h.render(display)}\n" for e in table.entries])
+    return "".join([f"H_{k} = {h.render(display)}\n" for k, h in values])
 
 
 def _jones_str(result: JonesResult, fmt: str, display: str) -> str:
@@ -186,7 +189,7 @@ def exponent_bound(knot: KnotSpec, k: int) -> int:
     point states them) |e| <= 2|p|, |s| and 2|p| times (k+1)^2 and |r| <= 3, 3 and 6 times
     (k+1)^2, so every 𝔮-exponent of H_k is within ±(4|p| + |s| + 12)(k+1)^2, or
     ±(2|p| + 2|r| + 6)(k+1)^2 for c'_p c'_r."""
-    t = knot.region.s if isinstance(knot.region, HalfTwists) else knot.region.r
+    t = knot.s if knot.is_half else knot.r
     return 2 * (4 * abs(knot.p) + 2 * abs(t) + 12) * (k + 1) ** 2
 
 
@@ -213,7 +216,7 @@ class CoeffCache:
 
     @classmethod
     def from_env(cls, fallback: str | os.PathLike) -> CoeffCache:
-        return cls(Path(os.environ.get(CACHE_ENV, fallback)))
+        return cls(Path(os.environ.get(CACHE_ENV) or fallback))  # an empty value counts as unset
 
     def _path(self, knot: KnotSpec, max_k: int | None = None) -> Path:
         """The knot's file; every max_k of one knot shares it."""

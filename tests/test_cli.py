@@ -153,6 +153,19 @@ def test_cache_env_naming_a_file_exits_one(capsys, tmp_path, monkeypatch):
     assert line.startswith(f"error: cache directory {blocker} is unusable: ")
 
 
+def test_empty_cache_env_counts_as_unset(capsys, tmp_path, monkeypatch):
+    # Path("") is the working directory: an empty value once put the cache there
+    from cyclojones.serialize import CACHE_ENV
+
+    monkeypatch.setenv(CACHE_ENV, "")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "2",
+                           "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0 and out.startswith("H_0 = 1\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["cache"]
+    assert [path.name for path in (tmp_path / "cache").iterdir()] == ["h_v2_p2_s1.json"]
+
+
 def test_jones_display(capsys):
     code, out, _ = run_cli(capsys, "jones", "--p", "2", "--s", "1", "--N", "2",
                            "--display", "𝔮")
@@ -445,7 +458,7 @@ def test_wrong_cache_entry_at_any_k_exits_one(capsys, tmp_path, cache, knot_args
     knot = config_from_args(build_parser(), build_parser().parse_args(argv)).knot
     table = coefficient_table(knot, 8, cache)
     for k in range(9):
-        values = [entry.h for entry in table.entries]
+        values = list(table.values)
         values[k] += LaurentPoly.monomial(2 * k - 4)
         CoeffCache(tmp_path / str(k)).put(knot, 8, values)  # valid digest
         code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path / str(k)))

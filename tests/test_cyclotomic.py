@@ -51,7 +51,8 @@ def test_knot_spec_invariants():
         KnotSpec.half(1, 2)  # s must be odd
     with pytest.raises(ValueError):
         KnotSpec.full(1, 0)
-    assert KnotSpec.half(2, 5).region.m == 3
+    assert (KnotSpec.half(2, 5).s, KnotSpec.half(2, 5).r) == (5, None)
+    assert (KnotSpec.full(2, -1).r, KnotSpec.full(2, -1).s) == (-1, None)
     assert str(KnotSpec.half(2, 1)) == "K(2, 1/2)"
     assert str(KnotSpec.full(1, -3)) == "K(1, -3)"
 
@@ -235,13 +236,13 @@ def test_knot_memo_holds_one_knot():
         for knot in (first, second):
             assert h_coeff_half(k, knot, shared) == h_coeff_half(k, knot, QSymbolCache())
     key, memo = shared.coefficients["knot"]
-    assert key == (second.p, second.region.s)
+    assert key == (second.p, second.s)
     assert set(memo) == {"P", "G"}
     assert len(memo["P"]) == len(memo["G"]) == 5  # rebuilt from k = 0 for H_4
     # jones_walsh of another knot replaces the slot with that knot's P_j alone
     jones_walsh(4, first, shared)
     key, memo = shared.coefficients["knot"]
-    assert key == (first.p, first.region.s)
+    assert key == (first.p, first.s)
     assert set(memo) == {"P"}
 
 
@@ -400,9 +401,8 @@ def test_coefficient_table(cache, tmp_path):
 
     knot = KnotSpec.half(2, 1)
     table = coefficient_table(knot, 4, cache)
-    assert table.entries[0].h == 1
-    assert table.h(1) == -A(-8)
-    assert all("integrality" in entry.checks for entry in table.entries)
+    assert table.values[:2] == (1, -A(-8)) and table.max_k == 4
+    assert table.checks == {"integrality"}
     for N in range(1, 6):
         assert jones_from_table(N, table, cache).value == jones_half(N, knot, cache).value
     full = KnotSpec.full(2, -1)
@@ -410,11 +410,11 @@ def test_coefficient_table(cache, tmp_path):
     for N in range(1, 6):
         assert jones_from_table(N, full_table, cache).value == jones_int(N, full, cache).value
     checked = coefficient_table(KnotSpec.half(1, 3), 3, cache, cross_check=True)
-    assert all("multisum" in entry.checks for entry in checked.entries)
+    assert checked.checks == {"integrality", "multisum"}
     checked_int = coefficient_table(full, 3, cache, cross_check=True)
-    assert all("multisum" in entry.checks for entry in checked_int.entries)
+    assert checked_int.checks == {"integrality", "multisum"}
     checked_neg = coefficient_table(KnotSpec.half(1, -3), 3, cache, cross_check=True)
-    assert all("multisum" in entry.checks for entry in checked_neg.entries)
+    assert checked_neg.checks == {"integrality", "multisum"}
     # a store changes where H_k comes from, never the table or its checks
     for i, (knot, cross_check) in enumerate(
         ((KnotSpec.half(2, 1), False), (KnotSpec.half(1, 3), True), (full, True))
@@ -439,20 +439,20 @@ def test_cross_check_compares_c_tilde_for_negative_s(cache, monkeypatch):
 def test_coeff_table_rejects_bad_entries(cache):
     knot = KnotSpec.half(2, 1)
     good = coefficient_table(knot, 2, cache)
-    with pytest.raises(ValueError):
-        CoeffTable(knot, good.entries[1:], 1)  # H_0 missing
+    for values in (good.values[1:], ()):  # H_0 missing
+        with pytest.raises(ValueError, match="^H_0 must equal 1$"):
+            CoeffTable(knot, values, good.checks)
     # an odd base, and an even base with an odd stride (no A^1 term: the
     # least odd exponent is A^3) are refused; even base and stride pass
-    table = lambda h1: CoeffTable(  # noqa: E731
-        knot, (good.entries[0], cyclotomic_mod.CoeffEntry(1, h1, frozenset())), 1
-    )
+    table = lambda h1: CoeffTable(knot, (good.values[0], h1), frozenset())  # noqa: E731
     for bad, least_odd in ((A(1) + A(5), 1), (A(0) + A(3) + A(5), 3)):
         with pytest.raises(ValueError, match="H_1 has odd A-exponents"):
             table(bad)
         with pytest.raises(IntegralityFailure, match=f"odd A-exponent {least_odd} "):
             cyclotomic_mod._require_even(bad, "H_1")
     even = A(2) - A(6)
-    assert table(even).h(1) == even and cyclotomic_mod._require_even(even, "H_1") is even
+    assert table(even).values[1] == even and table(even).max_k == 1
+    assert cyclotomic_mod._require_even(even, "H_1") is even
 
 
 def test_d_kjp_through_one_cache_equals_fresh_caches():

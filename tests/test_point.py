@@ -26,7 +26,7 @@ def test_point_values_equal_the_tables_at_every_k(tables):
         for _ in range(2):
             a = point.draw(2 * MAX_K + 2)
             values = point.h_values(knot, MAX_K, a)
-            assert [point.evaluate(entry.h, a) for entry in table.entries] == values, knot
+            assert [point.evaluate(h, a) for h in table.values] == values, knot
 
 
 def test_one_wrong_coefficient_is_caught_at_every_k(tables):
@@ -34,14 +34,14 @@ def test_one_wrong_coefficient_is_caught_at_every_k(tables):
     for knot, table in tables.items():
         a = point.draw(2 * MAX_K + 2)
         values = point.h_values(knot, MAX_K, a)
-        for entry in table.entries:
-            support = [e for e, _ in entry.h.items()]
+        for k, h in enumerate(table.values):
+            support = [e for e, _ in h.items()]
             exponents = {support[0] - 2, support[0], support[-1], support[-1] + 2}
             exponents.update(rng.choice(support) for _ in range(4))
             for e in exponents:
                 for sign in (1, -1):
-                    wrong = entry.h + LaurentPoly.monomial(e, sign)
-                    assert point.evaluate(wrong, a) != values[entry.k], (knot, entry.k, e)
+                    wrong = h + LaurentPoly.monomial(e, sign)
+                    assert point.evaluate(wrong, a) != values[k], (knot, k, e)
 
 
 def test_evaluate_is_horner_over_the_exponents():

@@ -4,20 +4,20 @@ import pickle
 
 import pytest
 
-from cyclojones import CoeffTable, JonesResult, KnotSpec, LaurentPoly, QSymbolCache, coefficient_table
-from cyclojones.cyclotomic import FullTwists, HalfTwists
+from cyclojones import JonesResult, KnotSpec, LaurentPoly
 from cyclojones.verify import CheckResult, VerifyGrid
 
 A = LaurentPoly.monomial
 
 
 def test_equality_is_by_type_and_fields():
-    assert FullTwists(3) != HalfTwists(3)
+    assert KnotSpec(2, 3) != KnotSpec(2, s=3)
     assert KnotSpec.full(2, 3) != KnotSpec.half(2, 3)
-    assert KnotSpec(2, HalfTwists(3)) == KnotSpec.half(2, 3) == KnotSpec(p=2, region=HalfTwists(s=3))
-    assert hash(KnotSpec.half(2, 3)) == hash(KnotSpec(2, HalfTwists(3)))
+    assert KnotSpec(2, s=3) == KnotSpec.half(2, 3) == KnotSpec(p=2, s=3) == KnotSpec(2, None, 3)
+    assert KnotSpec(2, 3) == KnotSpec.full(2, 3) == KnotSpec(p=2, r=3)
+    assert hash(KnotSpec.half(2, 3)) == hash(KnotSpec(2, s=3))
     assert len({KnotSpec.half(2, 3), KnotSpec.half(2, 3), KnotSpec.full(2, 3)}) == 2
-    assert KnotSpec.half(2, 3) != (2, HalfTwists(3))
+    assert KnotSpec.half(2, 3) != (2, None, 3)
 
 
 def test_fields_cannot_be_assigned_or_deleted():
@@ -25,7 +25,7 @@ def test_fields_cannot_be_assigned_or_deleted():
     with pytest.raises(AttributeError):
         knot.p = 5
     with pytest.raises(AttributeError):
-        del knot.region
+        del knot.s
     with pytest.raises(AttributeError):
         knot.extra = 1
     assert knot == KnotSpec.half(2, 3)
@@ -34,10 +34,12 @@ def test_fields_cannot_be_assigned_or_deleted():
 def test_construction_takes_positions_keywords_and_defaults():
     assert VerifyGrid(4, m_values=(1,)) == VerifyGrid(max_k=4, max_n=8, m_values=(1,))
     assert VerifyGrid().p_values == (-3, -2, -1, 1, 2, 3)
-    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"p": 1}), ((1,), {"s": 1})]:
+    for args, kwargs in [((), {}), ((1, 2, 3, 4), {}), ((1,), {"p": 1}), ((1, 3), {"r": 1})]:
         with pytest.raises(TypeError):
             KnotSpec(*args, **kwargs)
-    assert repr(KnotSpec.half(2, 3)) == "KnotSpec(2, HalfTwists(3))"
+    assert KnotSpec(1, s=1) == KnotSpec.half(1, 1)
+    assert repr(KnotSpec.half(2, 3)) == "KnotSpec(2, None, 3)"
+    assert repr(KnotSpec.full(2, -1)) == "KnotSpec(2, -1, None)"
 
 
 @pytest.mark.parametrize(
@@ -46,14 +48,8 @@ def test_construction_takes_positions_keywords_and_defaults():
         (lambda: KnotSpec.half(0, 1), "twist count p must be nonzero"),
         (lambda: KnotSpec.full(1, 0), "full twist count r must be nonzero"),
         (lambda: KnotSpec.half(1, 2), "half twist count s must be odd"),
-        (
-            lambda: CoeffTable(
-                KnotSpec.half(2, 1),
-                coefficient_table(KnotSpec.half(2, 1), 2, QSymbolCache()).entries[:2],
-                2,
-            ),
-            "coefficient table must cover k = 0..max_k",
-        ),
+        (lambda: KnotSpec(1), "exactly one of r and s must be set"),  # neither
+        (lambda: KnotSpec(1, 1, 1), "exactly one of r and s must be set"),  # both
         (
             lambda: JonesResult(KnotSpec.half(2, 1), 2, A(4) + A(8), "theorem"),
             "normalized invariant must evaluate to 1 at A = 1",

@@ -55,6 +55,7 @@ def test_writer_is_the_canonical_json_of_the_term_tree_and_the_reader_inverts_it
 
 
 _ORDER = "has exponents out of strictly descending order or a zero coefficient"
+_CANONICAL = "has a coefficient that is not a canonical decimal string"
 
 
 @pytest.mark.parametrize(
@@ -66,8 +67,17 @@ _ORDER = "has exponents out of strictly descending order or a zero coefficient"
         ([[4, "1"], [2, "0"], [0, "1"]], _ORDER),  # a zero coefficient
         ([[0, "0"]], _ORDER),
         ([[float("inf"), "1"]], "is not a polynomial object"),  # JSON's Infinity
+        ([[1.5, "1"]], "is not a polynomial object"),  # once read as exponent 1
+        ([[True, "1"]], "is not a polynomial object"),  # once read as exponent 1
+        ([["3", "1"]], "is not a polynomial object"),  # once read as exponent 3
+        ([[0, 2.9]], _CANONICAL),  # once read as 2
+        ([[0, 5]], _CANONICAL),  # a JSON number, not a string
+        ([[0, "1_000"]], _CANONICAL),  # once read as 1000
+        ([[0, " 7 "]], _CANONICAL),  # once read as 7
     ],
-    ids=["ascending", "unsorted", "repeated", "zero", "zero-monomial", "infinite"],
+    ids=["ascending", "unsorted", "repeated", "zero", "zero-monomial", "infinite", "float-exponent",
+         "bool-exponent", "string-exponent", "float-coefficient", "number-coefficient",
+         "underscored-coefficient", "padded-coefficient"],
 )
 def test_reader_refuses_all_but_the_writers_form(tmp_path, terms, reason):
     # the old reader summed a repeated exponent, dropped a zero and let the
@@ -222,12 +232,12 @@ def test_every_hit_is_spot_checked(tmp_path, cache, monkeypatch):
     monkeypatch.setattr(point, "h_values", lambda *args: formula.append(args) or h_values(*args))
     warm = coefficient_table(knot, 8, cache, store=CoeffCache(tmp_path))
     assert warm == cold
-    assert evaluated == [entry.h for entry in cold.entries]
+    assert evaluated == list(cold.values)
     assert len(formula) == 1
     # a prefix served to a shorter request is checked entry by entry too
     evaluated.clear()
-    assert coefficient_table(knot, 4, cache, store=CoeffCache(tmp_path)).entries == cold.entries[:5]
-    assert evaluated == [entry.h for entry in cold.entries[:5]]
+    assert coefficient_table(knot, 4, cache, store=CoeffCache(tmp_path)).values == cold.values[:5]
+    assert evaluated == list(cold.values[:5])
 
 
 def test_put_writes_the_two_pass_bytes(tmp_path, cache):
@@ -323,6 +333,6 @@ def test_exponent_bound_holds_every_table_entry(cache):
     tables += [coefficient_table(knot, 6, cache)
                for knot in (KnotSpec.half(-40, 1), KnotSpec.full(-40, 3))]
     for table in tables:
-        for entry in table.entries:
-            bound = exponent_bound(table.knot, entry.k)
-            assert all(abs(e) <= bound for e, _ in entry.h.items()), (table.knot, entry.k)
+        for k, h in enumerate(table.values):
+            bound = exponent_bound(table.knot, k)
+            assert all(abs(e) <= bound for e, _ in h.items()), (table.knot, k)

@@ -15,10 +15,9 @@ EXPORTS = {
         "shifted_unit_pair", "squared_pair", "unit_pair", "verify_bailey_pair",
     ),
     "cyclotomic": (
-        "CoeffTable", "FullTwists", "HalfTwists", "JonesResult", "KnotSpec", "c_prime",
-        "c_prime_qform", "c_tilde_prime", "coefficient_table", "d_kjp", "h_coeff",
-        "h_coeff_half", "h_coeff_int", "jones_from_table", "jones_half", "jones_int",
-        "jones_walsh",
+        "CoeffTable", "JonesResult", "KnotSpec", "c_prime", "c_prime_qform", "c_tilde_prime",
+        "coefficient_table", "d_kjp", "h_coeff", "h_coeff_half", "h_coeff_int",
+        "jones_from_table", "jones_half", "jones_int", "jones_walsh",
     ),
     "errors": (
         "CyclojonesError", "DivisionByZeroDenominator", "IndexOutOfRange",
