@@ -178,8 +178,7 @@ def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache) -> bool:
     """
     if k < 0:
         raise IndexOutOfRange("index must be >= 0")
-    betas = [beta_from_alpha(pair, j, cache) for j in range(k + 1)]
-    return _lemma_holds(pair, chain_step(pair, cache), k, betas, cache)
+    return k not in bailey_lemma_failures(pair, k, cache)
 
 
 def bailey_lemma_failures(pair: BaileyPair, top: int, cache: QSymbolCache) -> list[int]:
@@ -194,21 +193,13 @@ def bailey_lemma_failures(pair: BaileyPair, top: int, cache: QSymbolCache) -> li
     betas, failures = [], []
     for k in range(top + 1):
         betas.append(beta_from_alpha(pair, k, cache))
-        if not _lemma_holds(pair, chained, k, betas, cache):
+        rhs = LaurentFraction(_ZERO)
+        for j in range(k + 1):
+            weight = LaurentPoly.monomial(4 * (pair.x_exp * j + j * j))
+            rhs = rhs + betas[j] * cache.pochhammer_recip(1, k - j) * weight
+        if beta_from_alpha(chained, k, cache) != rhs:
             failures.append(k)
     return failures
-
-
-def _lemma_holds(
-    pair: BaileyPair, chained: BaileyPair, k: int, betas: list, cache: QSymbolCache
-) -> bool:
-    """The lemma at k, given chained = chain_step(pair) and betas[j] = beta_from_alpha(pair, j), j <= k."""
-    lhs = beta_from_alpha(chained, k, cache)
-    rhs = LaurentFraction(_ZERO)
-    for j in range(k + 1):
-        weight = LaurentPoly.monomial(4 * (pair.x_exp * j + j * j))
-        rhs = rhs + betas[j] * cache.pochhammer_recip(1, k - j) * weight
-    return lhs == rhs
 
 
 class Chain(Record):

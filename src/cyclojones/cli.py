@@ -145,6 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="evaluate at A = exp(2*pi*i*K/N), default 1/16")
     evaluate.add_argument("--digits", type=int, default=50, help=f"digits (1..{MAX_DIGITS})")
     evaluate.add_argument("--format", default="text", choices=("text", "json"))
+    for sub in commands.choices.values():  # config_from_args reports through the subcommand
+        sub.set_defaults(parser=sub)
     return parser
 
 
@@ -221,11 +223,12 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     return VerifyGrid(p_values=tuple(p for p in twists if p), m_values=tuple(colors), **kwargs)
 
 
-def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed arguments before any computation starts, and set on them what
     the handlers derive: the knot (whose invariants KnotSpec enforces), coeffs's
-    cache_dir (None disables the coefficient cache) and verify's grid."""
-    command = args.command
+    cache_dir (None disables the coefficient cache) and verify's grid.  A usage error
+    goes through args.parser, the subcommand's parser, so it prints that usage."""
+    command, parser = args.command, args.parser
     if command in ("coeffs", "jones", "eval"):
         try:
             knot = args.knot = KnotSpec(args.p, args.r, args.s)
@@ -390,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = config_from_args(parser, parser.parse_args(_glue_range_values(list(argv))))
+    args = config_from_args(parser.parse_args(_glue_range_values(list(argv))))
     start = time.monotonic()
     try:
         code = _HANDLERS[args.command](args)

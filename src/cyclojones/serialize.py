@@ -109,13 +109,11 @@ def knot_key(knot: KnotSpec) -> str:
 
 
 def serialize(value, fmt: str, display: str = "𝔮") -> bytes:
-    """Render a calculator value, or a tuple of one J'_N's JonesResults by
-    several routes, in one of json/csv/latex/text."""
+    """Render a CoeffTable, a JonesResult, or a tuple of one J'_N's
+    JonesResults by several routes, in one of json/csv/latex/text."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (want one of {FORMATS})")
-    if isinstance(value, LaurentPoly):
-        text = _poly_str(value, fmt, display)
-    elif isinstance(value, CoeffTable):
+    if isinstance(value, CoeffTable):
         text = _table_str(value, fmt, display)
     elif isinstance(value, JonesResult):
         text = _jones_str(value, fmt, display)
@@ -124,16 +122,6 @@ def serialize(value, fmt: str, display: str = "𝔮") -> bytes:
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
     return text.encode()
-
-
-def _poly_str(poly: LaurentPoly, fmt: str, display: str) -> str:
-    if fmt == "json":
-        return poly_to_json(poly) + "\n"
-    if fmt == "csv":
-        return "".join(["exponent,coefficient\n"] + [f"{e},{c}\n" for e, c in _terms(poly)])
-    if fmt == "latex":
-        return poly_to_latex(poly, display) + "\n"
-    return poly.render(display) + "\n"
 
 
 def _table_str(table: CoeffTable, fmt: str, display: str) -> str:

@@ -4,9 +4,11 @@ Each check aggregates one identity family over its grid and reports a
 single pass/fail row; ordering is stable by check id (also under
 parallel execution), and wall time and the per-check timings stay out
 of the data payload so identical configurations produce byte-identical
-reports.  One QSymbolCache serves a verify run (one per worker's group of
-checks under --jobs), so c', d, t and the q-symbol tables are built once;
-a check reads its group's cache from _GROUP_CACHE, set by _run_group.
+reports.  A check is a generator that yields one (label, holds) pair per
+identity; the _identities decorator tallies them into the row and is the
+one reader of _GROUP_CACHE, the group's cache that _run_group sets.  One
+QSymbolCache serves a verify run (one per worker's group of checks under
+--jobs), so c', d, t and the q-symbol tables are built once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 import tempfile
 import time
 from contextvars import ContextVar
-from functools import partial
+from functools import partial, wraps
 
 from . import bailey, cyclotomic, serialize, skein
 from .laurent import LaurentFraction, LaurentPoly, cyclotomic_poly, lincomb
@@ -37,6 +39,7 @@ _ZERO = LaurentPoly.zero()
 _SEED = 28087
 _RANDOM_OPS = 200
 _BINOM_N = 16
+_DELTA_TOP = 20  # largest color of the delta-square check
 _GROUP_CACHE: ContextVar[QSymbolCache] = ContextVar("verify_group_cache")
 
 
@@ -56,6 +59,10 @@ class VerifyGrid(Record):
     @property
     def bridge_k(self) -> int:  # Bailey-lemma, q-form and skein-bridge checks
         return min(self.max_k, 8)
+
+    @property
+    def twist_k(self) -> int:  # skein basis-expansion and twist-inverse checks
+        return min(self.max_k, 10)
 
     def half_knots(self):
         return [
@@ -112,13 +119,29 @@ class VerificationReport(Record):
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _result(check_id: str, params: str, failures: list, total: int) -> CheckResult:
-    if failures:
-        sample = ", ".join(map(str, failures[:5]))
-        return CheckResult(
-            check_id, params, False, f"{len(failures)}/{total} failed: {sample}"
-        )
-    return CheckResult(check_id, params, True, f"{total} identities checked")
+def _identities(check_id: str, params):
+    """Make a check of a generator body(grid, cache) that yields one (label, holds)
+    pair per identity.  The check, check(grid) -> CheckResult, is the one place
+    that reads its group's cache from _GROUP_CACHE, counts the identities and
+    reports the first failing labels; params is the row's text, or a function
+    of the grid that gives it."""
+
+    def decorate(body):
+        @wraps(body)
+        def check(grid: VerifyGrid) -> CheckResult:
+            text = params(grid) if callable(params) else params
+            failed, total = [], 0
+            for total, (label, holds) in enumerate(body(grid, _GROUP_CACHE.get()), 1):
+                if not holds:
+                    failed.append(label)
+            if failed:
+                sample = ", ".join(map(str, failed[:5]))
+                return CheckResult(check_id, text, False, f"{len(failed)}/{total} failed: {sample}")
+            return CheckResult(check_id, text, True, f"{total} identities checked")
+
+        return check
+
+    return decorate
 
 
 def _rand_poly(rng: random.Random, terms: int = 8, span: int = 40, bits: int = 64) -> LaurentPoly:
@@ -131,52 +154,36 @@ def _rand_poly(rng: random.Random, terms: int = 8, span: int = 40, bits: int = 6
 # -- laurent suite -----------------------------------------------------
 
 
-def check_ring_axioms(grid: VerifyGrid) -> CheckResult:
+@_identities("laurent/ring-axioms", f"{_RANDOM_OPS} random triples")
+def check_ring_axioms(grid: VerifyGrid, cache: QSymbolCache):
     rng = random.Random(_SEED)
-    failures, total = [], 0
     for trial in range(_RANDOM_OPS):
         a, b, c = (_rand_poly(rng) for _ in range(3))
-        total += 4
-        if a + b != b + a or a * b != b * a:
-            failures.append(("commutativity", trial))
-        if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-            failures.append(("associativity", trial))
-        if a * (b + c) != a * b + a * c:
-            failures.append(("distributivity", trial))
-        if not (a - a).is_zero:
-            failures.append(("inverse", trial))
-    return _result("laurent/ring-axioms", f"{_RANDOM_OPS} random triples", failures, total)
+        yield ("commutativity", trial), a + b == b + a and a * b == b * a
+        yield ("associativity", trial), (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        yield ("distributivity", trial), a * (b + c) == a * b + a * c
+        yield ("inverse", trial), (a - a).is_zero
 
 
-def check_exact_div_roundtrip(grid: VerifyGrid) -> CheckResult:
+@_identities("laurent/exact-div-roundtrip", f"{_RANDOM_OPS} random pairs")
+def check_exact_div_roundtrip(grid: VerifyGrid, cache: QSymbolCache):
     rng = random.Random(_SEED + 1)
-    failures, total = [], 0
     for trial in range(_RANDOM_OPS):
         a = _rand_poly(rng)
         b = _rand_poly(rng)
         if b.is_zero:
             b = _ONE + LaurentPoly.monomial(3)
-        total += 1
-        if (a * b).exact_div(b) != a:
-            failures.append(trial)
-    return _result(
-        "laurent/exact-div-roundtrip", f"{_RANDOM_OPS} random pairs", failures, total
-    )
+        yield trial, (a * b).exact_div(b) == a
 
 
-def check_substitute_involution(grid: VerifyGrid) -> CheckResult:
+@_identities("laurent/substitute-involution", f"{_RANDOM_OPS} random pairs")
+def check_substitute_involution(grid: VerifyGrid, cache: QSymbolCache):
     rng = random.Random(_SEED + 2)
-    failures, total = [], 0
     for trial in range(_RANDOM_OPS):
         f, g = _rand_poly(rng), _rand_poly(rng)
-        total += 2
-        if f.substitute_power(-1).substitute_power(-1) != f:
-            failures.append(("involution", trial))
-        if (f * g).substitute_power(-1) != f.substitute_power(-1) * g.substitute_power(-1):
-            failures.append(("homomorphism", trial))
-    return _result(
-        "laurent/substitute-involution", f"{_RANDOM_OPS} random pairs", failures, total
-    )
+        yield ("involution", trial), f.substitute_power(-1).substitute_power(-1) == f
+        product = (f * g).substitute_power(-1)
+        yield ("homomorphism", trial), product == f.substitute_power(-1) * g.substitute_power(-1)
 
 
 def _rand_table(rng: random.Random) -> dict[int, int]:
@@ -188,208 +195,145 @@ def _phi_product(table: dict[int, int]) -> LaurentPoly:
     return math.prod((cyclotomic_poly(d) ** e for d, e in table.items()), start=_ONE)
 
 
-def check_fraction_equivalence(grid: VerifyGrid) -> CheckResult:
+@_identities("laurent/fraction-equivalence", f"{3 * (_RANDOM_OPS // 2)} fraction identities")
+def check_fraction_equivalence(grid: VerifyGrid, cache: QSymbolCache):
     rng = random.Random(_SEED + 3)
-    failures, total = [], 0
     for trial in range(_RANDOM_OPS // 2):
         a, table, extra = _rand_poly(rng), _rand_table(rng), _rand_table(rng)
         x = LaurentFraction.over_cyclotomic(a, table)
         # same value over a wider table, a different representative
         wider = {d: table.get(d, 0) + extra.get(d, 0) for d in table.keys() | extra.keys()}
         y = LaurentFraction.over_cyclotomic(a * _phi_product(extra), wider)
-        total += 3
-        if not (x == x and x == y and y == x):
-            failures.append(("equivalence", trial))
-        if x + (-x) != LaurentFraction(_ZERO):
-            failures.append(("inverse", trial))
-        if (x * _phi_product(table)).to_poly() != a:
-            failures.append(("collapse", trial))
-    return _result(
-        "laurent/fraction-equivalence", f"{total} fraction identities", failures, total
-    )
+        yield ("equivalence", trial), x == x and x == y and y == x
+        yield ("inverse", trial), x + (-x) == LaurentFraction(_ZERO)
+        yield ("collapse", trial), (x * _phi_product(table)).to_poly() == a
 
 
-def check_eval_ring_structure(grid: VerifyGrid) -> CheckResult:
+@_identities("laurent/eval-ring-structure", "degree<=200, coeff<=2^256")
+def check_eval_ring_structure(grid: VerifyGrid, cache: QSymbolCache):
     import mpmath
 
     rng = random.Random(_SEED + 4)
-    failures, total = [], 0
-    cases = [
-        (_rand_poly(rng, terms=30, span=100, bits=256), _rand_poly(rng, terms=30, span=100, bits=256))
-    ]
+    wide = {"terms": 30, "span": 100, "bits": 256}
+    cases = [(_rand_poly(rng, **wide), _rand_poly(rng, **wide))]
     cases += [(_rand_poly(rng), _rand_poly(rng)) for _ in range(10)]
     with mpmath.workdps(400):  # comparison arithmetic must not round below the evals
         tol = mpmath.mpf("1e-40")
         for trial, (f, g) in enumerate(cases):
             for k, n in ((1, 16), (3, 7), (5, 24)):
-                total += 2
                 fv, gv = f.eval_unit_root(k, n), g.eval_unit_root(k, n)
-                if abs((f * g).eval_unit_root(k, n) - fv * gv) > tol:
-                    failures.append(("mul", trial, k, n))
-                if abs((f + g).eval_unit_root(k, n) - (fv + gv)) > tol:
-                    failures.append(("add", trial, k, n))
-    return _result("laurent/eval-ring-structure", "degree<=200, coeff<=2^256", failures, total)
+                yield ("mul", trial, k, n), abs((f * g).eval_unit_root(k, n) - fv * gv) <= tol
+                yield ("add", trial, k, n), abs((f + g).eval_unit_root(k, n) - (fv + gv)) <= tol
 
 
 # -- qcalc suite -------------------------------------------------------
 
 
-def check_pascal(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("qcalc/pascal", f"n <= {_BINOM_N}")
+def check_pascal(grid: VerifyGrid, cache: QSymbolCache):
     for n in range(1, _BINOM_N + 1):
         for i in range(0, n + 1):
-            total += 1
             lhs = cache.qbinom(n, i)
             rhs = cache.qbinom(n - 1, i - 1) + LaurentPoly.monomial(4 * i) * cache.qbinom(n - 1, i)
-            if lhs != rhs:
-                failures.append((n, i))
-    return _result("qcalc/pascal", f"n <= {_BINOM_N}", failures, total)
+            yield (n, i), lhs == rhs
 
 
-def check_balanced_gaussian_bridge(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("qcalc/balanced-gaussian-bridge", f"n <= {_BINOM_N}")
+def check_balanced_gaussian_bridge(grid: VerifyGrid, cache: QSymbolCache):
     for n in range(0, _BINOM_N + 1):
         for i in range(0, n + 1):
-            total += 1
             lhs = cache.qbinom_balanced(n, i)
-            rhs = LaurentPoly.monomial(-2 * i * (n - i)) * cache.qbinom(n, i)
-            if lhs != rhs:
-                failures.append((n, i))
-    return _result("qcalc/balanced-gaussian-bridge", f"n <= {_BINOM_N}", failures, total)
+            yield (n, i), lhs == LaurentPoly.monomial(-2 * i * (n - i)) * cache.qbinom(n, i)
 
 
-def check_cyclo_pochhammer(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("qcalc/cyclo-pochhammer", lambda grid: f"N <= {grid.max_n}")
+def check_cyclo_pochhammer(grid: VerifyGrid, cache: QSymbolCache):
     for N in range(1, grid.max_n + 1):
         for k in range(0, N):
-            total += 1
             lhs = cache.cyclo_block(N, k)
-            rhs = (
-                LaurentPoly.monomial(-2 * k * (k + 1), -1 if k & 1 else 1)
-                * cache.pochhammer(1 - N, k)
-                * cache.pochhammer(1 + N, k)
-            )
-            if lhs != rhs:
-                failures.append((N, k))
-    return _result("qcalc/cyclo-pochhammer", f"N <= {grid.max_n}", failures, total)
+            unit = LaurentPoly.monomial(-2 * k * (k + 1), -1 if k & 1 else 1)
+            rhs = unit * cache.pochhammer(1 - N, k) * cache.pochhammer(1 + N, k)
+            yield (N, k), lhs == rhs
 
 
-def check_delta_square(grid: VerifyGrid) -> CheckResult:
-    failures, total = [], 0
-    top = 20
-    for a in range(top + 1):
-        for b in range(top + 1):
-            for c in range(abs(a - b), min(a + b, top) + 1, 2):
-                total += 1
+@_identities("qcalc/delta-square", f"admissible a,b,c <= {_DELTA_TOP}")
+def check_delta_square(grid: VerifyGrid, cache: QSymbolCache):
+    for a in range(_DELTA_TOP + 1):
+        for b in range(_DELTA_TOP + 1):
+            for c in range(abs(a - b), min(a + b, _DELTA_TOP) + 1, 2):
                 delta = half_twist_delta(c, a, b)
-                if delta * delta * framing_mu(a) * framing_mu(b) != framing_mu(c):
-                    failures.append((a, b, c))
-    return _result("qcalc/delta-square", f"admissible a,b,c <= {top}", failures, total)
+                yield (a, b, c), delta * delta * framing_mu(a) * framing_mu(b) == framing_mu(c)
 
 
-def check_brace_bracket(grid: VerifyGrid) -> CheckResult:
-    failures, total = [], 0
+@_identities("qcalc/brace-bracket", "|n| <= 30")
+def check_brace_bracket(grid: VerifyGrid, cache: QSymbolCache):
     for n in range(-30, 31):
-        total += 1
-        if brace(n) != brace(1) * bracket(n):
-            failures.append(n)
-    return _result("qcalc/brace-bracket", "|n| <= 30", failures, total)
+        yield n, brace(n) == brace(1) * bracket(n)
 
 
 # -- skein suite -------------------------------------------------------
 
 
-def check_ts_inverse(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("skein/ts-inverse", lambda grid: f"k <= {grid.bailey_k}")
+def check_ts_inverse(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.bailey_k + 1):
         for j in range(k + 1):
-            total += 1
             acc = lincomb((skein.t_coeff(k, i, cache), skein.s_coeff(i, j, cache))
                           for i in range(j, k + 1))
-            if acc != (_ONE if j == k else _ZERO):
-                failures.append((k, j))
-    return _result("skein/ts-inverse", f"k <= {grid.bailey_k}", failures, total)
+            yield (k, j), acc == (_ONE if j == k else _ZERO)
 
 
-def check_basis_expansion(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    top = min(grid.max_k, 10)
+@_identities("skein/basis-expansion", lambda grid: f"k <= {grid.twist_k}")
+def check_basis_expansion(grid: VerifyGrid, cache: QSymbolCache):
+    top = grid.twist_k
     es = [skein.chebyshev_e(i) for i in range(top + 1)]
     rs = [skein.r_basis(i) for i in range(top + 1)]
-    failures, total = [], 0
     for k in range(top + 1):
-        total += 2
-        if skein.expand_in_basis(rs[k], es) != [skein.t_coeff(k, i, cache) for i in range(k + 1)]:
-            failures.append(("t", k))
-        if skein.expand_in_basis(es[k], rs) != [skein.s_coeff(k, j, cache) for j in range(k + 1)]:
-            failures.append(("s", k))
-    return _result("skein/basis-expansion", f"k <= {top}", failures, total)
+        got = skein.expand_in_basis(rs[k], es)
+        yield ("t", k), got == [skein.t_coeff(k, i, cache) for i in range(k + 1)]
+        got = skein.expand_in_basis(es[k], rs)
+        yield ("s", k), got == [skein.s_coeff(k, j, cache) for j in range(k + 1)]
 
 
-def check_twist_inverse(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    top = min(grid.max_k, 10)
-    failures, total = [], 0
+@_identities("skein/twist-inverse", lambda grid: f"k <= {grid.twist_k}")
+def check_twist_inverse(grid: VerifyGrid, cache: QSymbolCache):
+    top = grid.twist_k
     d = {(k, i, p): skein.twist_coeff_d(k, i, p, cache)
          for k in range(top + 1) for i in range(k + 1) for p in (1, -1)}
     for k in range(top + 1):
         for j in range(k + 1):
-            total += 1
             acc = lincomb((d[k, i, 1], d[i, j, -1]) for i in range(j, k + 1))
-            if acc != (_ONE if j == k else _ZERO):
-                failures.append((k, j))
-    return _result("skein/twist-inverse", f"k <= {top}", failures, total)
+            yield (k, j), acc == (_ONE if j == k else _ZERO)
 
 
-def check_pairing(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("skein/pairing", lambda grid: f"k <= {grid.bailey_k}")
+def check_pairing(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.bailey_k + 1):
         for i in range(k):
-            total += 1
-            if not skein.pairing_R_e(k, i, cache).is_zero:
-                failures.append(("orthogonality", k, i))
-        total += 1
+            yield ("orthogonality", k, i), skein.pairing_R_e(k, i, cache).is_zero
         expect = (brace_recip(1) * cache.brace_fact(2 * k + 1)).to_poly()
         if k & 1:
             expect = -expect
-        if skein.pairing_R_e(k, k, cache) != expect:
-            failures.append(("diagonal", k))
-    return _result("skein/pairing", f"k <= {grid.bailey_k}", failures, total)
+        yield ("diagonal", k), skein.pairing_R_e(k, k, cache) == expect
 
 
 # -- cyclotomic suite --------------------------------------------------
 
 
-def check_golden_values(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
+@_identities("cyclotomic/golden", "pinned hand-derived values")
+def check_golden_values(grid: VerifyGrid, cache: QSymbolCache):
     A = LaurentPoly.monomial
-    failures, total = [], 0
     half11 = cyclotomic.KnotSpec.half(1, 1)
     half21 = cyclotomic.KnotSpec.half(2, 1)
     full11 = cyclotomic.KnotSpec.full(1, 1)
+    j2 = A(-4) + A(-12) - A(-16)  # J'2(K(2,1/2)) = q^-2 + q^-6 - q^-8
     cases = [
         ("H1(K(1,1/2)) = 0", cyclotomic.h_coeff_half(1, half11, cache), _ZERO),
         ("H1(K(2,1/2)) = -q^-4", cyclotomic.h_coeff_half(1, half21, cache), -A(-8)),
-        (
-            "J'2(K(2,1/2)) theorem",
-            cyclotomic.jones_half(2, half21, cache).value,
-            A(-4) + A(-12) - A(-16),
-        ),
-        (
-            "J'2(K(2,1/2)) walsh",
-            cyclotomic.jones_walsh(2, half21, cache).value,
-            A(-4) + A(-12) - A(-16),
-        ),
-        (
-            "J'2(K(1,1)) = q^2+q^6-q^8",
-            cyclotomic.jones_int(2, full11, cache).value,
-            A(4) + A(12) - A(16),
-        ),
+        ("J'2(K(2,1/2)) theorem", cyclotomic.jones_half(2, half21, cache).value, j2),
+        ("J'2(K(2,1/2)) walsh", cyclotomic.jones_walsh(2, half21, cache).value, j2),
+        ("J'2(K(1,1)) = q^2+q^6-q^8", cyclotomic.jones_int(2, full11, cache).value,
+         A(4) + A(12) - A(16)),
     ]
     for knot in grid.half_knots() + grid.full_knots():
         cases.append((f"H0({knot}) = 1", cyclotomic.h_coeff(0, knot, cache), _ONE))
@@ -397,261 +341,184 @@ def check_golden_values(grid: VerifyGrid) -> CheckResult:
         sign = -1 if k & 1 else 1
         cases.append((f"c'_{k},1 monomial", cyclotomic.c_prime(k, 1, cache), A(k * (k + 3), sign)))
     for name, got, expect in cases:
-        total += 1
-        if got != expect:
-            failures.append(name)
-    return _result("cyclotomic/golden", "pinned hand-derived values", failures, total)
+        yield name, got == expect
 
 
-def check_integrality(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cyclotomic/integrality",
+             lambda grid: f"k <= {grid.max_k}, {len(grid.half_knots() + grid.full_knots())} knots")
+def check_integrality(grid: VerifyGrid, cache: QSymbolCache):
     for knot in grid.half_knots() + grid.full_knots():
         for k in range(grid.max_k + 1):
-            total += 1
             try:
                 cyclotomic.h_coeff(k, knot, cache)
             except Exception as exc:  # IntegralityFailure or collapse errors
-                failures.append((str(knot), k, type(exc).__name__))
-    return _result(
-        "cyclotomic/integrality",
-        f"k <= {grid.max_k}, {len(grid.half_knots()) + len(grid.full_knots())} knots",
-        failures,
-        total,
-    )
+                yield (str(knot), k, type(exc).__name__), False
+            else:
+                yield (str(knot), k), True
 
 
-def check_qform(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cyclotomic/qform", lambda grid: f"k <= {grid.bridge_k}")
+def check_qform(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.bridge_k + 1):
         for p in grid.p_values:
-            total += 1
-            if cyclotomic.c_prime_qform(k, p, cache) != cyclotomic.c_prime(k, p, cache):
-                failures.append((k, p))
-    return _result("cyclotomic/qform", f"k <= {grid.bridge_k}", failures, total)
+            yield (k, p), cyclotomic.c_prime_qform(k, p, cache) == cyclotomic.c_prime(k, p, cache)
 
 
-def check_q_inversion(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cyclotomic/q-inversion", "k <= 6, |p| <= 2")
+def check_q_inversion(grid: VerifyGrid, cache: QSymbolCache):
     ps = [p for p in grid.p_values if abs(p) <= 2] or [-2, -1, 1, 2]
     for k in range(7):
         for j in range(k + 1):
             for p in ps:
-                total += 1
                 lhs = cyclotomic.d_kjp(k, j, p, cache).substitute_power(-1)
-                if lhs != cyclotomic.d_kjp(k, j, -p, cache):
-                    failures.append((k, j, p))
-    return _result("cyclotomic/q-inversion", "k <= 6, |p| <= 2", failures, total)
+                yield (k, j, p), lhs == cyclotomic.d_kjp(k, j, -p, cache)
 
 
-def check_normalization(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cyclotomic/normalization", "J'_1 = 1; J'(A=1) = 1")
+def check_normalization(grid: VerifyGrid, cache: QSymbolCache):
     for knot in grid.half_knots():
-        total += 2
-        if cyclotomic.jones_half(1, knot, cache).value != _ONE:
-            failures.append(("theorem", str(knot)))
-        if cyclotomic.jones_walsh(1, knot, cache).value != _ONE:
-            failures.append(("walsh", str(knot)))
+        yield ("theorem", str(knot)), cyclotomic.jones_half(1, knot, cache).value == _ONE
+        yield ("walsh", str(knot)), cyclotomic.jones_walsh(1, knot, cache).value == _ONE
     for knot in grid.full_knots():
-        total += 1
-        if cyclotomic.jones_int(1, knot, cache).value != _ONE:
-            failures.append(("int", str(knot)))
+        yield ("int", str(knot)), cyclotomic.jones_int(1, knot, cache).value == _ONE
     # value at A=1 is asserted by JonesResult itself; exercise a sample
     for knot in grid.half_knots()[:3]:
-        total += 1
-        if cyclotomic.jones_half(min(3, grid.max_n), knot, cache).value.value_at_one() != 1:
-            failures.append(("at-one", str(knot)))
-    return _result("cyclotomic/normalization", "J'_1 = 1; J'(A=1) = 1", failures, total)
+        value = cyclotomic.jones_half(min(3, grid.max_n), knot, cache).value
+        yield ("at-one", str(knot)), value.value_at_one() == 1
 
 
 # -- bailey suite ------------------------------------------------------
 
 
-def check_bailey_pairs(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("bailey/pair-verification", lambda grid: f"K = {grid.bailey_k}")
+def check_bailey_pairs(grid: VerifyGrid, cache: QSymbolCache):
     for pair in (bailey.unit_pair(cache), bailey.squared_pair(cache)):
-        total += 1
         report = bailey.verify_bailey_pair(pair, grid.bailey_k, cache)
-        if not report.ok:
-            failures.append((pair.label, report.failures))
+        yield (pair.label, report.failures), report.ok
     for shift in range(3):
-        total += 1
         report = bailey.verify_bailey_pair(bailey.shifted_unit_pair(shift, cache), 8, cache)
-        if not report.ok:
-            failures.append((f"shifted({shift})", report.failures))
-    return _result("bailey/pair-verification", f"K = {grid.bailey_k}", failures, total)
+        yield (f"shifted({shift})", report.failures), report.ok
 
 
-def check_chain_preservation(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("bailey/chain-preservation", lambda grid: f"3 iterations, K = {grid.bailey_k}")
+def check_chain_preservation(grid: VerifyGrid, cache: QSymbolCache):
     for pair in (bailey.unit_pair(cache), bailey.squared_pair(cache)):
         current = pair
         for step in range(1, 4):
             current = bailey.chain_step(current, cache)
-            total += 1
             report = bailey.verify_bailey_pair(current, grid.bailey_k, cache)
-            if not report.ok:
-                failures.append((pair.label, step, report.failures))
-    return _result(
-        "bailey/chain-preservation", f"3 iterations, K = {grid.bailey_k}", failures, total
-    )
+            yield (pair.label, step, report.failures), report.ok
 
 
-def check_bailey_lemma(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("bailey/lemma", lambda grid: f"k <= {grid.bridge_k}, pairs + 2 iterates")
+def check_bailey_lemma(grid: VerifyGrid, cache: QSymbolCache):
     pairs = [bailey.unit_pair(cache), bailey.squared_pair(cache)]
     pairs += [bailey.chain_step(p, cache) for p in pairs]
     pairs += [bailey.chain_step(p, cache) for p in pairs[2:]]
     for pair in pairs:
-        total += grid.bridge_k + 1
-        failures += [(pair.label, k) for k in bailey.bailey_lemma_failures(pair, grid.bridge_k, cache)]
-    return _result("bailey/lemma", f"k <= {grid.bridge_k}, pairs + 2 iterates", failures, total)
+        failed = bailey.bailey_lemma_failures(pair, grid.bridge_k, cache)
+        for k in range(grid.bridge_k + 1):
+            yield (pair.label, k), k not in failed
 
 
-def check_chain_counts(grid: VerifyGrid) -> CheckResult:
-    failures, total = [], 0
+@_identities("bailey/chain-counts", "top <= 8, length <= 5")
+def check_chain_counts(grid: VerifyGrid, cache: QSymbolCache):
     for top in range(9):
         for length in range(1, 6):
-            total += 1
-            chains = list(bailey.enumerate_chains(top, length))
-            if len(chains) != bailey.chain_count(top, length):
-                failures.append((top, length))
-            if sorted(c.parts for c in chains) != [c.parts for c in chains]:
-                failures.append(("order", top, length))
-    return _result("bailey/chain-counts", "top <= 8, length <= 5", failures, total)
+            parts = [c.parts for c in bailey.enumerate_chains(top, length)]
+            counted = len(parts) == bailey.chain_count(top, length)
+            yield (top, length), counted and sorted(parts) == parts
 
 
-def check_inversion_identities(grid: VerifyGrid) -> CheckResult:
+@_identities("bailey/inversion-identities", "k <= 8")
+def check_inversion_identities(grid: VerifyGrid, cache: QSymbolCache):
     # corrected (1/q;1/q)_k and Gaussian-binomial inversion, k <= 8
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
     for k in range(9):
-        total += 1
         lhs = cache.pochhammer(1, k).substitute_power(-1)
         sign = -1 if k & 1 else 1
         rhs = LaurentPoly.monomial(-2 * k * (k + 1), sign) * cache.pochhammer(1, k)
-        if lhs != rhs:
-            failures.append(("pochhammer", k))
+        yield ("pochhammer", k), lhs == rhs
         for l in range(k + 1):
-            total += 1
             inv = cache.qbinom(k, l).substitute_power(-1)
-            if inv != LaurentPoly.monomial(4 * (l * l - l * k)) * cache.qbinom(k, l):
-                failures.append(("binomial", k, l))
-    return _result("bailey/inversion-identities", "k <= 8", failures, total)
+            rhs = LaurentPoly.monomial(4 * (l * l - l * k)) * cache.qbinom(k, l)
+            yield ("binomial", k, l), inv == rhs
 
 
 # -- cross suite -------------------------------------------------------
 
 
-def check_multisum_c_prime(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cross/multisum-c-prime", lambda grid: f"k <= {grid.max_k}")
+def check_multisum_c_prime(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.max_k + 1):
         for p in grid.p_values:
-            total += 1
-            if bailey.multisum_c_prime(k, p, cache) != cyclotomic.c_prime(k, p, cache):
-                failures.append((k, p))
-    return _result("cross/multisum-c-prime", f"k <= {grid.max_k}", failures, total)
+            yield (k, p), bailey.multisum_c_prime(k, p, cache) == cyclotomic.c_prime(k, p, cache)
 
 
-def check_multisum_c_tilde(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cross/multisum-c-tilde", lambda grid: f"k <= {grid.max_k}")
+def check_multisum_c_tilde(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.max_k + 1):
         for m in grid.m_values:
-            total += 1
-            if bailey.multisum_c_tilde(k, m, cache) != cyclotomic.c_tilde_prime(
-                k, 2 * m - 1, cache
-            ):
-                failures.append((k, m))
-    return _result("cross/multisum-c-tilde", f"k <= {grid.max_k}", failures, total)
+            multisum = bailey.multisum_c_tilde(k, m, cache)
+            yield (k, m), multisum == cyclotomic.c_tilde_prime(k, 2 * m - 1, cache)
 
 
-def check_multisum_d(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cross/multisum-d", lambda grid: f"k <= {grid.max_k}, j <= k")
+def check_multisum_d(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.max_k + 1):
         for j in range(k + 1):
             for p in grid.p_values:
-                total += 1
-                if bailey.multisum_d(k, j, p, cache) != cyclotomic.d_kjp(k, j, p, cache):
-                    failures.append((k, j, p))
-    return _result("cross/multisum-d", f"k <= {grid.max_k}, j <= k", failures, total)
+                multisum = bailey.multisum_d(k, j, p, cache)
+                yield (k, j, p), multisum == cyclotomic.d_kjp(k, j, p, cache)
 
 
-def check_route_agreement(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cross/route-agreement",
+             lambda grid: f"N <= {grid.max_n}, {len(grid.half_knots())} knots")
+def check_route_agreement(grid: VerifyGrid, cache: QSymbolCache):
     for knot in grid.half_knots():
         table = cyclotomic.coefficient_table(knot, grid.max_n - 1, cache)
         for N in range(1, grid.max_n + 1):
-            total += 1
             theorem = cyclotomic.jones_from_table(N, table, cache).value
             walsh = cyclotomic.jones_walsh(N, knot, cache).value
-            if theorem != walsh:
-                failures.append((str(knot), N))
-    return _result(
-        "cross/route-agreement",
-        f"N <= {grid.max_n}, {len(grid.half_knots())} knots",
-        failures,
-        total,
-    )
+            yield (str(knot), N), theorem == walsh
 
 
-def check_skein_bridge(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("cross/skein-bridge", lambda grid: f"k <= {grid.bridge_k}")
+def check_skein_bridge(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.bridge_k + 1):
         for j in range(k + 1):
             for p in grid.p_values:
-                total += 1
-                lhs = LaurentFraction(cache.brace_fact(2 * k + 1)) * cyclotomic.d_kjp(
-                    k, j, p, cache
-                )
-                rhs = LaurentFraction(
-                    cache.brace_fact(2 * j + 1) * skein.twist_coeff_d(k, j, -4 * p, cache)
-                )
-                if lhs != rhs:
-                    failures.append((k, j, p))
-    return _result("cross/skein-bridge", f"k <= {grid.bridge_k}", failures, total)
+                d = cyclotomic.d_kjp(k, j, p, cache)
+                lhs = LaurentFraction(cache.brace_fact(2 * k + 1)) * d
+                twist = skein.twist_coeff_d(k, j, -4 * p, cache)
+                rhs = LaurentFraction(cache.brace_fact(2 * j + 1) * twist)
+                yield (k, j, p), lhs == rhs
 
 
 # -- io suite ----------------------------------------------------------
 
 
-def check_json_roundtrip(grid: VerifyGrid) -> CheckResult:
+@_identities("io/json-roundtrip", "1000 random polynomials")
+def check_json_roundtrip(grid: VerifyGrid, cache: QSymbolCache):
     rng = random.Random(_SEED + 5)
-    failures, total = [], 0
     for trial in range(1000):
         poly = _rand_poly(rng, terms=20, span=200, bits=128)
-        total += 1
-        if serialize.poly_from_json(serialize.poly_to_json(poly)) != poly:
-            failures.append(trial)
-    return _result("io/json-roundtrip", "1000 random polynomials", failures, total)
+        yield trial, serialize.poly_from_json(serialize.poly_to_json(poly)) == poly
 
 
-def check_cache_soundness(grid: VerifyGrid) -> CheckResult:
-    cache = _GROUP_CACHE.get()
-    failures, total = [], 0
+@_identities("io/cache-soundness", "atomic write + digest + recompute")
+def check_cache_soundness(grid: VerifyGrid, cache: QSymbolCache):
     knot = cyclotomic.KnotSpec.half(2, 1)
     with tempfile.TemporaryDirectory() as tmp:
         store, values = serialize.CoeffCache(tmp), []
         for k in range(4):  # the knot's table grows by one entry a put
             values.append(cyclotomic.h_coeff(k, knot, cache))
             store.put(knot, k, values)
-            total += 1
             got = store.get(knot, k)
             if got != values:
-                failures.append(("roundtrip", k))
-            elif store.should_spot_check() and got[k] != cyclotomic.h_coeff(k, knot, cache):
-                failures.append(("spot-check", k))
-    return _result("io/cache-soundness", "atomic write + digest + recompute", failures, total)
+                yield ("roundtrip", k), False
+            else:
+                spot = store.should_spot_check()
+                yield ("spot-check", k), not spot or got[k] == cyclotomic.h_coeff(k, knot, cache)
 
 
 # -- registry ----------------------------------------------------------

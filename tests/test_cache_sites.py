@@ -2,6 +2,7 @@
 and every function below it takes the caller's."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import cyclojones
@@ -15,23 +16,28 @@ def _modules():
         yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _cache_builds(module, tree):
-    """(module, innermost enclosing def, or None at module level) of each
-    QSymbolCache() call."""
-    sites = []
+def _owned_nodes(tree):
+    """(innermost enclosing def, or None at module level, node) of each node."""
 
     def visit(node, owner):
-        if isinstance(node, ast.Call) and "QSymbolCache" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        ):
-            sites.append((module, owner))
+        yield owner, node
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            yield from visit(child, owner)
 
-    visit(tree, None)
-    return sites
+    return visit(tree, None)
+
+
+def _cache_builds(module, tree):
+    """(module, innermost enclosing def, or None at module level) of each
+    QSymbolCache() call."""
+    return [
+        (module, owner)
+        for owner, node in _owned_nodes(tree)
+        if isinstance(node, ast.Call)
+        and "QSymbolCache" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
 
 
 def test_caches_are_built_only_by_requests_and_verify_groups():
@@ -53,3 +59,21 @@ def test_no_cache_parameter_has_a_default():
             if any(arg.arg == "cache" for arg in with_default):
                 defaulted.append((module, getattr(fn, "name", "<lambda>")))
     assert defaulted == []
+
+
+def test_one_function_reads_the_verify_group_cache():
+    readers = [
+        owner
+        for owner, node in _owned_nodes(dict(_modules())["verify"])
+        if isinstance(node, ast.Attribute) and node.attr == "get"
+        and getattr(node.value, "id", None) == "_GROUP_CACHE"
+    ]
+    assert readers == ["check"]  # the check that _identities makes of each generator body
+
+
+def test_every_verify_check_wraps_a_generator_of_identities():
+    from cyclojones import verify
+
+    checks = [fn for suite in verify.SUITES.values() for fn in suite]
+    assert len(checks) == 31
+    assert all(inspect.isgeneratorfunction(fn.__wrapped__) for fn in checks)

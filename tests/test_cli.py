@@ -39,6 +39,15 @@ def test_coeffs_usage_error(capsys):
     assert err.value.code == 2
 
 
+def test_usage_errors_print_the_usage_of_the_misused_subcommand(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["coeffs", "--p", "2", "--s", "1", "--max-k", "99"])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: cyclojones coeffs ")
+    assert lines[-1] == "cyclojones coeffs: error: --max-k must be in 0..48"
+
+
 def test_coeffs_requires_region(capsys):
     with pytest.raises(SystemExit) as err:
         main(["coeffs", "--p", "1", "--max-k", "1"])
@@ -455,7 +464,7 @@ def test_wrong_cache_entry_at_any_k_exits_one(capsys, tmp_path, cache, knot_args
     from cyclojones.serialize import CoeffCache
 
     argv = ["coeffs", "--p", "-2", *knot_args, "--max-k", "8"]
-    knot = config_from_args(build_parser(), build_parser().parse_args(argv)).knot
+    knot = config_from_args(build_parser().parse_args(argv)).knot
     table = coefficient_table(knot, 8, cache)
     for k in range(9):
         values = list(table.values)
@@ -612,10 +621,10 @@ def test_requests_above_the_index_bound_are_usage_errors(argv, capsys):
     from cyclojones.cli import MAX_INDEX, build_parser, config_from_args
 
     parser = build_parser()
-    config_from_args(parser, parser.parse_args(argv.format(MAX_INDEX).split()))
+    config_from_args(parser.parse_args(argv.format(MAX_INDEX).split()))
     for value in (MAX_INDEX + 1, 5000):
         with pytest.raises(SystemExit) as err:
-            config_from_args(parser, parser.parse_args(argv.format(value).split()))
+            config_from_args(parser.parse_args(argv.format(value).split()))
         assert err.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith("usage: ")
@@ -640,9 +649,9 @@ def test_requests_above_the_lattice_budget_are_usage_errors(argv, accepted, caps
 
     monkeypatch.setattr(cyclotomic, "coefficient_table", lambda *a: pytest.fail("table started"))
     parser = cli.build_parser()
-    assert cli.config_from_args(parser, parser.parse_args(accepted.split())).knot
+    assert cli.config_from_args(parser.parse_args(accepted.split())).knot
     with pytest.raises(SystemExit) as err:
-        cli.config_from_args(parser, parser.parse_args(argv.split()))
+        cli.config_from_args(parser.parse_args(argv.split()))
     assert err.value.code == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("usage: ")
@@ -661,12 +670,12 @@ def test_verify_grid_above_its_bound_is_a_usage_error(flag, low, field, capsys, 
     monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
     parser = cli.build_parser()
     bound = cli.VERIFY_MAX_INDEX
-    config = cli.config_from_args(parser, parser.parse_args(["verify", flag, str(bound)]))
+    config = cli.config_from_args(parser.parse_args(["verify", flag, str(bound)]))
     assert getattr(config.grid, field) == bound
     for value in (bound + 1, 5000):
         argv = ["verify", "--suite", "cross", flag, str(value)]
         with pytest.raises(SystemExit) as err:
-            cli.config_from_args(parser, parser.parse_args(argv))
+            cli.config_from_args(parser.parse_args(argv))
         assert err.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith("usage: ")
@@ -690,9 +699,9 @@ def test_verify_grid_is_the_four_values_a_caller_sets():
     assert grid.full_knots() == [KnotSpec.full(p, r) for p in grid.p_values for r in grid.p_values]
     # the default written out is the default
     parser = build_parser()
-    assert config_from_args(parser, parser.parse_args(["verify", "--max-k", "10"])).grid == grid
+    assert config_from_args(parser.parse_args(["verify", "--max-k", "10"])).grid == grid
     argv = ["verify", "--p-range=-2..2", "--m-range=1..2"]
-    narrow = config_from_args(parser, parser.parse_args(argv)).grid
+    narrow = config_from_args(parser.parse_args(argv)).grid
     assert narrow == VerifyGrid(p_values=(-2, -1, 1, 2), m_values=(1, 2))
     assert narrow.full_knots() == [KnotSpec.full(p, r) for p in (-2, -1, 1, 2) for r in (-2, -1, 1, 2)]
     assert narrow.half_knots() == [KnotSpec.half(p, s) for p in (-2, -1, 1, 2) for s in (1, 3)]
@@ -712,9 +721,9 @@ def test_multisums_above_the_chain_budget_are_usage_errors(argv, accepted, capsy
 
     monkeypatch.setattr(bailey, "enumerate_chains", lambda *a: pytest.fail("chains enumerated"))
     parser = cli.build_parser()
-    cli.config_from_args(parser, parser.parse_args(accepted.split()))
+    cli.config_from_args(parser.parse_args(accepted.split()))
     with pytest.raises(SystemExit) as err:
-        cli.config_from_args(parser, parser.parse_args(argv.split()))
+        cli.config_from_args(parser.parse_args(argv.split()))
     assert err.value.code == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("usage: ")
@@ -740,16 +749,16 @@ def test_verify_grids_above_the_knot_bound_are_usage_errors(argv, accepted, caps
 
     monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
     parser = cli.build_parser()
-    grid = cli.config_from_args(parser, parser.parse_args(accepted.split())).grid
+    grid = cli.config_from_args(parser.parse_args(accepted.split())).grid
     assert len(grid.full_knots()) + len(grid.half_knots()) == cli.VERIFY_MAX_KNOTS
     with pytest.raises(SystemExit) as err:
         cli.main(argv.split())
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    usage, error = captured.err.splitlines()
-    assert usage.startswith("usage: ")
-    assert error.endswith(f"knots, more than {cli.VERIFY_MAX_KNOTS}")
+    lines = captured.err.splitlines()  # verify's usage, wrapped over several lines
+    assert lines[0].startswith("usage: cyclojones verify ")
+    assert lines[-1].endswith(f"knots, more than {cli.VERIFY_MAX_KNOTS}")
 
 
 @pytest.mark.parametrize(
@@ -768,9 +777,9 @@ def test_cross_checks_above_the_work_budget_are_usage_errors(argv, accepted, cap
     monkeypatch.setattr(bailey, "enumerate_chains", lambda *a: pytest.fail("chains enumerated"))
     monkeypatch.setattr(cyclotomic, "coefficient_table", lambda *a: pytest.fail("table started"))
     parser = cli.build_parser()
-    assert cli.config_from_args(parser, parser.parse_args(accepted.split())).cross_check
+    assert cli.config_from_args(parser.parse_args(accepted.split())).cross_check
     with pytest.raises(SystemExit) as err:
-        cli.config_from_args(parser, parser.parse_args(argv.split()))
+        cli.config_from_args(parser.parse_args(argv.split()))
     assert err.value.code == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("usage: ")
@@ -798,15 +807,15 @@ def test_route_agreement_above_the_work_budget_is_a_usage_error(argv, accepted, 
 
     monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
     parser = cli.build_parser()
-    cli.config_from_args(parser, parser.parse_args(accepted.split()))
+    cli.config_from_args(parser.parse_args(accepted.split()))
     with pytest.raises(SystemExit) as err:
         cli.main(argv.split())
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    usage, error = captured.err.splitlines()
-    assert usage.startswith("usage: ")
-    assert error.endswith(f"units, over the budget of {cli.ROUTE_AGREEMENT_BUDGET}")
+    lines = captured.err.splitlines()  # verify's usage, wrapped over several lines
+    assert lines[0].startswith("usage: cyclojones verify ")
+    assert lines[-1].endswith(f"units, over the budget of {cli.ROUTE_AGREEMENT_BUDGET}")
 
 
 def test_long_cross_check_chains_exit_zero(capsys):
@@ -823,8 +832,8 @@ def test_parser_is_built_once_and_keeps_no_state():
     parser = build_parser()
     assert build_parser() is parser
     knot = ["coeffs", "--p", "2", "--s", "1", "--max-k", "3"]
-    first = config_from_args(parser, parser.parse_args(knot + ["--cross-check", "--no-cache"]))
-    second = config_from_args(parser, parser.parse_args(knot))
+    first = config_from_args(parser.parse_args(knot + ["--cross-check", "--no-cache"]))
+    second = config_from_args(parser.parse_args(knot))
     assert first.cross_check and first.cache_dir is None
     assert not second.cross_check and second.cache_dir is not None
 

@@ -744,15 +744,16 @@ def test_fraction_collapse_names_the_factor():
 
 
 def test_fraction_equivalence_check_passes():
-    from cyclojones.verify import CheckResult, VerifyGrid, check_fraction_equivalence
+    from cyclojones.verify import CheckResult, VerifyGrid, _run_group, check_fraction_equivalence
 
-    assert check_fraction_equivalence(VerifyGrid()) == CheckResult(
+    [(result, _)] = _run_group([check_fraction_equivalence], VerifyGrid())
+    assert result == CheckResult(
         "laurent/fraction-equivalence", "300 fraction identities", True, "300 identities checked"
     )
 
 
 def test_fraction_equivalence_check_catches_a_dropped_factor(monkeypatch):
-    from cyclojones.verify import VerifyGrid, check_fraction_equivalence
+    from cyclojones.verify import VerifyGrid, _run_group, check_fraction_equivalence
 
     right = laurent._lift
 
@@ -763,7 +764,7 @@ def test_fraction_equivalence_check_catches_a_dropped_factor(monkeypatch):
         return right(num, have, want)
 
     monkeypatch.setattr(laurent, "_lift", short)
-    result = check_fraction_equivalence(VerifyGrid())
+    [(result, _)] = _run_group([check_fraction_equivalence], VerifyGrid())
     assert not result.passed
     assert result.detail.split()[0].endswith("/300") and "equivalence" in result.detail
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cyclojones import KnotSpec, LaurentPoly, NotExpressible, QSymbolCache, coefficient_table
-from cyclojones.cyclotomic import h_coeff
+from cyclojones.cyclotomic import JonesResult, h_coeff
 from cyclojones.serialize import (
     CacheMismatch,
     CoeffCache,
@@ -133,19 +133,17 @@ def test_a_cache_file_of_the_previous_reader_is_served_unchanged(tmp_path, capsy
     assert (tmp_path / name).read_bytes() == before
 
 
-def test_serialize_poly_formats():
-    poly = A(4) + 1
-    assert serialize(poly, "text").decode() == "𝔮^2 + 1\n"
-    assert serialize(poly, "latex").decode() == "\\mathfrak{q}^{2} + 1\n"
-    assert serialize(poly, "csv").decode() == "exponent,coefficient\n4,1\n0,1\n"
-    assert json.loads(serialize(poly, "json"))["terms"] == [[4, "1"], [0, "1"]]
+def test_serialize_rejects_an_unknown_format_or_value(cache):
     with pytest.raises(ValueError):
-        serialize(poly, "xml")
+        serialize(coefficient_table(KnotSpec.half(2, 1), 1, cache), "xml")
+    with pytest.raises(TypeError):  # a bare polynomial is not a calculator output
+        serialize(A(4) + 1, "text")
 
 
 def test_serialize_latex_divisibility():
+    result = JonesResult(KnotSpec.half(2, 1), 2, A(3), "theorem")
     with pytest.raises(NotExpressible):
-        serialize(A(3), "latex", display="𝔮")
+        serialize(result, "latex", display="𝔮")
 
 
 def test_serialize_table(cache):
