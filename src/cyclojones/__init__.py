@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 _LAZY = {
     "bailey": (
         "BaileyPair",
-        "Chain",
         "bailey_lemma_check",
         "chain_count",
         "chain_step",

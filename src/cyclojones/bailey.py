@@ -123,25 +123,10 @@ def beta_from_alpha(pair: BaileyPair, k: int, cache: QSymbolCache) -> LaurentFra
     return total
 
 
-class PairReport(Record):
-    """Outcome of checking the defining relation for k = 0..max_index."""
-
-    label: str
-    max_index: int
-    failures: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_bailey_pair(pair: BaileyPair, K: int, cache: QSymbolCache) -> PairReport:
-    """Exact check of beta_k = sum_j alpha_j/((q;q)_{k-j}(xq;q)_{k+j})
-    for every k <= K; failures are data, not exceptions."""
-    failures = tuple(
-        k for k in range(K + 1) if beta_from_alpha(pair, k, cache) != pair.beta(k)
-    )
-    return PairReport(pair.label, K, failures)
+def verify_bailey_pair(pair: BaileyPair, K: int, cache: QSymbolCache) -> tuple[int, ...]:
+    """The k <= K at which beta_k = sum_j alpha_j/((q;q)_{k-j}(xq;q)_{k+j})
+    fails, checked exactly; failures are data, not exceptions."""
+    return tuple(k for k in range(K + 1) if beta_from_alpha(pair, k, cache) != pair.beta(k))
 
 
 def chain_step(pair: BaileyPair, cache: QSymbolCache) -> BaileyPair:
@@ -202,28 +187,6 @@ def bailey_lemma_failures(pair: BaileyPair, top: int, cache: QSymbolCache) -> li
     return failures
 
 
-class Chain(Record):
-    """Nonincreasing chain of summation indices, top element first."""
-
-    parts: tuple[int, ...]
-
-    def _validate(self) -> None:
-        if not self.parts:
-            raise ValueError("chain must have at least one part")
-        if self.parts != tuple(sorted(self.parts, reverse=True)):
-            raise ValueError("chain parts must be nonincreasing")
-        if self.parts[-1] < 0:
-            raise ValueError("chain parts must be nonnegative")
-
-    @property
-    def top(self) -> int:
-        return self.parts[0]
-
-    def ascending(self) -> tuple[int, ...]:
-        """(k_1, ..., k_L), smallest index first."""
-        return tuple(reversed(self.parts))
-
-
 def _descending_tails(bound: int, length: int) -> Iterator[tuple[int, ...]]:
     """Nonincreasing tuples of length values in 0..bound, lexicographically.
 
@@ -243,8 +206,8 @@ def _descending_tails(bound: int, length: int) -> Iterator[tuple[int, ...]]:
         tail[i + 1:] = [0] * (length - 1 - i)
 
 
-def enumerate_chains(top: int, length: int) -> Iterator[Chain]:
-    """All chains top = k_L >= ... >= k_1 >= 0, lexicographically.
+def enumerate_chains(top: int, length: int) -> Iterator[tuple[int, ...]]:
+    """All chains top = k_L >= ... >= k_1 >= 0 as tuples, top first, lexicographically.
 
     Count is C(top + length - 1, length - 1).
     """
@@ -253,7 +216,7 @@ def enumerate_chains(top: int, length: int) -> Iterator[Chain]:
     if length < 1:
         raise ValueError("chain length must be >= 1")
     for tail in _descending_tails(top, length - 1):
-        yield Chain((top,) + tail)
+        yield (top,) + tail
 
 
 def chain_count(top: int, length: int) -> int:
@@ -273,7 +236,7 @@ def _chain_sum(
     beta_weight(k_1); one lincomb adds them."""
     pairs = []
     for chain in enumerate_chains(top, length):
-        ks = chain.ascending()
+        ks = chain[::-1]
         term = _ONE
         for a, b in zip(ks, ks[1:]):
             term = term * LaurentPoly.monomial(step_a_exp(a, b)) * cache.qbinom(b, a)

@@ -197,23 +197,23 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         if not 1 <= args.max_n <= VERIFY_MAX_INDEX:
             parser.error(f"--max-n must be in 1..{VERIFY_MAX_INDEX}")
         kwargs["max_n"] = args.max_n
-    # the ranges stay lazy (and sorted) until every bound has passed
     default = VerifyGrid()
+    # the ranges stay lazy (and sorted) until every bound has passed; len() of one can overflow
     twists, colors = default.p_values, default.m_values
+    n_twists, n_colors = len(twists), len(colors)
     if args.p_range is not None:
         lo, hi = args.p_range
-        twists = range(lo, hi + 1)
+        twists, n_twists = range(lo, hi + 1), hi - lo + 1 - (lo <= 0 <= hi)
     if args.m_range is not None:
         lo, hi = args.m_range
         if lo < 1:
             parser.error("--m-range must start at 1 or above")
-        colors = range(lo, hi + 1)
-    count = len(twists) - (0 in twists)
-    if not count:
+        colors, n_colors = range(lo, hi + 1), hi - lo + 1
+    if not n_twists:
         parser.error("--p-range contains no nonzero values")
     _check_chains(parser, kwargs.get("max_k", default.max_k),
                   max(-twists[0], twists[-1], colors[-1]))
-    knots = count * (count + len(colors))  # full-twist K(p, r), then half-twist K(p, m - 1/2)
+    knots = n_twists * (n_twists + n_colors)  # full-twist K(p, r), then half-twist K(p, m - 1/2)
     if knots > VERIFY_MAX_KNOTS:
         parser.error(f"--p-range and --m-range give {knots} knots, more than {VERIFY_MAX_KNOTS}")
     max_n = kwargs.get("max_n", default.max_n)

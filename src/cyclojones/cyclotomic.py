@@ -142,10 +142,8 @@ def _c_sum(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> La
 
 def _c_num(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> LaurentPoly:
     """{k}! times _c_sum, the numerator over {2k+1}!, kept in the cache."""
-    key = ("_c_num", k, twist_exp, alternating)
-    if key not in cache.coefficients:
-        cache.coefficients[key] = cache.brace_fact(k) * _c_sum(k, twist_exp, alternating, cache)
-    return cache.coefficients[key]
+    return cache.memo(("_c_num", k, twist_exp, alternating),
+                      lambda: cache.brace_fact(k) * _c_sum(k, twist_exp, alternating, cache))
 
 
 def c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
@@ -154,20 +152,16 @@ def c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     With {2k+1}!/{k}! = {k+1}...{2k+1}, _c_sum over the product of
     brace_recip(j), j = k+1..2k+1, collapses to a Laurent polynomial; a
     failure (RemainderNonzero) would signal a formula transcription error.  The
-    value depends on k and p alone, so it is kept in cache.coefficients
-    under ("c_prime", k, p) and collapsed once per cache.
+    value depends on k and p alone, so cache.memo keeps it under
+    ("c_prime", k, p) and it is collapsed once per cache.
     """
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    key = ("c_prime", k, p)
-    value = cache.coefficients.get(key)
-    if value is None:
-        recip = math.prod(brace_recip(j) for j in range(k + 1, 2 * k + 2))
-        value = (recip * _c_sum(k, 4 * p, True, cache)).to_poly()
-        cache.coefficients[key] = value
-    return value
+    return cache.memo(("c_prime", k, p), lambda: (
+        math.prod(brace_recip(j) for j in range(k + 1, 2 * k + 2)) * _c_sum(k, 4 * p, True, cache)
+    ).to_poly())
 
 
 def c_tilde_prime(k: int, s: int, cache: QSymbolCache) -> LaurentFraction:

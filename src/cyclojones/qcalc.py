@@ -20,6 +20,7 @@ from .laurent import LaurentFraction, LaurentPoly, binomial_table
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
+_ONE_FRACTION = LaurentFraction(_ONE)
 MAX_TABLE_INDEX = 4096  # largest index a QSymbolCache tabulates
 
 
@@ -86,53 +87,65 @@ class QSymbolCache:
     """Per-instance memo tables for the factorial/Pochhammer symbols.
 
     Cached values are structurally equal to recomputed ones; correctness
-    never depends on a hit.  ``MAX_TABLE_INDEX`` bounds the tables.  One cache
-    serves a whole verify run (one per worker group under --jobs) and one a
-    CLI request.  The tables grow without a lock: give each thread its own.
+    never depends on a hit.  One cache serves a whole verify run (one per
+    worker group under --jobs) and one a CLI request.  The tables grow
+    without a lock: give each thread its own.
 
-    ``coefficients`` stores values that do not depend on one knot, keyed by
-    owner.  One per index asked for, as long as the cache: ("t_coeff", k, i)
-    skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime and ("_c_num", k, 2s,
-    False) cyclotomic._c_num.  The last key only (``latest``): "r_basis" (k)
-    skein.pairing_R_e, "d_kernel" (k, j) cyclotomic._d_num, "twist_kernel"
-    (k, j) skein.twist_coeff_d and "knot" (p, s), the P and G sums of
-    cyclotomic._p_terms and _g_terms.  No hit ever changes a result.
+    Every product table grows by one rule, _prefix: factor(1)...factor(n)
+    for each n asked for, up to ``MAX_TABLE_INDEX``, under the key
+    "brace_fact", "bracket_fact", "brace_fact_recip", ("pochhammer", a),
+    ("pochhammer_recip", a) or ("cyclo_block", N).  ``coefficients`` keeps
+    computed values by owner; only memo and latest write it.  memo keeps one
+    per key for as long as the cache: ("qbinom", n, min(i, n - i)) qbinom,
+    ("t_coeff", k, i) skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime
+    and ("_c_num", k, 2s, False) cyclotomic._c_num.  latest keeps the last
+    key only: "r_basis" (k) skein.pairing_R_e, "d_kernel" (k, j)
+    cyclotomic._d_num, "twist_kernel" (k, j) skein.twist_coeff_d and "knot"
+    (p, s), the P and G sums of cyclotomic._p_terms and _g_terms.  No hit
+    ever changes a result.
     """
 
     def __init__(self) -> None:
-        self._brace_fact: list[LaurentPoly] = [_ONE]
-        self._bracket_fact: list[LaurentPoly] = [_ONE]
-        self._poch: dict[int, list[LaurentPoly]] = {}
-        self._qbinom: dict[tuple[int, int], LaurentPoly] = {}
+        self._products: dict = {}
         self._qbinom_balanced: dict[int, list[LaurentPoly]] = {0: [_ONE]}
-        self._brace_fact_recip: list[LaurentFraction] = [LaurentFraction(_ONE)]
-        self._poch_recip: dict[int, list[LaurentFraction]] = {}
-        self._cyclo_blocks: dict[int, list[LaurentPoly]] = {}
         self.coefficients: dict = {}
 
     def _check(self, n: int) -> None:
         if n > MAX_TABLE_INDEX:
             raise IndexOutOfRange(f"index {n} exceeds cache bound {MAX_TABLE_INDEX}")
 
+    def _prefix(self, key, n: int, factor, one=_ONE):
+        """factor(1) * ... * factor(n), kept under key with every shorter prefix."""
+        self._check(n)
+        table = self._products.setdefault(key, [one])
+        while len(table) <= n:
+            table.append(table[-1] * factor(len(table)))
+        return table[n]
+
+    def memo(self, key, build):
+        """build() for key, kept in coefficients for as long as the cache."""
+        value = self.coefficients.get(key)
+        if value is None:
+            value = self.coefficients[key] = build()
+        return value
+
+    def latest(self, name: str, key, build):
+        """build() for key, kept in coefficients under name for the last key only."""
+        if self.coefficients.get(name, (None,))[0] != key:
+            self.coefficients[name] = (key, build())
+        return self.coefficients[name][1]
+
     def brace_fact(self, n: int) -> LaurentPoly:
         """{n}! with {0}! = 1."""
         if n < 0:
             raise IndexOutOfRange("factorial needs n >= 0")
-        self._check(n)
-        table = self._brace_fact
-        while len(table) <= n:
-            table.append(table[-1] * brace(len(table)))
-        return table[n]
+        return self._prefix("brace_fact", n, brace)
 
     def bracket_fact(self, n: int) -> LaurentPoly:
         """[n]! with [0]! = 1."""
         if n < 0:
             raise IndexOutOfRange("factorial needs n >= 0")
-        self._check(n)
-        table = self._bracket_fact
-        while len(table) <= n:
-            table.append(table[-1] * bracket(len(table)))
-        return table[n]
+        return self._prefix("bracket_fact", n, bracket)
 
     def brace_fact_ratio(self, n: int, m: int) -> LaurentPoly:
         """{n}!/{m}! = {n}{n-1}...{m+1} for n >= m >= 0."""
@@ -148,23 +161,15 @@ class QSymbolCache:
         """(q^a; q)_k = prod_{j=0}^{k-1} (1 - q^(a+j))."""
         if k < 0:
             raise IndexOutOfRange("Pochhammer length must be >= 0")
-        self._check(k)
-        table = self._poch.setdefault(a, [_ONE])
-        while len(table) <= k:
-            j = len(table) - 1
-            factor = _ONE - LaurentPoly.monomial(4 * (a + j))
-            table.append(table[-1] * factor)
-        return table[k]
+        return self._prefix(
+            ("pochhammer", a), k, lambda t: _ONE - LaurentPoly.monomial(4 * (a + t - 1))
+        )
 
     def brace_fact_recip(self, n: int) -> LaurentFraction:
         """1/{n}! with the denominator in cyclotomic-factored form."""
         if n < 0:
             raise IndexOutOfRange("factorial needs n >= 0")
-        self._check(n)
-        table = self._brace_fact_recip
-        while len(table) <= n:
-            table.append(table[-1] * brace_recip(len(table)))
-        return table[n]
+        return self._prefix("brace_fact_recip", n, brace_recip, _ONE_FRACTION)
 
     def pochhammer_recip(self, a: int, k: int) -> LaurentFraction:
         """1/(q^a; q)_k with the denominator in cyclotomic-factored form.
@@ -173,21 +178,15 @@ class QSymbolCache:
         """
         if k < 0:
             raise IndexOutOfRange("Pochhammer length must be >= 0")
-        self._check(k)
-        table = self._poch_recip.setdefault(a, [LaurentFraction(_ONE)])
-        while len(table) <= k:
-            table.append(table[-1] * _one_minus_q_recip(a + len(table) - 1))
-        return table[k]
+        return self._prefix(
+            ("pochhammer_recip", a), k, lambda t: _one_minus_q_recip(a + t - 1), _ONE_FRACTION
+        )
 
     def pochhammer_ratio(self, a: int, k: int, j: int) -> LaurentPoly:
-        """(q^a;q)_k / (q^a;q)_j = prod_{t=j}^{k-1} (1 - q^(a+t)) for k >= j."""
+        """(q^a;q)_k / (q^a;q)_j = (q^(a+j);q)_(k-j) for k >= j."""
         if not 0 <= j <= k:
             raise IndexOutOfRange(f"Pochhammer ratio needs 0 <= j <= k, got {k}, {j}")
-        self._check(k)
-        out = _ONE
-        for t in range(j, k):
-            out = out * (_ONE - LaurentPoly.monomial(4 * (a + t)))
-        return out
+        return self.pochhammer(a + j, k - j)
 
     def qbinom(self, n: int, i: int) -> LaurentPoly:
         """Gaussian binomial (q;q)_n/((q;q)_i (q;q)_{n-i}); 0 out of range.
@@ -198,13 +197,10 @@ class QSymbolCache:
             raise IndexOutOfRange("q-binomial needs n >= 0")
         if i < 0 or i > n:
             return _ZERO
-        key = (n, min(i, n - i))
-        value = self._qbinom.get(key)
-        if value is None:
-            recip = self.pochhammer_recip(1, key[1]) * self.pochhammer_recip(1, n - key[1])
-            value = (recip * self.pochhammer(1, n)).to_poly()
-            self._qbinom[key] = value
-        return value
+        t = min(i, n - i)
+        return self.memo(("qbinom", n, t), lambda: (
+            self.pochhammer_recip(1, t) * self.pochhammer_recip(1, n - t) * self.pochhammer(1, n)
+        ).to_poly())
 
     def qbinom_balanced(self, n: int, i: int) -> LaurentPoly:
         """Balanced binomial [n i] = {n}!/({i}!{n-i}!); 0 out of range.
@@ -243,12 +239,6 @@ class QSymbolCache:
             ]
         return row[min(i, n - i)]
 
-    def latest(self, name: str, key, build):
-        """build() for key, kept in coefficients under name for the last key only."""
-        if self.coefficients.get(name, (None,))[0] != key:
-            self.coefficients[name] = (key, build())
-        return self.coefficients[name][1]
-
     def cyclo_block(self, N: int, k: int) -> LaurentPoly:
         """The cyclotomic expansion block {N+k}!/({N-1-k}!{N}) = prod_{j=N-k..N+k, j != N} {j},
         without division: row N starts at 1 and step k multiplies by {N-k}{N+k}; rows are kept."""
@@ -256,8 +246,4 @@ class QSymbolCache:
             raise IndexOutOfRange("color N must be >= 1")
         if not 0 <= k <= N - 1:
             raise IndexOutOfRange(f"cyclotomic block needs 0 <= k < N, got k={k}, N={N}")
-        row = self._cyclo_blocks.setdefault(N, [_ONE])
-        while len(row) <= k:
-            row.append(row[-1] * (brace(N - len(row)) * brace(N + len(row))))
-        return row[k]
-
+        return self._prefix(("cyclo_block", N), k, lambda t: brace(N - t) * brace(N + t))

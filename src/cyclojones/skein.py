@@ -151,18 +151,15 @@ def t_coeff(k: int, i: int, cache: QSymbolCache) -> LaurentPoly:
     """Coefficient of e_i in R_k: {2k+1}!{2i+2}/({k+i+2}!{k-i}!).
 
     A factorial quotient, independent of the q-Pascal balanced binomials
-    behind s_coeff; kept in cache.coefficients under ("t_coeff", k, i),
-    so each t_{k,i} is collapsed once per cache.
+    behind s_coeff; cache.memo keeps it under ("t_coeff", k, i), so each
+    t_{k,i} is collapsed once per cache.
     """
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"t coefficient needs 0 <= i <= k, got k={k}, i={i}")
-    key = ("t_coeff", k, i)
-    value = cache.coefficients.get(key)
-    if value is None:
-        recip = cache.brace_fact_recip(k + i + 2) * cache.brace_fact_recip(k - i)
-        value = (recip * (cache.brace_fact(2 * k + 1) * brace(2 * i + 2))).to_poly()
-        cache.coefficients[key] = value
-    return value
+    return cache.memo(("t_coeff", k, i), lambda: (
+        cache.brace_fact_recip(k + i + 2) * cache.brace_fact_recip(k - i)
+        * (cache.brace_fact(2 * k + 1) * brace(2 * i + 2))
+    ).to_poly())
 
 
 def s_coeff(i: int, j: int, cache: QSymbolCache) -> LaurentPoly:

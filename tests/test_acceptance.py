@@ -152,11 +152,11 @@ def test_criterion_06_skein_bridge(cache):
 def test_criterion_07_bailey_machinery(cache):
     with Timer("7 Bailey machinery", 60.0):
         for pair in (unit_pair(cache), squared_pair(cache)):
-            assert verify_bailey_pair(pair, 12, cache).ok
+            assert verify_bailey_pair(pair, 12, cache) == ()
             current = pair
             for _ in range(3):
                 current = chain_step(current, cache)
-                assert verify_bailey_pair(current, 12, cache).ok
+                assert verify_bailey_pair(current, 12, cache) == ()
             for k in range(9):
                 assert bailey_lemma_check(pair, k, cache)
 

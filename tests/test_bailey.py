@@ -1,7 +1,6 @@
 import pytest
 
 from cyclojones import (
-    Chain,
     LaurentFraction,
     LaurentPoly,
     QSymbolCache,
@@ -32,19 +31,9 @@ def over_q_minus_1(num: LaurentPoly) -> LaurentFraction:
     return LaurentFraction.over_cyclotomic(num, binomial_table(4))
 
 
-def test_chain_type():
-    chain = Chain((3, 1, 0))
-    assert chain.top == 3
-    assert chain.ascending() == (0, 1, 3)
-    with pytest.raises(ValueError):
-        Chain((1, 2))
-    with pytest.raises(ValueError):
-        Chain((1, -1))
-
-
 def test_enumerate_chains():
-    assert [c.parts for c in enumerate_chains(2, 2)] == [(2, 0), (2, 1), (2, 2)]
-    assert [c.parts for c in enumerate_chains(5, 1)] == [(5,)]
+    assert list(enumerate_chains(2, 2)) == [(2, 0), (2, 1), (2, 2)]
+    assert list(enumerate_chains(5, 1)) == [(5,)]
     assert chain_count(3, 3) == 10
     assert sum(1 for _ in enumerate_chains(3, 3)) == 10
 
@@ -52,7 +41,7 @@ def test_enumerate_chains():
 def test_chain_counts_stars_and_bars():
     for top in range(9):
         for length in range(1, 6):
-            chains = [c.parts for c in enumerate_chains(top, length)]
+            chains = list(enumerate_chains(top, length))
             assert len(chains) == chain_count(top, length)
             assert chains == sorted(chains)  # lexicographic
             assert all(parts[0] == top for parts in chains)
@@ -72,39 +61,37 @@ def test_chains_keep_the_recursive_order():
     for top in range(7):
         for length in range(1, 7):
             expect = [(top,) + tail for tail in _recursive_tails(top, length - 1)]
-            assert [c.parts for c in enumerate_chains(top, length)] == expect
+            assert list(enumerate_chains(top, length)) == expect
 
 
 def test_long_chains_need_no_recursion_depth():
     # one level per part used to end in RecursionError near length 1000
-    assert [c.parts for c in enumerate_chains(0, 5000)] == [(0,) * 5000]
+    assert list(enumerate_chains(0, 5000)) == [(0,) * 5000]
     assert sum(1 for _ in enumerate_chains(1, 1500)) == chain_count(1, 1500)
 
 
 def test_unit_pair_verifies(cache):
     pair = unit_pair(cache)
     assert pair.alpha(0) == pair.beta(0)  # k = 0 degenerate case
-    report = verify_bailey_pair(pair, 12, cache)
-    assert report.ok, report.failures
+    failures = verify_bailey_pair(pair, 12, cache)
+    assert not failures, failures
 
 
 def test_squared_pair_verifies(cache):
-    report = verify_bailey_pair(squared_pair(cache), 12, cache)
-    assert report.ok, report.failures
+    failures = verify_bailey_pair(squared_pair(cache), 12, cache)
+    assert not failures, failures
 
 
 def test_shifted_pair_verifies(cache):
     for shift in range(3):
-        report = verify_bailey_pair(shifted_unit_pair(shift, cache), 8, cache)
-        assert report.ok, (shift, report.failures)
+        failures = verify_bailey_pair(shifted_unit_pair(shift, cache), 8, cache)
+        assert not failures, (shift, failures)
 
 
 def test_broken_pair_is_reported(cache):
     pair = unit_pair(cache)
     broken = type(pair)(pair.alpha, lambda k: LaurentFraction(k + 2), pair.x_exp, "broken")
-    report = verify_bailey_pair(broken, 4, cache)
-    assert not report.ok
-    assert 0 in report.failures
+    assert 0 in verify_bailey_pair(broken, 4, cache)
 
 
 def test_chain_step_preserves_relation(cache):
@@ -112,7 +99,7 @@ def test_chain_step_preserves_relation(cache):
         current = base
         for _ in range(3):
             current = chain_step(current, cache)
-            assert verify_bailey_pair(current, 10, cache).ok
+            assert verify_bailey_pair(current, 10, cache) == ()
 
 
 def test_chain_step_alpha_prefactor(cache):
@@ -282,7 +269,7 @@ def test_chain_sums_match_termwise_addition():
             for beta_weight in (None, weight):
                 expect = LaurentPoly.zero()
                 for chain in enumerate_chains(top, length):
-                    ks = chain.ascending()
+                    ks = chain[::-1]
                     term = LaurentPoly.one() if beta_weight is None else beta_weight(ks[0])
                     for a, b in zip(ks, ks[1:]):
                         term = term * A(step(a, b)) * cache.qbinom(b, a)

@@ -77,3 +77,29 @@ def test_every_verify_check_wraps_a_generator_of_identities():
     checks = [fn for suite in verify.SUITES.values() for fn in suite]
     assert len(checks) == 31
     assert all(inspect.isgeneratorfunction(fn.__wrapped__) for fn in checks)
+
+
+def test_only_memo_and_latest_write_the_coefficient_store():
+    def writes(node):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            store = node.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "setdefault", "update", "pop", "popitem", "clear"
+        ):
+            store = node.func.value
+        else:
+            return False
+        return getattr(store, "attr", None) == "coefficients"
+
+    writers = [(module, owner) for module, tree in _modules()
+               for owner, node in _owned_nodes(tree) if writes(node)]
+    assert sorted(writers) == [("qcalc", "latest"), ("qcalc", "memo")]
+
+
+def test_every_qsymbol_table_grows_in_one_loop():
+    def grows_by_len(node):
+        return (isinstance(node, ast.While) and isinstance(node.test, ast.Compare)
+                and getattr(getattr(node.test.left, "func", None), "id", None) == "len")
+
+    loops = [owner for owner, node in _owned_nodes(dict(_modules())["qcalc"]) if grows_by_len(node)]
+    assert loops == ["_prefix"]

@@ -741,6 +741,10 @@ def test_multisums_above_the_chain_budget_are_usage_errors(argv, accepted, capsy
         ("verify --max-k 0 --p-range=1..1 --m-range=1..150",
          "verify --max-k 0 --p-range=1..1 --m-range=1..149"),
         ("verify --max-k 0 --p-range=-1000000..1000000", "verify --max-k 0 --p-range=-3..3 --m-range=1..19"),
+        # past 2**63 - 1 values, where len() of a range overflows
+        ("verify --max-k 0 --p-range=1..9999999999999999999",
+         "verify --max-k 0 --p-range=1..1 --m-range=1..149"),
+        ("verify --max-k 0 --m-range=1..99999999999999999999", "verify --max-k 0 --m-range=1..19"),
     ],
 )
 def test_verify_grids_above_the_knot_bound_are_usage_errors(argv, accepted, capsys, monkeypatch):

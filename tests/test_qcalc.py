@@ -1,3 +1,4 @@
+import math
 import random
 from sys import getsizeof
 
@@ -86,6 +87,24 @@ def test_cyclo_block(cache):
     assert cache.cyclo_block(2, 1) == A(8) - A(4) - A(-4) + A(-8)  # {3}{1}
     with pytest.raises(IndexOutOfRange):
         cache.cyclo_block(3, 3)
+
+
+def test_cyclo_block_respects_max_index():
+    cache = QSymbolCache()
+    with pytest.raises(IndexOutOfRange, match="exceeds cache bound"):
+        cache.cyclo_block(MAX_TABLE_INDEX + 2, MAX_TABLE_INDEX + 1)
+    assert not cache._products  # refused before a row is built
+
+
+def test_pochhammer_ratio_is_the_product_over_its_window(cache):
+    # (q^a;q)_k/(q^a;q)_j, also where (q^a;q)_j holds 1 - q^0 and is 0
+    for a in range(-3, 4):
+        for k in range(7):
+            for j in range(k + 1):
+                expect = math.prod(1 - A(4 * (a + t)) for t in range(j, k))
+                assert cache.pochhammer_ratio(a, k, j) == expect, (a, k, j)
+    with pytest.raises(IndexOutOfRange):
+        cache.pochhammer_ratio(1, 2, 3)
 
 
 def test_framing_mu():

@@ -169,6 +169,8 @@ def test_twist_inverse_check_divides_each_t_coeff_once(monkeypatch):
 
     def recording(self):
         frame = sys._getframe(1)
+        if frame.f_back.f_code is QSymbolCache.memo.__code__:  # a memo build: look past it
+            frame = frame.f_back.f_back
         if frame.f_code.co_name == "t_coeff":
             collapsed[frame.f_locals["k"], frame.f_locals["i"]] += 1
         return to_poly(self)
