@@ -289,7 +289,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         if residual is not None:
             print(f"residual: {_obstruction(residual)}", file=sys.stderr)
         return 1
-    sys.stdout.buffer.write(serialize.serialize(table, args.format, args.display))
+    texts = None if store is None else store.texts  # the entry texts the store wrote or read
+    sys.stdout.buffer.write(serialize.serialize(table, args.format, args.display, texts=texts))
     return 0
 
 
@@ -378,11 +379,11 @@ _HANDLERS = {
 }
 
 
-def _glue_range_values(argv: list[str]) -> list[str]:
-    # argparse reads "-2..2" as an option; fold range values into --flag=value
+def _glue_dashed_values(argv: list[str]) -> list[str]:
+    # argparse reads "-2..2" and "-1/4" as options; fold such values into --flag=value
     out = []
     for token in argv:
-        if out and out[-1] in ("--p-range", "--m-range"):
+        if out and out[-1] in ("--p-range", "--m-range", "--root"):
             out[-1] += f"={token}"
         else:
             out.append(token)
@@ -393,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = config_from_args(parser.parse_args(_glue_range_values(list(argv))))
+    args = config_from_args(parser.parse_args(_glue_dashed_values(list(argv))))
     start = time.monotonic()
     try:
         code = _HANDLERS[args.command](args)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 from operator import gt
 from pathlib import Path
@@ -44,8 +45,13 @@ def _object(**fields: str) -> str:
     return "{" + ",".join(f'"{key}":{text}' for key, text in sorted(fields.items())) + "}"
 
 
-def _canonical_json(obj) -> str:
+def _canonical_json(obj) -> str:  # of a knot, a check set or a route, never of a polynomial
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+_TERM = r'\[(?:0|-?[1-9][0-9]*),"-?[1-9][0-9]*"\]'
+# poly_to_json's texts: no spaces or escapes, no leading zero, no -0 (re compiles it on first use)
+_POLY_JSON = r'\{"terms":\[(?:' + _TERM + "(?:," + _TERM + r')*)?\],"variable":"A"\}'
 
 
 def poly_to_json(poly: LaurentPoly) -> str:
@@ -108,13 +114,14 @@ def knot_key(knot: KnotSpec) -> str:
 # -- top-level serializer ----------------------------------------------
 
 
-def serialize(value, fmt: str, display: str = "𝔮") -> bytes:
+def serialize(value, fmt: str, display: str = "𝔮", *, texts: list[str] | None = None) -> bytes:
     """Render a CoeffTable, a JonesResult, or a tuple of one J'_N's
-    JonesResults by several routes, in one of json/csv/latex/text."""
+    JonesResults by several routes, in one of json/csv/latex/text; a json
+    table prints texts, the poly_to_json of its values, if given."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r} (want one of {FORMATS})")
     if isinstance(value, CoeffTable):
-        text = _table_str(value, fmt, display)
+        text = _table_str(value, fmt, display, texts)
     elif isinstance(value, JonesResult):
         text = _jones_str(value, fmt, display)
     elif isinstance(value, tuple) and all(isinstance(r, JonesResult) for r in value):
@@ -124,11 +131,12 @@ def serialize(value, fmt: str, display: str = "𝔮") -> bytes:
     return text.encode()
 
 
-def _table_str(table: CoeffTable, fmt: str, display: str) -> str:
+def _table_str(table: CoeffTable, fmt: str, display: str, texts: list[str] | None) -> str:
     values = enumerate(table.values)
     if fmt == "json":
         checks = _canonical_json(sorted(table.checks))
-        entries = ",".join([_object(H=poly_to_json(h), checks=checks, k=str(k)) for k, h in values])
+        texts = enumerate(texts or map(poly_to_json, table.values))
+        entries = ",".join([_object(H=text, checks=checks, k=str(k)) for k, text in texts])
         knot = _canonical_json(knot_to_obj(table.knot))
         return _object(schema=str(SCHEMA_VERSION), knot=knot, max_k=str(table.max_k),
                        entries=f"[{entries}]") + "\n"
@@ -181,6 +189,12 @@ def exponent_bound(knot: KnotSpec, k: int) -> int:
     return 2 * (4 * abs(knot.p) + 2 * abs(t) + 12) * (k + 1) ** 2
 
 
+def _head(knot: KnotSpec, max_k: int, digest: str) -> str:
+    """A cache file's text before its values text; "values" is the last key."""
+    knot_json = _canonical_json(knot_to_obj(knot))
+    return f'{{"cache":{CACHE_VERSION},"digest":"{digest}","k":{max_k},"knot":{knot_json},"values":'
+
+
 class CoeffCache:
     """Atomic JSON cache of verified H_k tables, one file per knot.
 
@@ -188,7 +202,9 @@ class CoeffCache:
 
         {"cache": CACHE_VERSION, "knot": ..., "k": m, "digest": ..., "values": [H_0, ..., H_m]}
 
-    with the SHA-256 of the canonical JSON of the values as the digest.
+    laid out as _head(knot, m, digest), the values text and "}\n", with the
+    SHA-256 of the values text as the digest.  get serves only that layout,
+    so texts, the entry texts put wrote or get vetted, are printed as is.
     Writes go through a temp file + rename.  A table is served whole or
     in part: coefficient_table evaluates every served entry at a random
     point of F_P against the paper's formula (cyclojones.point) and
@@ -201,6 +217,7 @@ class CoeffCache:
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self._hits = 0
+        self.texts: list[str] = []  # poly_to_json texts of the entries get last served or put wrote
 
     @classmethod
     def from_env(cls, fallback: str | os.PathLike) -> CoeffCache:
@@ -214,11 +231,10 @@ class CoeffCache:
         """Store values = H_0..H_max_k as the knot's table, replacing its file."""
         import hashlib
 
-        # the values are serialized once, for the digest and for the file
-        text = "[" + ",".join(map(poly_to_json, values)) + "]"
-        digest = f'"{hashlib.sha256(text.encode()).hexdigest()}"'
-        payload = _object(cache=str(CACHE_VERSION), knot=_canonical_json(knot_to_obj(knot)),
-                          k=str(max_k), digest=digest, values=text) + "\n"
+        # the values are serialized once, for the digest, the file and the printed table
+        texts = list(map(poly_to_json, values))
+        text = "[" + ",".join(texts) + "]"
+        payload = _head(knot, max_k, hashlib.sha256(text.encode()).hexdigest()) + text + "}\n"
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -231,18 +247,21 @@ class CoeffCache:
                 raise
         except OSError as exc:
             raise self._unusable(exc) from None
+        self.texts = texts
 
     def get(self, knot: KnotSpec, max_k: int) -> list[LaurentPoly] | None:
         """H_0..H_min(m, max_k) from the knot's table to k = m, or None if there is none.
 
-        The file is vetted (knot, length, digest) before any polynomial is
-        built, and each entry by poly_from_obj (order, nonzero coefficients,
-        exponent bound) before its list is laid out."""
+        The file is vetted (knot, length, layout, the digest of the stored
+        values text) before any polynomial is built, each entry by
+        poly_from_obj (order, nonzero coefficients, exponent bound) before
+        its list is laid out, and each entry text against _POLY_JSON."""
         import hashlib
 
         path = self._path(knot)
         try:
-            obj = json.loads(path.read_text())
+            text = path.read_text()
+            obj = json.loads(text)
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -253,12 +272,16 @@ class CoeffCache:
             raise CacheMismatch(f"cache file {path} is not a JSON object")
         if obj.get("cache") != CACHE_VERSION:
             return None
-        values = obj.get("values")
+        values, digest = obj.get("values"), obj.get("digest")
         if obj.get("knot") != knot_to_obj(knot) or not isinstance(values, list) or not values \
                 or obj.get("k") != len(values) - 1:
             raise CacheMismatch(f"cache file {path} is not a table for {knot}")
-        # the values as read, in canonical JSON, before a polynomial fills its span
-        if obj.get("digest") != hashlib.sha256(_canonical_json(values).encode()).hexdigest():
+        head = _head(knot, len(values) - 1, digest)
+        if not (text.startswith(head) and text.endswith("}\n")):
+            raise CacheMismatch(f"cache file {path} is not laid out as put writes it")
+        # the values text as stored, before a polynomial fills its span
+        values_text = text[len(head):-2]
+        if digest != hashlib.sha256(values_text.encode()).hexdigest():
             raise CacheMismatch(f"digest mismatch in {path}")
         served = []
         for k, value in enumerate(values):  # their form; coefficient_table checks their values
@@ -266,7 +289,11 @@ class CoeffCache:
                 served.append(poly_from_obj(value, exponent_bound(knot, k)))
             except ValueError as exc:
                 raise CacheMismatch(f"malformed value in {path}: k={k} {exc}") from None
-        del served[max_k + 1:]
+        texts = re.findall(_POLY_JSON, values_text)
+        if "[" + ",".join(texts) + "]" != values_text:
+            raise CacheMismatch(f"malformed value in {path}: an entry is not poly_to_json's text")
+        del served[max_k + 1:], texts[max_k + 1:]
+        self.texts = texts
         self._hits += 1
         return served
 

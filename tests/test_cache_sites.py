@@ -1,5 +1,7 @@
 """Where a QSymbolCache comes from: each request or verify group builds one,
-and every function below it takes the caller's."""
+and every function below it takes the caller's.  And where a polynomial's
+JSON comes from: serialize writes it in one function, and no json.dumps
+runs over cached values."""
 
 import ast
 import inspect
@@ -103,3 +105,29 @@ def test_every_qsymbol_table_grows_in_one_loop():
 
     loops = [owner for owner, node in _owned_nodes(dict(_modules())["qcalc"]) if grows_by_len(node)]
     assert loops == ["_prefix"]
+
+
+def test_serialize_writes_a_polynomials_json_in_one_function():
+    tree = dict(_modules())["serialize"]
+
+    def holds_the_terms_key(node):
+        return isinstance(node, ast.Constant) and '"terms":' in str(node.value)
+
+    writers = {owner for owner, node in _owned_nodes(tree)
+               if owner is not None and holds_the_terms_key(node)}
+    walkers = {owner for owner, node in _owned_nodes(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_terms"}
+    assert writers == walkers == {"poly_to_json"}
+
+
+def test_no_json_dumps_runs_over_cached_values():
+    # json.dumps serializes one header field at a time: a knot, a check set or a route
+    calls = [(owner, node) for owner, node in _owned_nodes(dict(_modules())["serialize"])
+             if isinstance(node, ast.Call)]
+    dumps = [(owner, ast.unparse(node.args[0])) for owner, node in calls
+             if ast.unparse(node.func) == "json.dumps"]
+    assert dumps == [("_canonical_json", "obj")]
+    fields = {ast.unparse(node.args[0]) for owner, node in calls
+              if getattr(node.func, "id", None) == "_canonical_json"}
+    assert fields == {"knot_to_obj(knot)", "knot_to_obj(table.knot)", "knot_to_obj(result.knot)",
+                      "sorted(table.checks)", "result.route"}

@@ -370,6 +370,15 @@ def test_eval_at_one_is_normalized(capsys):
         assert row["re"].startswith("1.0") and row["im"] == "0.0"
 
 
+def test_eval_takes_a_negative_root_after_a_space(capsys):
+    # argparse reads "-1/4" as an option unless it is glued to --root
+    code, spaced, err = run_cli(capsys, "eval", "--p", "2", "--r", "3", "--N", "2", "--root", "-1/4")
+    assert code == 0, err
+    code, glued, _ = run_cli(capsys, "eval", "--p", "2", "--r", "3", "--N", "2", "--root=-1/4")
+    assert code == 0 and spaced == glued
+    assert spaced.startswith("J'_N(K(2, 3)) at A = exp(2*pi*i*-1/4)\n")
+
+
 def test_eval_rows_and_json(capsys):
     code, out, _ = run_cli(capsys, "eval", "--p", "2", "--s", "1", "--N", "3",
                            "--format", "json")
@@ -490,7 +499,8 @@ def test_cache_entry_with_a_far_exponent_is_refused_before_it_is_built(capsys, t
     text = json.dumps(values, sort_keys=True, separators=(",", ":"))
     table = {"cache": 2, "knot": knot_to_obj(knot), "k": 1, "values": values,
              "digest": hashlib.sha256(text.encode()).hexdigest()}
-    CoeffCache(tmp_path)._path(knot, 1).write_text(json.dumps(table))
+    CoeffCache(tmp_path)._path(knot, 1).write_text(
+        json.dumps(table, sort_keys=True, separators=(",", ":")) + "\n")  # as put lays it out
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "coeffs", "--p", "2", "--s", "1", "--max-k", "1",
@@ -591,7 +601,7 @@ def test_tampered_entry_inside_a_table_exits_one(capsys, tmp_path, cache):
     obj["values"][5]["terms"][0][1] = str(int(obj["values"][5]["terms"][0][1]) * 2)
     text = json.dumps(obj["values"], sort_keys=True, separators=(",", ":"))
     obj["digest"] = hashlib.sha256(text.encode()).hexdigest()
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")  # put's layout
     assert CoeffCache(tmp_path).get(KnotSpec.half(-2, 3), 8) is not None  # it passes the vetting
     code, out, err = run_cli(capsys, "coeffs", "--p", "-2", "--s", "3", "--max-k", "8",
                              "--cache-dir", str(tmp_path))
@@ -606,6 +616,56 @@ def test_version_1_entry_beside_the_table_is_ignored(capsys, tmp_path, monkeypat
     calls = _h_coeff_calls(monkeypatch)
     assert _coeffs(capsys, tmp_path, 8) == cold and calls == []
     assert sorted(path.name for path in tmp_path.iterdir()) == [old.name, "h_v2_p-2_s3.json"]
+
+
+def _poly_to_json_calls(monkeypatch):
+    from cyclojones import serialize
+
+    calls, poly_to_json = [], serialize.poly_to_json
+    monkeypatch.setattr(serialize, "poly_to_json", lambda h: calls.append(h) or poly_to_json(h))
+    return calls
+
+
+def test_a_json_table_is_serialized_once_cold_and_never_warm(capsys, tmp_path, monkeypatch):
+    # the cold request prints the entry texts put wrote, a hit those get vetted
+    calls = _poly_to_json_calls(monkeypatch)
+    cold = _coeffs(capsys, tmp_path, 8)
+    assert len(calls) == 9
+    calls.clear()
+    assert _coeffs(capsys, tmp_path, 8) == cold and calls == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex", "text"])
+@pytest.mark.parametrize("knot_args", [("--p", "-2", "--s", "3"), ("--p", "2", "--r", "-1")])
+def test_cold_and_warm_requests_print_the_same_bytes(capsys, tmp_path, fmt, knot_args):
+    def coeffs(max_k, *cache_args):
+        code, out, err = run_cli(capsys, "coeffs", *knot_args, "--max-k", str(max_k),
+                                 "--format", fmt, *cache_args)
+        assert code == 0, err
+        return out
+
+    short, long = coeffs(3, "--no-cache"), coeffs(6, "--no-cache")
+    cached = ("--cache-dir", str(tmp_path))
+    assert coeffs(3, *cached) == short  # cold
+    assert coeffs(3, *cached) == short  # a full hit
+    assert coeffs(6, *cached) == long  # a partial hit: stored k = 3 < 6
+    assert coeffs(6, *cached) == long
+    assert coeffs(3, *cached) == short  # a longer stored table: k = 6 > 3
+
+
+def test_a_cache_file_in_another_json_layout_exits_one(capsys, tmp_path):
+    # the same fields and the digest of the same values text, re-written with
+    # json.dumps's default separators: served entries are printed as stored,
+    # so only put's layout is read
+    cold = _coeffs(capsys, tmp_path, 4)
+    (path,) = tmp_path.iterdir()
+    path.write_text(json.dumps(json.loads(path.read_text())))
+    code, out, err = run_cli(capsys, "coeffs", "--p", "-2", "--s", "3", "--max-k", "4",
+                             "--format", "json", "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: cache file {path} is not laid out as put writes it\n"
+    path.unlink()
+    assert _coeffs(capsys, tmp_path, 4) == cold
 
 
 @pytest.mark.parametrize(

@@ -91,7 +91,7 @@ def test_reader_refuses_all_but_the_writers_form(tmp_path, terms, reason):
     obj = {"cache": 2, "knot": knot_to_obj(knot), "k": 1, "values": values,
            "digest": _digest_of(values)}
     store = CoeffCache(tmp_path)
-    store._path(knot, 1).write_text(json.dumps(obj))
+    store._path(knot, 1).write_text(_as_put_writes(obj))
     with pytest.raises(CacheMismatch, match=f"malformed value in .*: k=1 {reason}"):
         store.get(knot, 1)
 
@@ -106,7 +106,7 @@ def test_reader_refuses_an_exponent_beyond_the_bound_at_either_end(tmp_path, far
     obj = {"cache": 2, "knot": knot_to_obj(knot), "k": 1, "values": values,
            "digest": _digest_of(values)}
     store = CoeffCache(tmp_path)
-    store._path(knot, 1).write_text(json.dumps(obj))
+    store._path(knot, 1).write_text(_as_put_writes(obj))
     with pytest.raises(CacheMismatch, match="k=1 exceeds"):
         store.get(knot, 1)
 
@@ -168,7 +168,12 @@ def _table(knot, max_k, cache):
 def _rewrite(path, edit):
     obj = json.loads(path.read_text())
     edit(obj)
-    path.write_text(json.dumps(obj))
+    path.write_text(_as_put_writes(obj))
+
+
+def _as_put_writes(obj):
+    """The text of a cache file laid out as CoeffCache.put writes it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _digest_of(values):
@@ -185,9 +190,11 @@ def test_cache_roundtrip(tmp_path, cache):
     assert store.get(knot, 0) is None
     values = _table(knot, 3, cache)
     store.put(knot, 3, values)
+    assert store.texts == list(map(poly_to_json, values))
     assert store.get(knot, 3) == values
+    assert store.texts == list(map(poly_to_json, values))
     # a shorter request is served the prefix, a longer one the whole table
-    assert store.get(knot, 1) == values[:2]
+    assert store.get(knot, 1) == values[:2] and store.texts == list(map(poly_to_json, values[:2]))
     assert store.get(knot, 8) == values
     # structural equality with recomputation (spot-check contract)
     assert store.get(knot, 3) == _table(knot, 3, QSymbolCache())
@@ -261,6 +268,32 @@ def test_put_writes_the_two_pass_bytes(tmp_path, cache):
             expected = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
             assert store._path(knot, k).read_text() == expected
             assert store.get(knot, k) == table
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '{"terms":[[0, "1"]],"variable":"A"}',
+        '{"variable":"A","terms":[[0,"1"]]}',
+        '{"terms":[[-0,"1"]],"variable":"A"}',
+        '{"terms":[[0,"\\u0031"]],"variable":"A"}',
+        '{"terms":[[0,"1"]],"variable":"A","x":1}',
+        '{"terms":[],"terms":[[0,"1"]],"variable":"A"}',
+    ],
+    ids=["space", "key-order", "minus-zero", "escape", "extra-key", "repeated-key"],
+)
+def test_an_entry_not_written_as_poly_to_json_writes_it_is_refused(tmp_path, entry):
+    # poly_from_obj reads each as H_0 = 1, and the digest is of the values text as
+    # stored; served entry texts are printed as they are, so only the writer's are served
+    assert poly_from_obj(json.loads(entry)) == LaurentPoly.one()
+    knot = KnotSpec.half(2, 1)
+    values_text = f"[{entry}]"
+    head = {"cache": 2, "digest": hashlib.sha256(values_text.encode()).hexdigest(), "k": 0,
+            "knot": knot_to_obj(knot)}
+    store = CoeffCache(tmp_path)
+    store._path(knot, 0).write_text(f'{_as_put_writes(head)[:-2]},"values":{values_text}}}\n')
+    with pytest.raises(CacheMismatch, match="malformed value in .*: an entry is not poly_to_json's text"):
+        store.get(knot, 0)
 
 
 def test_cache_rejects_entry_filed_under_other_knot(tmp_path, cache):
