@@ -21,12 +21,12 @@ diagnostic site for H_k).  c~' and d stay fractions over 1/{2k+1}! and
 1/{2k+2}!.  Every sum is accumulated in place in one list (_c_sum, lincomb).
 
 H_k does not evaluate the d-sum term by term: with the sum over j
-taken inside, it needs only the products P_j = c'_j * (numerator of
-c~'_j) and the sums G_i of P_j against balanced binomials (h_coeff_half).
-Both depend on the knot and not on k, so the QSymbolCache keeps them for
-the knot last asked for (its "knot" slot); a table up to max_k then costs
-O(max_k^2) polynomial products instead of O(max_k^3).  The Walsh route
-reuses the same P_j.
+taken inside, it needs only the signed products P'_j = (-1)^j c'_j *
+(numerator of c~'_j) and the twisted sums F_i of P'_j against balanced
+binomials (h_coeff_half).  Both depend on the knot and not on k, so the
+QSymbolCache keeps them for the knot last asked for (its "knot" slot); a
+table up to max_k then costs O(max_k^2) polynomial products instead of
+O(max_k^3).  The Walsh route reuses the same P'_j.
 
 c'_{k,p} depends on one twist and not on the knot: every knot with p
 (or r) in a twist region shares it.  It lives in the cache's coefficient
@@ -223,27 +223,26 @@ def _require_even(poly: LaurentPoly, what: str) -> LaurentPoly:
 
 
 def _p_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
-    """The first n of P_j = c'_{j,p} _c_num(j, 2s), kept in the cache's
-    "knot" slot, which holds the last knot asked for."""
-    p, s = knot.p, knot.s
-    P = cache.latest("knot", (p, s), dict).setdefault("P", [])
+    """The first n of the signed P'_j = (-1)^j c'_{j,p} _c_num(j, 2s), kept
+    under "P'" in the cache's "knot" slot, which holds the last knot asked for."""
+    P = cache.latest("knot", (knot.p, knot.s), dict).setdefault("P'", [])
     while len(P) < n:
         j = len(P)
-        P.append(c_prime(j, p, cache) * _c_num(j, 2 * s, False, cache))
+        P.append(c_prime(j, knot.p, cache) * _c_num(j, 2 * knot.s, False, cache) * (-1) ** j)
     return P
 
 
-def _g_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
-    """The first n of G_i = sum_{j=0}^{i} (-1)^j [i+1+j over 2j+1] P_j,
-    kept in the cache's "knot" slot beside P."""
+def _f_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
+    """The first n of F_i = (-1)^i A^(-4pi(i+2)) {2i+2} G_i, with G_i = sum_{j=0}^{i}
+    [i+1+j over 2j+1] P'_j, kept under "F" beside P' in the cache's "knot" slot."""
     P = _p_terms(knot, n, cache)
-    G = cache.latest("knot", (knot.p, knot.s), dict).setdefault("G", [])
-    while len(G) < n:
-        i = len(G)
-        G.append(lincomb(
-            (cache.qbinom_balanced(i + 1 + j, 2 * j + 1) * (-1) ** j, P[j]) for j in range(i + 1)
-        ))
-    return G
+    F = cache.latest("knot", (knot.p, knot.s), dict).setdefault("F", [])
+    while len(F) < n:
+        i = len(F)
+        G = lincomb((cache.qbinom_balanced(i + 1 + j, 2 * j + 1), P[j]) for j in range(i + 1))
+        twist = LaurentPoly.monomial(-4 * knot.p * i * (i + 2), -1 if i & 1 else 1)
+        F.append(lincomb([(twist * brace(2 * i + 2), G)]))
+    return F
 
 
 def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
@@ -252,28 +251,19 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     With d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, 2s) / {2k+2}! (_d_num)
     and the i-sum of N_{k,j} taken outside, the numerator over {2k+2}! is
 
-        sum_{i=0}^{k} (-1)^i A^(-4pi(i+2)) {2i+2} [2k+2 over k-i] G_i
+        (-1)^k sum_{i=0}^{k} [2k+2 over k-i] F_i
 
-    with G_i from _g_terms, shared by every k of one knot.  It must
-    collapse into Z[𝔮^{±1}]; IntegralityFailure, carrying the fraction
-    over 1/{2k+2}!, is a release-blocking diagnostic.
+    with F_i from _f_terms, shared by every k of one knot, against the stored
+    binomial rows.  It must collapse into Z[𝔮^{±1}]; IntegralityFailure,
+    carrying the fraction over 1/{2k+2}!, is a release-blocking diagnostic.
     """
     if not knot.is_half:
         raise TypeError("h_coeff_half needs a half-twist knot")
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
-    p = knot.p
-    G = _g_terms(knot, k + 1, cache)
-    num = lincomb(
-        (
-            LaurentPoly.monomial(-4 * p * i * (i + 2), -1 if (i + k) & 1 else 1)
-            * brace(2 * i + 2)
-            * cache.qbinom_balanced(2 * k + 2, k - i),
-            G[i],
-        )
-        for i in range(k + 1)
-    )
-    fraction = cache.brace_fact_recip(2 * k + 2) * num
+    F = _f_terms(knot, k + 1, cache)
+    num = lincomb((cache.qbinom_balanced(2 * k + 2, k - i), F[i]) for i in range(k + 1))
+    fraction = cache.brace_fact_recip(2 * k + 2) * (-num if k & 1 else num)
     try:
         value = fraction.to_poly()
     except RemainderNonzero as exc:
@@ -414,10 +404,10 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
 
         𝔮^(-2p(N^2-1)) sum_k (-1)^k c'_{k,p} c~'_{k,s/2} {N+k}!/({N-1-k}!{N})
 
-    The k-sum, sum_k (-1)^k P_k [N+k over 2k+1] with the memoised
-    P_k = c'_{k,p} _c_num(k, 2s), is collapsed once over 1/{N}.  Shares
-    only P_k, the c'/c~' single sums, with jones_half; the assembly is
-    disjoint, so exact agreement of the two routes is a strong check.
+    The k-sum, sum_k [N+k over 2k+1] P'_k with the memoised signed
+    P'_k = (-1)^k c'_{k,p} _c_num(k, 2s), is collapsed once over 1/{N}.
+    Shares only P'_k, the c'/c~' single sums, with jones_half; the assembly
+    is disjoint, so exact agreement of the two routes is a strong check.
     """
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")
@@ -425,7 +415,7 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
         raise TypeError("jones_walsh needs a half-twist knot")
     P = _p_terms(knot, N, cache)
     # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, 2s) [N+k over 2k+1] / {N}
-    num = lincomb((cache.qbinom_balanced(N + k, 2 * k + 1) * (-1) ** k, P[k]) for k in range(N))
+    num = lincomb((cache.qbinom_balanced(N + k, 2 * k + 1), P[k]) for k in range(N))
     total = (brace_recip(N) * num).to_poly()
     prefactor = LaurentPoly.monomial(-4 * knot.p * (N * N - 1))
     return JonesResult(knot, N, prefactor * total, "walsh")

@@ -14,16 +14,18 @@ from_lattice and lattice() are the one way in and out; a stored list is
 shared and never changed.
 
 Kernels.  Every kernel works on the stored lists, placed on the gcd of
-their strides.  A monomial factor scales the other list.  Other products
-below _KRONECKER_CUTOFF coefficient products (len(a) * len(b), nonzero
-terms; measured, see the README) run the loop _mul_terms; larger ones
-pack each list into one integer at A^stride = 2^(8*limb_bytes) with
+their strides, and _product is the one kernel choice, for * and lincomb.
+A monomial factor scales the other list.  Other products below
+_KRONECKER_CUTOFF coefficient products (len(a) * len(b), nonzero terms;
+measured, see the README) run the loop _mul_terms; larger ones pack each
+list into one integer at A^stride = 2^(8*limb_bytes) with
 array(...).tobytes(), multiply, and _decode the balanced limbs with one
 to_bytes and array.frombytes.  The limbs are sized from a bound on every
 product coefficient, and _decode raises OverflowError rather than return
 limbs that do not add up.  Sums and lincomb's sums of products m * x lay
-one list out from the spans and add each term as a slice; a multiplier
-of one or two terms (±A^e {n}) adds shifted, scaled slices of x.
+one list out from the spans and add each term in place as a slice: a
+factor of one or two terms (±A^e {n}) on either side as shifted, scaled
+slices of the other, any other product as the list _product returns.
 exact_div is the top-down loop _divide, the only source of
 RemainderNonzero remainders, left with the leftover Φ_d(A) of to_poly
 and arbitrary divisors; try_exact_div returns None instead.
@@ -191,6 +193,21 @@ def _mul_kronecker(a: list[int], b: list[int], terms: int) -> list[int]:
     limb_bytes = _limb_bytes(max(max(a), -min(a)) * max(max(b), -min(b)) * terms)
     prod = _pack(a, limb_bytes) * _pack(b, limb_bytes)
     return _decode(prod, len(a) + len(b) - 1, limb_bytes)
+
+
+def _product(a: LaurentPoly, b: LaurentPoly) -> tuple[int, list[int]]:
+    """(stride, coeffs) of a * b, both nonzero, from A^(a.base + b.base) on, by
+    the kernel choice of the module docstring; the list may hold zeros, and a
+    monomial 1 returns the other's stored list itself."""
+    x, y = a._coeffs, b._coeffs
+    if len(x) == 1 or len(y) == 1:
+        (c,), row, step = (x, y, b._step) if len(x) == 1 else (y, x, a._step)
+        return step, row if c == 1 else list(map(c.__mul__, row))
+    step = math.gcd(a._step, b._step)
+    ra, rb = a._step // step, b._step // step
+    if a._nz * b._nz >= _KRONECKER_CUTOFF:
+        return step, _mul_kronecker(_spread(x, ra), _spread(y, rb), min(a._nz, b._nz))
+    return step, _mul_terms(x, ra, y, rb)
 
 
 def _divide(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly]:
@@ -382,21 +399,12 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
+        if not self._coeffs or not other._coeffs:
             return _ZERO
-        base = self._base + other._base
-        if len(a) == 1 or len(b) == 1:
-            (c,), row, row_poly = (a, b, other) if len(a) == 1 else (b, a, self)
-            if c != 1:
-                row = list(map(c.__mul__, row))
-            return _new(base, row_poly._step, row, row_poly._nz)
-        step = math.gcd(self._step, other._step)
-        ra, rb = self._step // step, other._step // step
-        if self._nz * other._nz >= _KRONECKER_CUTOFF:
-            terms = min(self._nz, other._nz)
-            return _lattice(base, step, _mul_kronecker(_spread(a, ra), _spread(b, rb), terms))
-        return _lattice(base, step, _mul_terms(a, ra, b, rb))
+        step, coeffs = _product(self, other)
+        if self._nz == 1 or other._nz == 1:  # a scaled canonical list is canonical
+            return _new(self._base + other._base, step, coeffs, self._nz * other._nz)
+        return _lattice(self._base + other._base, step, coeffs)
 
     __rmul__ = __mul__
 
@@ -526,8 +534,9 @@ _ONE = _new(0, 0, [1], 1)
 
 def lincomb(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     """sum m * x over the (m, x) pairs, in one list laid out from the factors'
-    spans: a multiplier of at most two terms (such as ±A^e {n}) adds shifted,
-    scaled slices of x, a larger one adds m * x, and no product is kept."""
+    spans: a factor of at most two terms (such as ±A^e {n}), on either side,
+    adds shifted, scaled slices of the other, and each other product adds
+    the list _product returns; no product becomes a LaurentPoly."""
     pairs = [(m, x) for m, x in pairs if m and x]
     if not pairs:
         return _ZERO
@@ -537,15 +546,14 @@ def lincomb(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     out = [0] * ((top - base) // step + 1)
     fresh = True
     for m, x in pairs:
-        if m._nz > 2:
-            terms = [(0, 1, m * x)]
+        if m._nz > 2 < x._nz:
+            terms = [(m._base + x._base, 1, *_product(m, x))]
         else:
-            terms = [(e, c, x) for e, c in m.items()]
-        for shift, scale, poly in terms:
-            if poly:
-                start = (poly._base + shift - base) // step
-                _add_into(out, start, poly._step // step, scale, poly._coeffs, fresh)
-                fresh = False
+            small, row = (m, x) if m._nz <= 2 else (x, m)
+            terms = [(row._base + e, c, row._step, row._coeffs) for e, c in small.items()]
+        for start, scale, stride, coeffs in terms:
+            _add_into(out, (start - base) // step, stride // step, scale, coeffs, fresh)
+            fresh = False
     return _lattice(base, step, out)
 
 

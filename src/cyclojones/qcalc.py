@@ -101,8 +101,8 @@ class QSymbolCache:
     and ("_c_num", k, 2s, False) cyclotomic._c_num.  latest keeps the last
     key only: "r_basis" (k) skein.pairing_R_e, "d_kernel" (k, j)
     cyclotomic._d_num, "twist_kernel" (k, j) skein.twist_coeff_d and "knot"
-    (p, s), the P and G sums of cyclotomic._p_terms and _g_terms.  No hit
-    ever changes a result.
+    (p, s), a dict of the signed "P'" and twisted "F" terms of
+    cyclotomic._p_terms and _f_terms.  No hit ever changes a result.
     """
 
     def __init__(self) -> None:

@@ -20,7 +20,8 @@ import math
 import os
 import re
 import tempfile
-from operator import gt
+from itertools import takewhile
+from operator import gt, is_
 from pathlib import Path
 
 from .cyclotomic import CoeffTable, JonesResult, KnotSpec
@@ -208,7 +209,8 @@ class CoeffCache:
     Writes go through a temp file + rename.  A table is served whole or
     in part: coefficient_table evaluates every served entry at a random
     point of F_P against the paper's formula (cyclojones.point) and
-    stores the table again only when it computed more of it.  Files of
+    stores the table again, with the served entries' texts, only when it
+    computed more of it.  Files of
     another cache version, such as the per-entry h_v1_*_k*.json of
     version 1, are never read.  A directory that cannot be created,
     read or written raises CacheUnusable.
@@ -217,7 +219,7 @@ class CoeffCache:
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self._hits = 0
-        self.texts: list[str] = []  # poly_to_json texts of the entries get last served or put wrote
+        self._served, self.texts = (), []  # the entries get last served or put wrote, their texts
 
     @classmethod
     def from_env(cls, fallback: str | os.PathLike) -> CoeffCache:
@@ -231,8 +233,8 @@ class CoeffCache:
         """Store values = H_0..H_max_k as the knot's table, replacing its file."""
         import hashlib
 
-        # the values are serialized once, for the digest, the file and the printed table
-        texts = list(map(poly_to_json, values))
+        kept = len(list(takewhile(bool, map(is_, values, self._served))))
+        texts = self.texts[:kept] + list(map(poly_to_json, values[kept:]))
         text = "[" + ",".join(texts) + "]"
         payload = _head(knot, max_k, hashlib.sha256(text.encode()).hexdigest()) + text + "}\n"
         try:
@@ -247,7 +249,7 @@ class CoeffCache:
                 raise
         except OSError as exc:
             raise self._unusable(exc) from None
-        self.texts = texts
+        self._served, self.texts = tuple(values), texts
 
     def get(self, knot: KnotSpec, max_k: int) -> list[LaurentPoly] | None:
         """H_0..H_min(m, max_k) from the knot's table to k = m, or None if there is none.
@@ -293,7 +295,7 @@ class CoeffCache:
         if "[" + ",".join(texts) + "]" != values_text:
             raise CacheMismatch(f"malformed value in {path}: an entry is not poly_to_json's text")
         del served[max_k + 1:], texts[max_k + 1:]
-        self.texts = texts
+        self._served, self.texts = tuple(served), texts
         self._hits += 1
         return served
 

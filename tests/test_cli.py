@@ -95,11 +95,23 @@ def test_coeffs_jones_outputs_match_reference_digests(capsys):
 MAX_K_24_DIGEST = "b0e884f09b1114b590926373a6333e17c8e875d77de2ceb3688bcc8e55c77e28"
 
 
+# and at max_k 32, recorded before lincomb added its products in place: the
+# k-sum's Kronecker products there pack wider limbs than any request above
+MAX_K_32_DIGEST = "f238c4198ecd53f2fbb1379165679369f3786118f203b7885a6a196ab5540851"
+
+
 def test_large_half_twist_table_matches_its_recorded_digest(capsys):
     request = "coeffs --p -3 --s 5 --max-k 24 --no-cache --format json"
     code, out, err = run_cli(capsys, *request.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == MAX_K_24_DIGEST
+
+
+def test_max_k_32_half_twist_table_matches_its_recorded_digest(capsys):
+    request = "coeffs --p -3 --s 5 --max-k 32 --no-cache --format json"
+    code, out, err = run_cli(capsys, *request.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == MAX_K_32_DIGEST
 
 
 # SHA-256 of the csv, latex and text outputs of two requests, recorded before the
@@ -633,6 +645,18 @@ def test_a_json_table_is_serialized_once_cold_and_never_warm(capsys, tmp_path, m
     assert len(calls) == 9
     calls.clear()
     assert _coeffs(capsys, tmp_path, 8) == cold and calls == []
+
+
+def test_a_grown_table_serializes_only_its_new_entries(capsys, tmp_path, monkeypatch):
+    # the served prefix H_0..H_3 keeps the texts get vetted; the file and the
+    # printed table are the bytes a cold request writes and prints
+    _coeffs(capsys, tmp_path, 3)
+    calls = _poly_to_json_calls(monkeypatch)
+    grown = _coeffs(capsys, tmp_path, 6)
+    assert len(calls) == 3
+    (path,) = tmp_path.iterdir()
+    assert grown == _coeffs(capsys, tmp_path / "fresh", 6)
+    assert path.read_bytes() == (tmp_path / "fresh" / path.name).read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "text"])

@@ -245,13 +245,26 @@ def test_knot_memo_holds_one_knot():
             assert h_coeff_half(k, knot, shared) == h_coeff_half(k, knot, QSymbolCache())
     key, memo = shared.coefficients["knot"]
     assert key == (second.p, second.s)
-    assert set(memo) == {"P", "G"}
-    assert len(memo["P"]) == len(memo["G"]) == 5  # rebuilt from k = 0 for H_4
-    # jones_walsh of another knot replaces the slot with that knot's P_j alone
+    assert set(memo) == {"P'", "F"}
+    assert len(memo["P'"]) == len(memo["F"]) == 5  # rebuilt from k = 0 for H_4
+    # jones_walsh of another knot replaces the slot with that knot's P'_j alone
     jones_walsh(4, first, shared)
     key, memo = shared.coefficients["knot"]
     assert key == (first.p, first.s)
-    assert set(memo) == {"P"}
+    assert set(memo) == {"P'"}
+
+
+def test_h_coeff_half_builds_no_product_per_term(monkeypatch):
+    # with the knot's terms in the slot, the k-sum adds the stored binomial
+    # rows against F_i in place: the one product left is the fraction's
+    knot, cache = KnotSpec.half(-3, 5), QSymbolCache()
+    warm = [h_coeff_half(k, knot, cache) for k in range(9)]
+    products, mul = [], LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    for k in (2, 8):
+        products.clear()
+        assert h_coeff_half(k, knot, cache) == warm[k]
+        assert len(products) == 1, k
 
 
 def _spy(monkeypatch, name):

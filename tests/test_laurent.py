@@ -495,23 +495,31 @@ def test_equal_polynomials_built_by_different_routes_are_equal(a, b):
 
 @st.composite
 def lincomb_pairs(draw) -> list[tuple[LaurentPoly, LaurentPoly]]:
-    """(multiplier, polynomial) pairs: multipliers of one, two (some ±A^e {n})
-    and three or more terms with coefficients ±1 or larger, on shifted
-    lattices with negative exponents; some lists end with the negation of
-    the pairs before them, so that their sum cancels to zero."""
+    """(multiplier, polynomial) pairs: multipliers of one, two (some ±A^e {n}),
+    three or more, and 200 or more terms, the last against a monomial, the
+    others against polynomials of one, two or many terms, with coefficients
+    ±1 or larger, on lattices of mixed strides (A -> A^3 on some) shifted to
+    negative exponents; some lists end with the negation of the pairs before
+    them, so that their sum cancels to zero."""
     pairs = []
     for _ in range(draw(st.integers(0, 6))):
-        shape = draw(st.sampled_from(("one", "brace", "two", "many")))
+        shape = draw(st.sampled_from(("one", "brace", "two", "many", "wide")))
         e = draw(st.integers(-40, 40))
         if shape == "one":
             m = A(e, draw(st.sampled_from((1, -1, 3, -(2**70)))))
         elif shape == "brace":
             n = draw(st.integers(1, 12))
             m = A(e, draw(st.sampled_from((1, -1)))) * (A(2 * n) - A(-2 * n))
+        elif shape == "wide":  # every coefficient nonzero: 200 or more terms
+            rng, n = draw(st.randoms(use_true_random=False)), draw(st.integers(200, 240))
+            coeffs = [rng.choice((-1, 1)) * rng.randint(1, 2**64) for _ in range(n)]
+            m = LaurentPoly.from_lattice(e, draw(st.sampled_from((1, 2, 3))), coeffs)
         else:
             m = LaurentPoly(draw(lattice_polys(2 if shape == "two" else draw(st.integers(3, 12)))))
             m = m * A(e)
-        pairs.append((m, LaurentPoly(draw(lattice_polys(draw(st.integers(1, 120)))))))
+        size = 1 if shape == "wide" else draw(st.sampled_from((1, 2, draw(st.integers(3, 120)))))
+        x = LaurentPoly(draw(lattice_polys(size))).substitute_power(draw(st.sampled_from((1, 3))))
+        pairs.append((m, x))
     if pairs and draw(st.booleans()):
         pairs += [(-m, x) for m, x in pairs]
     return pairs
@@ -535,6 +543,21 @@ def test_lincomb_matches_products_and_sums(pairs):
     # the operands are left as they were, and so is the shared zero
     assert [(dict(m.items()), dict(x.items())) for m, x in pairs] == snapshot
     assert LaurentPoly.zero().is_zero
+
+
+def test_lincomb_adds_every_shape_of_product():
+    # a wide multiplier against a monomial, and three or more terms against
+    # one, two and many, on strides 1, 2 and 3 at odd offsets
+    wide = LaurentPoly.from_lattice(-301, 3, [(-1) ** i * (i + 2**65) for i in range(230)])
+    many = LaurentPoly({-7: 5, -5: -(2**90), 1: 3, 3: 1})
+    xs = [A(-9, -4), A(4) - A(-2, 7), LaurentPoly({2 * i - 11: i * i - 40 for i in range(60)})]
+    pairs = [(wide, A(17, 3))] + [(many, x) for x in xs] + [(x, many) for x in xs]
+    reference: dict[int, int] = {}
+    for m, x in pairs:
+        reference = _ref_add(reference, _ref_mul(_terms(m), _terms(x)))
+    total = laurent.lincomb(pairs)
+    assert _terms(total) == reference
+    _assert_canonical(total)
 
 
 def test_lincomb_cancelling_and_empty_sums_are_zero():

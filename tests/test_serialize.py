@@ -133,6 +133,16 @@ def test_a_cache_file_of_the_previous_reader_is_served_unchanged(tmp_path, capsy
     assert (tmp_path / name).read_bytes() == before
 
 
+def test_put_reuses_only_the_texts_of_the_entries_get_served(tmp_path, cache):
+    store, knot = CoeffCache(tmp_path), KnotSpec.half(2, 1)
+    store.put(knot, 3, _table(knot, 3, cache))
+    served = store.get(knot, 3)
+    changed = served[:1] + [served[1] + 1] + served[2:]  # the served H_0, then a changed H_1
+    store.put(knot, 3, changed)
+    assert store.texts == list(map(poly_to_json, changed))
+    assert store.get(knot, 3) == changed
+
+
 def test_serialize_rejects_an_unknown_format_or_value(cache):
     with pytest.raises(ValueError):
         serialize(coefficient_table(KnotSpec.half(2, 1), 1, cache), "xml")
