@@ -54,7 +54,6 @@ _LAZY = {
         "multisum_c_prime",
         "multisum_c_tilde",
         "multisum_d",
-        "shifted_unit_pair",
         "squared_pair",
         "unit_pair",
         "verify_bailey_pair",

@@ -5,8 +5,10 @@ A Bailey pair relative to x = q^x_exp is a pair of sequences related by
     beta_k = sum_{j=0}^{k} alpha_j / ((q;q)_{k-j} (xq;q)_{k+j})
 
 The chain step alpha'_k = x^k q^(k^2) alpha_k,
-beta'_k = sum_j x^j q^(j^2) beta_j / (q;q)_{k-j} produces a new pair;
-iterating it yields the multi-sum closed forms for the cyclotomic
+beta'_k = sum_j x^j q^(j^2) beta_j / (q;q)_{k-j} produces a new pair
+(the Bailey lemma, checked as the pair check of a chained pair);
+iterating it from the unit pairs (unit_pair, one family in x) yields the
+multi-sum closed forms for the cyclotomic
 coefficients — the second computation route, and the one that makes
 integrality visible (Gaussian binomials and monomials only).
 """
@@ -39,25 +41,34 @@ class BaileyPair(Record):
     label: str
 
 
-def unit_pair(cache: QSymbolCache) -> BaileyPair:
-    """The classical unit pair relative to x = q:
+def unit_pair(cache: QSymbolCache, x_exp: int = 1) -> BaileyPair:
+    """The unit pair relative to x = q^x_exp, x_exp >= 1:
 
-        alpha_k = (-1)^k q^(k(3k+1)/2) (1 - q^(2k+1))/(1 - q)
-        beta_k  = 1/(q;q)_k
+        alpha_l = (-1)^l q^(l^2 + x_exp l + l(l-1)/2) (1 - q^(2l+x_exp))
+                  (q^(l+1);q)_{x_exp-1} / (q;q)_{x_exp}
+        beta_l  = 1/(q;q)_l
+
+    At x_exp = 1 this is the classical pair, alpha_l = (-1)^l q^(l(3l+1)/2)
+    (1 - q^(2l+1))/(1 - q); at x_exp = 2j + 2 it underlies multisum_d.
     """
+    if x_exp < 1:
+        raise IndexOutOfRange("x_exp must be >= 1")
 
     @functools.cache
-    def alpha(k: int) -> LaurentFraction:
-        num = LaurentPoly.monomial(2 * k * (3 * k + 1), -1 if k & 1 else 1) * (
-            _ONE - LaurentPoly.monomial(4 * (2 * k + 1))
+    def alpha(l: int) -> LaurentFraction:
+        q_exp = l * l + x_exp * l + l * (l - 1) // 2
+        num = (
+            LaurentPoly.monomial(4 * q_exp, -1 if l & 1 else 1)
+            * (_ONE - LaurentPoly.monomial(4 * (2 * l + x_exp)))
+            * cache.pochhammer(l + 1, x_exp - 1)
         )
-        return cache.pochhammer_recip(1, 1) * num
+        return cache.pochhammer_recip(1, x_exp) * num
 
     @functools.cache
-    def beta(k: int) -> LaurentFraction:
-        return cache.pochhammer_recip(1, k)
+    def beta(l: int) -> LaurentFraction:
+        return cache.pochhammer_recip(1, l)
 
-    return BaileyPair(alpha, beta, 1, "unit")
+    return BaileyPair(alpha, beta, x_exp, "unit" if x_exp == 1 else f"unit({x_exp})")
 
 
 def squared_pair(cache: QSymbolCache) -> BaileyPair:
@@ -79,38 +90,6 @@ def squared_pair(cache: QSymbolCache) -> BaileyPair:
         return recip * recip
 
     return BaileyPair(alpha, beta, 1, "squared")
-
-
-def shifted_unit_pair(shift: int, cache: QSymbolCache) -> BaileyPair:
-    """Unit-type pair relative to x = q^(2*shift+2):
-
-        alpha_l = (-1)^l q^(l^2 + (2shift+2)l + l(l-1)/2)
-                  (1 - q^(2l+2shift+2)) (q;q)_{2shift+l+1}
-                  / ((q;q)_l (q;q)_{2shift+2})
-        beta_l  = 1/(q;q)_l
-
-    This is the internal verification path behind the multi-sum form of
-    the d coefficients.
-    """
-    if shift < 0:
-        raise IndexOutOfRange("shift must be >= 0")
-    x_exp = 2 * shift + 2
-
-    @functools.cache
-    def alpha(l: int) -> LaurentFraction:
-        q_exp = l * l + x_exp * l + l * (l - 1) // 2
-        num = (
-            LaurentPoly.monomial(4 * q_exp, -1 if l & 1 else 1)
-            * (_ONE - LaurentPoly.monomial(4 * (2 * l + x_exp)))
-            * cache.pochhammer(1, 2 * shift + l + 1)
-        )
-        return cache.pochhammer_recip(1, l) * cache.pochhammer_recip(1, x_exp) * num
-
-    @functools.cache
-    def beta(l: int) -> LaurentFraction:
-        return cache.pochhammer_recip(1, l)
-
-    return BaileyPair(alpha, beta, x_exp, f"shifted-unit({shift})")
 
 
 def beta_from_alpha(pair: BaileyPair, k: int, cache: QSymbolCache) -> LaurentFraction:
@@ -166,25 +145,17 @@ def bailey_lemma_check(pair: BaileyPair, k: int, cache: QSymbolCache) -> bool:
     return k not in bailey_lemma_failures(pair, k, cache)
 
 
-def bailey_lemma_failures(pair: BaileyPair, top: int, cache: QSymbolCache) -> list[int]:
-    """The k <= top at which bailey_lemma_check(pair, k) fails.
+def bailey_lemma_failures(pair: BaileyPair, top: int, cache: QSymbolCache) -> tuple[int, ...]:
+    """The k <= top at which bailey_lemma_check(pair, k) fails: the pair
+    check of the chain step of (alpha, beta_from_alpha(pair, .)).
 
-    Each beta_from_alpha(pair, j) of the right side is computed once and
-    shared by every k >= j; the list lives here, not in the cache, where a
-    key holding the pair would tie the cache to itself through a chained
-    pair's closures.
+    Each beta_from_alpha(pair, j) is computed once, in a memo local to the
+    call, not in the cache, where a key holding the pair would tie the cache
+    to itself through a chained pair's closures.
     """
-    chained = chain_step(pair, cache)
-    betas, failures = [], []
-    for k in range(top + 1):
-        betas.append(beta_from_alpha(pair, k, cache))
-        rhs = LaurentFraction(_ZERO)
-        for j in range(k + 1):
-            weight = LaurentPoly.monomial(4 * (pair.x_exp * j + j * j))
-            rhs = rhs + betas[j] * cache.pochhammer_recip(1, k - j) * weight
-        if beta_from_alpha(chained, k, cache) != rhs:
-            failures.append(k)
-    return failures
+    betas = functools.cache(lambda j: beta_from_alpha(pair, j, cache))
+    derived = BaileyPair(pair.alpha, betas, pair.x_exp, pair.label)
+    return verify_bailey_pair(chain_step(derived, cache), top, cache)
 
 
 def _descending_tails(bound: int, length: int) -> Iterator[tuple[int, ...]]:

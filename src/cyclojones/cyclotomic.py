@@ -32,7 +32,7 @@ c'_{k,p} depends on one twist and not on the knot: every knot with p
 (or r) in a twist region shares it.  It lives in the cache's coefficient
 store (QSymbolCache.coefficients) for as long as the cache, so a run
 over many knots on one cache computes each c'_{k,p} once; so does the
-numerator _c_num(j, 2s) of c~'_j, shared by every knot with s.
+numerator _c_num(j, s) of c~'_j, shared by every knot with s.
 """
 
 from __future__ import annotations
@@ -140,10 +140,10 @@ def _c_sum(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> La
     return LaurentPoly.from_lattice(low, 4, out)
 
 
-def _c_num(k: int, twist_exp: int, alternating: bool, cache: QSymbolCache) -> LaurentPoly:
-    """{k}! times _c_sum, the numerator over {2k+1}!, kept in the cache."""
-    return cache.memo(("_c_num", k, twist_exp, alternating),
-                      lambda: cache.brace_fact(k) * _c_sum(k, twist_exp, alternating, cache))
+def _c_num(k: int, s: int, cache: QSymbolCache) -> LaurentPoly:
+    """{k}! times the c~'_{k,s/2} sum, its numerator over {2k+1}!, kept in the cache."""
+    return cache.memo(("_c_num", k, s),
+                      lambda: cache.brace_fact(k) * _c_sum(k, 2 * s, False, cache))
 
 
 def c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
@@ -173,7 +173,7 @@ def c_tilde_prime(k: int, s: int, cache: QSymbolCache) -> LaurentFraction:
         raise IndexOutOfRange("coefficient index must be >= 0")
     if s % 2 == 0:
         raise ValueError("half twist count s must be odd")
-    return cache.brace_fact_recip(2 * k + 1) * _c_num(k, 2 * s, False, cache)
+    return cache.brace_fact_recip(2 * k + 1) * _c_num(k, s, cache)
 
 
 def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
@@ -223,12 +223,12 @@ def _require_even(poly: LaurentPoly, what: str) -> LaurentPoly:
 
 
 def _p_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
-    """The first n of the signed P'_j = (-1)^j c'_{j,p} _c_num(j, 2s), kept
+    """The first n of the signed P'_j = (-1)^j c'_{j,p} _c_num(j, s), kept
     under "P'" in the cache's "knot" slot, which holds the last knot asked for."""
     P = cache.latest("knot", (knot.p, knot.s), dict).setdefault("P'", [])
     while len(P) < n:
         j = len(P)
-        P.append(c_prime(j, knot.p, cache) * _c_num(j, 2 * knot.s, False, cache) * (-1) ** j)
+        P.append(c_prime(j, knot.p, cache) * _c_num(j, knot.s, cache) * (-1) ** j)
     return P
 
 
@@ -248,7 +248,7 @@ def _f_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
 def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     """H_k(K(p, s/2)) = (-1)^k sum_{j=0}^{k} d_{k,j,p} c'_{j,p} c~'_{j,s/2}.
 
-    With d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, 2s) / {2k+2}! (_d_num)
+    With d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, s) / {2k+2}! (_d_num)
     and the i-sum of N_{k,j} taken outside, the numerator over {2k+2}! is
 
         (-1)^k sum_{i=0}^{k} [2k+2 over k-i] F_i
@@ -405,7 +405,7 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
         𝔮^(-2p(N^2-1)) sum_k (-1)^k c'_{k,p} c~'_{k,s/2} {N+k}!/({N-1-k}!{N})
 
     The k-sum, sum_k [N+k over 2k+1] P'_k with the memoised signed
-    P'_k = (-1)^k c'_{k,p} _c_num(k, 2s), is collapsed once over 1/{N}.
+    P'_k = (-1)^k c'_{k,p} _c_num(k, s), is collapsed once over 1/{N}.
     Shares only P'_k, the c'/c~' single sums, with jones_half; the assembly
     is disjoint, so exact agreement of the two routes is a strong check.
     """
@@ -414,7 +414,7 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
     if not knot.is_half:
         raise TypeError("jones_walsh needs a half-twist knot")
     P = _p_terms(knot, N, cache)
-    # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, 2s) [N+k over 2k+1] / {N}
+    # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, s) [N+k over 2k+1] / {N}
     num = lincomb((cache.qbinom_balanced(N + k, 2 * k + 1), P[k]) for k in range(N))
     total = (brace_recip(N) * num).to_poly()
     prefactor = LaurentPoly.monomial(-4 * knot.p * (N * N - 1))

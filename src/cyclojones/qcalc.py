@@ -98,7 +98,7 @@ class QSymbolCache:
     computed values by owner; only memo and latest write it.  memo keeps one
     per key for as long as the cache: ("qbinom", n, min(i, n - i)) qbinom,
     ("t_coeff", k, i) skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime
-    and ("_c_num", k, 2s, False) cyclotomic._c_num.  latest keeps the last
+    and ("_c_num", k, s) cyclotomic._c_num.  latest keeps the last
     key only: "r_basis" (k) skein.pairing_R_e, "d_kernel" (k, j)
     cyclotomic._d_num, "twist_kernel" (k, j) skein.twist_coeff_d and "knot"
     (p, s), a dict of the signed "P'" and twisted "F" terms of

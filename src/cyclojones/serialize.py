@@ -7,10 +7,11 @@ bit-exact regardless of display choices):
 
 terms strictly descending by integer exponent, coefficients nonzero
 canonical decimal strings, str(int(c)) == c (arbitrary precision survives
-every JSON consumer), written canonically
-(sorted keys, no spaces) off the stored list by poly_to_json and read back
-by poly_from_obj alone.  A cache file holds a knot's table of such
-polynomials under a cache-version header and a content digest.
+every JSON consumer), written canonically (sorted keys, no spaces) off
+the stored list by poly_to_json.  A reader takes only that text: it must
+match _POLY_JSON, and _poly_from_terms then checks the order and places
+the terms.  A cache file holds a knot's table of such polynomials under
+a cache-version header and a content digest.
 """
 
 from __future__ import annotations
@@ -60,26 +61,14 @@ def poly_to_json(poly: LaurentPoly) -> str:
     return f'{{"terms":[{terms}],"variable":"A"}}'
 
 
-def poly_from_obj(obj: dict, bound: int | None = None) -> LaurentPoly:
-    """The polynomial of a parsed poly_to_json object, its terms placed on
-    their lattice.  An exponent that is not a JSON integer, a coefficient
-    that is not a canonical decimal string, exponents not strictly
-    descending, a zero coefficient, and with a bound an exponent beyond
-    ±bound raise ValueError before the list is laid out."""
-    try:
-        variable, terms = obj["variable"], obj["terms"]
-        exponents, texts = [e for e, _ in terms], [c for _, c in terms]
-        if not all(type(e) is int for e in exponents):  # not a float, a bool or a string
-            raise TypeError
-        coeffs = list(map(int, texts))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValueError("is not a polynomial object of integer terms") from None
-    if list(map(str, coeffs)) != texts:
-        raise ValueError("has a coefficient that is not a canonical decimal string")
-    if variable != "A":
-        raise ValueError(f"has unsupported polynomial variable {variable!r}")
-    if not all(map(gt, exponents, exponents[1:])) or 0 in coeffs:
-        raise ValueError("has exponents out of strictly descending order or a zero coefficient")
+def _poly_from_terms(terms: list, bound: int | None = None) -> LaurentPoly:
+    """The polynomial of the parsed terms of a text that matched _POLY_JSON,
+    placed on their lattice.  Exponents not strictly descending, and with
+    a bound an exponent beyond ±bound, raise ValueError before the list is
+    laid out."""
+    exponents = [e for e, _ in terms]
+    if not all(map(gt, exponents, exponents[1:])):
+        raise ValueError("has exponents out of strictly descending order")
     if not exponents:
         return LaurentPoly.zero()
     top, base = exponents[0], exponents[-1]
@@ -87,13 +76,16 @@ def poly_from_obj(obj: dict, bound: int | None = None) -> LaurentPoly:
         raise ValueError(f"exceeds ±{bound}, the bound of its exponents")
     step = math.gcd(*[e - base for e in exponents]) or 1
     dense = [0] * ((top - base) // step + 1)
-    for e, c in zip(exponents, coeffs):
-        dense[(e - base) // step] = c
+    for e, c in terms:
+        dense[(e - base) // step] = int(c)
     return LaurentPoly.from_lattice(base, step, dense)
 
 
 def poly_from_json(text: str) -> LaurentPoly:
-    return poly_from_obj(json.loads(text))
+    """The polynomial of a poly_to_json text; any other text raises ValueError."""
+    if not re.fullmatch(_POLY_JSON, text):
+        raise ValueError("is not poly_to_json's text")
+    return _poly_from_terms(json.loads(text)["terms"])
 
 
 def poly_to_latex(poly: LaurentPoly, display: str = "𝔮") -> str:
@@ -255,9 +247,9 @@ class CoeffCache:
         """H_0..H_min(m, max_k) from the knot's table to k = m, or None if there is none.
 
         The file is vetted (knot, length, layout, the digest of the stored
-        values text) before any polynomial is built, each entry by
-        poly_from_obj (order, nonzero coefficients, exponent bound) before
-        its list is laid out, and each entry text against _POLY_JSON."""
+        values text, each entry text against _POLY_JSON) before any
+        polynomial is built, and each entry's parsed terms by
+        _poly_from_terms (order, exponent bound) before its list is laid out."""
         import hashlib
 
         path = self._path(knot)
@@ -268,7 +260,7 @@ class CoeffCache:
             return None
         except OSError as exc:
             raise self._unusable(exc) from None
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
+        except (ValueError, RecursionError) as exc:  # invalid or too deeply nested JSON or UTF-8
             raise CacheMismatch(f"unreadable cache file {path}: {exc}") from None
         if not isinstance(obj, dict):
             raise CacheMismatch(f"cache file {path} is not a JSON object")
@@ -285,15 +277,15 @@ class CoeffCache:
         values_text = text[len(head):-2]
         if digest != hashlib.sha256(values_text.encode()).hexdigest():
             raise CacheMismatch(f"digest mismatch in {path}")
-        served = []
-        for k, value in enumerate(values):  # their form; coefficient_table checks their values
-            try:
-                served.append(poly_from_obj(value, exponent_bound(knot, k)))
-            except ValueError as exc:
-                raise CacheMismatch(f"malformed value in {path}: k={k} {exc}") from None
         texts = re.findall(_POLY_JSON, values_text)
         if "[" + ",".join(texts) + "]" != values_text:
             raise CacheMismatch(f"malformed value in {path}: an entry is not poly_to_json's text")
+        served = []
+        for k, value in enumerate(values):  # their form; coefficient_table checks their values
+            try:
+                served.append(_poly_from_terms(value["terms"], exponent_bound(knot, k)))
+            except ValueError as exc:
+                raise CacheMismatch(f"malformed value in {path}: k={k} {exc}") from None
         del served[max_k + 1:], texts[max_k + 1:]
         self._served, self.texts = tuple(served), texts
         self._hits += 1

@@ -403,7 +403,7 @@ def check_bailey_pairs(grid: VerifyGrid, cache: QSymbolCache):
         failures = bailey.verify_bailey_pair(pair, grid.bailey_k, cache)
         yield (pair.label, failures), not failures
     for shift in range(3):
-        failures = bailey.verify_bailey_pair(bailey.shifted_unit_pair(shift, cache), 8, cache)
+        failures = bailey.verify_bailey_pair(bailey.unit_pair(cache, 2 * shift + 2), 8, cache)
         yield (f"shifted({shift})", failures), not failures
 
 

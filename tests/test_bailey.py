@@ -1,6 +1,7 @@
 import pytest
 
 from cyclojones import (
+    IndexOutOfRange,
     LaurentFraction,
     LaurentPoly,
     QSymbolCache,
@@ -14,7 +15,6 @@ from cyclojones import (
     multisum_c_prime,
     multisum_c_tilde,
     multisum_d,
-    shifted_unit_pair,
     squared_pair,
     unit_pair,
     verify_bailey_pair,
@@ -84,8 +84,27 @@ def test_squared_pair_verifies(cache):
 
 def test_shifted_pair_verifies(cache):
     for shift in range(3):
-        failures = verify_bailey_pair(shifted_unit_pair(shift, cache), 8, cache)
+        failures = verify_bailey_pair(unit_pair(cache, 2 * shift + 2), 8, cache)
         assert not failures, (shift, failures)
+    with pytest.raises(IndexOutOfRange):
+        unit_pair(cache, 0)
+
+
+def test_unit_family_matches_the_formulas_it_replaces(cache):
+    # x = q: (-1)^l q^(l(3l+1)/2) (1 - q^(2l+1))/(1 - q), numerator and denominator alike
+    for l in range(13):
+        alpha = unit_pair(cache).alpha(l)
+        num = A(2 * l * (3 * l + 1), -1 if l & 1 else 1) * (1 - A(4 * (2 * l + 1)))
+        expect = cache.pochhammer_recip(1, 1) * num
+        assert alpha.num == expect.num and alpha.den == expect.den, l
+    # x = q^(2j+2): the shifted pair's own formula, over (q;q)_l (q;q)_x
+    for x in (2, 4, 6):
+        pair = unit_pair(cache, x)
+        for l in range(9):
+            num = A(4 * (l * l + x * l + l * (l - 1) // 2), -1 if l & 1 else 1)
+            num = num * (1 - A(4 * (2 * l + x))) * cache.pochhammer(1, x + l - 1)
+            shifted = cache.pochhammer_recip(1, l) * cache.pochhammer_recip(1, x) * num
+            assert pair.alpha(l) == shifted, (x, l)
 
 
 def test_broken_pair_is_reported(cache):
@@ -127,7 +146,7 @@ def test_bailey_lemma(cache):
 def test_shifted_pair_feeds_multisum_d(cache):
     # beta reproduction for the x = q^(2j+2) pair underlies multisum_d
     for shift in range(3):
-        pair = shifted_unit_pair(shift, cache)
+        pair = unit_pair(cache, 2 * shift + 2)
         for k in range(6):
             assert beta_from_alpha(pair, k, cache) == pair.beta(k)
     # pinned regression: the k=1, j=0 case fixes the (-1)^(k-j) prefactor

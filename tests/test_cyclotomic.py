@@ -296,10 +296,8 @@ def test_jones_both_routes_compute_each_p_term_once(monkeypatch, capsys):
     assert main(["jones", "--p", "2", "--s", "1", "--N", "16", "--route", "both"]) == 0
     capsys.readouterr()
     assert c_calls == Counter({(j, 2): 1 for j in range(16)})
-    # _c_num(j, 2s, False): the c~' numerator of P_j, once per j
-    assert Counter({a: n for a, n in num_calls.items() if not a[2]}) == Counter(
-        {(j, 2, False): 1 for j in range(16)}
-    )
+    # _c_num(j, s): the c~' numerator of P_j, once per j
+    assert num_calls == Counter({(j, 1): 1 for j in range(16)})
 
 
 def test_integrality_check_divides_each_c_prime_once(monkeypatch):
@@ -508,7 +506,7 @@ def test_multisum_d_check_keeps_one_d_kernel(monkeypatch):
 
 
 def test_half_twist_knots_on_one_cache_equal_per_knot_caches():
-    # the c~' numerators _c_num(j, 2s) are shared by every knot with the same s
+    # the c~' numerators _c_num(j, s) are shared by every knot with the same s
     from cyclojones.verify import VerifyGrid
 
     grid = VerifyGrid()
@@ -519,4 +517,4 @@ def test_half_twist_knots_on_one_cache_equal_per_knot_caches():
         fresh = QSymbolCache()
         for k in range(grid.max_k + 1):
             assert h_coeff_half(k, knot, shared) == h_coeff_half(k, knot, fresh), (knot, k)
-    assert {key[2] for key in shared.coefficients if key[0] == "_c_num"} == {2, 6, 10}
+    assert {key[2] for key in shared.coefficients if key[0] == "_c_num"} == {1, 3, 5}

@@ -14,7 +14,6 @@ from cyclojones.serialize import (
     CoeffCache,
     knot_to_obj,
     poly_from_json,
-    poly_from_obj,
     poly_to_json,
     serialize,
 )
@@ -51,11 +50,11 @@ def test_writer_is_the_canonical_json_of_the_term_tree_and_the_reader_inverts_it
     tree = {"variable": "A", "terms": [[e, str(c)] for e, c in sorted(poly.items(), reverse=True)]}
     text = poly_to_json(poly)
     assert text == json.dumps(tree, sort_keys=True, separators=(",", ":"))
-    assert poly_from_obj(json.loads(text)) == poly
+    assert poly_from_json(text) == poly
 
 
-_ORDER = "has exponents out of strictly descending order or a zero coefficient"
-_CANONICAL = "has a coefficient that is not a canonical decimal string"
+_ORDER = "k=1 has exponents out of strictly descending order"
+_GRAMMAR = "an entry is not poly_to_json's text"
 
 
 @pytest.mark.parametrize(
@@ -64,16 +63,16 @@ _CANONICAL = "has a coefficient that is not a canonical decimal string"
         ([[0, "1"], [4, "2"]], _ORDER),  # ascending
         ([[4, "1"], [0, "2"], [8, "1"]], _ORDER),  # unsorted
         ([[4, "1"], [4, "2"], [0, "1"]], _ORDER),  # a repeated exponent
-        ([[4, "1"], [2, "0"], [0, "1"]], _ORDER),  # a zero coefficient
-        ([[0, "0"]], _ORDER),
-        ([[float("inf"), "1"]], "is not a polynomial object"),  # JSON's Infinity
-        ([[1.5, "1"]], "is not a polynomial object"),  # once read as exponent 1
-        ([[True, "1"]], "is not a polynomial object"),  # once read as exponent 1
-        ([["3", "1"]], "is not a polynomial object"),  # once read as exponent 3
-        ([[0, 2.9]], _CANONICAL),  # once read as 2
-        ([[0, 5]], _CANONICAL),  # a JSON number, not a string
-        ([[0, "1_000"]], _CANONICAL),  # once read as 1000
-        ([[0, " 7 "]], _CANONICAL),  # once read as 7
+        ([[4, "1"], [2, "0"], [0, "1"]], _GRAMMAR),  # a zero coefficient
+        ([[0, "0"]], _GRAMMAR),
+        ([[float("inf"), "1"]], _GRAMMAR),  # JSON's Infinity
+        ([[1.5, "1"]], _GRAMMAR),  # once read as exponent 1
+        ([[True, "1"]], _GRAMMAR),  # once read as exponent 1
+        ([["3", "1"]], _GRAMMAR),  # once read as exponent 3
+        ([[0, 2.9]], _GRAMMAR),  # once read as 2
+        ([[0, 5]], _GRAMMAR),  # a JSON number, not a string
+        ([[0, "1_000"]], _GRAMMAR),  # once read as 1000
+        ([[0, " 7 "]], _GRAMMAR),  # once read as 7
     ],
     ids=["ascending", "unsorted", "repeated", "zero", "zero-monomial", "infinite", "float-exponent",
          "bool-exponent", "string-exponent", "float-coefficient", "number-coefficient",
@@ -84,23 +83,21 @@ def test_reader_refuses_all_but_the_writers_form(tmp_path, terms, reason):
     # OverflowError of an infinite exponent escape; a valid digest does not
     # make such an entry servable
     value = {"variable": "A", "terms": terms}
-    with pytest.raises(ValueError, match=reason):
-        poly_from_obj(value)
+    with pytest.raises(ValueError):
+        poly_from_json(json.dumps(value, sort_keys=True, separators=(",", ":")))
     knot = KnotSpec.half(2, 1)
     values = [{"variable": "A", "terms": [[0, "1"]]}, value]
     obj = {"cache": 2, "knot": knot_to_obj(knot), "k": 1, "values": values,
            "digest": _digest_of(values)}
     store = CoeffCache(tmp_path)
     store._path(knot, 1).write_text(_as_put_writes(obj))
-    with pytest.raises(CacheMismatch, match=f"malformed value in .*: k=1 {reason}"):
+    with pytest.raises(CacheMismatch, match=f"malformed value in .*: {reason}"):
         store.get(knot, 1)
 
 
 @pytest.mark.parametrize("far", [10**7, -(10**7)])
 def test_reader_refuses_an_exponent_beyond_the_bound_at_either_end(tmp_path, far):
     terms = sorted([[far, "1"], [1, "1"], [0, "1"]], reverse=True)
-    with pytest.raises(ValueError, match="exceeds ±480"):
-        poly_from_obj({"variable": "A", "terms": terms}, 480)
     knot = KnotSpec.half(2, 1)
     values = [{"variable": "A", "terms": [[0, "1"]]}, {"variable": "A", "terms": terms}]
     obj = {"cache": 2, "knot": knot_to_obj(knot), "k": 1, "values": values,
@@ -293,9 +290,11 @@ def test_put_writes_the_two_pass_bytes(tmp_path, cache):
     ids=["space", "key-order", "minus-zero", "escape", "extra-key", "repeated-key"],
 )
 def test_an_entry_not_written_as_poly_to_json_writes_it_is_refused(tmp_path, entry):
-    # poly_from_obj reads each as H_0 = 1, and the digest is of the values text as
-    # stored; served entry texts are printed as they are, so only the writer's are served
-    assert poly_from_obj(json.loads(entry)) == LaurentPoly.one()
+    # JSON reads each as H_0 = 1, and the digest is of the values text as stored;
+    # served entry texts are printed as they are, so only the writer's are served
+    assert json.loads(entry)["terms"] == [[0, "1"]]
+    with pytest.raises(ValueError, match="is not poly_to_json's text"):
+        poly_from_json(entry)
     knot = KnotSpec.half(2, 1)
     values_text = f"[{entry}]"
     head = {"cache": 2, "digest": hashlib.sha256(values_text.encode()).hexdigest(), "k": 0,
@@ -363,6 +362,19 @@ def test_cache_invalid_json_is_a_mismatch(tmp_path, payload):
     path.write_bytes(payload) if isinstance(payload, bytes) else path.write_text(payload)
     with pytest.raises(CacheMismatch):
         store.get(knot, 0)
+
+
+def test_a_deeply_nested_cache_file_is_a_mismatch(tmp_path, capsys):
+    # json.loads ends such a file in RecursionError, not ValueError
+    from cyclojones.cli import main
+
+    knot = KnotSpec.half(1, 1)
+    CoeffCache(tmp_path)._path(knot).write_text("[" * 100000)
+    with pytest.raises(CacheMismatch, match="unreadable cache file .*maximum recursion depth"):
+        CoeffCache(tmp_path).get(knot, 2)
+    assert main(["coeffs", "--p", "1", "--s", "1", "--max-k", "2",
+                 "--cache-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: unreadable cache file")
 
 
 def test_exponent_bound_holds_every_table_entry(cache):

@@ -12,7 +12,7 @@ EXPORTS = {
     "bailey": (
         "BaileyPair", "bailey_lemma_check", "chain_count", "chain_step",
         "enumerate_chains", "multisum_c_prime", "multisum_c_tilde", "multisum_d",
-        "shifted_unit_pair", "squared_pair", "unit_pair", "verify_bailey_pair",
+        "squared_pair", "unit_pair", "verify_bailey_pair",
     ),
     "cyclotomic": (
         "CoeffTable", "JonesResult", "KnotSpec", "c_prime", "c_prime_qform", "c_tilde_prime",
