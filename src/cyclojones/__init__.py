@@ -50,7 +50,7 @@ _LAZY = {
         "bailey_lemma_check",
         "chain_count",
         "chain_step",
-        "enumerate_chains",
+        "chain_sum",
         "multisum_c_prime",
         "multisum_c_tilde",
         "multisum_d",

@@ -10,14 +10,16 @@ beta'_k = sum_j x^j q^(j^2) beta_j / (q;q)_{k-j} produces a new pair
 iterating it from the unit pairs (unit_pair, one family in x) yields the
 multi-sum closed forms for the cyclotomic
 coefficients — the second computation route, and the one that makes
-integrality visible (Gaussian binomials and monomials only).
+integrality visible (Gaussian binomials and monomials only).  chain_sum
+sums them over chains level by level, one chain step a level, so no
+chain is ever listed.
 """
 
 from __future__ import annotations
 
 import functools
 from math import comb
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .errors import IndexOutOfRange
 from .laurent import LaurentFraction, LaurentPoly, lincomb
@@ -158,61 +160,41 @@ def bailey_lemma_failures(pair: BaileyPair, top: int, cache: QSymbolCache) -> tu
     return verify_bailey_pair(chain_step(derived, cache), top, cache)
 
 
-def _descending_tails(bound: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing tuples of length values in 0..bound, lexicographically.
-
-    Iterative, so a long chain costs no recursion depth: each step raises
-    the rightmost entry still below its left neighbour (bound for the first
-    entry) and resets the entries after it to 0.
-    """
-    tail = [0] * length
-    while True:
-        yield tuple(tail)
-        i = length - 1
-        while i >= 0 and tail[i] == (tail[i - 1] if i else bound):
-            i -= 1
-        if i < 0:
-            return
-        tail[i] += 1
-        tail[i + 1:] = [0] * (length - 1 - i)
-
-
-def enumerate_chains(top: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All chains top = k_L >= ... >= k_1 >= 0 as tuples, top first, lexicographically.
-
-    Count is C(top + length - 1, length - 1).
-    """
-    if top < 0:
-        raise IndexOutOfRange("chain top must be >= 0")
-    if length < 1:
-        raise ValueError("chain length must be >= 1")
-    for tail in _descending_tails(top, length - 1):
-        yield (top,) + tail
-
-
 def chain_count(top: int, length: int) -> int:
     """Closed form for the chain count (stars and bars)."""
     return comb(top + length - 1, length - 1)
 
 
-def _chain_sum(
+def chain_sum(
     top: int,
     length: int,
-    step_a_exp: Callable[[int, int], int],
-    cache: QSymbolCache,
-    beta_weight: Callable[[int], LaurentPoly] | None = None,
+    weight: Callable[[int, int], LaurentPoly],
+    beta: Callable[[int], LaurentPoly] | None = None,
 ) -> LaurentPoly:
-    """sum over chains of prod_{i=1}^{L-1} A^step_a_exp(k_i, k_{i+1})
-    [k_{i+1} over k_i]_q, each chain optionally weighted by
-    beta_weight(k_1); one lincomb adds them."""
-    pairs = []
-    for chain in enumerate_chains(top, length):
-        ks = chain[::-1]
-        term = _ONE
-        for a, b in zip(ks, ks[1:]):
-            term = term * LaurentPoly.monomial(step_a_exp(a, b)) * cache.qbinom(b, a)
-        pairs.append((_ONE if beta_weight is None else beta_weight(ks[0]), term))
-    return lincomb(pairs)
+    """sum over chains top = k_L >= ... >= k_1 >= 0 of
+    beta(k_1) prod_{i=1}^{L-1} weight(k_i, k_{i+1}), beta 1 when None.
+
+    Summed level by level, one Bailey chain step a level, so no chain is
+    listed: v_1(a) = beta(a) and v_{i+1}(b) = sum_{a<=b} weight(a, b) v_i(a)
+    for b <= top; the value is v_L(top).  Each weight(a, b) is built once.
+    """
+    if top < 0:
+        raise IndexOutOfRange("chain top must be >= 0")
+    if length < 1:
+        raise ValueError("chain length must be >= 1")
+    start = (lambda a: _ONE) if beta is None else beta
+    if length == 1:
+        return start(top)
+    weight = functools.cache(weight)
+    v = [start(a) for a in range(top + 1)]
+    for _ in range(length - 2):
+        v = [lincomb((weight(a, b), v[a]) for a in range(b + 1)) for b in range(top + 1)]
+    return lincomb((weight(a, top), v[a]) for a in range(top + 1))
+
+
+def _binomial_step(a_exp: Callable[[int, int], int], cache: QSymbolCache):
+    """The multi-sums' chain weight A^a_exp(a, b) [b over a]_q."""
+    return lambda a, b: LaurentPoly.monomial(a_exp(a, b)) * cache.qbinom(b, a)
 
 
 def multisum_c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
@@ -228,9 +210,9 @@ def multisum_c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     if p == 0:
         raise ValueError("twist count p must be nonzero")
     if p > 0:
-        body = _chain_sum(k, p, lambda a, b: 4 * (a * a + a), cache)
+        body = chain_sum(k, p, _binomial_step(lambda a, b: 4 * (a * a + a), cache))
         return LaurentPoly.monomial(k * (k + 3), -1 if k & 1 else 1) * body
-    body = _chain_sum(k, -p, lambda a, b: 4 * (-a * b - a), cache)
+    body = chain_sum(k, -p, _binomial_step(lambda a, b: 4 * (-a * b - a), cache))
     return LaurentPoly.monomial(-k * (k + 3)) * body
 
 
@@ -246,13 +228,8 @@ def multisum_c_tilde(k: int, m: int, cache: QSymbolCache) -> LaurentFraction:
         raise IndexOutOfRange("coefficient index must be >= 0")
     if m < 1:
         raise ValueError("multi-sum form needs m >= 1 (s = 2m - 1 positive)")
-    num = _chain_sum(
-        k,
-        m,
-        lambda a, b: 4 * (a * a + a),
-        cache,
-        beta_weight=lambda k1: cache.pochhammer_ratio(1, k, k1),
-    )
+    step = _binomial_step(lambda a, b: 4 * (a * a + a), cache)
+    num = chain_sum(k, m, step, beta=lambda k1: cache.pochhammer_ratio(1, k, k1))
     num = LaurentPoly.monomial(k * (k + 3), -1 if k & 1 else 1) * num
     return cache.pochhammer_recip(1, k) * num
 
@@ -275,11 +252,11 @@ def multisum_d(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentFraction:
     top = k - j
     x_exp = 2 * j + 2
     if p > 0:
-        body = _chain_sum(top, p, lambda a, b: 4 * (-a * b - x_exp * a), cache)
+        body = chain_sum(top, p, _binomial_step(lambda a, b: 4 * (-a * b - x_exp * a), cache))
         sign = -1 if top & 1 else 1
         prefactor = LaurentPoly.monomial(4 * ((j + 1) * (j - k) - p * j * (j + 2)), sign)
     else:
-        body = _chain_sum(top, -p, lambda a, b: 4 * (a * a + x_exp * a), cache)
+        body = chain_sum(top, -p, _binomial_step(lambda a, b: 4 * (a * a + x_exp * a), cache))
         prefactor = LaurentPoly.monomial(
             2 * (k * (k + 3) - j * (j + 3)) + 4 * (-p) * j * (j + 2)
         )

@@ -36,7 +36,8 @@ MAX_INDEX = 48
 # largest verify --max-k and --max-n; --suite all takes ~50 s at --max-k 24 (its Bailey
 # and skein checks, to 26, 20 s) and ~11 s at --max-n 24; --max-n grows as about N^5
 VERIFY_MAX_INDEX = 24
-# most Bailey chains in one multi-sum: |p| or m up to 5 at max_k 10 (times in README)
+# most Bailey chains one multi-sum runs over: |p| or m up to 5 at max_k 10; set while
+# the sums listed every chain, and kept so the same requests are accepted (README)
 CHAIN_BUDGET = 1001
 # most multi-sum work in one coeffs --cross-check, in _check_cross_check units (times in README)
 CROSS_CHECK_BUDGET = 20_000_000
@@ -160,7 +161,7 @@ def _check_lattice(parser: argparse.ArgumentParser, twists: int, indices: int) -
 
 def _check_chains(parser: argparse.ArgumentParser, max_k: int, longest: int) -> None:
     """Refuse a request whose largest multi-sum, at top max_k over chains of
-    length longest (|p|, |r| or m), would enumerate more than CHAIN_BUDGET chains."""
+    length longest (|p|, |r| or m), runs over more than CHAIN_BUDGET chains."""
     from .bailey import chain_count
 
     chains = chain_count(max_k, longest)

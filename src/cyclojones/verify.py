@@ -48,6 +48,8 @@ _RANDOM_OPS = 200
 _BINOM_N = 16
 _DELTA_TOP = 20  # largest color of the delta-square check
 _GROUP_CACHE: ContextVar[QSymbolCache] = ContextVar("verify_group_cache")
+# suite name -> its checks in definition order; _identities registers each check
+SUITES: dict[str, tuple] = {}
 
 
 class VerifyGrid(Record):
@@ -131,7 +133,8 @@ def _identities(check_id: str, params):
     pair per identity.  The check, check(grid) -> CheckResult, is the one place
     that reads its group's cache from _GROUP_CACHE, counts the identities and
     reports the first failing labels; params is the row's text, or a function
-    of the grid that gives it."""
+    of the grid that gives it.  The check joins SUITES under the suite that
+    prefixes check_id."""
 
     def decorate(body):
         @wraps(body)
@@ -146,6 +149,8 @@ def _identities(check_id: str, params):
                 return CheckResult(check_id, text, False, f"{len(failed)}/{total} failed: {sample}")
             return CheckResult(check_id, text, True, f"{total} identities checked")
 
+        suite = check_id.split("/")[0]
+        SUITES[suite] = SUITES.get(suite, ()) + (check,)
         return check
 
     return decorate
@@ -430,11 +435,12 @@ def check_bailey_lemma(grid: VerifyGrid, cache: QSymbolCache):
 
 @_identities("bailey/chain-counts", "top <= 8, length <= 5")
 def check_chain_counts(grid: VerifyGrid, cache: QSymbolCache):
+    # chains weighted by q^(k_1 + ... + k_{L-1}) are the partitions in a
+    # (L - 1) x top box; at q = 1 the sum is chain_count(top, L)
     for top in range(9):
         for length in range(1, 6):
-            parts = list(bailey.enumerate_chains(top, length))
-            counted = len(parts) == bailey.chain_count(top, length)
-            yield (top, length), counted and sorted(parts) == parts
+            box = bailey.chain_sum(top, length, lambda a, b: LaurentPoly.monomial(4 * a))
+            yield (top, length), box == cache.qbinom(top + length - 1, length - 1)
 
 
 @_identities("bailey/inversion-identities", "k <= 8")
@@ -528,55 +534,7 @@ def check_cache_soundness(grid: VerifyGrid, cache: QSymbolCache):
                 yield ("spot-check", k), not spot or got[k] == cyclotomic.h_coeff(k, knot, cache)
 
 
-# -- registry ----------------------------------------------------------
-
-SUITES: dict[str, tuple] = {
-    "laurent": (
-        check_ring_axioms,
-        check_exact_div_roundtrip,
-        check_substitute_involution,
-        check_fraction_equivalence,
-        check_eval_ring_structure,
-    ),
-    "qcalc": (
-        check_pascal,
-        check_balanced_gaussian_bridge,
-        check_cyclo_pochhammer,
-        check_delta_square,
-        check_brace_bracket,
-    ),
-    "skein": (
-        check_ts_inverse,
-        check_basis_expansion,
-        check_twist_inverse,
-        check_pairing,
-    ),
-    "cyclotomic": (
-        check_golden_values,
-        check_integrality,
-        check_qform,
-        check_q_inversion,
-        check_normalization,
-    ),
-    "bailey": (
-        check_bailey_pairs,
-        check_chain_preservation,
-        check_bailey_lemma,
-        check_chain_counts,
-        check_inversion_identities,
-    ),
-    "cross": (
-        check_multisum_c_prime,
-        check_multisum_c_tilde,
-        check_multisum_d,
-        check_route_agreement,
-        check_skein_bridge,
-    ),
-    "io": (
-        check_json_roundtrip,
-        check_cache_soundness,
-    ),
-}
+# -- running -----------------------------------------------------------
 
 
 def suite_checks(suite: str) -> list:

@@ -10,8 +10,8 @@ from cyclojones import (
     c_tilde_prime,
     chain_count,
     chain_step,
+    chain_sum,
     d_kjp,
-    enumerate_chains,
     multisum_c_prime,
     multisum_c_tilde,
     multisum_d,
@@ -31,43 +31,39 @@ def over_q_minus_1(num: LaurentPoly) -> LaurentFraction:
     return LaurentFraction.over_cyclotomic(num, binomial_table(4))
 
 
-def test_enumerate_chains():
-    assert list(enumerate_chains(2, 2)) == [(2, 0), (2, 1), (2, 2)]
-    assert list(enumerate_chains(5, 1)) == [(5,)]
+def unit_weight(a, b):
+    return LaurentPoly.one()
+
+
+def box_weight(a, b):  # q^(k_1 + ... + k_{L-1}): partitions in an (L - 1) x top box
+    return A(4 * a)
+
+
+def test_chain_sum_small_cases():
+    assert chain_sum(2, 2, box_weight) == 1 + Q + A(8)
+    assert chain_sum(5, 1, box_weight) == LaurentPoly.one()
+    assert chain_sum(5, 1, box_weight, beta=lambda a: A(a)) == A(5)
     assert chain_count(3, 3) == 10
-    assert sum(1 for _ in enumerate_chains(3, 3)) == 10
+    assert chain_sum(3, 3, unit_weight) == LaurentPoly.from_int(10)
+    with pytest.raises(IndexOutOfRange):
+        chain_sum(-1, 2, unit_weight)
+    with pytest.raises(ValueError):
+        chain_sum(2, 0, unit_weight)
 
 
-def test_chain_counts_stars_and_bars():
+def test_chain_counts_stars_and_bars(cache):
     for top in range(9):
         for length in range(1, 6):
-            chains = list(enumerate_chains(top, length))
-            assert len(chains) == chain_count(top, length)
-            assert chains == sorted(chains)  # lexicographic
-            assert all(parts[0] == top for parts in chains)
-
-
-def _recursive_tails(bound, length):
-    # the recursive enumeration the iterative one replaced
-    if length == 0:
-        yield ()
-        return
-    for v in range(bound + 1):
-        for rest in _recursive_tails(v, length - 1):
-            yield (v,) + rest
-
-
-def test_chains_keep_the_recursive_order():
-    for top in range(7):
-        for length in range(1, 7):
-            expect = [(top,) + tail for tail in _recursive_tails(top, length - 1)]
-            assert list(enumerate_chains(top, length)) == expect
+            assert chain_sum(top, length, unit_weight).value_at_one() == chain_count(top, length)
+            box = chain_sum(top, length, box_weight)
+            assert box == cache.qbinom(top + length - 1, length - 1)
+            assert box.value_at_one() == chain_count(top, length)
 
 
 def test_long_chains_need_no_recursion_depth():
     # one level per part used to end in RecursionError near length 1000
-    assert list(enumerate_chains(0, 5000)) == [(0,) * 5000]
-    assert sum(1 for _ in enumerate_chains(1, 1500)) == chain_count(1, 1500)
+    assert chain_sum(0, 5000, box_weight) == LaurentPoly.one()
+    assert chain_sum(1, 1500, unit_weight) == LaurentPoly.from_int(chain_count(1, 1500))
 
 
 def test_unit_pair_verifies(cache):
@@ -277,20 +273,37 @@ def test_bailey_lemma_check_frees_its_cache_without_the_cyclic_collector(monkeyp
 
 
 def test_chain_sums_match_termwise_addition():
-    # _chain_sum adds its chains in one lincomb: the same sum as term by term
-    from cyclojones.bailey import _chain_sum
+    # chain_sum adds level by level: the same sum as chain by chain, with the
+    # chains top = k_L >= ... >= k_1 >= 0 listed here
+    from itertools import combinations_with_replacement
 
     cache = QSymbolCache()
-    step = lambda a, b: 4 * (-a * b - 3 * a)  # noqa: E731
-    weight = lambda k1: cache.pochhammer_ratio(1, 5, k1)  # noqa: E731
+    weight = lambda a, b: A(4 * (-a * b - 3 * a)) * cache.qbinom(b, a)  # noqa: E731
+    beta = lambda k1: cache.pochhammer_ratio(1, 5, k1)  # noqa: E731
     for top in range(6):
         for length in range(1, 4):
-            for beta_weight in (None, weight):
+            for start in (None, beta):
                 expect = LaurentPoly.zero()
-                for chain in enumerate_chains(top, length):
-                    ks = chain[::-1]
-                    term = LaurentPoly.one() if beta_weight is None else beta_weight(ks[0])
+                for tail in combinations_with_replacement(range(top + 1), length - 1):
+                    ks = tail + (top,)
+                    term = LaurentPoly.one() if start is None else start(ks[0])
                     for a, b in zip(ks, ks[1:]):
-                        term = term * A(step(a, b)) * cache.qbinom(b, a)
+                        term = term * weight(a, b)
                     expect = expect + term
-                assert _chain_sum(top, length, step, cache, beta_weight) == expect
+                assert chain_sum(top, length, weight, start) == expect
+
+
+def test_chain_sums_without_the_diagonal_step_fail_their_checks(monkeypatch):
+    # a level that skips a = b (k_{i+1} = k_i) loses every chain with a repeated part
+    import cyclojones.bailey as bailey_mod
+    from cyclojones.verify import VerifyGrid, _run_group, check_chain_counts, check_multisum_c_prime
+
+    original = bailey_mod.chain_sum
+
+    def strict(top, length, weight, beta=None):
+        return original(top, length, lambda a, b: weight(a, b) if a < b else LaurentPoly.zero(), beta)
+
+    monkeypatch.setattr(bailey_mod, "chain_sum", strict)
+    (counts, _), (c_prime_row, _) = _run_group([check_chain_counts, check_multisum_c_prime], VerifyGrid())
+    assert not counts.passed and counts.detail.startswith("36/45 failed")
+    assert not c_prime_row.passed

@@ -132,6 +132,25 @@ TEXT_FORMAT_DIGESTS = {
 }
 
 
+# SHA-256 of multi-sum requests with chains of length 4 and 5, recorded while
+# the sums listed every chain; the default verify grid has no chain longer than 3
+LONG_CHAIN_DIGESTS = {
+    "verify --suite cross --p-range=-5..5 --m-range=1..5 --format json":
+        "7c99c763c5c3a9ac763da9a5f5022a0b5dec1e4a97d29831e04ee9faca90a02b",
+    "coeffs --p 5 --s 1 --max-k 10 --cross-check --no-cache --format json":
+        "7921be90058b1426f06f7727d07f00a13a10513e2eb9894f1fb43ecdbd2a0417",
+    "coeffs --p -5 --r 4 --max-k 10 --cross-check --no-cache --format json":
+        "7f2fde7e78b522f5e2c043d18483b7a4cbd2155c330b790b14bd38164f790009",
+}
+
+
+@pytest.mark.parametrize("request_", sorted(LONG_CHAIN_DIGESTS))
+def test_long_chain_multisums_match_their_recorded_digests(request_, capsys):
+    code, out, err = run_cli(capsys, *request_.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_CHAIN_DIGESTS[request_]
+
+
 @pytest.mark.parametrize("request_, fmt", sorted(TEXT_FORMAT_DIGESTS))
 def test_text_formats_match_their_recorded_digests(request_, fmt, capsys):
     code, out, err = run_cli(capsys, *request_.split(), "--format", fmt)
@@ -800,10 +819,10 @@ def test_verify_grid_is_the_four_values_a_caller_sets():
     ],
 )
 def test_multisums_above_the_chain_budget_are_usage_errors(argv, accepted, capsys, monkeypatch):
-    # checked while the arguments are read, before any chain is enumerated
+    # checked while the arguments are read, before any chain is summed
     from cyclojones import bailey, cli
 
-    monkeypatch.setattr(bailey, "enumerate_chains", lambda *a: pytest.fail("chains enumerated"))
+    monkeypatch.setattr(bailey, "chain_sum", lambda *a: pytest.fail("chains summed"))
     parser = cli.build_parser()
     cli.config_from_args(parser.parse_args(accepted.split()))
     with pytest.raises(SystemExit) as err:
@@ -862,7 +881,7 @@ def test_cross_checks_above_the_work_budget_are_usage_errors(argv, accepted, cap
     # each of these was within the budget of chains for one sum
     from cyclojones import bailey, cli, cyclotomic
 
-    monkeypatch.setattr(bailey, "enumerate_chains", lambda *a: pytest.fail("chains enumerated"))
+    monkeypatch.setattr(bailey, "chain_sum", lambda *a: pytest.fail("chains summed"))
     monkeypatch.setattr(cyclotomic, "coefficient_table", lambda *a: pytest.fail("table started"))
     parser = cli.build_parser()
     assert cli.config_from_args(parser.parse_args(accepted.split())).cross_check

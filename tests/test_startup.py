@@ -11,7 +11,7 @@ import cyclojones
 EXPORTS = {
     "bailey": (
         "BaileyPair", "bailey_lemma_check", "chain_count", "chain_step",
-        "enumerate_chains", "multisum_c_prime", "multisum_c_tilde", "multisum_d",
+        "chain_sum", "multisum_c_prime", "multisum_c_tilde", "multisum_d",
         "squared_pair", "unit_pair", "verify_bailey_pair",
     ),
     "cyclotomic": (
