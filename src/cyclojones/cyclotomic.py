@@ -78,6 +78,17 @@ class KnotSpec(Record):
     def is_half(self) -> bool:
         return self.s is not None
 
+    @property
+    def two_bridge(self) -> tuple[int, int]:
+        """Schubert's normal form (α, β) of the knot as the 2-bridge knot S(α, β):
+        S(α, β) and S(α, β') are one knot iff β' ≡ β^(±1) mod α (a mirror, β → -β,
+        is another), so every name of one knot, such as K(p, r) and K(r, p), has
+        one normal form and, the expansion being unique, one H_k."""
+        twist = self.s if self.is_half else 2 * self.r
+        det = 2 * self.p * twist - 1  # 4pr - 1, or 2ps - 1
+        alpha, beta = abs(det), twist if det > 0 else -twist
+        return alpha, min(beta % alpha, pow(beta, -1, alpha))
+
     def __str__(self) -> str:
         return f"K({self.p}, {self.s}/2)" if self.is_half else f"K({self.p}, {self.r})"
 
@@ -308,7 +319,8 @@ def coefficient_table(
 
     With a store (a serialize.CoeffCache, or anything with its get, put
     and should_spot_check), the table is read from it once: get(knot,
-    max_k) serves the stored H_0..H_m up to max_k, and if the store picks
+    max_k) serves the stored H_0..H_m up to max_k, which another name of
+    the knot (one with its two_bridge) may have stored, and if the store picks
     the hit for a spot check (every hit, for a CoeffCache) each served
     entry is checked at one random point of F_P against the paper's
     formula (cyclojones.point), raising CacheMismatch on any difference.

@@ -10,8 +10,9 @@ canonical decimal strings, str(int(c)) == c (arbitrary precision survives
 every JSON consumer), written canonically (sorted keys, no spaces) off
 the stored list by poly_to_json.  A reader takes only that text: it must
 match _POLY_JSON, and _poly_from_terms then checks the order and places
-the terms.  A cache file holds a knot's table of such polynomials under
-a cache-version header and a content digest.
+the terms.  A cache file holds the table of such polynomials of one knot,
+whatever its name: it is filed under the knot's 2-bridge normal form
+(KnotSpec.two_bridge), under a cache-version header and a content digest.
 """
 
 from __future__ import annotations
@@ -100,8 +101,15 @@ def knot_to_obj(knot: KnotSpec) -> dict:
     return {"p": knot.p, "region": {"kind": "full", "r": knot.r}}
 
 
-def knot_key(knot: KnotSpec) -> str:
-    return f"p{knot.p}_s{knot.s}" if knot.is_half else f"p{knot.p}_r{knot.r}"
+def _knot_from_obj(obj) -> KnotSpec | None:
+    """The knot whose knot_to_obj equals obj, or None if there is none."""
+    try:
+        region, p = obj["region"], int(obj["p"])
+        knot = KnotSpec.half(p, int(region["s"])) if region["kind"] == "half" \
+            else KnotSpec.full(p, int(region["r"]))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return knot if knot_to_obj(knot) == obj else None
 
 
 # -- top-level serializer ----------------------------------------------
@@ -177,7 +185,8 @@ def exponent_bound(knot: KnotSpec, k: int) -> int:
     under products, and no sum exceeds its terms' extremes.  In the c', c~' and d sums (as
     point states them) |e| <= 2|p|, |s| and 2|p| times (k+1)^2 and |r| <= 3, 3 and 6 times
     (k+1)^2, so every 𝔮-exponent of H_k is within ±(4|p| + |s| + 12)(k+1)^2, or
-    ±(2|p| + 2|r| + 6)(k+1)^2 for c'_p c'_r."""
+    ±(2|p| + 2|r| + 6)(k+1)^2 for c'_p c'_r.  The one looser bound returned covers both:
+    (4|p| + 2|t| + 12)(k+1)^2 in 𝔮 = A^2, with t = s or r, so twice that in A."""
     t = knot.s if knot.is_half else knot.r
     return 2 * (4 * abs(knot.p) + 2 * abs(t) + 12) * (k + 1) ** 2
 
@@ -189,14 +198,18 @@ def _head(knot: KnotSpec, max_k: int, digest: str) -> str:
 
 
 class CoeffCache:
-    """Atomic JSON cache of verified H_k tables, one file per knot.
+    """Atomic JSON cache of verified H_k tables, one file per knot, not per name.
 
-    A knot's file holds its table H_0..H_m:
+    H_k is a knot invariant, so every name of a knot (K(p, r) and K(r, p), or
+    the trefoil as K(2, 1/2) and K(-1, -1)) reads and grows one file,
+    h_v2_<α>_<β>.json after its 2-bridge normal form (α, β) = knot.two_bridge;
+    a mirror image has its own.  The file holds the table H_0..H_m:
 
         {"cache": CACHE_VERSION, "knot": ..., "k": m, "digest": ..., "values": [H_0, ..., H_m]}
 
     laid out as _head(knot, m, digest), the values text and "}\n", with the
-    SHA-256 of the values text as the digest.  get serves only that layout,
+    SHA-256 of the values text as the digest, "knot" naming the knot that
+    wrote it.  get serves only that layout,
     so texts, the entry texts put wrote or get vetted, are printed as is.
     Writes go through a temp file + rename.  A table is served whole or
     in part: coefficient_table evaluates every served entry at a random
@@ -204,7 +217,8 @@ class CoeffCache:
     stores the table again, with the served entries' texts, only when it
     computed more of it.  Files of
     another cache version, such as the per-entry h_v1_*_k*.json of
-    version 1, are never read.  A directory that cannot be created,
+    version 1, and the version 2 files named by knot (h_v2_p*_s*.json),
+    are never read.  A directory that cannot be created,
     read or written raises CacheUnusable.
     """
 
@@ -218,8 +232,8 @@ class CoeffCache:
         return cls(Path(os.environ.get(CACHE_ENV) or fallback))  # an empty value counts as unset
 
     def _path(self, knot: KnotSpec, max_k: int | None = None) -> Path:
-        """The knot's file; every max_k of one knot shares it."""
-        return self.directory / f"h_v{CACHE_VERSION}_{knot_key(knot)}.json"
+        """The knot's file; every max_k and every name of one knot shares it."""
+        return self.directory / "h_v{}_{}_{}.json".format(CACHE_VERSION, *knot.two_bridge)
 
     def put(self, knot: KnotSpec, max_k: int, values: list[LaurentPoly]) -> None:
         """Store values = H_0..H_max_k as the knot's table, replacing its file."""
@@ -246,7 +260,8 @@ class CoeffCache:
     def get(self, knot: KnotSpec, max_k: int) -> list[LaurentPoly] | None:
         """H_0..H_min(m, max_k) from the knot's table to k = m, or None if there is none.
 
-        The file is vetted (knot, length, layout, the digest of the stored
+        The file, which any name of the knot may have written, is vetted
+        (its knot's normal form, length, layout, the digest of the stored
         values text, each entry text against _POLY_JSON) before any
         polynomial is built, and each entry's parsed terms by
         _poly_from_terms (order, exponent bound) before its list is laid out."""
@@ -267,10 +282,11 @@ class CoeffCache:
         if obj.get("cache") != CACHE_VERSION:
             return None
         values, digest = obj.get("values"), obj.get("digest")
-        if obj.get("knot") != knot_to_obj(knot) or not isinstance(values, list) or not values \
-                or obj.get("k") != len(values) - 1:
+        owner = _knot_from_obj(obj.get("knot"))  # the name that wrote the file
+        if owner is None or owner.two_bridge != knot.two_bridge or not isinstance(values, list) \
+                or not values or obj.get("k") != len(values) - 1:
             raise CacheMismatch(f"cache file {path} is not a table for {knot}")
-        head = _head(knot, len(values) - 1, digest)
+        head = _head(owner, len(values) - 1, digest)
         if not (text.startswith(head) and text.endswith("}\n")):
             raise CacheMismatch(f"cache file {path} is not laid out as put writes it")
         # the values text as stored, before a polynomial fills its span

@@ -203,7 +203,7 @@ def test_empty_cache_env_counts_as_unset(capsys, tmp_path, monkeypatch):
                            "--cache-dir", str(tmp_path / "cache"))
     assert code == 0 and out.startswith("H_0 = 1\n")
     assert [path.name for path in tmp_path.iterdir()] == ["cache"]
-    assert [path.name for path in (tmp_path / "cache").iterdir()] == ["h_v2_p2_s1.json"]
+    assert [path.name for path in (tmp_path / "cache").iterdir()] == ["h_v2_3_1.json"]
 
 
 def test_jones_display(capsys):
@@ -590,7 +590,7 @@ def _coeffs(capsys, tmp_path, max_k):
 def test_cold_request_leaves_one_file_per_knot(capsys, tmp_path):
     _coeffs(capsys, tmp_path, 8)
     (path,) = tmp_path.iterdir()
-    assert path.name == "h_v2_p-2_s3.json"
+    assert path.name == "h_v2_13_4.json"
     assert len(json.loads(path.read_text())["values"]) == 9
 
 
@@ -618,6 +618,15 @@ def test_shorter_request_serves_a_prefix_and_keeps_the_file(capsys, tmp_path, mo
     assert prefix == _coeffs(capsys, tmp_path / "fresh", 4)
 
 
+def _double_a_coefficient(path, k):
+    """Double H_k's first coefficient in a cache file and recompute its digest."""
+    obj = json.loads(path.read_text())
+    obj["values"][k]["terms"][0][1] = str(int(obj["values"][k]["terms"][0][1]) * 2)
+    text = json.dumps(obj["values"], sort_keys=True, separators=(",", ":"))
+    obj["digest"] = hashlib.sha256(text.encode()).hexdigest()
+    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")  # put's layout
+
+
 def test_tampered_entry_inside_a_table_exits_one(capsys, tmp_path, cache):
     # H_5 of a 9-entry table changed and the digest recomputed: only the
     # point check can refuse it, and it names k = 5.  The coefficient is
@@ -628,11 +637,7 @@ def test_tampered_entry_inside_a_table_exits_one(capsys, tmp_path, cache):
 
     _coeffs(capsys, tmp_path, 8)
     (path,) = tmp_path.iterdir()
-    obj = json.loads(path.read_text())
-    obj["values"][5]["terms"][0][1] = str(int(obj["values"][5]["terms"][0][1]) * 2)
-    text = json.dumps(obj["values"], sort_keys=True, separators=(",", ":"))
-    obj["digest"] = hashlib.sha256(text.encode()).hexdigest()
-    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")  # put's layout
+    _double_a_coefficient(path, 5)
     assert CoeffCache(tmp_path).get(KnotSpec.half(-2, 3), 8) is not None  # it passes the vetting
     code, out, err = run_cli(capsys, "coeffs", "--p", "-2", "--s", "3", "--max-k", "8",
                              "--cache-dir", str(tmp_path))
@@ -646,7 +651,54 @@ def test_version_1_entry_beside_the_table_is_ignored(capsys, tmp_path, monkeypat
     old.write_text('{"schema": 1, "k": 1, "value": {"variable": "A", "terms": [[0, "7"]]}}')
     calls = _h_coeff_calls(monkeypatch)
     assert _coeffs(capsys, tmp_path, 8) == cold and calls == []
-    assert sorted(path.name for path in tmp_path.iterdir()) == [old.name, "h_v2_p-2_s3.json"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [old.name, "h_v2_13_4.json"]
+
+
+_PARTNER = ("coeffs", "--p", "-2", "--r", "3", "--max-k", "4", "--format", "json")
+
+
+def _partner_file(capsys, tmp_path):
+    """The file K(3, -2) stores, which its other name K(-2, 3) reads."""
+    code, _, err = run_cli(capsys, "coeffs", "--p", "3", "--r", "-2", "--max-k", "4",
+                           "--cache-dir", str(tmp_path))
+    assert code == 0, err
+    (path,) = tmp_path.iterdir()
+    return path
+
+
+def test_a_knots_other_name_is_served_the_stored_table(capsys, tmp_path, monkeypatch):
+    import cyclojones.cyclotomic as cyclotomic_mod
+
+    path = _partner_file(capsys, tmp_path)
+    code, uncached, err = run_cli(capsys, *_PARTNER, "--no-cache")
+    assert code == 0, err
+    monkeypatch.setattr(cyclotomic_mod, "h_coeff", lambda *args: pytest.fail("recomputed"))
+    code, out, err = run_cli(capsys, *_PARTNER, "--cache-dir", str(tmp_path))
+    assert code == 0 and out == uncached, err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_wrong_entry_served_to_another_name_exits_one(capsys, tmp_path):
+    # the stored K(3, -2) table with H_3 changed and re-digested is point
+    # checked against the formula of the knot asked for, K(-2, 3)
+    _double_a_coefficient(_partner_file(capsys, tmp_path), 3)
+    code, out, err = run_cli(capsys, *_PARTNER, "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cache entry for K(-2, 3) k=3 disagrees with recomputation")
+
+
+def test_a_table_of_the_mirror_under_the_knots_name_exits_one(capsys, tmp_path, cache):
+    # K(-3, 2), the mirror of K(3, -2) = K(-2, 3), has the same α and its own file
+    from cyclojones import KnotSpec
+    from cyclojones.cyclotomic import h_coeff
+    from cyclojones.serialize import CoeffCache
+
+    store, mirror = CoeffCache(tmp_path), KnotSpec.full(-3, 2)
+    store.put(mirror, 4, [h_coeff(k, mirror, cache) for k in range(5)])
+    store._path(mirror).replace(store._path(KnotSpec.full(-2, 3)))
+    code, out, err = run_cli(capsys, *_PARTNER, "--cache-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert "is not a table for K(-2, 3)" in err
 
 
 def _poly_to_json_calls(monkeypatch):

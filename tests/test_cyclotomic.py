@@ -57,6 +57,37 @@ def test_knot_spec_invariants():
     assert str(KnotSpec.full(1, -3)) == "K(1, -3)"
 
 
+@pytest.mark.parametrize(
+    "names, form",
+    [
+        ((KnotSpec.full(1, 2), KnotSpec.half(-1, 3)), (7, 2)),  # 5_2
+        ((KnotSpec.full(3, -2), KnotSpec.full(-2, 3)), (25, 4)),  # K(p, r) = K(r, p)
+        ((KnotSpec.full(1, -1), KnotSpec.full(-1, 1)), (5, 2)),  # 4_1
+        ((KnotSpec.half(2, 1), KnotSpec.full(-1, -1)), (3, 1)),  # the trefoil
+        ((KnotSpec.half(2, -1),), (5, 1)),  # the torus knot T(2, 5), not 4_1
+        ((KnotSpec.half(1, 1), KnotSpec.half(-1, -1)), (1, 0)),  # the unknot
+        ((KnotSpec.full(-1, -2),), (7, 3)),  # the mirror of 5_2 is another knot
+    ],
+    ids=["5_2", "swapped-twists", "4_1", "trefoil", "T(2,5)", "unknot", "mirror-5_2"],
+)
+def test_two_bridge_normal_form_of_known_knots(names, form):
+    assert [knot.two_bridge for knot in names] == [form] * len(names)
+
+
+def test_equal_normal_forms_are_exactly_equal_tables(cache):
+    # over p, r in ±1..±4 and odd s in -7..7, two knots have one normal form
+    # iff their H_0..H_6 are bit-equal: the forms neither merge two knots nor
+    # split one, and mirrors, which have other tables, stay apart
+    twists = [t for t in range(-4, 5) if t]
+    knots = [KnotSpec.full(p, r) for p in twists for r in twists]
+    knots += [KnotSpec.half(p, s) for p in twists for s in range(-7, 8, 2)]
+    tables = {knot: coefficient_table(knot, 6, cache).values for knot in knots}
+    assert len(knots) == 128 and len({knot.two_bridge for knot in knots}) == 79
+    disagree = [(a, b) for i, a in enumerate(knots) for b in knots[i + 1:]
+                if (a.two_bridge == b.two_bridge) != (tables[a] == tables[b])]
+    assert disagree == []
+
+
 def test_c_prime(cache):
     for p in (-3, -2, -1, 1, 2, 3):
         assert c_prime(0, p, cache) == 1

@@ -108,26 +108,58 @@ def test_reader_refuses_an_exponent_beyond_the_bound_at_either_end(tmp_path, far
         store.get(knot, 1)
 
 
+_NOT_FOR = "is not a table for K\\(2, 1/2\\)"
+_LAID_OUT = "is not laid out as put writes it"
+
+
+@pytest.mark.parametrize(
+    "stored, reason",
+    [
+        ({"p": 2, "region": {"kind": "half", "s": 1}, "x": 0}, _NOT_FOR),  # an extra key
+        ({"p": 2, "region": {"kind": "full", "s": 1}}, _NOT_FOR),  # a region of the other kind
+        ({"p": 2, "region": {"kind": "half", "s": 2}}, _NOT_FOR),  # no knot: s even
+        ({"p": "2", "region": {"kind": "half", "s": 1}}, _NOT_FOR),  # a string
+        ({"p": float("inf"), "region": {"kind": "half", "s": 1}}, _NOT_FOR),
+        ({"p": 2.0, "region": {"kind": "half", "s": 1}}, _LAID_OUT),  # equal to 2, written 2.0
+        ({"p": True, "region": {"kind": "half", "s": -1}}, _LAID_OUT),  # equal to K(1, -1/2)
+        ("K(2, 1/2)", _NOT_FOR),
+        (None, _NOT_FOR),
+    ],
+    ids=["extra-key", "other-kind", "even-s", "string-p", "infinite-p", "float-p", "bool-p",
+         "string", "null"],
+)
+def test_a_stored_knot_not_written_as_knot_to_obj_writes_it_is_refused(tmp_path, cache, stored,
+                                                                        reason):
+    knot = KnotSpec.half(2, 1)
+    values = [json.loads(poly_to_json(h)) for h in _table(knot, 1, cache)]
+    obj = {"cache": 2, "knot": stored, "k": 1, "values": values, "digest": _digest_of(values)}
+    store = CoeffCache(tmp_path)
+    store._path(knot).write_text(_as_put_writes(obj))
+    with pytest.raises(CacheMismatch, match=reason):
+        store.get(knot, 1)
+
+
 def test_a_cache_file_of_the_previous_reader_is_served_unchanged(tmp_path, capsys, monkeypatch):
     # written by `coeffs --p 2 --s -3 --max-k 4 --format json` before the reader took
     # only the canonical form; that request printed the bytes with this SHA-256
     from cyclojones import cyclotomic
     from cyclojones.cli import main
 
-    name = "h_v2_p2_s-3.json"
-    shutil.copy(Path(__file__).parent / "data" / name, tmp_path / name)
-    before = (tmp_path / name).read_bytes()
+    # the file, written under its knot's name, is served from its class's name
+    path = CoeffCache(tmp_path)._path(KnotSpec.half(2, -3))
+    shutil.copy(Path(__file__).parent / "data" / "h_v2_p2_s-3.json", path)
+    before = path.read_bytes()
     monkeypatch.setattr(cyclotomic, "h_coeff", lambda *args: pytest.fail("recomputed"))
     assert main(["coeffs", "--p", "2", "--s", "-3", "--max-k", "4", "--format", "json",
                  "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c991c6b87607a335327c6c5188f8a7695e5d293aac9b131bc7e6a7637483aee4")
-    assert (tmp_path / name).read_bytes() == before
+    assert path.read_bytes() == before
     # and put writes the same bytes again
     store, knot = CoeffCache(tmp_path), KnotSpec.half(2, -3)
     store.put(knot, 4, store.get(knot, 4))
-    assert (tmp_path / name).read_bytes() == before
+    assert path.read_bytes() == before
 
 
 def test_put_reuses_only_the_texts_of_the_entries_get_served(tmp_path, cache):
@@ -205,7 +237,7 @@ def test_cache_roundtrip(tmp_path, cache):
     assert store.get(knot, 8) == values
     # structural equality with recomputation (spot-check contract)
     assert store.get(knot, 3) == _table(knot, 3, QSymbolCache())
-    assert [path.name for path in tmp_path.iterdir()] == ["h_v2_p2_s1.json"]
+    assert [path.name for path in tmp_path.iterdir()] == ["h_v2_3_1.json"]
 
 
 def test_cache_detects_tampering(tmp_path, cache):
