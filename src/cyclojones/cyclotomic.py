@@ -18,15 +18,20 @@ c' over {k+1}...{2k+1} = {2k+1}!/{k}! (its l-sum without the {k}!),
 H_k over {2k+2}! and J'_N (Walsh route) over {N}, each times its
 factored reciprocal collapsed once by LaurentFraction.to_poly (the one
 diagnostic site for H_k).  c~' and d stay fractions over 1/{2k+1}! and
-1/{2k+2}!.  Every sum is accumulated in place in one list (_c_sum, lincomb).
+1/({2j+2}...{2k+2}).  Every other sum is accumulated in place in one list
+(_c_sum, lincomb).
 
 H_k does not evaluate the d-sum term by term: with the sum over j
 taken inside, it needs only the signed products P'_j = (-1)^j c'_j *
-(numerator of c~'_j) and the twisted sums F_i of P'_j against balanced
-binomials (h_coeff_half).  Both depend on the knot and not on k, so the
-QSymbolCache keeps them for the knot last asked for (its "knot" slot); a
-table up to max_k then costs O(max_k^2) polynomial products instead of
-O(max_k^3).  The Walsh route reuses the same P'_j.
+(numerator of c~'_j) and two binomial transforms of them, G_i against
+[i+1+j over 2j+1] and num_k against [2k+2 over k-i] (h_coeff_half).  Both
+transforms are the skein's change of basis between R_k and e_i, so
+basis.BasisChange runs them as three-term recurrences, one level k at a
+time, by shifts and additions of packed integers: a table up to max_k
+costs O(max_k) polynomial products, those of the P'_j, and no binomial
+product.  The QSymbolCache keeps the P'_j and the recurrences' last two
+anti-diagonals for the knot last asked for (its "knot" slot).  The Walsh
+route reuses the same P'_j and nothing else.
 
 c'_{k,p} depends on one twist and not on the knot: every knot with p
 (or r) in a twist region shares it.  It lives in the cache's coefficient
@@ -188,20 +193,20 @@ def c_tilde_prime(k: int, s: int, cache: QSymbolCache) -> LaurentFraction:
 
 
 def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
-    """{2k+2}! d_{k,j,p} = {2j+1}! N_{k,j}, a Laurent polynomial, with
+    """N_{k,j} = {2j+2}...{2k+2} d_{k,j,p}, a Laurent polynomial:
 
         N_{k,j} = sum_{i=j}^{k} (-1)^(i+j) A^(-4pi(i+2)) {2i+2} [i+1+j over 2j+1] [2k+2 over k-i]
 
     The cache keeps the p-free rest of each term for the last (k, j), so a
-    loop over p builds it once.  Used by d_kjp only; h_coeff_half sums the
-    same terms with the i-sum outside.
+    loop over p builds it once.  Used by d_kjp only; h_coeff_half runs the
+    same binomial sums as skein recurrences.
     """
     kernel = cache.latest("d_kernel", (k, j), lambda: [
         brace(2 * i + 2) * cache.qbinom_balanced(i + 1 + j, 2 * j + 1)
         * cache.qbinom_balanced(2 * k + 2, k - i)
         for i in range(j, k + 1)
     ])
-    return cache.brace_fact(2 * j + 1) * lincomb(
+    return lincomb(
         (LaurentPoly.monomial(-4 * p * i * (i + 2), -1 if (i + j) & 1 else 1), term)
         for i, term in enumerate(kernel, j)
     )
@@ -211,13 +216,16 @@ def d_kjp(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentFraction:
     """d_{k,j,p} = sum_{i=j}^{k} (-1)^(i+j) 𝔮^(-2pi(i+2))
                    {2i+2}{i+1+j}!/({k+i+2}!{k-i}!{i-j}!),
 
-    taken over {2k+2}! as _d_num / {2k+2}!.
+    taken as _d_num over {2j+2}...{2k+2} = {2k+2}!/{2j+1}!, the product of
+    brace_recip that the cache keeps for the last (k, j) under "d_recip".
     """
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"d coefficient needs 0 <= j <= k, got k={k}, j={j}")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    return cache.brace_fact_recip(2 * k + 2) * _d_num(k, j, p, cache)
+    recip = cache.latest("d_recip", (k, j),
+                         lambda: math.prod(brace_recip(n) for n in range(2 * j + 2, 2 * k + 3)))
+    return recip * _d_num(k, j, p, cache)
 
 
 # -- cyclotomic coefficients ------------------------------------------
@@ -243,37 +251,38 @@ def _p_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
     return P
 
 
-def _f_terms(knot: KnotSpec, n: int, cache: QSymbolCache) -> list[LaurentPoly]:
-    """The first n of F_i = (-1)^i A^(-4pi(i+2)) {2i+2} G_i, with G_i = sum_{j=0}^{i}
-    [i+1+j over 2j+1] P'_j, kept under "F" beside P' in the cache's "knot" slot."""
-    P = _p_terms(knot, n, cache)
-    F = cache.latest("knot", (knot.p, knot.s), dict).setdefault("F", [])
-    while len(F) < n:
-        i = len(F)
-        G = lincomb((cache.qbinom_balanced(i + 1 + j, 2 * j + 1), P[j]) for j in range(i + 1))
-        twist = LaurentPoly.monomial(-4 * knot.p * i * (i + 2), -1 if i & 1 else 1)
-        F.append(lincomb([(twist * brace(2 * i + 2), G)]))
-    return F
-
-
 def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     """H_k(K(p, s/2)) = (-1)^k sum_{j=0}^{k} d_{k,j,p} c'_{j,p} c~'_{j,s/2}.
 
     With d_{k,j,p} c~'_{j,s/2} = N_{k,j} _c_num(j, s) / {2k+2}! (_d_num)
     and the i-sum of N_{k,j} taken outside, the numerator over {2k+2}! is
+    (-1)^k num_k with
 
-        (-1)^k sum_{i=0}^{k} [2k+2 over k-i] F_i
+        num_k = sum_{i=0}^{k} [2k+2 over k-i] F_i,
+        F_i = (-1)^i A^(-4pi(i+2)) {2i+2} G_i,  G_i = sum_{j=0}^{i} [i+1+j over 2j+1] P'_j,
 
-    with F_i from _f_terms, shared by every k of one knot, against the stored
-    binomial rows.  It must collapse into Z[𝔮^{±1}]; IntegralityFailure,
-    carrying the fraction over 1/{2k+2}!, is a release-blocking diagnostic.
+    two changes of basis between R_k and e_i, run as the skein's three-term
+    recurrences (basis.BasisChange) with no binomial product.  The cache's
+    "knot" slot keeps the P'_j and the recurrences at the last level asked
+    for; a lower k starts them again.  num_k must collapse into Z[𝔮^{±1}];
+    IntegralityFailure, carrying the fraction over 1/{2k+2}!, is a
+    release-blocking diagnostic.
     """
     if not knot.is_half:
         raise TypeError("h_coeff_half needs a half-twist knot")
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
-    F = _f_terms(knot, k + 1, cache)
-    num = lincomb((cache.qbinom_balanced(2 * k + 2, k - i), F[i]) for i in range(k + 1))
+    from .basis import BasisChange
+
+    P = _p_terms(knot, k + 1, cache)
+    slot = cache.latest("knot", (knot.p, knot.s), dict)
+    change = slot.pop("diagonals", None)  # back in the slot only once it is whole
+    if change is None or change.level > k:
+        change = BasisChange(knot.p)
+    while change.level < k:
+        change.advance(P[change.level + 1])
+    slot["diagonals"] = change
+    num = change.num()
     fraction = cache.brace_fact_recip(2 * k + 2) * (-num if k & 1 else num)
     try:
         value = fraction.to_poly()
@@ -418,8 +427,10 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
 
     The k-sum, sum_k [N+k over 2k+1] P'_k with the memoised signed
     P'_k = (-1)^k c'_{k,p} _c_num(k, s), is collapsed once over 1/{N}.
-    Shares only P'_k, the c'/c~' single sums, with jones_half; the assembly
-    is disjoint, so exact agreement of the two routes is a strong check.
+    Shares only P'_k, the c'/c~' single sums, with jones_half: this route
+    sums binomial products, the other runs the skein recurrences of
+    basis.BasisChange and collapses each H_k, so exact agreement of the two
+    routes is a strong check.
     """
     if N < 1:
         raise IndexOutOfRange("color N must be >= 1")

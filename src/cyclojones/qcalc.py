@@ -100,9 +100,11 @@ class QSymbolCache:
     ("t_coeff", k, i) skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime
     and ("_c_num", k, s) cyclotomic._c_num.  latest keeps the last
     key only: "r_basis" (k) skein.pairing_R_e, "d_kernel" (k, j)
-    cyclotomic._d_num, "twist_kernel" (k, j) skein.twist_coeff_d and "knot"
-    (p, s), a dict of the signed "P'" and twisted "F" terms of
-    cyclotomic._p_terms and _f_terms.  No hit ever changes a result.
+    cyclotomic._d_num, "d_recip" (k, j), the fraction 1/({2j+2}...{2k+2})
+    of cyclotomic.d_kjp, "twist_kernel" (k, j) skein.twist_coeff_d and "knot"
+    (p, s), a dict of the signed terms "P'" of cyclotomic._p_terms and the
+    "diagonals", a basis.BasisChange, of cyclotomic.h_coeff_half.  No hit
+    ever changes a result.
     """
 
     def __init__(self) -> None:

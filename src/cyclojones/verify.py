@@ -10,12 +10,13 @@ one reader of _GROUP_CACHE, the group's cache that _run_group sets.  One
 QSymbolCache serves a verify run (one per worker's group of checks under
 --jobs).  Its q-symbol tables and what it keeps by key (memo: q-binomials,
 c', the c~' numerators and t) are built once per run; what it keeps for
-the last key only (latest: the per-knot P and G sums and the d and twist
-kernels), which bounds its memory, is built again whenever a check comes
-back to an earlier key.  d and H_k themselves are not kept: on the
-default grid d_kjp runs 890 times for 396 distinct (k, j, p), since
-cross/multisum-d, cross/skein-bridge and cyclotomic/q-inversion each
-build it, and 273 of the 867 h_coeff calls repeat an earlier (k, knot).
+the last key only (latest: the per-knot P' terms and skein recurrences,
+and d's kernel and denominator and the twist kernel), which bounds its
+memory, is built again whenever a check comes back to an earlier key.
+d and H_k themselves are not kept: on the default grid d_kjp runs 890
+times for 396 distinct (k, j, p), since cross/multisum-d,
+cross/skein-bridge and cyclotomic/q-inversion each build it, and 273 of
+the 867 h_coeff calls repeat an earlier (k, knot).
 """
 
 from __future__ import annotations

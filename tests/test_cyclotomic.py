@@ -276,8 +276,8 @@ def test_knot_memo_holds_one_knot():
             assert h_coeff_half(k, knot, shared) == h_coeff_half(k, knot, QSymbolCache())
     key, memo = shared.coefficients["knot"]
     assert key == (second.p, second.s)
-    assert set(memo) == {"P'", "F"}
-    assert len(memo["P'"]) == len(memo["F"]) == 5  # rebuilt from k = 0 for H_4
+    assert set(memo) == {"P'", "diagonals"}
+    assert len(memo["P'"]) == memo["diagonals"].level + 1 == 5  # rebuilt from k = 0 for H_4
     # jones_walsh of another knot replaces the slot with that knot's P'_j alone
     jones_walsh(4, first, shared)
     key, memo = shared.coefficients["knot"]
@@ -286,16 +286,20 @@ def test_knot_memo_holds_one_knot():
 
 
 def test_h_coeff_half_builds_no_product_per_term(monkeypatch):
-    # with the knot's terms in the slot, the k-sum adds the stored binomial
-    # rows against F_i in place: the one product left is the fraction's
+    # with the knot's P'_j in the slot, the skein recurrences add shifted
+    # packed terms: no binomial row is asked for, and the one product left is
+    # the fraction's, both when the recurrences start again (k = 2) and go on
     knot, cache = KnotSpec.half(-3, 5), QSymbolCache()
     warm = [h_coeff_half(k, knot, cache) for k in range(9)]
     products, mul = [], LaurentPoly.__mul__
     monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+    rows = []
+    monkeypatch.setattr(QSymbolCache, "qbinom_balanced", lambda self, n, i: rows.append((n, i)))
     for k in (2, 8):
         products.clear()
         assert h_coeff_half(k, knot, cache) == warm[k]
         assert len(products) == 1, k
+    assert not rows
 
 
 def _spy(monkeypatch, name):
