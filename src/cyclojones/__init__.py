@@ -48,7 +48,6 @@ _LAZY = {
     "bailey": (
         "BaileyPair",
         "bailey_lemma_check",
-        "chain_count",
         "chain_step",
         "chain_sum",
         "multisum_c_prime",

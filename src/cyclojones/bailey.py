@@ -18,7 +18,6 @@ chain is ever listed.
 from __future__ import annotations
 
 import functools
-from math import comb
 from collections.abc import Callable
 
 from .errors import IndexOutOfRange
@@ -158,11 +157,6 @@ def bailey_lemma_failures(pair: BaileyPair, top: int, cache: QSymbolCache) -> tu
     betas = functools.cache(lambda j: beta_from_alpha(pair, j, cache))
     derived = BaileyPair(pair.alpha, betas, pair.x_exp, pair.label)
     return verify_bailey_pair(chain_step(derived, cache), top, cache)
-
-
-def chain_count(top: int, length: int) -> int:
-    """Closed form for the chain count (stars and bars)."""
-    return comb(top + length - 1, length - 1)
 
 
 def chain_sum(

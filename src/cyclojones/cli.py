@@ -33,20 +33,15 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "cyclojones"
 
 # largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 (times in README)
 MAX_INDEX = 48
-# largest verify --max-k and --max-n; --suite all takes ~50 s at --max-k 24 (its Bailey
-# and skein checks, to 26, 20 s) and ~11 s at --max-n 24; --max-n grows as about N^5
+# largest verify --max-k and --max-n; --suite all on the default grid takes about 11 s
+# at --max-k 24 and 5 s at --max-n 24 (README); WORK_BUDGET bounds larger grids
 VERIFY_MAX_INDEX = 24
-# most Bailey chains one multi-sum runs over: |p| or m up to 5 at max_k 10; set while
-# the sums listed every chain, and kept so the same requests are accepted (README)
-CHAIN_BUDGET = 1001
-# most multi-sum work in one coeffs --cross-check, in _check_cross_check units (times in README)
-CROSS_CHECK_BUDGET = 20_000_000
-# most knots in a verify grid, |p-range|^2 + |p-range| * |m-range| (54 by default): the
-# -5..5 by 1..5 grid, the largest the chain budget admits at max_k 10 (~9 s for --suite all)
+# most knots in a verify grid, |p-range|^2 + |p-range| * |m-range| (54 by default), counted
+# from the range ends before any range is listed or summed over (-5..5 by 1..5 is 150)
 VERIFY_MAX_KNOTS = 150
-# most cross/route-agreement work in one verify grid, (|p| + m) * max_n^4 per half-twist
-# knot K(p, m - 1/2); the default grid at --max-n 24 is 24 million units (times in README)
-ROUTE_AGREEMENT_BUDGET = 50_000_000
+# most work in one coeffs --cross-check or verify request, in units of at most about 1 µs
+# on a 2-core host with Python 3.11 (_sum_work and _verify_work; anchors in README)
+WORK_BUDGET = 30_000_000
 # most lattice slots in one coeffs, jones or eval request, (|p| + t) * I^3 units for I =
 # max_k + 1 or N and t = |r| or (|s| + 1)/2; 130-200 bytes of peak RSS a unit (README)
 LATTICE_BUDGET = 1_000_000
@@ -131,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-k", type=int, default=None,
                         help=f"largest coefficient index of the grids (0..{VERIFY_MAX_INDEX}); "
                         "Bailey and skein checks run to max-k + 2, lemma, q-form and bridge checks "
-                        f"to min(max-k, 8); at most {CHAIN_BUDGET} Bailey chains per multi-sum")
+                        f"to min(max-k, 8); the grid's work is bounded by {WORK_BUDGET} units")
     verify.add_argument("--max-n", type=int, default=None,
                         help=f"largest color of the grids (1..{VERIFY_MAX_INDEX})")
     verify.add_argument("--p-range", type=_int_range, default=None, metavar="LO..HI")
@@ -159,69 +154,72 @@ def _check_lattice(parser: argparse.ArgumentParser, twists: int, indices: int) -
         parser.error(f"the request needs {units} units of lattice slots, over the budget of {LATTICE_BUDGET}")
 
 
-def _check_chains(parser: argparse.ArgumentParser, max_k: int, longest: int) -> None:
-    """Refuse a request whose largest multi-sum, at top max_k over chains of
-    length longest (|p|, |r| or m), runs over more than CHAIN_BUDGET chains."""
-    from .bailey import chain_count
-
-    chains = chain_count(max_k, longest)
-    if chains > CHAIN_BUDGET:
-        parser.error(f"{chains} Bailey chains in one multi-sum exceed the budget of {CHAIN_BUDGET}")
+def _check_work(parser: argparse.ArgumentParser, units: int) -> None:
+    """Refuse a request whose estimated work is more than WORK_BUDGET units."""
+    if units > WORK_BUDGET:
+        parser.error(f"the request needs about {units} units of work, over the budget of {WORK_BUDGET}")
 
 
-def _check_cross_check(parser: argparse.ArgumentParser, max_k: int, p: int, second: int,
-                       half: bool) -> None:
-    """Refuse a coeffs --cross-check whose multi-sums at each k (c', c~' or a second c', and
-    if half the d-sums j <= k) cost more than CROSS_CHECK_BUDGET units: (k + 1)^2 per chain,
-    for q-binomials of span ~k^2, and at least k + 1 chains per sum, for its comparison."""
-    from .bailey import chain_count
+def _sums(lo: int, hi: int) -> tuple[int, int, int]:
+    """Count, sum and sum of squares of |x| over the nonzero x in lo..hi, in closed form."""
+    def upto(n: int) -> tuple[int, int, int]:  # over 1..n
+        return (n, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6) if n > 0 else (0, 0, 0)
+    return tuple(a - b + c - d for a, b, c, d in zip(upto(hi), upto(lo - 1), upto(-lo), upto(-hi - 1)))
 
-    work = 0
+
+def _sum_work(max_k: int, twists: tuple, colors: tuple, half: bool) -> int:
+    """Units of the multi-sums to max_k and, if half, of their comparisons with the single
+    sums: the c' sums of the twists L = |p|, the c~' sums of the colors L = m (the c' sums
+    of L = |r| if not half) and, if half, the d-sums of the twists, each group given by its
+    _sums.  A chain_sum of length L to top T runs L - 2 levels of about T^2/2 products whose
+    operands grow with the level, (L - 1)(L - 2)(T + 1)^5/600 units.  A c~' or d comparison
+    at k lifts both fractions to one denominator, (L + 10)(k + 1)^4/200 units; the 10
+    expands the denominator, once a run."""
+    chains = [s2 - 3 * s1 + 2 * n for n, s1, s2 in (twists, colors)]  # sums of (L - 1)(L - 2)
+    compares = [s1 + 10 if n else 0 for n, s1, _ in (twists, colors)]
+    chain = compare = tops = 0  # tops: the sum of (T + 1)^5 over the d-sums' tops T <= k
     for k in range(max_k + 1):
-        chains = [chain_count(k, p), chain_count(k, second)]
-        chains += [chain_count(k - j, p) for j in range(k + 1)] if half else []
-        work += (k + 1) ** 2 * sum(max(count, k + 1) for count in chains)
-    if work > CROSS_CHECK_BUDGET:
-        parser.error(f"--cross-check needs {work} units of multi-sum work, over the budget of "
-                     f"{CROSS_CHECK_BUDGET}")
+        tops += (k + 1) ** 5
+        chain += (chains[0] + chains[1]) * (k + 1) ** 5 + half * chains[0] * tops
+        compare += half * (compares[1] + (k + 1) * compares[0]) * (k + 1) ** 4
+    return chain // 600 + compare // 200
+
+
+def _verify_work(max_k: int, max_n: int, p_range: tuple[int, int], m_range: tuple[int, int]) -> int:
+    """Units of a verify grid: its multi-sums; per knot the integrality table, (|p| + m) or
+    |p| + |r| times (max_k + 1)^4/16; per half-twist knot K(p, m - 1/2) route agreement,
+    (|p| + m)(|p| + 10) max_n^4/40; and the suites no range enters, (max_k + 34)^5/150."""
+    (n, s, s2), (n_m, s_m, _) = twists, colors = _sums(*p_range), _sums(*m_range)
+    half = n_m * s + n * s_m  # the sum of |p| + m over the half-twist knots
+    route = (n_m * (s2 + 10 * s) + s * s_m + 10 * n * s_m) * max_n**4 // 40
+    tables = (half + 2 * n * s) * (max_k + 1) ** 4 // 16
+    return _sum_work(max_k, twists, colors, True) + tables + route + (max_k + 34) ** 5 // 150
 
 
 def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> VerifyGrid:
     from .verify import VerifyGrid
 
-    kwargs = {}
-    if args.max_k is not None:
-        if not 0 <= args.max_k <= VERIFY_MAX_INDEX:
-            parser.error(f"--max-k must be in 0..{VERIFY_MAX_INDEX}")
-        kwargs["max_k"] = args.max_k
-    if args.max_n is not None:
-        if not 1 <= args.max_n <= VERIFY_MAX_INDEX:
-            parser.error(f"--max-n must be in 1..{VERIFY_MAX_INDEX}")
-        kwargs["max_n"] = args.max_n
     default = VerifyGrid()
-    # the ranges stay lazy (and sorted) until every bound has passed; len() of one can overflow
-    twists, colors = default.p_values, default.m_values
-    n_twists, n_colors = len(twists), len(colors)
-    if args.p_range is not None:
-        lo, hi = args.p_range
-        twists, n_twists = range(lo, hi + 1), hi - lo + 1 - (lo <= 0 <= hi)
-    if args.m_range is not None:
-        lo, hi = args.m_range
-        if lo < 1:
-            parser.error("--m-range must start at 1 or above")
-        colors, n_colors = range(lo, hi + 1), hi - lo + 1
+    max_k = default.max_k if args.max_k is None else args.max_k
+    max_n = default.max_n if args.max_n is None else args.max_n
+    if not 0 <= max_k <= VERIFY_MAX_INDEX:
+        parser.error(f"--max-k must be in 0..{VERIFY_MAX_INDEX}")
+    if not 1 <= max_n <= VERIFY_MAX_INDEX:
+        parser.error(f"--max-n must be in 1..{VERIFY_MAX_INDEX}")
+    # the ranges are counted from their ends and listed only once every bound has passed
+    p_lo, p_hi = p_range = args.p_range or (default.p_values[0], default.p_values[-1])
+    m_lo, m_hi = m_range = args.m_range or (default.m_values[0], default.m_values[-1])
+    if m_lo < 1:
+        parser.error("--m-range must start at 1 or above")
+    n_twists, n_colors = _sums(*p_range)[0], _sums(*m_range)[0]
     if not n_twists:
         parser.error("--p-range contains no nonzero values")
-    _check_chains(parser, kwargs.get("max_k", default.max_k),
-                  max(-twists[0], twists[-1], colors[-1]))
     knots = n_twists * (n_twists + n_colors)  # full-twist K(p, r), then half-twist K(p, m - 1/2)
     if knots > VERIFY_MAX_KNOTS:
         parser.error(f"--p-range and --m-range give {knots} knots, more than {VERIFY_MAX_KNOTS}")
-    max_n = kwargs.get("max_n", default.max_n)
-    work = sum(abs(p) + m for p in twists if p for m in colors) * max_n**4
-    if work > ROUTE_AGREEMENT_BUDGET:
-        parser.error(f"route agreement needs {work} units, over the budget of {ROUTE_AGREEMENT_BUDGET}")
-    return VerifyGrid(p_values=tuple(p for p in twists if p), m_values=tuple(colors), **kwargs)
+    _check_work(parser, _verify_work(max_k, max_n, p_range, m_range))
+    twists = tuple(p for p in range(p_lo, p_hi + 1) if p)
+    return VerifyGrid(max_k, max_n, twists, tuple(range(m_lo, m_hi + 1)))
 
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
@@ -235,7 +233,7 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             knot = args.knot = KnotSpec(args.p, args.r, args.s)
         except ValueError as exc:
             parser.error(str(exc))
-        # t of the lattice and cross-check budgets: |r| full twists or (|s| + 1)/2 half twists
+        # t of the lattice and work budgets: |r| full twists or (|s| + 1)/2 half twists
         second = abs(knot.r) if knot.s is None else (abs(knot.s) + 1) // 2
     if command in ("jones", "eval"):
         if not 1 <= args.N <= MAX_INDEX:
@@ -246,8 +244,7 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             parser.error(f"--max-k must be in 0..{MAX_INDEX}")
         _check_lattice(parser, abs(args.p) + second, args.max_k + 1)
         if args.cross_check:
-            _check_chains(parser, args.max_k, max(abs(args.p), second))
-            _check_cross_check(parser, args.max_k, abs(args.p), second, knot.is_half)
+            _check_work(parser, _sum_work(args.max_k, _sums(args.p, args.p), _sums(second, second), knot.is_half))
         if args.no_cache:
             args.cache_dir = None
         elif args.cache_dir is None:

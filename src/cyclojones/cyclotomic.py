@@ -30,8 +30,9 @@ basis.BasisChange runs them as three-term recurrences, one level k at a
 time, by shifts and additions of packed integers: a table up to max_k
 costs O(max_k) polynomial products, those of the P'_j, and no binomial
 product.  The QSymbolCache keeps the P'_j and the recurrences' last two
-anti-diagonals for the knot last asked for (its "knot" slot).  The Walsh
-route reuses the same P'_j and nothing else.
+anti-diagonals for the knot last asked for (its "knot" slot), the
+anti-diagonals only until coefficient_table has the whole table.  The
+Walsh route reuses the same P'_j and nothing else.
 
 c'_{k,p} depends on one twist and not on the knot: every knot with p
 (or r) in a twist region shares it.  It lives in the cache's coefficient
@@ -264,7 +265,8 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     two changes of basis between R_k and e_i, run as the skein's three-term
     recurrences (basis.BasisChange) with no binomial product.  The cache's
     "knot" slot keeps the P'_j and the recurrences at the last level asked
-    for; a lower k starts them again.  num_k must collapse into Z[𝔮^{±1}];
+    for; a lower k, or a k past a table coefficient_table has completed,
+    starts them again.  num_k must collapse into Z[𝔮^{±1}];
     IntegralityFailure, carrying the fraction over 1/{2k+2}!, is a
     release-blocking diagnostic.
     """
@@ -355,6 +357,8 @@ def coefficient_table(
             values.append(h_coeff(k, knot, cache))
         if cross_check:
             _multisum_check(knot, k, cache)
+    if knot.is_half and served <= max_k:  # a whole table: the P'_j stay, the recurrences go
+        cache.latest("knot", (knot.p, knot.s), dict).pop("diagonals", None)
     if store is not None and served <= max_k:
         store.put(knot, max_k, values)
     # cache provenance stays out of the checks: identical

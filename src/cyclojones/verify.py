@@ -437,7 +437,7 @@ def check_bailey_lemma(grid: VerifyGrid, cache: QSymbolCache):
 @_identities("bailey/chain-counts", "top <= 8, length <= 5")
 def check_chain_counts(grid: VerifyGrid, cache: QSymbolCache):
     # chains weighted by q^(k_1 + ... + k_{L-1}) are the partitions in a
-    # (L - 1) x top box; at q = 1 the sum is chain_count(top, L)
+    # (L - 1) x top box; at q = 1 the sum is C(top + L - 1, L - 1)
     for top in range(9):
         for length in range(1, 6):
             box = bailey.chain_sum(top, length, lambda a, b: LaurentPoly.monomial(4 * a))

@@ -2,9 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import timeit
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclojones.cli import main
 
@@ -865,34 +867,10 @@ def test_verify_grid_is_the_four_values_a_caller_sets():
 @pytest.mark.parametrize(
     "argv, accepted",
     [
-        ("verify --p-range=-40..40", "verify --p-range=-5..5"),
-        ("verify --m-range=1..1000", "verify --m-range=1..5"),
-        ("coeffs --p 40 --s 1 --max-k 10 --cross-check", "coeffs --p 5 --s 1 --max-k 10 --cross-check"),
-    ],
-)
-def test_multisums_above_the_chain_budget_are_usage_errors(argv, accepted, capsys, monkeypatch):
-    # checked while the arguments are read, before any chain is summed
-    from cyclojones import bailey, cli
-
-    monkeypatch.setattr(bailey, "chain_sum", lambda *a: pytest.fail("chains summed"))
-    parser = cli.build_parser()
-    cli.config_from_args(parser.parse_args(accepted.split()))
-    with pytest.raises(SystemExit) as err:
-        cli.config_from_args(parser.parse_args(argv.split()))
-    assert err.value.code == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert lines[0].startswith("usage: ")
-    assert lines[-1].endswith(f"Bailey chains in one multi-sum exceed the budget of {cli.CHAIN_BUDGET}")
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv.split())
-    assert err.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize(
-    "argv, accepted",
-    [
         ("verify --max-k 1 --p-range=-500..500", "verify --max-k 1 --p-range=-5..5 --m-range=1..5"),
+        # long ranges of twists or of colors
+        ("verify --p-range=-40..40", "verify --p-range=-5..5 --m-range=1..5"),
+        ("verify --m-range=1..1000", "verify --max-k 0 --m-range=1..19"),
         ("verify --max-k 0 --p-range=1..1 --m-range=1..150",
          "verify --max-k 0 --p-range=1..1 --m-range=1..149"),
         ("verify --max-k 0 --p-range=-1000000..1000000", "verify --max-k 0 --p-range=-3..3 --m-range=1..19"),
@@ -923,14 +901,17 @@ def test_verify_grids_above_the_knot_bound_are_usage_errors(argv, accepted, caps
 @pytest.mark.parametrize(
     "argv, accepted",
     [
-        ("coeffs --p 2 --s 1 --max-k 48 --cross-check", "coeffs --p 2 --s 1 --max-k 37 --cross-check"),
-        ("coeffs --p -1 --s -1 --max-k 38 --cross-check", "coeffs --p 1 --s 1 --max-k 37 --cross-check"),
-        ("coeffs --p 3 --s 5 --max-k 32 --cross-check", "coeffs --p 3 --s 5 --max-k 26 --cross-check"),
+        # refused: 150 million units, it ran past 150 s; accepted: 29 million units
+        ("coeffs --p 2 --s 1 --max-k 48 --cross-check", "coeffs --p 2 --s 1 --max-k 36 --cross-check"),
+        # refused: 36 million units, 32.7 s; accepted: 26 million units (K(1, 1/2) at 37 took 27.1 s)
+        ("coeffs --p -1 --s -1 --max-k 38 --cross-check", "coeffs --p 1 --s 1 --max-k 36 --cross-check"),
+        # max_k 32 took 17.5 s and is accepted now; max_k 40 is 81 million units
+        ("coeffs --p 3 --s 5 --max-k 40 --cross-check", "coeffs --p 3 --s 5 --max-k 32 --cross-check"),
+        ("coeffs --p 200 --s 1 --max-k 12 --cross-check", "coeffs --p 40 --s 1 --max-k 10 --cross-check"),
     ],
 )
 def test_cross_checks_above_the_work_budget_are_usage_errors(argv, accepted, capsys, monkeypatch):
-    # every multi-sum of the request is counted while the arguments are read:
-    # each of these was within the budget of chains for one sum
+    # every multi-sum and comparison of the request is counted while the arguments are read
     from cyclojones import bailey, cli, cyclotomic
 
     monkeypatch.setattr(bailey, "chain_sum", lambda *a: pytest.fail("chains summed"))
@@ -942,7 +923,7 @@ def test_cross_checks_above_the_work_budget_are_usage_errors(argv, accepted, cap
     assert err.value.code == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("usage: ")
-    assert lines[-1].endswith(f"units of multi-sum work, over the budget of {cli.CROSS_CHECK_BUDGET}")
+    assert lines[-1].endswith(f"units of work, over the budget of {cli.WORK_BUDGET}")
     with pytest.raises(SystemExit) as err:
         cli.main(argv.split())
     assert err.value.code == 2
@@ -952,9 +933,10 @@ def test_cross_checks_above_the_work_budget_are_usage_errors(argv, accepted, cap
 @pytest.mark.parametrize(
     "argv, accepted",
     [
-        # refused: took 85 s; accepted: 50 million units, the largest at --max-n 24 (README)
+        # refused: 33 million units (19.8 s at --max-k 10, 85 s before the skein recurrences);
+        # accepted: 17 million units, 8.7 s
         ("verify --max-k 0 --max-n 24 --p-range=-5..5 --m-range=1..5", "verify --max-n 24 --m-range=1..5"),
-        # refused: still running at 300 s; accepted: 46 million units at the default --max-n
+        # refused: still running at 300 s; accepted: 13 million units, 5.0 s
         ("verify --max-k 0 --max-n 24 --p-range=1..1 --m-range=1..149",
          "verify --max-k 0 --p-range=1..1 --m-range=1..149"),
         ("verify --max-k 0 --p-range=100000..100000", "verify --max-n 24"),
@@ -974,7 +956,59 @@ def test_route_agreement_above_the_work_budget_is_a_usage_error(argv, accepted, 
     assert captured.out == ""
     lines = captured.err.splitlines()  # verify's usage, wrapped over several lines
     assert lines[0].startswith("usage: cyclojones verify ")
-    assert lines[-1].endswith(f"units, over the budget of {cli.ROUTE_AGREEMENT_BUDGET}")
+    assert lines[-1].endswith(f"units of work, over the budget of {cli.WORK_BUDGET}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "coeffs --p 12 --r 1 --max-k 8 --cross-check --no-cache",
+        "coeffs --p 40 --s 1 --max-k 10 --cross-check --no-cache",
+        "verify --p-range=1..1 --m-range=1..20",
+        "verify --max-k 16 --p-range=-4..4",
+    ],
+)
+def test_cheap_multisum_requests_are_accepted(argv, capsys):
+    # each runs in 0.04-4.4 s on a 2-core host with Python 3.11
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0, err
+    if argv.startswith("coeffs --p 12"):
+        assert out == run_cli(capsys, *argv.replace(" --cross-check", "").split())[1]
+
+
+def cross_check_work(max_k, p, t, half):
+    """The units config_from_args counts for coeffs --cross-check, t = |r| or (|s| + 1)/2."""
+    from cyclojones.cli import _sum_work, _sums
+
+    return _sum_work(max_k, _sums(p, p), _sums(t, t), half)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 48), st.integers(1, 400), st.integers(1, 400), st.booleans(),
+       st.integers(1, 24), st.integers(-100, 100), st.integers(0, 100), st.integers(1, 100))
+def test_work_never_falls_as_a_request_grows(max_k, p, t, half, max_n, lo, width, m_hi):
+    from cyclojones.cli import _verify_work
+
+    work = cross_check_work(max_k, p, t, half)
+    assert work <= min(cross_check_work(max_k + 1, p, t, half), cross_check_work(max_k, p + 1, t, half),
+                       cross_check_work(max_k, -p - 1, t, half), cross_check_work(max_k, p, t + 1, half))
+    k = max_k % 25
+    grid = (k, max_n, (lo, lo + width), (1, m_hi))
+    work = _verify_work(*grid)
+    assert work <= min(_verify_work(k + 1, *grid[1:]), _verify_work(k, max_n + 1, *grid[2:]),
+                       _verify_work(k, max_n, (lo - 1, lo + width), (1, m_hi)),
+                       _verify_work(k, max_n, (lo, lo + width + 1), (1, m_hi)),
+                       _verify_work(k, max_n, (lo, lo + width), (1, m_hi + 1)))
+
+
+def test_work_is_closed_form_and_orders_requests_as_measured():
+    from cyclojones.cli import _verify_work
+
+    for end in (2**63, 10**20, 10**40):  # nothing is listed: each answer takes under 1 ms
+        assert _verify_work(24, 24, (-end, end), (1, end)) > _verify_work(24, 24, (-5, 5), (1, 5))
+        assert min(timeit.repeat(lambda: _verify_work(24, 24, (-end, end), (1, end)), number=1)) < 1e-3
+    # K(1, 1/2) at max_k 37 took 27.1 s, K(3, 5/2) at max_k 26 6.3 s (CHANGES.md)
+    assert cross_check_work(37, 1, 1, True) > 4 * cross_check_work(26, 3, 3, True)
 
 
 def test_long_cross_check_chains_exit_zero(capsys):

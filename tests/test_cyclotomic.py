@@ -283,6 +283,12 @@ def test_knot_memo_holds_one_knot():
     key, memo = shared.coefficients["knot"]
     assert key == (first.p, first.s)
     assert set(memo) == {"P'"}
+    # a whole table keeps the P'_j for jones_walsh and drops the recurrences
+    table = coefficient_table(second, 6, shared)
+    key, memo = shared.coefficients["knot"]
+    assert key == (second.p, second.s) and set(memo) == {"P'"}
+    assert h_coeff_half(7, second, shared) == h_coeff_half(7, second, QSymbolCache())
+    assert table.values[6] == h_coeff_half(6, second, QSymbolCache())
 
 
 def test_h_coeff_half_builds_no_product_per_term(monkeypatch):

@@ -10,7 +10,7 @@ import cyclojones
 # every name the package exported when its __init__ imported all modules
 EXPORTS = {
     "bailey": (
-        "BaileyPair", "bailey_lemma_check", "chain_count", "chain_step",
+        "BaileyPair", "bailey_lemma_check", "chain_step",
         "chain_sum", "multisum_c_prime", "multisum_c_tilde", "multisum_d",
         "squared_pair", "unit_pair", "verify_bailey_pair",
     ),
