@@ -92,9 +92,9 @@ def repack(term: tuple[int, int, int], old: tuple[int, int],
 
 
 class BasisChange:
-    """G_n and num_n of cyclotomic.h_coeff_half for one knot, by the skein's
-    three-term rules, with no binomial product: level by level along
-    anti-diagonals, keeping the last two of each recurrence.
+    """G_n and Phi_n(e_0) = num_n/{2n+2} of cyclotomic.h_coeff_half for one
+    knot, by the skein's three-term rules, with no binomial product: level by
+    level along anti-diagonals, keeping the last two of each recurrence.
 
     With x_j = (-1)^j P'_j, psi_0(R_j) = x_j and z R_j = R_{j+1} + lambda_{2j} R_j,
     psi_a(R_b) = psi_{a-1}(R_{b+1}) + lambda_{2b} psi_{a-1}(R_b) - psi_{a-2}(R_b)
@@ -154,10 +154,11 @@ class BasisChange:
         return unpack(packed_sum([(2 * n, -1 if n & 1 else 1, self.psi[1][-1])], self.layout),
                       self.layout)
 
-    def num(self) -> LaurentPoly:
-        """num_n = sum_i [2n+2 over n-i] F_i at the current level n."""
-        n, term = self.level, self.phi[1][-1]
-        return unpack(packed_sum([(6 * n + 4, 1, term), (-2 * n - 4, -1, term)], self.layout),
+    def h_num(self) -> LaurentPoly:
+        """(-1)^n Phi_n(e_0) = (-1)^n num_n/{2n+2} at the current level n, with
+        num_n = sum_i [2n+2 over n-i] F_i: H_n times {2n+1}!."""
+        n = self.level
+        return unpack(packed_sum([(2 * n, -1 if n & 1 else 1, self.phi[1][-1])], self.layout),
                       self.layout)
 
 

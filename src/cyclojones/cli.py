@@ -185,15 +185,19 @@ def _sum_work(max_k: int, twists: tuple, colors: tuple, half: bool) -> int:
     return chain // 600 + compare // 200
 
 
-def _verify_work(max_k: int, max_n: int, p_range: tuple[int, int], m_range: tuple[int, int]) -> int:
-    """Units of a verify grid: its multi-sums; per knot the integrality table, (|p| + m) or
-    |p| + |r| times (max_k + 1)^4/16; per half-twist knot K(p, m - 1/2) route agreement,
-    (|p| + m)(|p| + 10) max_n^4/40; and the suites no range enters, (max_k + 34)^5/150."""
+def _verify_work(max_k: int, max_n: int, p_range: tuple[int, int], m_range: tuple[int, int],
+                 suite: str = "all") -> int:
+    """Units of the suites of a verify grid that run: cross's multi-sums and, per half-twist
+    knot K(p, m - 1/2), route agreement, (|p| + m)(|p| + 10) max_n^4/40; cyclotomic's table per
+    knot, (|p| + m) or |p| + |r| times (max_k + 1)^4/16; skein's and bailey's, which no range
+    enters, (max_k + 34)^5/150 (once for all); laurent's, qcalc's and io's, under 1 s, none."""
     (n, s, s2), (n_m, s_m, _) = twists, colors = _sums(*p_range), _sums(*m_range)
     half = n_m * s + n * s_m  # the sum of |p| + m over the half-twist knots
     route = (n_m * (s2 + 10 * s) + s * s_m + 10 * n * s_m) * max_n**4 // 40
-    tables = (half + 2 * n * s) * (max_k + 1) ** 4 // 16
-    return _sum_work(max_k, twists, colors, True) + tables + route + (max_k + 34) ** 5 // 150
+    cross = _sum_work(max_k, twists, colors, True) + route
+    tables, fixed = (half + 2 * n * s) * (max_k + 1) ** 4 // 16, (max_k + 34) ** 5 // 150
+    return {"all": cross + tables + fixed, "cross": cross, "cyclotomic": tables,
+            "skein": fixed, "bailey": fixed}.get(suite, 0)
 
 
 def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> VerifyGrid:
@@ -217,7 +221,7 @@ def _grid_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     knots = n_twists * (n_twists + n_colors)  # full-twist K(p, r), then half-twist K(p, m - 1/2)
     if knots > VERIFY_MAX_KNOTS:
         parser.error(f"--p-range and --m-range give {knots} knots, more than {VERIFY_MAX_KNOTS}")
-    _check_work(parser, _verify_work(max_k, max_n, p_range, m_range))
+    _check_work(parser, _verify_work(max_k, max_n, p_range, m_range, args.suite))
     twists = tuple(p for p in range(p_lo, p_hi + 1) if p)
     return VerifyGrid(max_k, max_n, twists, tuple(range(m_lo, m_hi + 1)))
 
@@ -294,28 +298,17 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _cmd_jones(args: argparse.Namespace) -> int:
     knot, cache = args.knot, QSymbolCache()
-    if knot.is_half:
-        routes = {
-            "theorem": lambda: cyclotomic.jones_half(args.N, knot, cache),
-            "walsh": lambda: cyclotomic.jones_walsh(args.N, knot, cache),
-        }
-    else:
-        routes = {"theorem": lambda: cyclotomic.jones_int(args.N, knot, cache)}
-    if args.route == "both":
-        theorem = routes["theorem"]()
-        walsh = routes["walsh"]()
-        if theorem.value != walsh.value:
-            print(
-                f"route disagreement for {knot}, N={args.N}:\n"
-                f"  theorem: {theorem.value.render('A')}\n"
-                f"  walsh:   {walsh.value.render('A')}",
-                file=sys.stderr,
-            )
-            return 1
-        sys.stdout.buffer.write(serialize.serialize((theorem, walsh), args.format, args.display))
-        return 0
-    result = routes[args.route]()
-    sys.stdout.buffer.write(serialize.serialize(result, args.format, args.display))
+    routes = {"theorem": cyclotomic.jones_half if knot.is_half else cyclotomic.jones_int,
+              "walsh": cyclotomic.jones_walsh}
+    names = ("theorem", "walsh") if args.route == "both" else (args.route,)
+    results = tuple(routes[name](args.N, knot, cache) for name in names)
+    if results[0].value != results[-1].value:
+        theorem, walsh = (result.value.render("A") for result in results)
+        print(f"route disagreement for {knot}, N={args.N}:\n  theorem: {theorem}\n  walsh:   {walsh}",
+              file=sys.stderr)
+        return 1
+    value = results if len(results) > 1 else results[0]
+    sys.stdout.buffer.write(serialize.serialize(value, args.format, args.display))
     return 0
 
 

@@ -13,13 +13,13 @@ independent routes whose exact agreement is a correctness certificate.
 A knot is KnotSpec(p, r) or KnotSpec(p, s=s); a CoeffTable holds its
 H_0..H_max_k as one tuple and the one check set every entry passed.
 
-Each sum is taken over the denominator its balanced binomials leave:
-c' over {k+1}...{2k+1} = {2k+1}!/{k}! (its l-sum without the {k}!),
-H_k over {2k+2}! and J'_N (Walsh route) over {N}, each times its
-factored reciprocal collapsed once by LaurentFraction.to_poly (the one
-diagnostic site for H_k).  c~' and d stay fractions over 1/{2k+1}! and
-1/({2j+2}...{2k+2}).  Every other sum is accumulated in place in one list
-(_c_sum, lincomb).
+Each sum is taken over the braces its balanced binomials leave: c' over
+{k+1}...{2k+1} = {2k+1}!/{k}! (its l-sum without the {k}!), H_k over
+{2k+1}! and J'_N (Walsh route) over {N}, each divided once by
+qcalc.brace_quotient, which builds no fraction unless the division is
+inexact (the one diagnostic site for H_k).  c~' and d stay fractions over
+1/{2k+1}! and 1/({2j+2}...{2k+2}).  Every other sum is accumulated in
+place in one list (_c_sum, lincomb).
 
 H_k does not evaluate the d-sum term by term: with the sum over j
 taken inside, it needs only the signed products P'_j = (-1)^j c'_j *
@@ -43,12 +43,11 @@ numerator _c_num(j, s) of c~'_j, shared by every knot with s.
 
 from __future__ import annotations
 
-import math
 from operator import add, sub
 
 from .errors import CacheMismatch, IndexOutOfRange, IntegralityFailure, RemainderNonzero
 from .laurent import LaurentFraction, LaurentPoly, lincomb
-from .qcalc import QSymbolCache, brace, brace_recip
+from .qcalc import QSymbolCache, brace, brace_quotient, braces_recip
 from .record import Record
 
 _ONE = LaurentPoly.one()
@@ -166,19 +165,18 @@ def _c_num(k: int, s: int, cache: QSymbolCache) -> LaurentPoly:
 def c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     """c'_{k,p} = {k}! sum_l (-1)^l 𝔮^(2pl(l+1)) {2l+1}/({k+l+1}!{k-l}!).
 
-    With {2k+1}!/{k}! = {k+1}...{2k+1}, _c_sum over the product of
-    brace_recip(j), j = k+1..2k+1, collapses to a Laurent polynomial; a
-    failure (RemainderNonzero) would signal a formula transcription error.  The
-    value depends on k and p alone, so cache.memo keeps it under
-    ("c_prime", k, p) and it is collapsed once per cache.
+    With {2k+1}!/{k}! = {k+1}...{2k+1}, _c_sum divided by {k+1}...{2k+1}
+    (brace_quotient) is a Laurent polynomial; a failure (RemainderNonzero)
+    would signal a formula transcription error.  The value depends on k and
+    p alone, so cache.memo keeps it under ("c_prime", k, p) and it is
+    divided once per cache.
     """
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    return cache.memo(("c_prime", k, p), lambda: (
-        math.prod(brace_recip(j) for j in range(k + 1, 2 * k + 2)) * _c_sum(k, 4 * p, True, cache)
-    ).to_poly())
+    return cache.memo(("c_prime", k, p),
+                      lambda: brace_quotient(_c_sum(k, 4 * p, True, cache), k + 1, 2 * k + 1))
 
 
 def c_tilde_prime(k: int, s: int, cache: QSymbolCache) -> LaurentFraction:
@@ -217,15 +215,14 @@ def d_kjp(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentFraction:
     """d_{k,j,p} = sum_{i=j}^{k} (-1)^(i+j) 𝔮^(-2pi(i+2))
                    {2i+2}{i+1+j}!/({k+i+2}!{k-i}!{i-j}!),
 
-    taken as _d_num over {2j+2}...{2k+2} = {2k+2}!/{2j+1}!, the product of
-    brace_recip that the cache keeps for the last (k, j) under "d_recip".
+    taken as _d_num over {2j+2}...{2k+2} = {2k+2}!/{2j+1}!, the fraction
+    braces_recip that the cache keeps for the last (k, j) under "d_recip".
     """
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"d coefficient needs 0 <= j <= k, got k={k}, j={j}")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    recip = cache.latest("d_recip", (k, j),
-                         lambda: math.prod(brace_recip(n) for n in range(2 * j + 2, 2 * k + 3)))
+    recip = cache.latest("d_recip", (k, j), lambda: braces_recip(2 * j + 2, 2 * k + 2))
     return recip * _d_num(k, j, p, cache)
 
 
@@ -263,12 +260,12 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
         F_i = (-1)^i A^(-4pi(i+2)) {2i+2} G_i,  G_i = sum_{j=0}^{i} [i+1+j over 2j+1] P'_j,
 
     two changes of basis between R_k and e_i, run as the skein's three-term
-    recurrences (basis.BasisChange) with no binomial product.  The cache's
+    recurrences (basis.BasisChange) with no binomial product; H_k is (-1)^k
+    their last term, num_k/{2k+2}, over {2k+1}! (brace_quotient).  The cache's
     "knot" slot keeps the P'_j and the recurrences at the last level asked
     for; a lower k, or a k past a table coefficient_table has completed,
-    starts them again.  num_k must collapse into Z[𝔮^{±1}];
-    IntegralityFailure, carrying the fraction over 1/{2k+2}!, is a
-    release-blocking diagnostic.
+    starts them again.  H_k must collapse into Z[𝔮^{±1}]; IntegralityFailure,
+    carrying the fraction over 1/{2k+1}!, is a release-blocking diagnostic.
     """
     if not knot.is_half:
         raise TypeError("h_coeff_half needs a half-twist knot")
@@ -284,14 +281,12 @@ def h_coeff_half(k: int, knot: KnotSpec, cache: QSymbolCache) -> LaurentPoly:
     while change.level < k:
         change.advance(P[change.level + 1])
     slot["diagonals"] = change
-    num = change.num()
-    fraction = cache.brace_fact_recip(2 * k + 2) * (-num if k & 1 else num)
+    num = change.h_num()
     try:
-        value = fraction.to_poly()
+        value = brace_quotient(num, 1, 2 * k + 1)
     except RemainderNonzero as exc:
-        raise IntegralityFailure(
-            f"H_{k}({knot}) did not collapse to a Laurent polynomial", fraction
-        ) from exc
+        raise IntegralityFailure(f"H_{k}({knot}) did not collapse to a Laurent polynomial",
+                                 braces_recip(1, 2 * k + 1) * num) from exc
     return _require_even(value, f"H_{k}({knot})")
 
 
@@ -430,7 +425,7 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
         𝔮^(-2p(N^2-1)) sum_k (-1)^k c'_{k,p} c~'_{k,s/2} {N+k}!/({N-1-k}!{N})
 
     The k-sum, sum_k [N+k over 2k+1] P'_k with the memoised signed
-    P'_k = (-1)^k c'_{k,p} _c_num(k, s), is collapsed once over 1/{N}.
+    P'_k = (-1)^k c'_{k,p} _c_num(k, s), is divided once by {N}.
     Shares only P'_k, the c'/c~' single sums, with jones_half: this route
     sums binomial products, the other runs the skein recurrences of
     basis.BasisChange and collapses each H_k, so exact agreement of the two
@@ -443,7 +438,7 @@ def jones_walsh(N: int, knot: KnotSpec, cache: QSymbolCache) -> JonesResult:
     P = _p_terms(knot, N, cache)
     # c~'_{k,s/2} {N+k}!/({N-1-k}!{N}) = _c_num(k, s) [N+k over 2k+1] / {N}
     num = lincomb((cache.qbinom_balanced(N + k, 2 * k + 1), P[k]) for k in range(N))
-    total = (brace_recip(N) * num).to_poly()
+    total = brace_quotient(num, N, N)
     prefactor = LaurentPoly.monomial(-4 * knot.p * (N * N - 1))
     return JonesResult(knot, N, prefactor * total, "walsh")
 

@@ -36,12 +36,12 @@ so a LaurentFraction is a numerator over an exponent table {d: e}, and
 every unit goes into the numerator; over_cyclotomic is the one way to
 build a denominator.  Sums take the exponent-wise maximum of the tables
 and multiply each numerator by the factors it lacks, products add the
-tables, and equality compares the lifted numerators.  to_poly is the one
-place where a quotient by such a denominator is computed: _binomials
-groups the table into whole binomials A^m - 1, _binomial_quotient divides
-by each in one linear pass of prefix sums on the numerator's list, and
-exact_div takes the leftover Φ_d.  Φ_d, the groupings and the expanded
-tables are memoised on first use.
+tables, and equality compares the lifted numerators.  _binomial_quotient
+divides by binomials A^m - 1, one linear pass of prefix sums each on the
+numerator's list: for to_poly, by those _binomials groups the table into,
+exact_div taking the leftover Φ_d, and for qcalc.brace_quotient by braces
+never built as a fraction.  Φ_d, the groupings and the expanded tables
+are memoised on first use.
 """
 
 from __future__ import annotations
@@ -683,9 +683,7 @@ class LaurentFraction:
     @classmethod
     def over_cyclotomic(cls, num: PolyLike, exponents: Mapping[int, int]) -> LaurentFraction:
         """num / prod_d Φ_d(A)^exponents[d]."""
-        num = LaurentPoly._coerce(num)
-        if num is None:
-            raise TypeError("LaurentFraction needs a LaurentPoly or int numerator")
+        num = cls(num)._num
         if any(d < 1 or e < 0 for d, e in exponents.items()):
             raise ValueError("cyclotomic exponents need d >= 1 and e >= 0")
         return cls._make(num, {d: e for d, e in exponents.items() if e})

@@ -13,10 +13,11 @@ correctly at k = 0); the balanced binomial [n i] equals {n}!/({i}!{n-i}!).
 from __future__ import annotations
 
 import functools
+import math
 from operator import add
 
 from .errors import DivisionByZeroDenominator, IndexOutOfRange, NotAdmissible
-from .laurent import LaurentFraction, LaurentPoly, binomial_table
+from .laurent import LaurentFraction, LaurentPoly, _binomial_quotient, binomial_table
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
@@ -41,9 +42,22 @@ def bracket(n: int) -> LaurentPoly:
 @functools.cache
 def brace_recip(n: int) -> LaurentFraction:
     """1/{n} for n >= 1: {n} = A^(-2n) (A^(4n) - 1) = A^(-2n) prod_{d | 4n} Φ_d(A)."""
-    return LaurentFraction.over_cyclotomic(
-        LaurentPoly.monomial(2 * n), binomial_table(4 * n)
-    )
+    return LaurentFraction.over_cyclotomic(LaurentPoly.monomial(2 * n), binomial_table(4 * n))
+
+
+def braces_recip(lo: int, hi: int) -> LaurentFraction:
+    """1/({lo}{lo+1}...{hi}) for 1 <= lo <= hi."""
+    return math.prod(map(brace_recip, range(lo, hi + 1)))
+
+
+def brace_quotient(num: LaurentPoly, lo: int, hi: int) -> LaurentPoly:
+    """num/({lo}{lo+1}...{hi}) for 1 <= lo <= hi, with no fraction built: A^(2(lo+...+hi))
+    times num over A^(4j) - 1, j = hi..lo, one prefix-sum pass each (laurent._binomial_quotient).
+    Inexact, it raises the RemainderNonzero of (braces_recip(lo, hi) * num).to_poly()."""
+    quot = _binomial_quotient(num, tuple((4 * j, 1) for j in range(hi, lo - 1, -1)))
+    if quot is None:
+        return (braces_recip(lo, hi) * num).to_poly()
+    return LaurentPoly.monomial((hi - lo + 1) * (hi + lo)) * quot
 
 
 @functools.cache

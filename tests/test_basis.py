@@ -111,7 +111,9 @@ def _run_basis_change(P, p):
     for term in P:
         change.advance(term)
         layouts.append(change.layout)
-        got.append((change.g(), change.num()))
+        # h_num is (-1)^n num_n/{2n+2}
+        n = change.level
+        got.append((change.g(), A(0, (-1) ** n) * brace(2 * n + 2) * change.h_num()))
     return got, layouts
 
 

@@ -976,6 +976,102 @@ def test_cheap_multisum_requests_are_accepted(argv, capsys):
         assert out == run_cli(capsys, *argv.replace(" --cross-check", "").split())[1]
 
 
+@pytest.mark.parametrize("suite", ["io", "laurent", "qcalc"])
+def test_suites_no_range_enters_are_accepted_on_the_largest_grid(suite, capsys):
+    # each took 0.10-0.14 s on a 2-core host with Python 3.11; the grid's suites
+    # together count 86 million units, and --suite all stays refused
+    from cyclojones.cli import _verify_work
+    from cyclojones.verify import SUITES
+
+    grid = ("--max-k", "24", "--max-n", "24", "--p-range=-5..5", "--m-range=1..5")
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *grid)
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith(f"suite {suite}: OK")
+    # all counts what every grid counted before the suites were told apart (53,430,854
+    # units at the default --max-n 8), and one suite never more: no request turns from
+    # accepted to refused
+    ranges = (24, 24, (-5, 5), (1, 5))
+    assert _verify_work(*ranges, suite) == 0
+    default_n = (24, 8, (-5, 5), (1, 5))
+    assert _verify_work(*default_n, "all") == _verify_work(*default_n) == 53_430_854
+    assert _verify_work(*ranges, "all") == sum(_verify_work(*ranges, name) for name in SUITES) - \
+        _verify_work(*ranges, "bailey") == 86_198_854
+    assert _verify_work(*ranges, "bailey") == _verify_work(*ranges, "skein") > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --max-k 1 --p-range=-500..500",
+        "verify --suite all --max-n 24 --p-range=-5..5 --m-range=1..5",
+        "verify --suite all --max-k 24 --max-n 24 --p-range=-5..5 --m-range=1..5",
+        "verify --suite cross --max-n 24 --p-range=-5..5 --m-range=1..5",
+        "verify --suite io --max-k 1 --p-range=-500..500",
+        "coeffs --p 2 --s 1 --max-k 48 --cross-check",
+        "coeffs --p 200 --s 1 --max-k 12 --cross-check",
+        "coeffs --p 1 --s 1 --max-k 49",
+        "verify --m-range 0..2",
+    ],
+)
+def test_the_robustness_requests_stay_usage_errors(argv, capsys, monkeypatch):
+    # the ROADMAP Baseline's list, and the knot bound for a suite no range enters
+    from cyclojones import cyclotomic, verify
+
+    monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: pytest.fail("verify started"))
+    monkeypatch.setattr(cyclotomic, "coefficient_table", lambda *a: pytest.fail("table started"))
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: cyclojones {argv.split()[0]} ")
+
+
+def test_coeffs_and_jones_requests_build_no_fraction(capsys, monkeypatch):
+    # every quotient of a table or of the Walsh route is divided straight by its
+    # braces (qcalc.brace_quotient): no LaurentFraction is built without --cross-check
+    from cyclojones.laurent import LaurentFraction
+
+    built, init, make = [], LaurentFraction.__init__, LaurentFraction._make.__func__
+
+    def counting_init(self, num):
+        built.append("__init__")
+        init(self, num)
+
+    def counting_make(cls, num, phi):
+        built.append("_make")
+        return make(cls, num, phi)
+
+    monkeypatch.setattr(LaurentFraction, "__init__", counting_init)
+    monkeypatch.setattr(LaurentFraction, "_make", classmethod(counting_make))
+    for argv in (
+        "coeffs --p -3 --s 5 --max-k 8 --no-cache",
+        "coeffs --p 3 --r -2 --max-k 8 --no-cache",
+        "jones --p 2 --s 1 --N 6 --route both",
+    ):
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert built == []
+    LaurentFraction(2) * LaurentFraction(3)  # the counters see the fractions that are built
+    assert built == ["__init__", "__init__", "_make"]
+
+
+def test_route_disagreement_exits_one(capsys, monkeypatch):
+    import cyclojones.cyclotomic as cyclotomic_mod
+
+    walsh = cyclotomic_mod.jones_walsh
+
+    def wrong(N, knot, cache):  # J'_N times A^4
+        value = walsh(N, knot, cache).value * cyclotomic_mod.LaurentPoly.monomial(4)
+        return cyclotomic_mod.JonesResult(knot, N, value, "walsh")
+
+    monkeypatch.setattr(cyclotomic_mod, "jones_walsh", wrong)
+    code, out, err = run_cli(capsys, "jones", "--p", "2", "--s", "1", "--N", "2", "--route", "both")
+    assert code == 1 and out == ""
+    assert err == ("route disagreement for K(2, 1/2), N=2:\n"
+                   "  theorem: A^-4 + A^-12 - A^-16\n  walsh:   1 + A^-8 - A^-12\n")
+
+
 def cross_check_work(max_k, p, t, half):
     """The units config_from_args counts for coeffs --cross-check, t = |r| or (|s| + 1)/2."""
     from cyclojones.cli import _sum_work, _sums

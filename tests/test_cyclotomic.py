@@ -26,7 +26,6 @@ from cyclojones import (
 )
 import cyclojones.cyclotomic as cyclotomic_mod
 from cyclojones.laurent import binomial_table
-from cyclojones.qcalc import brace, brace_recip
 
 A = LaurentPoly.monomial
 Q = A(4)  # the q-series variable
@@ -197,34 +196,36 @@ def _asker(frame):
 
 
 def _record_collapses(monkeypatch, record):
-    """Call record(asking frame, fraction) on every LaurentFraction.to_poly."""
-    to_poly = LaurentFraction.to_poly
+    """Call record(asking frame, lo, hi) on every division by {lo}...{hi}
+    (qcalc.brace_quotient) that cyclotomic asks for."""
+    divide = cyclotomic_mod.brace_quotient
 
-    def recording(self):
-        record(_asker(sys._getframe(1)), self)
-        return to_poly(self)
+    def recording(num, lo, hi):
+        record(_asker(sys._getframe(1)), lo, hi)
+        return divide(num, lo, hi)
 
-    monkeypatch.setattr(LaurentFraction, "to_poly", recording)
+    monkeypatch.setattr(cyclotomic_mod, "brace_quotient", recording)
 
 
 def test_half_twist_sums_divide_once(monkeypatch):
-    # h_coeff_half collapses its own sum once, over {2k+2}!; jones_walsh once,
-    # over {N}; the memoised sums and the q-Pascal binomials collapse nothing,
-    # cold or warm
+    # h_coeff_half divides its own sum once, by {1}...{2k+1} = {2k+1}! (the
+    # recurrences' last term is num_k/{2k+2}; num_k went over {2k+2}!);
+    # jones_walsh once, by {N}; the memoised sums and the q-Pascal binomials
+    # divide by nothing, cold or warm
     cache = QSymbolCache()
     collapses = []
     _record_collapses(
-        monkeypatch, lambda frame, frac: collapses.append((frame.f_code.co_name, frac))
+        monkeypatch, lambda frame, lo, hi: collapses.append((frame.f_code.co_name, lo, hi))
     )
     knot = KnotSpec.half(-3, 5)
     for _ in ("cold", "warm"):
         collapses.clear()
         h_coeff_half(4, knot, cache)
         jones_walsh(5, knot, cache)
-        dens = lambda caller: [f.den for name, f in collapses if name == caller]
-        assert dens("h_coeff_half") == [cache.brace_fact_recip(10).den]
-        assert dens("jones_walsh") == [brace_recip(5).den]
-        assert {name for name, _ in collapses} <= {"h_coeff_half", "jones_walsh", "c_prime"}
+        ranges = lambda caller: [(lo, hi) for name, lo, hi in collapses if name == caller]
+        assert ranges("h_coeff_half") == [(1, 9)]
+        assert ranges("jones_walsh") == [(5, 5)]
+        assert {name for name, _, _ in collapses} <= {"h_coeff_half", "jones_walsh", "c_prime"}
 
 
 def test_coeffs_jones_requests_divide_only_by_single_factors(monkeypatch, capsys):
@@ -348,7 +349,7 @@ def test_integrality_check_divides_each_c_prime_once(monkeypatch):
 
     collapsed = Counter()
 
-    def record(frame, frac):
+    def record(frame, lo, hi):
         if frame.f_code.co_name == "c_prime":
             collapsed[frame.f_locals["k"], frame.f_locals["p"]] += 1
 
@@ -361,26 +362,22 @@ def test_integrality_check_divides_each_c_prime_once(monkeypatch):
 
 
 def test_c_prime_collapses_over_its_own_denominator(monkeypatch):
-    # c'_{k,p} is its l-sum over {k+1}...{2k+1} = {2k+1}!/{k}!, collapsed
+    # c'_{k,p} is its l-sum over {k+1}...{2k+1} = {2k+1}!/{k}!, divided
     # once, and agrees with the q-Pochhammer form and the Bailey multi-sum
     from cyclojones import bailey
 
-    dens = {}
+    ranges = {}
 
-    def record(frame, frac):
+    def record(frame, lo, hi):
         if frame.f_code.co_name == "c_prime":
-            dens.setdefault((frame.f_locals["k"], frame.f_locals["p"]), []).append(frac.den)
+            ranges.setdefault((frame.f_locals["k"], frame.f_locals["p"]), []).append((lo, hi))
 
     _record_collapses(monkeypatch, record)
     cache = QSymbolCache()
     for k in range(13):
-        # {j} = A^(-2j) (A^(4j) - 1), so the oriented denominator is the product of A^(4j) - 1
-        block = LaurentPoly.one()
-        for j in range(k + 1, 2 * k + 2):
-            block = block * (A(4 * j) - 1)
         for p in (-3, -2, -1, 1, 2, 3):
             value = c_prime(k, p, cache)
-            assert dens[k, p] == [block], (k, p)
+            assert ranges[k, p] == [(k + 1, 2 * k + 1)], (k, p)
             assert value == c_prime_qform(k, p, cache), (k, p)
             assert value == bailey.multisum_c_prime(k, p, cache), (k, p)
 

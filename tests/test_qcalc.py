@@ -12,6 +12,7 @@ from cyclojones import (
     LaurentPoly,
     NotAdmissible,
     QSymbolCache,
+    RemainderNonzero,
     brace,
     bracket,
     c_prime,
@@ -20,7 +21,7 @@ from cyclojones import (
     half_twist_delta,
     t_coeff,
 )
-from cyclojones.qcalc import MAX_TABLE_INDEX
+from cyclojones.qcalc import MAX_TABLE_INDEX, brace_quotient, brace_recip
 
 A = LaurentPoly.monomial
 
@@ -286,6 +287,40 @@ def test_brace_fact_recip(cache):
         assert (recip * cache.brace_fact(n)).to_poly() == 1
     with pytest.raises(IndexOutOfRange):
         cache.brace_fact_recip(-1)
+
+
+def _random_numerator(rng):
+    """Up to 12 terms with coefficients below 2^40 on a random lattice and coset."""
+    stride, offset = rng.choice((1, 2, 4, 6)), rng.randint(-7, 7)
+    return LaurentPoly({offset + stride * rng.randint(-30, 30): rng.choice((-1, 1)) * rng.randint(
+        1, 1 << 40) for _ in range(rng.randint(1, 12))})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_brace_quotient_matches_the_fraction_it_replaces(seed):
+    # num/({lo}...{hi}) without a fraction equals num over the product of brace_recip
+    # collapsed by to_poly; a numerator off by one coefficient (Φ_1(A) cannot cancel),
+    # or off by a multiple of {lo} when lo < hi (Φ_1(A) cancels once), raises the same
+    # RemainderNonzero, naming the same Φ_d(A) and exponent, with the same remainder
+    rng = random.Random(seed)
+    for _ in range(15):
+        hi = rng.randint(1, 50)
+        lo = rng.randint(1, hi)
+        recip = math.prod(brace_recip(j) for j in range(lo, hi + 1))
+        quotient = _random_numerator(rng)
+        num = quotient * math.prod(brace(j) for j in range(lo, hi + 1))
+        assert brace_quotient(num, lo, hi) == (num * recip).to_poly() == quotient, (lo, hi)
+        e = rng.choice([e for e, _ in num.items()] + [num.min_exp - 2, num.max_exp + 1])
+        bump = A(e, rng.choice((-1, 1)) * rng.randint(1, 1 << 20))
+        for wrong in [num + bump] + ([num + bump * brace(lo)] if lo < hi else []):
+            with pytest.raises(RemainderNonzero) as reference:
+                (wrong * recip).to_poly()
+            with pytest.raises(RemainderNonzero) as got:
+                brace_quotient(wrong, lo, hi)
+            assert str(got.value) == str(reference.value), (lo, hi)
+            assert got.value.remainder == reference.value.remainder
+    assert brace_quotient(LaurentPoly.zero(), 2, 7).is_zero
+    assert brace_quotient(brace(3), 3, 3) == 1
 
 
 def test_pochhammer_recip(cache):
