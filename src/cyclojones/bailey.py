@@ -12,17 +12,20 @@ multi-sum closed forms for the cyclotomic
 coefficients — the second computation route, and the one that makes
 integrality visible (Gaussian binomials and monomials only).  chain_sum
 sums them over chains level by level, one chain step a level, so no
-chain is ever listed.
+chain is ever listed.  multisum_agreement compares them with the single
+sums of cyclotomic as Laurent polynomials, for verify's cross/multisum-*
+checks and for coeffs --cross-check alike.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .errors import IndexOutOfRange
+from . import cyclotomic
+from .errors import IndexOutOfRange, RemainderNonzero
 from .laurent import LaurentFraction, LaurentPoly, lincomb
-from .qcalc import QSymbolCache
+from .qcalc import QSymbolCache, brace_quotient
 from .record import Record
 
 _ZERO = LaurentPoly.zero()
@@ -210,13 +213,12 @@ def multisum_c_prime(k: int, p: int, cache: QSymbolCache) -> LaurentPoly:
     return LaurentPoly.monomial(-k * (k + 3)) * body
 
 
-def multisum_c_tilde(k: int, m: int, cache: QSymbolCache) -> LaurentFraction:
-    """Multi-sum form of c~'_{k,s/2} for s = 2m - 1, m >= 1:
+def multisum_c_tilde(k: int, m: int, cache: QSymbolCache) -> LaurentPoly:
+    """Multi-sum form of (q;q)_k c~'_{k,s/2} for s = 2m - 1, m >= 1, manifestly
+    a Laurent polynomial:
 
-        (-1)^k q^(k(k+3)/4) sum (1/(q;q)_{k_1})
+        (-1)^k q^(k(k+3)/4) sum ((q;q)_k/(q;q)_{k_1})
             prod q^(k_i^2+k_i) [k_{i+1} over k_i]_q
-
-    {k}! times the value is manifestly a Laurent polynomial.
     """
     if k < 0:
         raise IndexOutOfRange("coefficient index must be >= 0")
@@ -224,16 +226,15 @@ def multisum_c_tilde(k: int, m: int, cache: QSymbolCache) -> LaurentFraction:
         raise ValueError("multi-sum form needs m >= 1 (s = 2m - 1 positive)")
     step = _binomial_step(lambda a, b: 4 * (a * a + a), cache)
     num = chain_sum(k, m, step, beta=lambda k1: cache.pochhammer_ratio(1, k, k1))
-    num = LaurentPoly.monomial(k * (k + 3), -1 if k & 1 else 1) * num
-    return cache.pochhammer_recip(1, k) * num
+    return LaurentPoly.monomial(k * (k + 3), -1 if k & 1 else 1) * num
 
 
-def multisum_d(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentFraction:
-    """Multi-sum form of d_{k,j,p}, over chains with top k - j:
+def multisum_d(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
+    """Multi-sum form of (q;q)_{k-j} d_{k,j,p}, over chains with top k - j:
 
-        p > 0: (-1)^(k-j) q^((j+1)(j-k)-pj(j+2)) (1/(q;q)_{k-j})
+        p > 0: (-1)^(k-j) q^((j+1)(j-k)-pj(j+2))
                    sum prod q^(-k_i k_{i+1}-(2j+2)k_i) [k_{i+1} over k_i]_q
-        p < 0: q^((k(k+3)-j(j+3))/2+|p|j(j+2)) (1/(q;q)_{k-j})
+        p < 0: q^((k(k+3)-j(j+3))/2+|p|j(j+2))
                    sum prod q^(k_i^2+(2j+2)k_i) [k_{i+1} over k_i]_q
 
     The chain weight carries the full x^{k_i} q^{k_i^2} with x = q^{2j+2};
@@ -254,4 +255,47 @@ def multisum_d(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentFraction:
         prefactor = LaurentPoly.monomial(
             2 * (k * (k + 3) - j * (j + 3)) + 4 * (-p) * j * (j + 2)
         )
-    return cache.pochhammer_recip(1, top) * (prefactor * body)
+    return prefactor * body
+
+
+def _agrees(num: LaurentPoly, n: int, lo: int, hi: int, multi: LaurentPoly,
+            cache: QSymbolCache) -> bool:
+    """num (q;q)_n/({lo}...{hi}) == multi exactly, an inexact division a mismatch:
+    (q;q)_n = (-1)^n A^(n(n+1)) {n}!, and the braces that {n}! shares with the
+    denominator cancel before brace_quotient divides by the rest."""
+    unit = LaurentPoly.monomial(-n * (n + 1), -1 if n & 1 else 1)
+    try:
+        quotient = brace_quotient(num * cache.brace_fact(min(n, lo - 1)), max(lo, n + 1), hi)
+    except RemainderNonzero:
+        return False
+    return quotient == unit * multi
+
+
+def multisum_agreement(
+    k: int, cache: QSymbolCache, twists: Iterable[int] = (), colors: Iterable[int] = (),
+    d_twists: Sequence[int] = (),
+) -> Iterator[tuple[tuple, bool]]:
+    """The multi-sums against cyclotomic's single sums at k, one (key, ok) per
+    identity: ("c'", p) for p in twists, ("c~'", s) for s in colors and ("d", j, p)
+    for j <= k and p in d_twists.  Each is an identity of Laurent polynomials and
+    builds no fraction: the single sum's numerator times the multi-sum's
+    denominator, over the single sum's braces, is the multi-sum's numerator,
+
+        c~':  _c_num(k, s) (q;q)_k / {2k+1}!                  = multisum_c_tilde
+        d:    _d_num(k, j, p) (q;q)_{k-j} / ({2j+2}...{2k+2})  = multisum_d
+
+    (_agrees).  For s < 0 the multi-sum is that of -s at A^-1, which maps
+    c~'_{k,-s/2} to (-1)^k c~'_{k,s/2} and (q;q)_k to (-1)^k q^(-k(k+1)/2) (q;q)_k:
+    the numerator is A^(2k(k+1)) times it.
+    """
+    for p in twists:
+        yield ("c'", p), multisum_c_prime(k, p, cache) == cyclotomic.c_prime(k, p, cache)
+    for s in colors:
+        multi = multisum_c_tilde(k, (abs(s) + 1) // 2, cache)
+        if s < 0:
+            multi = LaurentPoly.monomial(2 * k * (k + 1)) * multi.substitute_power(-1)
+        yield ("c~'", s), _agrees(cyclotomic._c_num(k, s, cache), k, 1, 2 * k + 1, multi, cache)
+    for j in range(k + 1):
+        for p in d_twists:
+            num, multi = cyclotomic._d_num(k, j, p, cache), multisum_d(k, j, p, cache)
+            yield ("d", j, p), _agrees(num, k - j, 2 * j + 2, 2 * k + 2, multi, cache)

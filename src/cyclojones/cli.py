@@ -33,7 +33,7 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "cyclojones"
 
 # largest coeffs --max-k and jones/eval --N; K(-3, 5/2) at max_k 48 (times in README)
 MAX_INDEX = 48
-# largest verify --max-k and --max-n; --suite all on the default grid takes about 11 s
+# largest verify --max-k and --max-n; --suite all on the default grid takes about 8 s
 # at --max-k 24 and 5 s at --max-n 24 (README); WORK_BUDGET bounds larger grids
 VERIFY_MAX_INDEX = 24
 # most knots in a verify grid, |p-range|^2 + |p-range| * |m-range| (54 by default), counted
@@ -173,10 +173,10 @@ def _sum_work(max_k: int, twists: tuple, colors: tuple, half: bool) -> int:
     of L = |r| if not half) and, if half, the d-sums of the twists, each group given by its
     _sums.  A chain_sum of length L to top T runs L - 2 levels of about T^2/2 products whose
     operands grow with the level, (L - 1)(L - 2)(T + 1)^5/600 units.  A c~' or d comparison
-    at k lifts both fractions to one denominator, (L + 10)(k + 1)^4/200 units; the 10
-    expands the denominator, once a run."""
+    at k divides numerators by at most 2k + 2 braces, (L + 2)(k + 1)^4/200 units; the 2 is
+    the products of the d numerators' p-free kernels, built once a run."""
     chains = [s2 - 3 * s1 + 2 * n for n, s1, s2 in (twists, colors)]  # sums of (L - 1)(L - 2)
-    compares = [s1 + 10 if n else 0 for n, s1, _ in (twists, colors)]
+    compares = [s1 + 2 if n else 0 for n, s1, _ in (twists, colors)]
     chain = compare = tops = 0  # tops: the sum of (T + 1)^5 over the d-sums' tops T <= k
     for k in range(max_k + 1):
         tops += (k + 1) ** 5

@@ -17,9 +17,11 @@ Each sum is taken over the braces its balanced binomials leave: c' over
 {k+1}...{2k+1} = {2k+1}!/{k}! (its l-sum without the {k}!), H_k over
 {2k+1}! and J'_N (Walsh route) over {N}, each divided once by
 qcalc.brace_quotient, which builds no fraction unless the division is
-inexact (the one diagnostic site for H_k).  c~' and d stay fractions over
-1/{2k+1}! and 1/({2j+2}...{2k+2}).  Every other sum is accumulated in
-place in one list (_c_sum, lincomb).
+inexact (the one diagnostic site for H_k).  c~' and d are fractions over
+1/{2k+1}! and 1/({2j+2}...{2k+2}) only as c_tilde_prime and d_kjp; the
+identities that check them (bailey.multisum_agreement, verify) compare
+their numerators _c_num and _d_num as polynomials.  Every other sum is
+accumulated in place in one list (_c_sum, lincomb).
 
 H_k does not evaluate the d-sum term by term: with the sum over j
 taken inside, it needs only the signed products P'_j = (-1)^j c'_j *
@@ -197,16 +199,17 @@ def _d_num(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentPoly:
         N_{k,j} = sum_{i=j}^{k} (-1)^(i+j) A^(-4pi(i+2)) {2i+2} [i+1+j over 2j+1] [2k+2 over k-i]
 
     The cache keeps the p-free rest of each term for the last (k, j), so a
-    loop over p builds it once.  Used by d_kjp only; h_coeff_half runs the
-    same binomial sums as skein recurrences.
+    loop over p builds it once.  Used by d_kjp and by the identities on d
+    (bailey.multisum_agreement, verify's skein bridge and q-inversion);
+    h_coeff_half runs the same binomial sums as skein recurrences.
     """
     kernel = cache.latest("d_kernel", (k, j), lambda: [
-        brace(2 * i + 2) * cache.qbinom_balanced(i + 1 + j, 2 * j + 1)
-        * cache.qbinom_balanced(2 * k + 2, k - i)
+        cache.qbinom_balanced(i + 1 + j, 2 * j + 1) * cache.qbinom_balanced(2 * k + 2, k - i)
         for i in range(j, k + 1)
     ])
     return lincomb(
-        (LaurentPoly.monomial(-4 * p * i * (i + 2), -1 if (i + j) & 1 else 1), term)
+        (LaurentPoly.monomial(-4 * p * i * (i + 2), -1 if (i + j) & 1 else 1) * brace(2 * i + 2),
+         term)
         for i, term in enumerate(kernel, j)
     )
 
@@ -215,15 +218,13 @@ def d_kjp(k: int, j: int, p: int, cache: QSymbolCache) -> LaurentFraction:
     """d_{k,j,p} = sum_{i=j}^{k} (-1)^(i+j) 𝔮^(-2pi(i+2))
                    {2i+2}{i+1+j}!/({k+i+2}!{k-i}!{i-j}!),
 
-    taken as _d_num over {2j+2}...{2k+2} = {2k+2}!/{2j+1}!, the fraction
-    braces_recip that the cache keeps for the last (k, j) under "d_recip".
+    taken as _d_num over {2j+2}...{2k+2} = {2k+2}!/{2j+1}!.
     """
     if not 0 <= j <= k:
         raise IndexOutOfRange(f"d coefficient needs 0 <= j <= k, got k={k}, j={j}")
     if p == 0:
         raise ValueError("twist count p must be nonzero")
-    recip = cache.latest("d_recip", (k, j), lambda: braces_recip(2 * j + 2, 2 * k + 2))
-    return recip * _d_num(k, j, p, cache)
+    return braces_recip(2 * j + 2, 2 * k + 2) * _d_num(k, j, p, cache)
 
 
 # -- cyclotomic coefficients ------------------------------------------
@@ -365,27 +366,17 @@ def coefficient_table(
 def _multisum_check(knot: KnotSpec, k: int, cache: QSymbolCache) -> None:
     from . import bailey
 
-    p = knot.p
-    if bailey.multisum_c_prime(k, p, cache) != c_prime(k, p, cache):
-        raise IntegralityFailure(f"multi-sum c' mismatch at k={k}, p={p}")
     if knot.is_half:
-        s = knot.s
-        if s >= 1:
-            multi = bailey.multisum_c_tilde(k, (s + 1) // 2, cache)
-        else:
-            # A -> A^-1 maps c~'_{k,-s/2} to (-1)^k c~'_{k,s/2}
-            multi = bailey.multisum_c_tilde(k, (1 - s) // 2, cache).substitute_power(-1)
-            if k & 1:
-                multi = -multi
-        if multi != c_tilde_prime(k, s, cache):
-            raise IntegralityFailure(f"multi-sum c~' mismatch at k={k}, s={s}")
-        for j in range(k + 1):
-            if bailey.multisum_d(k, j, p, cache) != d_kjp(k, j, p, cache):
-                raise IntegralityFailure(f"multi-sum d mismatch at k={k}, j={j}, p={p}")
+        names = {knot.p: "p"}
+        found = bailey.multisum_agreement(k, cache, names, (knot.s,), (knot.p,))
     else:
-        r = knot.r
-        if bailey.multisum_c_prime(k, r, cache) != c_prime(k, r, cache):
-            raise IntegralityFailure(f"multi-sum c' mismatch at k={k}, r={r}")
+        names = {knot.r: "r", knot.p: "p"}  # K(p, p) compares its one c' once
+        found = bailey.multisum_agreement(k, cache, names)
+    for (kind, *at), ok in found:
+        if not ok:
+            labels = {"c~'": ("s",), "d": ("j", "p")}.get(kind) or (names[at[0]],)
+            where = ", ".join(f"{label}={value}" for label, value in zip(labels, at))
+            raise IntegralityFailure(f"multi-sum {kind} mismatch at k={k}, {where}")
 
 
 # -- colored Jones polynomials ----------------------------------------

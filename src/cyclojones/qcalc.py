@@ -110,12 +110,12 @@ class QSymbolCache:
     "brace_fact", "bracket_fact", "brace_fact_recip", ("pochhammer", a),
     ("pochhammer_recip", a) or ("cyclo_block", N).  ``coefficients`` keeps
     computed values by owner; only memo and latest write it.  memo keeps one
-    per key for as long as the cache: ("qbinom", n, min(i, n - i)) qbinom,
-    ("t_coeff", k, i) skein.t_coeff, ("c_prime", k, p) cyclotomic.c_prime
+    per key for as long as the cache: ("qbinom", n, t) qbinom for
+    0 < t = min(i, n - i), ("t_coeff", k, i) skein.t_coeff for i < k (both
+    divided by brace_quotient, with no fraction built), ("c_prime", k, p) cyclotomic.c_prime
     and ("_c_num", k, s) cyclotomic._c_num.  latest keeps the last
     key only: "r_basis" (k) skein.pairing_R_e, "d_kernel" (k, j)
-    cyclotomic._d_num, "d_recip" (k, j), the fraction 1/({2j+2}...{2k+2})
-    of cyclotomic.d_kjp, "twist_kernel" (k, j) skein.twist_coeff_d and "knot"
+    cyclotomic._d_num, "twist_kernel" (k, j) skein.twist_coeff_d and "knot"
     (p, s), a dict of the signed terms "P'" of cyclotomic._p_terms and the
     "diagonals", a basis.BasisChange, of cyclotomic.h_coeff_half.  No hit
     ever changes a result.
@@ -207,16 +207,23 @@ class QSymbolCache:
     def qbinom(self, n: int, i: int) -> LaurentPoly:
         """Gaussian binomial (q;q)_n/((q;q)_i (q;q)_{n-i}); 0 out of range.
 
-        A factorial quotient collapsed by to_poly, independent of the
-        q-Pascal rule behind qbinom_balanced."""
+        A factorial quotient, independent of the q-Pascal rule behind
+        qbinom_balanced: (q^(n-t+1);q)_t, t = min(i, n - i), over
+        (q;q)_t = (-1)^t A^(t(t+1)) {t}!, divided by brace_quotient."""
         if n < 0:
             raise IndexOutOfRange("q-binomial needs n >= 0")
         if i < 0 or i > n:
             return _ZERO
         t = min(i, n - i)
-        return self.memo(("qbinom", n, t), lambda: (
-            self.pochhammer_recip(1, t) * self.pochhammer_recip(1, n - t) * self.pochhammer(1, n)
-        ).to_poly())
+        if t == 0:
+            return _ONE
+
+        def build() -> LaurentPoly:
+            rising = (_ONE - LaurentPoly.monomial(4 * m) for m in range(n - t + 1, n + 1))
+            unit = LaurentPoly.monomial(-t * (t + 1), -1 if t & 1 else 1)
+            return unit * brace_quotient(math.prod(rising, start=_ONE), 1, t)
+
+        return self.memo(("qbinom", n, t), build)
 
     def qbinom_balanced(self, n: int, i: int) -> LaurentPoly:
         """Balanced binomial [n i] = {n}!/({i}!{n-i}!); 0 out of range.

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from .errors import IndexOutOfRange
 from .laurent import LaurentPoly, lincomb
-from .qcalc import QSymbolCache, bracket, brace, framing_mu_power
+from .qcalc import QSymbolCache, bracket, brace, brace_quotient, framing_mu_power
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
@@ -151,15 +151,17 @@ def t_coeff(k: int, i: int, cache: QSymbolCache) -> LaurentPoly:
     """Coefficient of e_i in R_k: {2k+1}!{2i+2}/({k+i+2}!{k-i}!).
 
     A factorial quotient, independent of the q-Pascal balanced binomials
-    behind s_coeff; cache.memo keeps it under ("t_coeff", k, i), so each
-    t_{k,i} is collapsed once per cache.
+    behind s_coeff: t_{k,k} = 1, and for i < k {k+i+3}...{2k+1}{2i+2} over
+    {k-i}!, divided by brace_quotient.  cache.memo keeps it under
+    ("t_coeff", k, i), so each t_{k,i} is divided once per cache.
     """
     if not 0 <= i <= k:
         raise IndexOutOfRange(f"t coefficient needs 0 <= i <= k, got k={k}, i={i}")
-    return cache.memo(("t_coeff", k, i), lambda: (
-        cache.brace_fact_recip(k + i + 2) * cache.brace_fact_recip(k - i)
-        * (cache.brace_fact(2 * k + 1) * brace(2 * i + 2))
-    ).to_poly())
+    if i == k:
+        return _ONE
+    return cache.memo(("t_coeff", k, i), lambda: brace_quotient(
+        cache.brace_fact_ratio(2 * k + 1, k + i + 2) * brace(2 * i + 2), 1, k - i
+    ))
 
 
 def s_coeff(i: int, j: int, cache: QSymbolCache) -> LaurentPoly:

@@ -11,12 +11,15 @@ QSymbolCache serves a verify run (one per worker's group of checks under
 --jobs).  Its q-symbol tables and what it keeps by key (memo: q-binomials,
 c', the c~' numerators and t) are built once per run; what it keeps for
 the last key only (latest: the per-knot P' terms and skein recurrences,
-and d's kernel and denominator and the twist kernel), which bounds its
-memory, is built again whenever a check comes back to an earlier key.
-d and H_k themselves are not kept: on the default grid d_kjp runs 890
-times for 396 distinct (k, j, p), since cross/multisum-d,
-cross/skein-bridge and cyclotomic/q-inversion each build it, and 273 of
-the 867 h_coeff calls repeat an earlier (k, knot).
+and d's kernel and the twist kernel), which bounds its memory, is built
+again whenever a check comes back to an earlier key.  The identities on
+d compare its numerator N_{k,j} (cyclotomic._d_num) as a polynomial, and
+the multi-sum checks share bailey.multisum_agreement with coeffs
+--cross-check; none builds a fraction.  d's numerators and H_k are not
+kept: on the default grid _d_num runs 890 times for 396 distinct
+(k, j, p), since cross/multisum-d, cross/skein-bridge and
+cyclotomic/q-inversion each build it, and 273 of the 867 h_coeff calls
+repeat an earlier (k, knot).
 """
 
 from __future__ import annotations
@@ -379,12 +382,14 @@ def check_qform(grid: VerifyGrid, cache: QSymbolCache):
 
 @_identities("cyclotomic/q-inversion", "k <= 6, |p| <= 2")
 def check_q_inversion(grid: VerifyGrid, cache: QSymbolCache):
+    # d_{k,j,p}(A^-1) = d_{k,j,-p} on the numerators over {2j+2}...{2k+2}, whose
+    # 2(k - j) + 1 braces each change sign at A^-1
     ps = [p for p in grid.p_values if abs(p) <= 2] or [-2, -1, 1, 2]
     for k in range(7):
         for j in range(k + 1):
             for p in ps:
-                lhs = cyclotomic.d_kjp(k, j, p, cache).substitute_power(-1)
-                yield (k, j, p), lhs == cyclotomic.d_kjp(k, j, -p, cache)
+                lhs = cyclotomic._d_num(k, j, p, cache).substitute_power(-1)
+                yield (k, j, p), lhs == -cyclotomic._d_num(k, j, -p, cache)
 
 
 @_identities("cyclotomic/normalization", "J'_1 = 1; J'(A=1) = 1")
@@ -464,25 +469,23 @@ def check_inversion_identities(grid: VerifyGrid, cache: QSymbolCache):
 @_identities("cross/multisum-c-prime", lambda grid: f"k <= {grid.max_k}")
 def check_multisum_c_prime(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.max_k + 1):
-        for p in grid.p_values:
-            yield (k, p), bailey.multisum_c_prime(k, p, cache) == cyclotomic.c_prime(k, p, cache)
+        for (_, p), holds in bailey.multisum_agreement(k, cache, twists=grid.p_values):
+            yield (k, p), holds
 
 
 @_identities("cross/multisum-c-tilde", lambda grid: f"k <= {grid.max_k}")
 def check_multisum_c_tilde(grid: VerifyGrid, cache: QSymbolCache):
+    colors = [2 * m - 1 for m in grid.m_values]
     for k in range(grid.max_k + 1):
-        for m in grid.m_values:
-            multisum = bailey.multisum_c_tilde(k, m, cache)
-            yield (k, m), multisum == cyclotomic.c_tilde_prime(k, 2 * m - 1, cache)
+        for (_, s), holds in bailey.multisum_agreement(k, cache, colors=colors):
+            yield (k, (s + 1) // 2), holds
 
 
 @_identities("cross/multisum-d", lambda grid: f"k <= {grid.max_k}, j <= k")
 def check_multisum_d(grid: VerifyGrid, cache: QSymbolCache):
     for k in range(grid.max_k + 1):
-        for j in range(k + 1):
-            for p in grid.p_values:
-                multisum = bailey.multisum_d(k, j, p, cache)
-                yield (k, j, p), multisum == cyclotomic.d_kjp(k, j, p, cache)
+        for (_, j, p), holds in bailey.multisum_agreement(k, cache, d_twists=grid.p_values):
+            yield (k, j, p), holds
 
 
 @_identities("cross/route-agreement",
@@ -498,14 +501,13 @@ def check_route_agreement(grid: VerifyGrid, cache: QSymbolCache):
 
 @_identities("cross/skein-bridge", lambda grid: f"k <= {grid.bridge_k}")
 def check_skein_bridge(grid: VerifyGrid, cache: QSymbolCache):
+    # {2k+1}! d_{k,j,p} = {2j+1}! t^(-4p)_{k,j}, with d = N_{k,j} {2j+1}!/{2k+2}!:
+    # N_{k,j} = {2k+2} t^(-4p)_{k,j}
     for k in range(grid.bridge_k + 1):
         for j in range(k + 1):
             for p in grid.p_values:
-                d = cyclotomic.d_kjp(k, j, p, cache)
-                lhs = LaurentFraction(cache.brace_fact(2 * k + 1)) * d
                 twist = skein.twist_coeff_d(k, j, -4 * p, cache)
-                rhs = LaurentFraction(cache.brace_fact(2 * j + 1) * twist)
-                yield (k, j, p), lhs == rhs
+                yield (k, j, p), cyclotomic._d_num(k, j, p, cache) == brace(2 * k + 2) * twist
 
 
 # -- io suite ----------------------------------------------------------

@@ -110,10 +110,13 @@ def test_criterion_04_multisum_agreement(cache):
             for p in P_GRID:
                 assert multisum_c_prime(k, p, cache) == c_prime(k, p, cache), (k, p)
             for m in (1, 2, 3):
-                assert multisum_c_tilde(k, m, cache) == c_tilde_prime(k, 2 * m - 1, cache), (k, m)
+                # the multi-sums give their numerators over (q;q)_k and (q;q)_{k-j}
+                multisum = cache.pochhammer_recip(1, k) * multisum_c_tilde(k, m, cache)
+                assert multisum == c_tilde_prime(k, 2 * m - 1, cache), (k, m)
             for j in range(k + 1):
                 for p in P_GRID:
-                    assert multisum_d(k, j, p, cache) == d_kjp(k, j, p, cache), (k, j, p)
+                    multisum = cache.pochhammer_recip(1, k - j) * multisum_d(k, j, p, cache)
+                    assert multisum == d_kjp(k, j, p, cache), (k, j, p)
 
 
 def test_criterion_05_integrality(cache):

@@ -148,7 +148,7 @@ def test_shifted_pair_feeds_multisum_d(cache):
         for k in range(6):
             assert beta_from_alpha(pair, k, cache) == pair.beta(k)
     # pinned regression: the k=1, j=0 case fixes the (-1)^(k-j) prefactor
-    assert multisum_d(1, 0, 1, cache) == over_q_minus_1(A(-4))
+    assert cache.pochhammer_recip(1, 1) * multisum_d(1, 0, 1, cache) == over_q_minus_1(A(-4))
 
 
 def test_multisum_c_prime(cache):
@@ -161,29 +161,34 @@ def test_multisum_c_prime(cache):
 
 
 def test_multisum_c_tilde(cache):
+    # the numerator over (q;q)_k; (q;q)_0 = 1 and (q;q)_1 = 1 - q
     for m in (1, 2, 3):
-        assert multisum_c_tilde(0, m, cache) == LaurentFraction(1)
-    assert multisum_c_tilde(1, 1, cache) == over_q_minus_1(Q)
-    assert multisum_c_tilde(1, 2, cache) == over_q_minus_1(Q * (1 - Q + A(8)))
+        assert multisum_c_tilde(0, m, cache) == LaurentPoly.one()
+    over_q1 = cache.pochhammer_recip(1, 1)
+    assert over_q1 * multisum_c_tilde(1, 1, cache) == over_q_minus_1(Q)
+    assert over_q1 * multisum_c_tilde(1, 2, cache) == over_q_minus_1(Q * (1 - Q + A(8)))
     with pytest.raises(ValueError):
         multisum_c_tilde(1, 0, cache)
 
 
 def test_multisum_d(cache):
-    assert multisum_d(1, 0, 1, cache) == over_q_minus_1(A(-4))
-    assert multisum_d(1, 0, -1, cache) == over_q_minus_1(-A(8))
+    # the numerator over (q;q)_{k-j}
+    over_q1 = cache.pochhammer_recip(1, 1)
+    assert over_q1 * multisum_d(1, 0, 1, cache) == over_q_minus_1(A(-4))
+    assert over_q1 * multisum_d(1, 0, -1, cache) == over_q_minus_1(-A(8))
     for k in range(6):
-        assert multisum_d(k, k, 2, cache) == LaurentFraction(A(-8 * k * (k + 2)))
+        assert multisum_d(k, k, 2, cache) == A(-8 * k * (k + 2))
 
 
 def test_multisum_d_chain_weight_regression(cache):
     # the chain weight must carry the full x^{k_i} q^{k_i^2} with
     # x = q^(2j+2); hand values at k=1, j=0, |p|=2 pin this down
     # (a q^(k_i^2+k_i) weight would give (q^2+q^4)/(1-q) below)
-    assert multisum_d(1, 0, -2, cache) == over_q_minus_1(-(A(8) + A(20)))
-    assert multisum_d(1, 0, 2, cache) == over_q_minus_1(A(-4) + A(-16))
-    assert multisum_d(1, 0, -2, cache) == d_kjp(1, 0, -2, cache)
-    assert multisum_d(1, 0, 2, cache) == d_kjp(1, 0, 2, cache)
+    over_q1 = cache.pochhammer_recip(1, 1)
+    assert over_q1 * multisum_d(1, 0, -2, cache) == over_q_minus_1(-(A(8) + A(20)))
+    assert over_q1 * multisum_d(1, 0, 2, cache) == over_q_minus_1(A(-4) + A(-16))
+    assert over_q1 * multisum_d(1, 0, -2, cache) == d_kjp(1, 0, -2, cache)
+    assert over_q1 * multisum_d(1, 0, 2, cache) == d_kjp(1, 0, 2, cache)
 
 
 def test_multisum_equals_single_sum(cache):
@@ -191,22 +196,23 @@ def test_multisum_equals_single_sum(cache):
         for p in (-3, -2, -1, 1, 2, 3):
             assert multisum_c_prime(k, p, cache) == c_prime(k, p, cache)
         for m in (1, 2, 3):
-            assert multisum_c_tilde(k, m, cache) == c_tilde_prime(k, 2 * m - 1, cache)
+            multisum = cache.pochhammer_recip(1, k) * multisum_c_tilde(k, m, cache)
+            assert multisum == c_tilde_prime(k, 2 * m - 1, cache)
         for j in range(k + 1):
             for p in (-2, -1, 1, 2):
-                assert multisum_d(k, j, p, cache) == d_kjp(k, j, p, cache)
+                multisum = cache.pochhammer_recip(1, k - j) * multisum_d(k, j, p, cache)
+                assert multisum == d_kjp(k, j, p, cache)
 
 
 def test_multisum_outputs_manifestly_integral(cache):
-    # c' is a polynomial outright; the others clear one Pochhammer factor
+    # c' is a polynomial outright; c~' and d are given as their numerators over
+    # one Pochhammer factor, polynomials in q^(1/4) = A
     for k in range(6):
-        poly = multisum_c_prime(k, 3, cache)
-        assert all(e % 2 == 0 for e, _ in poly.items())
-        ct = multisum_c_tilde(k, 2, cache)
-        (LaurentFraction(cache.pochhammer(1, k)) * ct).to_poly()
-        for j in range(k + 1):
-            d = multisum_d(k, j, 2, cache)
-            (LaurentFraction(cache.pochhammer(1, k - j)) * d).to_poly()
+        sums = [multisum_c_prime(k, 3, cache), multisum_c_tilde(k, 2, cache)]
+        sums += [multisum_d(k, j, 2, cache) for j in range(k + 1)]
+        for poly in sums:
+            assert isinstance(poly, LaurentPoly)
+        assert all(e % 2 == 0 for e, _ in sums[0].items())
 
 
 def test_inverted_pochhammer_identity(cache):
@@ -309,3 +315,96 @@ def test_chain_sums_without_the_diagonal_step_fail_their_checks(monkeypatch):
     (counts, _), (c_prime_row, _) = _run_group([check_chain_counts, check_multisum_c_prime], VerifyGrid())
     assert not counts.passed and counts.detail.startswith("36/45 failed")
     assert not c_prime_row.passed
+
+
+def test_numerator_checks_build_no_fraction(fractions_built):
+    # the multi-sum comparisons, the identities on d and the t_{k,i} collapses
+    # compare and divide Laurent polynomials only
+    from cyclojones import verify
+
+    checks = [verify.check_multisum_c_prime, verify.check_multisum_c_tilde, verify.check_multisum_d,
+              verify.check_skein_bridge, verify.check_q_inversion, verify.check_twist_inverse]
+    results = verify._run_group(checks, verify.VerifyGrid())
+    assert [result.passed for result, _ in results] == [True] * len(checks)
+    assert fractions_built == []
+
+
+def _plant(monkeypatch, module, name, at, error=LaurentPoly.one()):
+    """module.name with error added to its value at the arguments at (the cache left out)."""
+    original = getattr(module, name)
+
+    def planted(*args):
+        value = original(*args)
+        return value + error if args[:len(at)] == at else value
+
+    monkeypatch.setattr(module, name, planted)
+
+
+def _failed_rows(*checks):
+    from cyclojones.verify import VerifyGrid, _run_group
+
+    return {result.check_id: result.detail for result, _ in _run_group(checks, VerifyGrid())
+            if not result.passed}
+
+
+@pytest.mark.parametrize(
+    "target, argv, message",
+    [
+        # a d numerator, on the single-sum side: H_k does not sum it, so only the check sees it
+        (("cyclotomic", "_d_num", (3, 1, 2)), "--p 2 --s 3",
+         "multi-sum d mismatch at k=3, j=1, p=2"),
+        # a c~' numerator on the multi-sum side, compared as is for s > 0 and at A^-1 for s < 0
+        (("bailey", "multisum_c_tilde", (2, 2)), "--p 2 --s 3", "multi-sum c~' mismatch at k=2, s=3"),
+        (("bailey", "multisum_c_tilde", (2, 2)), "--p 2 --s -3", "multi-sum c~' mismatch at k=2, s=-3"),
+    ],
+)
+def test_a_planted_numerator_error_fails_the_cross_check_and_verify(target, argv, message, capsys,
+                                                                   monkeypatch):
+    import cyclojones.bailey as bailey_mod
+    import cyclojones.cyclotomic as cyclotomic_mod
+    from cyclojones import verify
+    from cyclojones.cli import main
+
+    module, name, at = target
+    _plant(monkeypatch, {"bailey": bailey_mod, "cyclotomic": cyclotomic_mod}[module], name, at)
+    assert main(f"coeffs {argv} --max-k 4 --no-cache --cross-check".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    if name == "_d_num":  # every identity on d sees it
+        failed = _failed_rows(verify.check_multisum_d, verify.check_skein_bridge, verify.check_q_inversion)
+        assert failed == {"cross/multisum-d": "1/396 failed: (3, 1, 2)",
+                          "cross/skein-bridge": "1/270 failed: (3, 1, 2)",
+                          "cyclotomic/q-inversion": "2/112 failed: (3, 1, -2), (3, 1, 2)"}
+    else:
+        failed = _failed_rows(verify.check_multisum_c_tilde)
+        assert failed == {"cross/multisum-c-tilde": "1/33 failed: (2, 2)"}
+
+
+def test_a_planted_chain_weight_error_fails_the_cross_check_and_verify(capsys, monkeypatch):
+    # one wrong weight [2 over 1]_q of every chain step: each multi-sum with a chain
+    # step (p, m or |p| >= 2) that passes from k_i = 1 to k_{i+1} = 2 is wrong
+    import cyclojones.bailey as bailey_mod
+    from cyclojones import verify
+    from cyclojones.cli import main
+
+    step = bailey_mod._binomial_step
+    monkeypatch.setattr(bailey_mod, "_binomial_step", lambda a_exp, cache: lambda a, b: (
+        step(a_exp, cache)(a, b) + (LaurentPoly.one() if (a, b) == (1, 2) else LaurentPoly.zero())))
+    assert main("coeffs --p 2 --s 3 --max-k 4 --no-cache --cross-check".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: multi-sum c' mismatch at k=2, p=2\n"
+    failed = _failed_rows(verify.check_multisum_c_prime, verify.check_multisum_c_tilde,
+                          verify.check_multisum_d)
+    assert set(failed) == {"cross/multisum-c-prime", "cross/multisum-c-tilde", "cross/multisum-d"}
+    assert "(2, 2)" in failed["cross/multisum-c-prime"]
+
+
+@pytest.mark.parametrize("at, where", [((2, 3), "p=3"), ((2, -2), "r=-2")])
+def test_a_planted_c_prime_error_names_its_twist(at, where, capsys, monkeypatch):
+    # a full-twist knot compares the c' multi-sums of both of its twists
+    import cyclojones.bailey as bailey_mod
+    from cyclojones.cli import main
+
+    _plant(monkeypatch, bailey_mod, "multisum_c_prime", at)
+    assert main("coeffs --p 3 --r -2 --max-k 4 --no-cache --cross-check".split()) == 1
+    assert capsys.readouterr().err == f"error: multi-sum c' mismatch at k=2, {where}\n"

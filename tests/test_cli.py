@@ -901,11 +901,11 @@ def test_verify_grids_above_the_knot_bound_are_usage_errors(argv, accepted, caps
 @pytest.mark.parametrize(
     "argv, accepted",
     [
-        # refused: 150 million units, it ran past 150 s; accepted: 29 million units
-        ("coeffs --p 2 --s 1 --max-k 48 --cross-check", "coeffs --p 2 --s 1 --max-k 36 --cross-check"),
-        # refused: 36 million units, 32.7 s; accepted: 26 million units (K(1, 1/2) at 37 took 27.1 s)
-        ("coeffs --p -1 --s -1 --max-k 38 --cross-check", "coeffs --p 1 --s 1 --max-k 36 --cross-check"),
-        # max_k 32 took 17.5 s and is accepted now; max_k 40 is 81 million units
+        # refused: 50 million units (31.5 s); accepted: 26 million units (at 46, 39 million: 24.8 s)
+        ("coeffs --p 2 --s 1 --max-k 48 --cross-check", "coeffs --p 2 --s 1 --max-k 43 --cross-check"),
+        # refused: 38 million units (26.6 s); accepted: 29 million units (K(1, 1/2) at 37 took 5.9 s)
+        ("coeffs --p -1 --s -1 --max-k 48 --cross-check", "coeffs --p 1 --s 1 --max-k 46 --cross-check"),
+        # max_k 32 took 5.6 s and is accepted; max_k 40 is 46 million units
         ("coeffs --p 3 --s 5 --max-k 40 --cross-check", "coeffs --p 3 --s 5 --max-k 32 --cross-check"),
         ("coeffs --p 200 --s 1 --max-k 12 --cross-check", "coeffs --p 40 --s 1 --max-k 10 --cross-check"),
     ],
@@ -979,7 +979,7 @@ def test_cheap_multisum_requests_are_accepted(argv, capsys):
 @pytest.mark.parametrize("suite", ["io", "laurent", "qcalc"])
 def test_suites_no_range_enters_are_accepted_on_the_largest_grid(suite, capsys):
     # each took 0.10-0.14 s on a 2-core host with Python 3.11; the grid's suites
-    # together count 86 million units, and --suite all stays refused
+    # together count 84 million units, and --suite all stays refused
     from cyclojones.cli import _verify_work
     from cyclojones.verify import SUITES
 
@@ -987,15 +987,14 @@ def test_suites_no_range_enters_are_accepted_on_the_largest_grid(suite, capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, *grid)
     assert code == 0, err
     assert out.splitlines()[-1].startswith(f"suite {suite}: OK")
-    # all counts what every grid counted before the suites were told apart (53,430,854
-    # units at the default --max-n 8), and one suite never more: no request turns from
-    # accepted to refused
+    # all counts the terms of every suite (51,515,283 units at the default --max-n 8), and
+    # one suite never more: no request turns from accepted to refused
     ranges = (24, 24, (-5, 5), (1, 5))
     assert _verify_work(*ranges, suite) == 0
     default_n = (24, 8, (-5, 5), (1, 5))
-    assert _verify_work(*default_n, "all") == _verify_work(*default_n) == 53_430_854
+    assert _verify_work(*default_n, "all") == _verify_work(*default_n) == 51_515_283
     assert _verify_work(*ranges, "all") == sum(_verify_work(*ranges, name) for name in SUITES) - \
-        _verify_work(*ranges, "bailey") == 86_198_854
+        _verify_work(*ranges, "bailey") == 84_283_283
     assert _verify_work(*ranges, "bailey") == _verify_work(*ranges, "skein") > 0
 
 
@@ -1027,33 +1026,25 @@ def test_the_robustness_requests_stay_usage_errors(argv, capsys, monkeypatch):
     assert captured.err.startswith(f"usage: cyclojones {argv.split()[0]} ")
 
 
-def test_coeffs_and_jones_requests_build_no_fraction(capsys, monkeypatch):
+def test_coeffs_and_jones_requests_build_no_fraction(capsys, fractions_built):
     # every quotient of a table or of the Walsh route is divided straight by its
-    # braces (qcalc.brace_quotient): no LaurentFraction is built without --cross-check
+    # braces (qcalc.brace_quotient), and --cross-check compares the multi-sums'
+    # numerators (bailey.multisum_agreement): no LaurentFraction is built
     from cyclojones.laurent import LaurentFraction
 
-    built, init, make = [], LaurentFraction.__init__, LaurentFraction._make.__func__
-
-    def counting_init(self, num):
-        built.append("__init__")
-        init(self, num)
-
-    def counting_make(cls, num, phi):
-        built.append("_make")
-        return make(cls, num, phi)
-
-    monkeypatch.setattr(LaurentFraction, "__init__", counting_init)
-    monkeypatch.setattr(LaurentFraction, "_make", classmethod(counting_make))
     for argv in (
         "coeffs --p -3 --s 5 --max-k 8 --no-cache",
         "coeffs --p 3 --r -2 --max-k 8 --no-cache",
         "jones --p 2 --s 1 --N 6 --route both",
+        "coeffs --p 2 --s 3 --max-k 8 --no-cache --cross-check",
+        "coeffs --p 2 --s -3 --max-k 8 --no-cache --cross-check",
+        "coeffs --p 3 --r -2 --max-k 8 --no-cache --cross-check",
     ):
         assert main(argv.split()) == 0
     capsys.readouterr()
-    assert built == []
+    assert fractions_built == []
     LaurentFraction(2) * LaurentFraction(3)  # the counters see the fractions that are built
-    assert built == ["__init__", "__init__", "_make"]
+    assert fractions_built == ["__init__", "__init__", "_make"]
 
 
 def test_route_disagreement_exits_one(capsys, monkeypatch):
@@ -1103,8 +1094,8 @@ def test_work_is_closed_form_and_orders_requests_as_measured():
     for end in (2**63, 10**20, 10**40):  # nothing is listed: each answer takes under 1 ms
         assert _verify_work(24, 24, (-end, end), (1, end)) > _verify_work(24, 24, (-5, 5), (1, 5))
         assert min(timeit.repeat(lambda: _verify_work(24, 24, (-end, end), (1, end)), number=1)) < 1e-3
-    # K(1, 1/2) at max_k 37 took 27.1 s, K(3, 5/2) at max_k 26 6.3 s (CHANGES.md)
-    assert cross_check_work(37, 1, 1, True) > 4 * cross_check_work(26, 3, 3, True)
+    # K(1, 1/2) at max_k 37 took 5.9 s, K(3, 5/2) at max_k 26 2.0 s (README)
+    assert cross_check_work(37, 1, 1, True) > 2 * cross_check_work(26, 3, 3, True)
 
 
 def test_long_cross_check_chains_exit_zero(capsys):

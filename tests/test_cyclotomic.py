@@ -485,11 +485,11 @@ def test_coefficient_table(cache, tmp_path):
 
 
 def test_cross_check_compares_c_tilde_for_negative_s(cache, monkeypatch):
-    import cyclojones.cyclotomic as cyclotomic_mod
+    import cyclojones.bailey as bailey_mod
 
-    wrong = LaurentFraction(2)
-    monkeypatch.setattr(cyclotomic_mod, "c_tilde_prime", lambda k, s, cache=None: wrong)
-    with pytest.raises(IntegralityFailure, match="c~' mismatch"):
+    wrong = LaurentPoly.from_int(2)
+    monkeypatch.setattr(bailey_mod, "multisum_c_tilde", lambda k, m, cache=None: wrong)
+    with pytest.raises(IntegralityFailure, match="c~' mismatch at k=0, s=-1"):
         coefficient_table(KnotSpec.half(1, -1), 3, cache, cross_check=True)
 
 

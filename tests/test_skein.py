@@ -5,7 +5,6 @@ import pytest
 
 from cyclojones import (
     IndexOutOfRange,
-    LaurentFraction,
     LaurentPoly,
     QSymbolCache,
     ZPoly,
@@ -161,24 +160,22 @@ def test_pairing_diagonal(cache):
 
 def test_twist_inverse_check_divides_each_t_coeff_once(monkeypatch):
     # twist_coeff_d asks for t_{k,i} again for every j and both twists; the
-    # check's cache collapses each (k, i) once
+    # check's cache divides each (k, i), i < k, once, and t_{k,k} = 1 never
+    import cyclojones.skein as skein_mod
     from cyclojones.verify import VerifyGrid, _run_group, check_twist_inverse
 
-    collapsed = Counter()
-    to_poly = LaurentFraction.to_poly
+    divided = Counter()
+    brace_quotient = skein_mod.brace_quotient
 
-    def recording(self):
-        frame = sys._getframe(1)
-        if frame.f_back.f_code is QSymbolCache.memo.__code__:  # a memo build: look past it
-            frame = frame.f_back.f_back
-        if frame.f_code.co_name == "t_coeff":
-            collapsed[frame.f_locals["k"], frame.f_locals["i"]] += 1
-        return to_poly(self)
+    def recording(num, lo, hi):
+        scope = sys._getframe(1).f_locals  # t_coeff's memo build, which holds k and i
+        divided[scope["k"], scope["i"]] += 1
+        return brace_quotient(num, lo, hi)
 
-    monkeypatch.setattr(LaurentFraction, "to_poly", recording)
+    monkeypatch.setattr(skein_mod, "brace_quotient", recording)
     [(result, _)] = _run_group([check_twist_inverse], VerifyGrid())
     assert result.passed
-    assert collapsed == Counter({(k, i): 1 for k in range(11) for i in range(k + 1)})
+    assert divided == Counter({(k, i): 1 for k in range(11) for i in range(k)})
 
 
 def _count_calls(monkeypatch, module, name):
